@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,14 +98,35 @@ func canonical(t testing.TB, rows []OutcomeRow) []byte {
 }
 
 // killAfter aborts every shard request past the first n, simulating a
-// worker process dying mid-sweep (clients see a torn connection).
-func killAfter(n int32) func(http.Handler) http.Handler {
+// worker process dying mid-sweep (clients see a torn connection). A
+// non-nil aborted channel is closed at the first abort.
+func killAfter(n int32, aborted chan struct{}) func(http.Handler) http.Handler {
 	var count int32
+	var once sync.Once
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
 				if atomic.AddInt32(&count, 1) > n {
+					if aborted != nil {
+						once.Do(func() { close(aborted) })
+					}
 					panic(http.ErrAbortHandler)
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// holdShardsUntil delays every shard request until release is closed or
+// timeout passes, whichever comes first.
+func holdShardsUntil(release <-chan struct{}, timeout time.Duration) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
+				select {
+				case <-release:
+				case <-time.After(timeout):
 				}
 			}
 			next.ServeHTTP(w, r)
@@ -158,8 +180,12 @@ func TestClusterEquivalence(t *testing.T) {
 			})
 
 			t.Run("worker-killed", func(t *testing.T) {
-				dying, _ := newTestWorker(t, killAfter(1))
-				healthy, _ := newTestWorker(t, nil)
+				// The healthy worker holds its shards until the dying one
+				// has aborted, so it cannot drain the grid before the dying
+				// worker receives its second (fatal) shard.
+				aborted := make(chan struct{})
+				dying, _ := newTestWorker(t, killAfter(1, aborted))
+				healthy, _ := newTestWorker(t, holdShardsUntil(aborted, 10*time.Second))
 				coord := New(Options{
 					Workers:          []string{dying.URL, healthy.URL},
 					ShardConfigs:     2,

@@ -75,7 +75,7 @@ func TestFleetChurnEquivalence(t *testing.T) {
 			want := localRows(t, src, data, cfgs)
 
 			regSrv, _ := newTestRegistry(t, 5*time.Second)
-			srvA, _ := newTestWorker(t, killAfter(1))
+			srvA, _ := newTestWorker(t, killAfter(1, nil))
 			srvB, _ := newTestWorker(t, slowShards(10*time.Millisecond))
 			srvC, _ := newTestWorker(t, nil) // created idle; joins mid-sweep
 			registerMember(t, regSrv.URL, "worker-a", srvA.URL)

@@ -153,7 +153,7 @@ func (w *Worker) putTrace(rw http.ResponseWriter, r *http.Request) {
 	}
 	// Reject bytes that do not even parse as a trace header; a corrupt
 	// recording would otherwise poison every shard dispatched against it.
-	if _, err := trace.NewReader(bytes.NewReader(data)); err != nil {
+	if _, err := trace.NewBytesReader(data); err != nil {
 		writeJSON(rw, http.StatusUnprocessableEntity, map[string]string{"error": "not a trace: " + err.Error()})
 		return
 	}
@@ -237,7 +237,7 @@ func (w *Worker) fetchFromPeers(ctx context.Context, key string, sources []strin
 			lastErr = fmt.Errorf("peer %s served bytes hashing to %s, want %s", src, got, key)
 			continue
 		}
-		if _, err := trace.NewReader(bytes.NewReader(data)); err != nil {
+		if _, err := trace.NewBytesReader(data); err != nil {
 			lastErr = fmt.Errorf("peer %s served a corrupt trace: %w", src, err)
 			continue
 		}
@@ -335,7 +335,7 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 		w.fail(rw, http.StatusUnprocessableEntity, "compile: "+err.Error())
 		return
 	}
-	tr, err := trace.NewReader(bytes.NewReader(art.Data))
+	tr, err := trace.NewBytesReader(art.Data)
 	if err != nil {
 		sp.Fail(err)
 		w.fail(rw, http.StatusUnprocessableEntity, "trace header: "+err.Error())

@@ -25,6 +25,8 @@
 package core
 
 import (
+	"math"
+
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
 	"jrpm/internal/vmsim"
@@ -119,61 +121,159 @@ type lineEntry struct {
 	valid bool
 }
 
+// wordsPerLine is the number of per-word store timestamps a FIFO line
+// holds.
+const wordsPerLine = hydra.LineSize / hydra.WordSize
+
 // storeFIFO models the three store buffers that hold heap store
 // timestamps during tracing: a FIFO of cache-line-sized entries holding
 // per-word store timestamps, 192 lines deep (6 kB of write history).
+//
+// As in hardware, the lines form a ring in allocation order; once the
+// ring is full a new line overwrites the oldest one. A small
+// open-addressed (linear-probing) index maps a line number to its ring
+// slot. The ring and the index grow on demand up to the configured
+// depth, so a run that touches few lines never pays for all of them. A
+// depth <= 0 models a machine without write history: nothing is kept.
 type storeFIFO struct {
-	cap     int
-	entries map[uint32]*fifoLine // line number -> entry
-	order   []uint32             // allocation order for eviction
-	head    int
+	cap   int
+	ring  []fifoLine
+	head  int     // oldest line once the ring is full
+	index []int32 // ring slot + 1 per bucket, 0 = empty; len is a power of two
+	shift uint    // 32 - log2(len(index))
 }
 
 type fifoLine struct {
-	ts    [hydra.LineSize / hydra.WordSize]int64
-	valid [hydra.LineSize / hydra.WordSize]bool
+	line  uint32
+	valid uint8 // bit w set: ts[w] holds a store timestamp
+	ts    [wordsPerLine]int64
 }
 
+// fifoMinIndex is the initial index size; the index is kept at most
+// half full, so it is rehashed into twice the buckets as the ring grows.
+const fifoMinIndex = 16
+
 func newStoreFIFO(capLines int) *storeFIFO {
-	return &storeFIFO{cap: capLines, entries: map[uint32]*fifoLine{}}
+	return &storeFIFO{cap: capLines}
+}
+
+// bucket is the home bucket of a line: Fibonacci hashing on the line
+// number.
+func (f *storeFIFO) bucket(line uint32) int {
+	return int((line * 0x9e3779b1) >> f.shift)
+}
+
+// find returns the ring slot holding line, or -1.
+func (f *storeFIFO) find(line uint32) int {
+	if len(f.index) == 0 {
+		return -1
+	}
+	mask := len(f.index) - 1
+	for i := f.bucket(line); ; i = (i + 1) & mask {
+		s := f.index[i]
+		if s == 0 {
+			return -1
+		}
+		if f.ring[s-1].line == line {
+			return int(s - 1)
+		}
+	}
+}
+
+// insert indexes ring slot s under its line number.
+func (f *storeFIFO) insert(s int) {
+	mask := len(f.index) - 1
+	i := f.bucket(f.ring[s].line)
+	for f.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	f.index[i] = int32(s + 1)
+}
+
+// unindex removes line's bucket, shifting later members of its probe
+// run back so that lookups never need tombstones.
+func (f *storeFIFO) unindex(line uint32) {
+	mask := len(f.index) - 1
+	i := f.bucket(line)
+	for f.ring[f.index[i]-1].line != line {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; f.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill hole i unless its home bucket lies
+		// cyclically in (i, j].
+		k := f.bucket(f.ring[f.index[j]-1].line)
+		if (i < j && i < k && k <= j) || (j < i && (i < k || k <= j)) {
+			continue
+		}
+		f.index[i] = f.index[j]
+		i = j
+	}
+	f.index[i] = 0
+}
+
+// grow makes room for one more line: the ring's backing array doubles
+// (capped at the FIFO depth) and the index doubles whenever it would
+// pass half full.
+func (f *storeFIFO) grow() {
+	n := len(f.ring)
+	if n == cap(f.ring) {
+		c := max(2*n, 8)
+		if c > f.cap {
+			c = f.cap
+		}
+		ring := make([]fifoLine, n, c)
+		copy(ring, f.ring)
+		f.ring = ring
+	}
+	if 2*(n+1) <= len(f.index) {
+		return
+	}
+	size := max(2*len(f.index), fifoMinIndex)
+	f.index = make([]int32, size)
+	f.shift = 32
+	for b := size; b > 1; b >>= 1 {
+		f.shift--
+	}
+	for s := 0; s < n; s++ {
+		f.insert(s)
+	}
 }
 
 func (f *storeFIFO) record(addr uint32, ts int64) {
 	line := addr / hydra.LineSize
 	word := (addr % hydra.LineSize) / hydra.WordSize
-	e := f.entries[line]
-	if e == nil {
-		if len(f.entries) >= f.cap {
-			// Evict the oldest still-present line.
-			for {
-				victim := f.order[f.head]
-				f.head++
-				if _, ok := f.entries[victim]; ok {
-					delete(f.entries, victim)
-					break
-				}
+	s := f.find(line)
+	if s < 0 {
+		switch {
+		case f.cap <= 0:
+			return
+		case len(f.ring) < f.cap:
+			f.grow()
+			s = len(f.ring)
+			f.ring = append(f.ring, fifoLine{line: line})
+		default:
+			// Full: the new line takes the oldest line's slot.
+			s = f.head
+			f.unindex(f.ring[s].line)
+			f.ring[s] = fifoLine{line: line}
+			if f.head++; f.head == f.cap {
+				f.head = 0
 			}
 		}
-		e = &fifoLine{}
-		f.entries[line] = e
-		f.order = append(f.order, line)
-		if f.head > 4096 && f.head*2 > len(f.order) {
-			f.order = append([]uint32(nil), f.order[f.head:]...)
-			f.head = 0
-		}
+		f.insert(s)
 	}
+	e := &f.ring[s]
 	e.ts[word] = ts
-	e.valid[word] = true
+	e.valid |= 1 << word
 }
 
 func (f *storeFIFO) lookup(addr uint32) (int64, bool) {
-	line := addr / hydra.LineSize
 	word := (addr % hydra.LineSize) / hydra.WordSize
-	e := f.entries[line]
-	if e == nil || !e.valid[word] {
+	s := f.find(addr / hydra.LineSize)
+	if s < 0 || f.ring[s].valid&(1<<word) == 0 {
 		return 0, false
 	}
-	return e.ts[word], true
+	return f.ring[s].ts[word], true
 }
 
 // bank is one comparator bank (Figure 7) bound to a dynamic loop entry.
@@ -201,13 +301,38 @@ type bank struct {
 	// Per-entry accumulation, folded into the loop table at eloop.
 	acc LoopStats
 
-	// tracked marks the named-local slots this bank's sloop reserved,
-	// and localTS holds the bank's own store timestamps for them: each
-	// sloop reserves its own local-variable timestamp entries (Table 4),
-	// so an inner loop freeing its reservation never disturbs an outer
-	// bank's view of the same variable.
-	tracked map[int]bool
-	localTS map[int]int64
+	// slotPos maps a named-local slot to its position in the loop's
+	// AnnLocals (-1: not reserved by this loop); it is shared by every
+	// entry of the loop. localTS holds the bank's own store timestamps by
+	// that position: each sloop reserves its own local-variable timestamp
+	// entries (Table 4), so an inner loop freeing its reservation never
+	// disturbs an outer bank's view of the same variable.
+	slotPos []int32
+	localTS []int64
+}
+
+// noStore marks a local timestamp entry no store has written in the
+// current loop entry. It precedes every entry start, so the dependency
+// check rejects it like a pre-entry store.
+const noStore = math.MinInt64
+
+// localPos returns slot's position in the bank's local timestamp
+// entries, or -1 when the bank did not reserve the slot.
+func (b *bank) localPos(slot int) int {
+	if uint(slot) >= uint(len(b.slotPos)) {
+		return -1
+	}
+	return int(b.slotPos[slot])
+}
+
+// loopState is the tracer's per-static-loop bookkeeping, indexed by loop
+// id.
+type loopState struct {
+	stats    *LoopStats    // nil until the loop first reports
+	parents  map[int]int64 // this loop's row of parentEdges
+	slotPos  []int32       // see bank.slotPos; built on first allocation
+	disabled bool          // thread quota reached
+	freed    bool          // bank released due to persistent overflow
 }
 
 // Tracer is the full TEST hardware model: the comparator bank array plus
@@ -222,12 +347,12 @@ type Tracer struct {
 	stLine []lineEntry
 
 	stack      []*bank
+	pool       []*bank // banks released at eloop, reused by later sloops
 	inUseBanks int
 	localUsed  int
 
-	table    map[int]*LoopStats
-	disabled map[int]bool // thread quota reached
-	freed    map[int]bool // bank released due to persistent overflow
+	loops []loopState
+	table map[int]*LoopStats
 
 	// parentEdges records observed dynamic nesting: child loop -> parent
 	// loop (-1 at top level) -> entry count. The profile analyzer turns
@@ -280,9 +405,8 @@ func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
 		heapTS:      newStoreFIFO(cfg.Tracer.HeapStoreLines),
 		ldLine:      make([]lineEntry, cfg.Tracer.LoadLineTS),
 		stLine:      make([]lineEntry, cfg.Tracer.StoreLineTS),
+		loops:       make([]loopState, len(prog.Loops)),
 		table:       map[int]*LoopStats{},
-		disabled:    map[int]bool{},
-		freed:       map[int]bool{},
 		parentEdges: map[int]map[int]int64{},
 	}
 }
@@ -295,15 +419,51 @@ func (t *Tracer) ParentEdges() map[int]map[int]int64 { return t.parentEdges }
 func (t *Tracer) Results() map[int]*LoopStats { return t.table }
 
 func (t *Tracer) loopStats(loop int) *LoopStats {
-	s := t.table[loop]
-	if s == nil {
-		s = &LoopStats{Loop: loop}
+	ls := &t.loops[loop]
+	if ls.stats == nil {
+		ls.stats = &LoopStats{Loop: loop}
 		if t.opts.Extended {
-			s.PCArcs = map[int]*PCArcStats{}
+			ls.stats.PCArcs = map[int]*PCArcStats{}
 		}
-		t.table[loop] = s
+		t.table[loop] = ls.stats
 	}
-	return s
+	return ls.stats
+}
+
+// slotPositions returns loop's slot -> AnnLocals position table.
+func (t *Tracer) slotPositions(loop int) []int32 {
+	ls := &t.loops[loop]
+	if ls.slotPos == nil {
+		ann := t.prog.Loops[loop].AnnLocals
+		n := 0
+		for _, s := range ann {
+			n = max(n, s+1)
+		}
+		ls.slotPos = make([]int32, n)
+		for i := range ls.slotPos {
+			ls.slotPos[i] = -1
+		}
+		for i, s := range ann {
+			if ls.slotPos[s] < 0 {
+				ls.slotPos[s] = int32(i)
+			}
+		}
+	}
+	return ls.slotPos
+}
+
+// newBank takes a bank from the pool (or allocates one) and resets it
+// for a new loop entry, keeping its local timestamp storage.
+func (t *Tracer) newBank() *bank {
+	var b *bank
+	if n := len(t.pool); n > 0 {
+		b = t.pool[n-1]
+		t.pool = t.pool[:n-1]
+		*b = bank{localTS: b.localTS[:0]}
+	} else {
+		b = &bank{}
+	}
+	return b
 }
 
 // LoopStart handles an sloop annotation: allocate a comparator bank if the
@@ -314,16 +474,17 @@ func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	if len(t.stack) > 0 {
 		parent = t.stack[len(t.stack)-1].loopID
 	}
-	pe := t.parentEdges[loop]
-	if pe == nil {
-		pe = map[int]int64{}
-		t.parentEdges[loop] = pe
+	ls := &t.loops[loop]
+	if ls.parents == nil {
+		ls.parents = map[int]int64{}
+		t.parentEdges[loop] = ls.parents
 	}
-	pe[parent]++
+	ls.parents[parent]++
 
-	b := &bank{loopID: loop, frame: frame, numLocals: numLocals}
+	b := t.newBank()
+	b.loopID, b.frame, b.numLocals = loop, frame, numLocals
 	switch {
-	case t.disabled[loop] || t.freed[loop]:
+	case ls.disabled || ls.freed:
 		// Annotations for this loop are logically nop'd out.
 	case t.inUseBanks >= t.cfg.Tracer.Banks:
 		t.loopStats(loop).SkippedEntries++
@@ -334,11 +495,9 @@ func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
 		b.entryStart = now
 		b.tsCur = now
 		b.resetThread()
-		info := &t.prog.Loops[loop]
-		b.tracked = make(map[int]bool, len(info.AnnLocals))
-		b.localTS = make(map[int]int64, len(info.AnnLocals))
-		for _, s := range info.AnnLocals {
-			b.tracked[s] = true
+		b.slotPos = t.slotPositions(loop)
+		for range t.prog.Loops[loop].AnnLocals {
+			b.localTS = append(b.localTS, noStore)
 		}
 		t.inUseBanks++
 		t.localUsed += numLocals
@@ -417,12 +576,14 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 		// annotations; scan down defensively.
 		for i := n - 1; i >= 0; i-- {
 			if t.stack[i].loopID == loop {
+				t.pool = append(t.pool, b)
 				b = t.stack[i]
 				t.stack = append(t.stack[:i], t.stack[i+1:]...)
 				break
 			}
 		}
 	}
+	t.pool = append(t.pool, b)
 	if !b.allocated {
 		return
 	}
@@ -437,10 +598,10 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 
 	if t.opts.OverflowFree > 0 && s.Threads >= t.opts.MinThreads &&
 		float64(s.Overflows) > t.opts.OverflowFree*float64(s.Threads) {
-		t.freed[loop] = true
+		t.loops[loop].freed = true
 	}
 	if t.opts.ThreadQuota > 0 && s.Threads >= t.opts.ThreadQuota {
-		t.disabled[loop] = true
+		t.loops[loop].disabled = true
 	}
 }
 
@@ -526,11 +687,15 @@ func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
 // bank consults its own reserved timestamp entry for the variable.
 func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range t.stack {
-		if !b.allocated || b.frame != id.Frame || !b.tracked[id.Slot] {
+		if !b.allocated || b.frame != id.Frame {
 			continue
 		}
-		ts, ok := b.localTS[id.Slot]
-		if !ok || ts < b.entryStart || ts >= b.tsCur {
+		p := b.localPos(id.Slot)
+		if p < 0 {
+			continue
+		}
+		ts := b.localTS[p]
+		if ts < b.entryStart || ts >= b.tsCur {
 			continue
 		}
 		bin := BinEarlier
@@ -550,8 +715,11 @@ func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 // the variable records its own store timestamp.
 func (t *Tracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range t.stack {
-		if b.allocated && b.frame == id.Frame && b.tracked[id.Slot] {
-			b.localTS[id.Slot] = now
+		if !b.allocated || b.frame != id.Frame {
+			continue
+		}
+		if p := b.localPos(id.Slot); p >= 0 {
+			b.localTS[p] = now
 		}
 	}
 }

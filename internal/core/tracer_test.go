@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -603,4 +604,120 @@ func TestOverflowOncePerThread(t *testing.T) {
 	if s := tr.Results()[0]; s.Overflows != 1 {
 		t.Fatalf("overflows = %d, want 1 (counted once per thread)", s.Overflows)
 	}
+}
+
+// mapFIFO is the original map-plus-order-slice store FIFO, kept as the
+// oracle for the ring FIFO: oldest-allocated line evicted first.
+type mapFIFO struct {
+	cap     int
+	entries map[uint32]*mapFIFOLine
+	order   []uint32
+	head    int
+}
+
+type mapFIFOLine struct {
+	ts    [hydra.LineSize / hydra.WordSize]int64
+	valid [hydra.LineSize / hydra.WordSize]bool
+}
+
+func (f *mapFIFO) record(addr uint32, ts int64) {
+	line := addr / hydra.LineSize
+	word := (addr % hydra.LineSize) / hydra.WordSize
+	e := f.entries[line]
+	if e == nil {
+		if len(f.entries) >= f.cap {
+			for {
+				victim := f.order[f.head]
+				f.head++
+				if _, ok := f.entries[victim]; ok {
+					delete(f.entries, victim)
+					break
+				}
+			}
+		}
+		e = &mapFIFOLine{}
+		f.entries[line] = e
+		f.order = append(f.order, line)
+	}
+	e.ts[word] = ts
+	e.valid[word] = true
+}
+
+func (f *mapFIFO) lookup(addr uint32) (int64, bool) {
+	line := addr / hydra.LineSize
+	word := (addr % hydra.LineSize) / hydra.WordSize
+	e := f.entries[line]
+	if e == nil || !e.valid[word] {
+		return 0, false
+	}
+	return e.ts[word], true
+}
+
+// TestStoreFIFOMatchesMapOracle drives the ring FIFO and the map oracle
+// with the same random stores and requires identical lookups. Addresses
+// mostly fall in a window of a few times the FIFO depth, so lines are
+// evicted and re-allocated constantly and the index sees long probe
+// runs; a few land anywhere in the address space.
+func TestStoreFIFOMatchesMapOracle(t *testing.T) {
+	for _, lines := range []int{1, 2, 32, 192} {
+		rng := rand.New(rand.NewSource(int64(lines)))
+		ring := core.NewStoreFIFO(lines)
+		oracle := &mapFIFO{cap: lines, entries: map[uint32]*mapFIFOLine{}}
+		window := uint32(3*lines+1) * hydra.LineSize
+		addr := func() uint32 {
+			if rng.Intn(16) == 0 {
+				return rng.Uint32()
+			}
+			return rng.Uint32() % window
+		}
+		for i := 0; i < 50000; i++ {
+			a := addr()
+			if rng.Intn(2) == 0 {
+				ring.Record(a, int64(i))
+				oracle.record(a, int64(i))
+				continue
+			}
+			gt, gok := ring.Lookup(a)
+			wt, wok := oracle.lookup(a)
+			if gt != wt || gok != wok {
+				t.Fatalf("lines=%d op %d: lookup(%#x) = (%d,%v), oracle (%d,%v)", lines, i, a, gt, gok, wt, wok)
+			}
+		}
+	}
+}
+
+// TestTracerAllocsIndependentOfLoopEntries: the model allocates per
+// static loop and per distinct store line, never per loop entry or per
+// event, so a run with 100x the loop entries allocates no more.
+func TestTracerAllocsIndependentOfLoopEntries(t *testing.T) {
+	prog := makeProg(2, []int{0, 3}, []int{1})
+	run := func(entries int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			tr := core.NewTracer(prog, hydra.DefaultConfig(), core.DefaultOptions())
+			now := int64(0)
+			tick := func() int64 { now++; return now }
+			tr.LoopStart(tick(), 0, 2, 1)
+			for e := 0; e < entries; e++ {
+				tr.LoopStart(tick(), 1, 1, 2)
+				for it := 0; it < 4; it++ {
+					a := uint32(0x1000 + 4*((e*4+it)%32))
+					tr.HeapLoad(tick(), a, 1)
+					tr.HeapStore(tick(), a+4, 2)
+					tr.LocalLoad(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 3)
+					tr.LocalStore(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 4)
+					tr.LocalStore(tick(), vmsim.SlotID{Frame: 1, Slot: 3}, 5)
+					tr.LoopIter(tick(), 1)
+				}
+				tr.LoopEnd(tick(), 1)
+				tr.ReadStats(tick(), 1)
+				tr.LoopIter(tick(), 0)
+			}
+			tr.LoopEnd(tick(), 0)
+		})
+	}
+	few, many := run(10), run(1000)
+	if many > few {
+		t.Fatalf("allocs grow with loop entries: %v allocs for 10 entries, %v for 1000", few, many)
+	}
+	t.Logf("%v allocs per tracer run, independent of loop entries", few)
 }

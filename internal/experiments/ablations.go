@@ -196,7 +196,7 @@ func sweepSuite(ctx context.Context, sw GridSweeper, scale float64, opts jrpm.Op
 
 // replayInto replays a recorded trace into an arbitrary VM listener.
 func replayInto(c *jrpm.Compiled, data []byte, l vmsim.Listener) error {
-	r, err := trace.NewReader(bytes.NewReader(data))
+	r, err := trace.NewBytesReader(data)
 	if err != nil {
 		return err
 	}

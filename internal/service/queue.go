@@ -114,6 +114,13 @@ func (c Config) admitMark() int {
 	return mark
 }
 
+// retainFinished bounds the terminal jobs a pool keeps for GET
+// /v1/jobs/{id}: sixteen queue-fulls, so a client has the time the queue
+// takes to turn over sixteen times to collect its result. Past it the
+// oldest finished jobs are forgotten and answer 404 like an unknown id;
+// queued and running jobs are always kept.
+func (c Config) retainFinished() int { return 16 * c.QueueDepth }
+
 // Pool runs pipeline jobs on a fixed set of workers fed by a bounded
 // queue. One bad program cannot take the daemon down: each job runs
 // under its own context (timeout + cancellation) and a panic inside the
@@ -132,6 +139,8 @@ type Pool struct {
 	jobs     sync.Map // id -> *Job
 	seq      atomic.Int64
 	live     atomic.Int64 // jobs accepted but not yet terminal
+	finMu    sync.Mutex
+	finished []string // ids of terminal jobs still in jobs, oldest first
 	ctx      context.Context
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
@@ -276,6 +285,20 @@ func (p *Pool) Get(id string) (*Job, bool) {
 	return v.(*Job), true
 }
 
+// retire accounts for a job that reached a terminal state: it is no
+// longer live, and it joins the finished jobs, evicting the oldest past
+// retainFinished.
+func (p *Pool) retire(j *Job) {
+	p.live.Add(-1)
+	p.finMu.Lock()
+	defer p.finMu.Unlock()
+	p.finished = append(p.finished, j.ID)
+	if len(p.finished) > p.cfg.retainFinished() {
+		p.jobs.Delete(p.finished[0])
+		p.finished = p.finished[1:]
+	}
+}
+
 // Cancel aborts a job by id, reporting what it did: CancelNoop means
 // the job had already reached a terminal state (the HTTP layer answers
 // 409).
@@ -287,7 +310,7 @@ func (p *Pool) Cancel(id string) (CancelOutcome, error) {
 	switch out := j.Cancel(); out {
 	case CancelQueued:
 		p.metrics.JobsCanceled.Add(1)
-		p.live.Add(-1)
+		p.retire(j)
 		return out, nil
 	default:
 		return out, nil // CancelRequested: the worker records the cancellation
@@ -343,7 +366,7 @@ func (p *Pool) stop() {
 		if j.failIfQueued(ErrServerDraining.Error()) {
 			p.metrics.DrainFailed.Add(1)
 			p.metrics.JobsFailed.Add(1)
-			p.live.Add(-1)
+			p.retire(j)
 		}
 	}
 }
@@ -381,7 +404,7 @@ func (p *Pool) run(j *Job) {
 			if j.failIfQueued(fmt.Sprintf("deadline (%dms) expired while queued", j.Req.DeadlineMs)) {
 				p.metrics.DeadlineExpired.Add(1)
 				p.metrics.JobsFailed.Add(1)
-				p.live.Add(-1)
+				p.retire(j)
 			}
 			return
 		}
@@ -408,7 +431,7 @@ func (p *Pool) run(j *Job) {
 	if !ok {
 		return // canceled while queued; Cancel dropped the live count
 	}
-	defer p.live.Add(-1)
+	defer p.retire(j)
 	defer p.queue.completed(j.Tenant)
 	p.metrics.QueueWait.Observe(wait)
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -620,5 +621,54 @@ func TestTraceCacheEviction(t *testing.T) {
 	}
 	if c.Snapshot().Bytes != 80 {
 		t.Errorf("bytes=%d after oversized put, want 80", c.Snapshot().Bytes)
+	}
+}
+
+// TestFinishedJobRetention: the pool keeps a bounded number of finished
+// jobs. Past the bound the oldest finished jobs are forgotten and a GET
+// of one answers exactly like a GET of an id that never existed.
+func TestFinishedJobRetention(t *testing.T) {
+	pool := NewPool(Config{Workers: 1, QueueDepth: 1})
+	defer pool.Stop()
+	bound := pool.Config().retainFinished()
+	var ids []string
+	for i := 0; i < bound+3; i++ {
+		j, err := pool.Submit(Request{Workload: "Huffman", Scale: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := mustWait(t, j); v.State != StateDone {
+			t.Fatalf("job %s: state %s (%s)", j.ID, v.State, v.Error)
+		}
+		ids = append(ids, j.ID)
+	}
+	for i, id := range ids {
+		_, ok := pool.Get(id)
+		if evicted := i < 3; ok == evicted {
+			t.Errorf("job %d (%s): retained=%v, want %v", i, id, ok, !evicted)
+		}
+	}
+
+	srv := httptest.NewServer(NewServer(pool).Handler())
+	defer srv.Close()
+	get := func(id string) (int, string) {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	ec, eb := get(ids[0])
+	uc, ub := get("j99999999")
+	if ec != http.StatusNotFound || ec != uc || eb != ub {
+		t.Errorf("evicted id: %d %q; unknown id: %d %q", ec, eb, uc, ub)
+	}
+	if c, _ := get(ids[len(ids)-1]); c != http.StatusOK {
+		t.Errorf("retained id: HTTP %d, want 200", c)
 	}
 }

@@ -10,8 +10,10 @@
 // function of the event stream and the machine configuration, so one
 // recorded trace can be re-analyzed under any number of hydra
 // configurations — different bank counts, buffer sizes, history depths —
-// without re-executing the VM. See FORMAT.md for the wire layout and
-// Sweep for the parallel offline analysis driver.
+// without re-executing the VM. A sweep decodes the recording once per
+// worker and feeds each decoded batch of events to all of that worker's
+// models in lockstep. See FORMAT.md for the wire layout and Sweep for the
+// parallel offline analysis driver.
 package trace
 
 // Magic is the 4-byte file signature opening every trace.
@@ -63,9 +65,9 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
-// Decoder sanity caps: a corrupt stream must produce an error, never a
-// huge allocation or an index panic downstream. Real programs sit far
-// below every one of these.
+// Decoder sanity caps, all exclusive: a corrupt stream must produce an
+// error, never a huge allocation or an index panic downstream. Real
+// programs sit far below every one of these.
 const (
 	maxLoopID    = 1 << 24 // static loop ids are dense and small
 	maxSlot      = 1 << 24 // named-local slot index within a frame

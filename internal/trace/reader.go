@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,8 +25,16 @@ var (
 // is set, against the program's loop table) so a corrupt or adversarial
 // byte stream errors out instead of panicking or allocating unboundedly —
 // the Reader itself performs no per-record allocation at all.
+//
+// One decoder serves every caller. It works on a byte window: the whole
+// recording for NewBytesReader, a refilled 64 KiB buffer for NewReader.
+// ReadEvents decodes records in batches of vmsim.Events; Next and Replay
+// are built on it.
 type Reader struct {
-	br  *bufio.Reader
+	src io.Reader // nil for in-memory input
+	buf []byte    // decode window; buf[pos:] is not yet decoded
+	pos int
+	eof bool // src is exhausted: buf[pos:] is all that is left
 	hdr Header
 
 	// NumLoops, when > 0, bounds loop ids to the replay target's loop
@@ -37,45 +44,92 @@ type Reader struct {
 
 	prevTime  int64
 	prevAddr  uint32
-	prevPC    int
+	prevPC    int64
 	prevFrame uint64
 
 	records uint64
 	sum     Summary
-	done    bool
+	err     error // sticky: io.EOF after the trailer, or the decode error
 }
 
-// NewReader parses the header from r.
+// maxRecordLen bounds one encoded record: a kind byte and at most nine
+// varints (the summary trailer). The window is refilled whenever fewer
+// bytes than this remain, so a record never straddles a refill.
+const maxRecordLen = 1 + 9*binary.MaxVarintLen64
+
+// headerLen is the fixed header size: magic, version, program hash.
+const headerLen = len(Magic) + 1 + 32
+
+// NewReader parses the header from r and decodes the rest of the stream
+// from it through a buffer. Callers that hold the recording in memory
+// should use NewBytesReader, which decodes in place.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-	var magic [4]byte
-	if _, err := io.ReadFull(tr.br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", noEOF(err))
+	tr := &Reader{src: r, buf: make([]byte, 0, 1<<16)}
+	if err := tr.fill(); err != nil {
+		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if magic != Magic {
-		return nil, ErrBadMagic
-	}
-	ver, err := tr.br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", noEOF(err))
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("%w: %d (reader supports %d)", ErrBadVersion, ver, Version)
-	}
-	tr.hdr.Version = ver
-	if _, err := io.ReadFull(tr.br, tr.hdr.ProgramHash[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading program hash: %w", noEOF(err))
+	if err := tr.header(); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
 
-// noEOF turns a bare io.EOF into io.ErrUnexpectedEOF: inside a structure
-// (header or record) a clean EOF still means truncation.
-func noEOF(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
+// NewBytesReader parses the header of an in-memory recording; events are
+// decoded straight from data, which must not change while the Reader is
+// in use.
+func NewBytesReader(data []byte) (*Reader, error) {
+	tr := &Reader{buf: data, eof: true}
+	if err := tr.header(); err != nil {
+		return nil, err
 	}
-	return err
+	return tr, nil
+}
+
+// header parses the fixed header from the start of the window.
+func (r *Reader) header() error {
+	b := r.buf
+	switch {
+	case len(b) < len(Magic):
+		return fmt.Errorf("trace: reading magic: %w", io.ErrUnexpectedEOF)
+	case [4]byte(b[:4]) != Magic:
+		return ErrBadMagic
+	case len(b) < len(Magic)+1:
+		return fmt.Errorf("trace: reading version: %w", io.ErrUnexpectedEOF)
+	case b[4] != Version:
+		return fmt.Errorf("%w: %d (reader supports %d)", ErrBadVersion, b[4], Version)
+	case len(b) < headerLen:
+		return fmt.Errorf("trace: reading program hash: %w", io.ErrUnexpectedEOF)
+	}
+	r.hdr.Version = b[4]
+	copy(r.hdr.ProgramHash[:], b[5:headerLen])
+	r.pos = headerLen
+	return nil
+}
+
+// fill tops the window up to at least maxRecordLen undecoded bytes, or
+// to whatever the source has left.
+func (r *Reader) fill() error {
+	if r.eof {
+		return nil
+	}
+	n := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
+	r.buf, r.pos = r.buf[:n], 0
+	for empty := 0; len(r.buf) < maxRecordLen; {
+		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+m]
+		switch {
+		case errors.Is(err, io.EOF):
+			r.eof = true
+			return nil
+		case err != nil:
+			return err
+		case m == 0:
+			if empty++; empty == 100 {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
 }
 
 // Header returns the parsed trace header.
@@ -83,151 +137,177 @@ func (r *Reader) Header() Header { return r.hdr }
 
 // Summary returns the trailer totals; ok is false until the summary
 // record has been reached (Next returned io.EOF or Replay succeeded).
-func (r *Reader) Summary() (Summary, bool) { return r.sum, r.done }
+func (r *Reader) Summary() (Summary, bool) { return r.sum, r.err == io.EOF }
 
-// uvarint reads one bounded uvarint.
+// uvarint decodes one varint from the window.
 func (r *Reader) uvarint() (uint64, error) {
-	u, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, noEOF(err)
-		}
-		// binary.ReadUvarint's overflow error is unexported.
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		u := uint64(r.buf[r.pos])
+		r.pos++
+		return u, nil
 	}
-	return u, nil
+	u, n := binary.Uvarint(r.buf[r.pos:])
+	switch {
+	case n > 0:
+		r.pos += n
+		return u, nil
+	case n == 0:
+		// The window holds a whole record unless the stream ended.
+		return 0, io.ErrUnexpectedEOF
+	}
+	return 0, fmt.Errorf("%w: varint overflows a 64-bit integer", ErrCorrupt)
 }
 
-// svarint reads one zigzag-encoded signed delta.
+// svarint decodes one zigzag-encoded signed delta.
 func (r *Reader) svarint() (int64, error) {
 	u, err := r.uvarint()
 	return unzigzag(u), err
 }
 
-// Next decodes the next event record. It returns io.EOF after the
-// summary trailer has been consumed (Summary then reports the totals);
-// a stream that ends anywhere else is reported as corrupt or truncated.
-func (r *Reader) Next() (Event, error) {
-	var ev Event
-	if r.done {
-		return ev, io.EOF
+// ReadEvents decodes up to len(evs) records into evs and returns how
+// many it decoded. It returns io.EOF once the summary trailer has been
+// consumed (Summary then reports the totals), and any decode error
+// together with the events before the bad record. Both are sticky: every
+// later call returns them again.
+func (r *Reader) ReadEvents(evs []vmsim.Event) (int, error) {
+	if r.err != nil {
+		return 0, r.err
 	}
-	kindByte, err := r.br.ReadByte()
-	if err != nil {
+	for i := range evs {
+		if len(r.buf)-r.pos < maxRecordLen && !r.eof {
+			if err := r.fill(); err != nil {
+				r.err = err
+				return i, err
+			}
+		}
+		if err := r.decode(&evs[i]); err != nil {
+			r.err = err
+			return i, err
+		}
+	}
+	return len(evs), nil
+}
+
+// decode decodes the next record into ev.
+func (r *Reader) decode(ev *vmsim.Event) error {
+	if r.pos == len(r.buf) {
 		// No trailer: the recording was cut off.
-		return ev, noEOF(err)
+		return io.ErrUnexpectedEOF
 	}
-	kind := Kind(kindByte)
+	kind := Kind(r.buf[r.pos])
+	r.pos++
 	if kind == KindSummary {
 		if err := r.readSummary(); err != nil {
-			return ev, err
+			return err
 		}
-		return ev, io.EOF
+		return io.EOF
+	}
+	if kind < KindHeapLoad || kind > KindReadStats {
+		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 	}
 
 	dt, err := r.uvarint()
 	if err != nil {
-		return ev, err
+		return err
 	}
-	if dt > maxTime || r.prevTime > maxTime-int64(dt) {
-		return ev, fmt.Errorf("%w: time delta out of range", ErrCorrupt)
+	if dt >= maxTime || r.prevTime >= maxTime-int64(dt) {
+		return fmt.Errorf("%w: time delta out of range", ErrCorrupt)
 	}
 	r.prevTime += int64(dt)
-	ev.Time = r.prevTime
-	ev.Kind = kind
+	*ev = vmsim.Event{Kind: vmsim.EventKind(kind - KindHeapLoad), Now: r.prevTime}
 
 	switch kind {
 	case KindHeapLoad, KindHeapStore:
 		ad, err := r.svarint()
 		if err != nil {
-			return ev, err
+			return err
 		}
 		addr := int64(r.prevAddr) + ad
 		if addr < 0 || addr > 0xffffffff {
-			return ev, fmt.Errorf("%w: address out of range", ErrCorrupt)
+			return fmt.Errorf("%w: address out of range", ErrCorrupt)
 		}
 		r.prevAddr = uint32(addr)
 		ev.Addr = r.prevAddr
-		if ev.PC, err = r.pc(); err != nil {
-			return ev, err
+		if err := r.pc(ev); err != nil {
+			return err
 		}
 	case KindLocalLoad, KindLocalStore:
 		fd, err := r.svarint()
 		if err != nil {
-			return ev, err
+			return err
 		}
 		r.prevFrame += uint64(fd)
 		ev.Frame = r.prevFrame
 		slot, err := r.uvarint()
 		if err != nil {
-			return ev, err
+			return err
 		}
-		if slot > maxSlot {
-			return ev, fmt.Errorf("%w: slot out of range", ErrCorrupt)
+		if slot >= maxSlot {
+			return fmt.Errorf("%w: slot out of range", ErrCorrupt)
 		}
-		ev.Slot = int(slot)
-		if ev.PC, err = r.pc(); err != nil {
-			return ev, err
+		ev.Slot = int32(slot)
+		if err := r.pc(ev); err != nil {
+			return err
 		}
 	case KindLoopStart:
-		if ev.Loop, err = r.loop(); err != nil {
-			return ev, err
+		if err := r.loop(ev); err != nil {
+			return err
 		}
 		n, err := r.uvarint()
 		if err != nil {
-			return ev, err
+			return err
 		}
-		if n > maxNumLocals {
-			return ev, fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
+		if n >= maxNumLocals {
+			return fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
 		}
-		ev.NumLocals = int(n)
+		ev.NumLocals = int32(n)
 		fd, err := r.svarint()
 		if err != nil {
-			return ev, err
+			return err
 		}
 		r.prevFrame += uint64(fd)
 		ev.Frame = r.prevFrame
-	case KindLoopIter, KindLoopEnd, KindReadStats:
-		if ev.Loop, err = r.loop(); err != nil {
-			return ev, err
+	default: // loop-iter, loop-end, read-stats
+		if err := r.loop(ev); err != nil {
+			return err
 		}
-	default:
-		return ev, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kindByte)
 	}
 	r.records++
-	return ev, nil
+	return nil
 }
 
-func (r *Reader) pc() (int, error) {
+func (r *Reader) pc(ev *vmsim.Event) error {
 	pd, err := r.svarint()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	pc := int64(r.prevPC) + pd
-	if pc < 0 || pc > maxPC {
-		return 0, fmt.Errorf("%w: pc out of range", ErrCorrupt)
+	pc := r.prevPC + pd
+	if pc < 0 || pc >= maxPC {
+		return fmt.Errorf("%w: pc out of range", ErrCorrupt)
 	}
-	r.prevPC = int(pc)
-	return r.prevPC, nil
+	r.prevPC = pc
+	ev.PC = int32(pc)
+	return nil
 }
 
-func (r *Reader) loop() (int, error) {
+func (r *Reader) loop(ev *vmsim.Event) error {
 	u, err := r.uvarint()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	limit := uint64(maxLoopID)
 	if r.NumLoops > 0 {
-		limit = uint64(r.NumLoops) - 1
+		limit = uint64(r.NumLoops)
 	}
-	if u > limit {
-		return 0, fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
+	if u >= limit {
+		return fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
 	}
-	return int(u), nil
+	ev.Loop = int32(u)
+	return nil
 }
 
 func (r *Reader) readSummary() error {
-	fields := []*int64{
+	fields := [...]*int64{
 		&r.sum.CleanCycles, &r.sum.TracedCycles,
 		&r.sum.HeapLoads, &r.sum.HeapStores,
 		&r.sum.LocalAnnots, &r.sum.LoopAnnots,
@@ -246,55 +326,75 @@ func (r *Reader) readSummary() error {
 		if err != nil {
 			return err
 		}
-		if u > maxTime {
+		if u >= maxTime {
 			return fmt.Errorf("%w: summary counter out of range", ErrCorrupt)
 		}
 		*f = int64(u)
 	}
 	// Nothing may follow the trailer.
-	if _, err := r.br.ReadByte(); err == nil {
-		return fmt.Errorf("%w: trailing data after summary", ErrCorrupt)
-	} else if !errors.Is(err, io.EOF) {
-		return err
+	if r.pos == len(r.buf) {
+		if err := r.fill(); err != nil {
+			return err
+		}
 	}
-	r.done = true
+	if r.pos < len(r.buf) {
+		return fmt.Errorf("%w: trailing data after summary", ErrCorrupt)
+	}
 	return nil
 }
 
+// Next decodes the next event record. It returns io.EOF after the
+// summary trailer has been consumed (Summary then reports the totals);
+// a stream that ends anywhere else is reported as corrupt or truncated.
+func (r *Reader) Next() (Event, error) {
+	var one [1]vmsim.Event
+	if _, err := r.ReadEvents(one[:]); err != nil {
+		return Event{}, err
+	}
+	return eventOf(&one[0]), nil
+}
+
+// eventOf converts a decoded batch event to its record form.
+func eventOf(ev *vmsim.Event) Event {
+	return Event{
+		Kind:      Kind(ev.Kind) + KindHeapLoad,
+		Time:      ev.Now,
+		Addr:      ev.Addr,
+		PC:        int(ev.PC),
+		Frame:     ev.Frame,
+		Slot:      int(ev.Slot),
+		Loop:      int(ev.Loop),
+		NumLocals: int(ev.NumLocals),
+	}
+}
+
+// decodeBatch is the number of events Replay and Sweep decode per step:
+// enough to amortize the per-batch dispatch, few enough (20 KiB) that a
+// batch stays cache-resident while every consumer processes it.
+const decodeBatch = 512
+
 // Replay streams every event into the listeners (in order, like the VM
 // would) and returns the trace summary. The listeners see exactly the
-// sequence the recorded run produced.
+// sequence the recorded run produced: a vmsim.BatchConsumer receives it
+// through ConsumeEvents, any other listener through vmsim.Deliver.
 func (r *Reader) Replay(listeners ...vmsim.Listener) (Summary, error) {
+	evs := make([]vmsim.Event, decodeBatch)
 	for {
-		ev, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			if !r.done {
-				return Summary{}, io.ErrUnexpectedEOF
-			}
-			return r.sum, nil
-		}
-		if err != nil {
-			return Summary{}, err
-		}
+		n, err := r.ReadEvents(evs)
 		for _, l := range listeners {
-			switch ev.Kind {
-			case KindHeapLoad:
-				l.HeapLoad(ev.Time, ev.Addr, ev.PC)
-			case KindHeapStore:
-				l.HeapStore(ev.Time, ev.Addr, ev.PC)
-			case KindLocalLoad:
-				l.LocalLoad(ev.Time, vmsim.SlotID{Frame: ev.Frame, Slot: ev.Slot}, ev.PC)
-			case KindLocalStore:
-				l.LocalStore(ev.Time, vmsim.SlotID{Frame: ev.Frame, Slot: ev.Slot}, ev.PC)
-			case KindLoopStart:
-				l.LoopStart(ev.Time, ev.Loop, ev.NumLocals, ev.Frame)
-			case KindLoopIter:
-				l.LoopIter(ev.Time, ev.Loop)
-			case KindLoopEnd:
-				l.LoopEnd(ev.Time, ev.Loop)
-			case KindReadStats:
-				l.ReadStats(ev.Time, ev.Loop)
+			if bc, ok := l.(vmsim.BatchConsumer); ok {
+				bc.ConsumeEvents(evs[:n])
+				continue
 			}
+			for i := range evs[:n] {
+				vmsim.Deliver(l, &evs[i])
+			}
+		}
+		switch {
+		case err == io.EOF:
+			return r.sum, nil
+		case err != nil:
+			return Summary{}, err
 		}
 	}
 }

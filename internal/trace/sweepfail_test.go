@@ -10,6 +10,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"jrpm"
@@ -154,5 +155,67 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Error("pre-canceled context canceled no jobs")
+	}
+}
+
+// TestSweepDecodesOncePerWorker: each worker goroutine decodes the
+// recording once, however many configurations it analyzes, and every
+// configuration's lockstep result equals a replay of that configuration
+// alone.
+func TestSweepDecodesOncePerWorker(t *testing.T) {
+	c, data := recordWorkload(t, "Huffman")
+	jobs := defaultJobs(5)
+	for _, workers := range []int{1, 2, 5} {
+		var opens atomic.Int64
+		open := func(b []byte) (*trace.Reader, error) {
+			opens.Add(1)
+			return trace.NewBytesReader(b)
+		}
+		outs := trace.SweepWith(context.Background(), c.Annotated, data, jobs, workers, open)
+		if n := opens.Load(); n != int64(workers) {
+			t.Errorf("workers=%d: recording decoded %d times, want once per worker", workers, n)
+		}
+		for i, o := range outs {
+			if o.Err != nil {
+				t.Fatalf("workers=%d config %d: %v", workers, i, o.Err)
+			}
+			opts := jrpm.DefaultOptions()
+			opts.Cfg = jobs[i].Cfg
+			alone, err := c.ReplayProfile(data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(o.Tracer.Results(), alone.Tracer.Results()) ||
+				!reflect.DeepEqual(o.Tracer.ParentEdges(), alone.Tracer.ParentEdges()) {
+				t.Errorf("workers=%d config %d: lockstep tracer differs from a lone replay", workers, i)
+			}
+			if got, want := o.Analysis.PredictedSpeedup(), alone.Analysis.PredictedSpeedup(); got != want {
+				t.Errorf("workers=%d config %d: predicted speedup %v, lone replay %v", workers, i, got, want)
+			}
+		}
+	}
+}
+
+// TestSweepMidStreamPanicIsolation: a configuration whose model panics
+// mid-replay (a zero-entry load timestamp cache divides by zero at the
+// first heap load) fails alone while its lockstep neighbors, fed the
+// same event batches, finish unperturbed.
+func TestSweepMidStreamPanicIsolation(t *testing.T) {
+	c, data := recordWorkload(t, "Huffman")
+	jobs := defaultJobs(3)
+	bad := jobs[1]
+	bad.Cfg.Tracer.LoadLineTS = 0
+	outs := trace.Sweep(context.Background(), c.Annotated, data, []trace.SweepJob{jobs[0], bad, jobs[2]}, 1)
+	if outs[1].Err == nil || !strings.Contains(outs[1].Err.Error(), "panicked") || outs[1].Tracer != nil {
+		t.Fatalf("bad config: err = %v, tracer = %v; want a recovered panic and no tracer", outs[1].Err, outs[1].Tracer)
+	}
+	clean := trace.Sweep(context.Background(), c.Annotated, data, []trace.SweepJob{jobs[0], jobs[2]}, 1)
+	for i, ci := range []int{0, 2} {
+		if outs[ci].Err != nil {
+			t.Fatalf("good config %d: %v", ci, outs[ci].Err)
+		}
+		if !reflect.DeepEqual(outs[ci].Tracer.Results(), clean[i].Tracer.Results()) {
+			t.Errorf("good config %d: tracer table perturbed by a panicking neighbor", ci)
+		}
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"jrpm/internal/vmsim"
 )
@@ -199,6 +201,26 @@ func TestCorruptStreams(t *testing.T) {
 		t.Errorf("out-of-range loop id: %v", err)
 	}
 
+	// PCs must stay below 2^31 so they fit vmsim.Event's int32.
+	pcTrace := func(pc int) []byte {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, [32]byte{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.HeapLoad(1, 0x1000, pc)
+		if err := w.Finish(Summary{}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if err := drain(pcTrace(1<<31), 0); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("pc 2^31: %v, want ErrCorrupt", err)
+	}
+	if err := drain(pcTrace(1<<31-1), 0); err != nil {
+		t.Errorf("pc 2^31-1: %v", err)
+	}
+
 	// Trailing garbage after the summary trailer.
 	if err := drain(append(append([]byte{}, data...), 0), 0); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing data: %v", err)
@@ -261,6 +283,63 @@ func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), 1<<63 - 1, -1 << 63} {
 		if got := unzigzag(zigzag(v)); got != v {
 			t.Errorf("unzigzag(zigzag(%d)) = %d", v, got)
+		}
+	}
+}
+
+// TestReaderWindowRefill: a trace much longer than NewReader's 64 KiB
+// window, fed a few bytes per read, decodes to exactly the events and
+// summary of the in-place decoder, for batch sizes that do and do not
+// divide the record count.
+func TestReaderWindowRefill(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, [32]byte{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		now := int64(i) * 3
+		w.LoopStart(now, i%4, 2, uint64(i))
+		w.HeapStore(now+1, uint32(i*12345), i%1000)
+		w.LocalLoad(now+2, vmsim.SlotID{Frame: uint64(i), Slot: i % 7}, i%999)
+		w.LoopEnd(now+2, i%4)
+	}
+	if err := w.Finish(Summary{TracedCycles: 60000}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if len(data) < 4<<16 {
+		t.Fatalf("trace is only %d bytes; want several windows", len(data))
+	}
+	want, err := decodeBatches(data, 1, false)
+	if !errors.Is(err, io.EOF) || len(want) != 80000 {
+		t.Fatalf("in-place decode: %d events, %v", len(want), err)
+	}
+	for _, n := range []int{1, 7, decodeBatch} {
+		r, err := NewReader(iotest.HalfReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.NumLoops = 4
+		var got []Event
+		evs := make([]vmsim.Event, n)
+		for {
+			k, err := r.ReadEvents(evs)
+			for i := range evs[:k] {
+				got = append(got, eventOf(&evs[i]))
+			}
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("batch %d: %v", n, err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d: streamed events differ from in-place decode", n)
+		}
+		if sum, ok := r.Summary(); !ok || sum.Records != 80000 || sum.TracedCycles != 60000 {
+			t.Errorf("batch %d: summary %+v ok=%v", n, sum, ok)
 		}
 	}
 }

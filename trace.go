@@ -1,7 +1,6 @@
 package jrpm
 
 import (
-	"bytes"
 	"context"
 	"io"
 
@@ -68,7 +67,7 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
 
-	r, err := trace.NewReader(bytes.NewReader(data))
+	r, err := trace.NewBytesReader(data)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +103,10 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 }
 
 // SweepTrace analyzes one recorded trace under every configuration
-// concurrently (see trace.Sweep): each worker replays the shared bytes
-// into its own comparator-bank model, so N configurations cost zero
-// additional VM executions. Tracer policies and selection thresholds
+// concurrently (see trace.Sweep): each worker decodes the shared bytes
+// once and feeds every one of its configurations' comparator-bank models
+// from that single decode, so N configurations cost zero additional VM
+// executions. Tracer policies and selection thresholds
 // come from opts; each cfgs entry supplies the machine under analysis.
 func (c *Compiled) SweepTrace(ctx context.Context, data []byte, cfgs []hydra.Config, opts Options, workers int) []trace.SweepOutcome {
 	opts = Normalize(opts)

@@ -106,3 +106,23 @@ func TestGoldenSuite(t *testing.T) {
 		checkGolden(t, c.name, text)
 	}
 }
+
+// TestGoldenMethodCallReturn snapshots the method-call-return analysis,
+// the one consumer of call-boundary events.
+func TestGoldenMethodCallReturn(t *testing.T) {
+	_, text, err := experiments.MethodCallReturn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "mcr", text)
+}
+
+// TestGoldenAblateBins snapshots the two-bin versus exact-distance
+// comparison, whose oracle consumes a replayed recording.
+func TestGoldenAblateBins(t *testing.T) {
+	_, text, err := experiments.AblateBins(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ablate_bins", text)
+}

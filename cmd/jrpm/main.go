@@ -67,6 +67,7 @@ import (
 	"jrpm/internal/telemetry"
 	"jrpm/internal/tir"
 	"jrpm/internal/trace"
+	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
 )
 
@@ -345,26 +346,29 @@ func traceInfo(args []string) {
 		fatal(err)
 	}
 	hdr := r.Header()
-	counts := map[trace.Kind]uint64{}
+	var counts [vmsim.EvReadStats + 1]uint64 // a recording holds no call events
 	var lastTime int64
+	evs := make([]vmsim.Event, 512)
 	for {
-		ev, err := r.Next()
+		n, err := r.ReadEvents(evs)
+		for _, ev := range evs[:n] {
+			counts[ev.Kind]++
+			lastTime = ev.Now
+		}
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			fatal(err)
 		}
-		counts[ev.Kind]++
-		lastTime = ev.Time
 	}
 	sum, _ := r.Summary()
 	fmt.Printf("format version:  %d\n", hdr.Version)
 	fmt.Printf("program hash:    %s\n", hex.EncodeToString(hdr.ProgramHash[:]))
 	fmt.Printf("records:         %d (last event at cycle %d)\n", sum.Records, lastTime)
-	for k := trace.KindHeapLoad; k < trace.KindSummary; k++ {
-		if counts[k] > 0 {
-			fmt.Printf("  %-12s %d\n", k.String(), counts[k])
+	for k, n := range counts {
+		if n > 0 {
+			fmt.Printf("  %-12s %d\n", trace.KindHeapLoad+trace.Kind(k), n)
 		}
 	}
 	fmt.Printf("clean cycles:    %d\n", sum.CleanCycles)

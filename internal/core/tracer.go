@@ -361,17 +361,15 @@ type Tracer struct {
 }
 
 // Compile-time check that Tracer is a VM listener.
-var (
-	_ vmsim.Listener      = (*Tracer)(nil)
-	_ vmsim.BatchConsumer = (*Tracer)(nil)
-)
+var _ vmsim.Listener = (*Tracer)(nil)
 
-// ConsumeEvents implements vmsim.BatchConsumer: the fast engine hands the
-// tracer whole event batches — one interface dispatch per batch instead
-// of one per event — and the demultiplexing below resolves to direct
-// method calls on the concrete Tracer. Events arrive in execution order
-// and are processed in order, so the comparator-bank state evolves
-// exactly as it would under per-event delivery.
+// ConsumeEvents implements vmsim.Listener: the VM hands the tracer whole
+// event batches — one interface dispatch per batch instead of one per
+// event — and the demultiplexing below resolves to direct method calls on
+// the concrete Tracer. Events are processed in order, so the
+// comparator-bank state evolves exactly as it would under per-event
+// delivery. Call-boundary events are skipped: the hardware model watches
+// only the annotated stream.
 func (t *Tracer) ConsumeEvents(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]

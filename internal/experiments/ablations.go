@@ -236,6 +236,29 @@ type OracleTracer struct {
 
 var _ vmsim.Listener = (*OracleTracer)(nil)
 
+// ConsumeEvents implements vmsim.Listener. Locals are keyed by a
+// synthetic slot address disjoint from the 32-bit heap and filtered per
+// loop to its own globalized variables; read-stats and call events are
+// ignored.
+func (o *OracleTracer) ConsumeEvents(evs []vmsim.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case vmsim.EvHeapLoad, vmsim.EvHeapStore:
+			o.access(ev.Now, uint64(ev.Addr), ev.Kind == vmsim.EvHeapStore, false, vmsim.SlotID{})
+		case vmsim.EvLocalLoad, vmsim.EvLocalStore:
+			key := 1<<40 | ev.Frame<<12 | uint64(ev.Slot&0xfff)
+			o.access(ev.Now, key, ev.Kind == vmsim.EvLocalStore, true, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)})
+		case vmsim.EvLoopStart:
+			o.loopStart(ev.Now, int(ev.Loop), ev.Frame)
+		case vmsim.EvLoopIter:
+			o.loopIter(ev.Now, int(ev.Loop))
+		case vmsim.EvLoopEnd:
+			o.loopEnd(ev.Now, int(ev.Loop))
+		}
+	}
+}
+
 // NewOracleTracer builds the unlimited-precision reference tracer for an
 // annotated program (the loop table supplies each loop's globalized local
 // set, mirroring the hardware's per-bank reservations).
@@ -268,8 +291,8 @@ func (o *OracleTracer) loopStats(loop int) *distStats {
 	return ds
 }
 
-// LoopStart pushes an entry.
-func (o *OracleTracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
+// loopStart pushes an entry.
+func (o *OracleTracer) loopStart(now int64, loop int, frame uint64) {
 	e := &oracleEntry{
 		loop:        loop,
 		frame:       frame,
@@ -295,8 +318,8 @@ func (e *oracleEntry) endThread(o *OracleTracer, now int64) {
 	e.threadStart = append(e.threadStart, now)
 }
 
-// LoopIter folds the finished thread.
-func (o *OracleTracer) LoopIter(now int64, loop int) {
+// loopIter folds the finished thread.
+func (o *OracleTracer) loopIter(now int64, loop int) {
 	for i := len(o.stack) - 1; i >= 0; i-- {
 		if o.stack[i].loop == loop {
 			o.stack[i].endThread(o, now)
@@ -305,8 +328,8 @@ func (o *OracleTracer) LoopIter(now int64, loop int) {
 	}
 }
 
-// LoopEnd folds the final thread and pops.
-func (o *OracleTracer) LoopEnd(now int64, loop int) {
+// loopEnd folds the final thread and pops.
+func (o *OracleTracer) loopEnd(now int64, loop int) {
 	n := len(o.stack) - 1
 	if n < 0 {
 		return
@@ -350,30 +373,6 @@ func (o *OracleTracer) access(now int64, key uint64, isStore bool, local bool, i
 		}
 	}
 }
-
-// HeapLoad feeds the oracle's dependency analysis.
-func (o *OracleTracer) HeapLoad(now int64, addr uint32, pc int) {
-	o.access(now, uint64(addr), false, false, vmsim.SlotID{})
-}
-
-// HeapStore records exact store timestamps.
-func (o *OracleTracer) HeapStore(now int64, addr uint32, pc int) {
-	o.access(now, uint64(addr), true, false, vmsim.SlotID{})
-}
-
-// LocalLoad mirrors heap handling with slot keys, filtered per loop to its
-// own globalized variables.
-func (o *OracleTracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	o.access(now, 1<<40|id.Frame<<12|uint64(id.Slot&0xfff), false, true, id)
-}
-
-// LocalStore mirrors heap handling with slot keys.
-func (o *OracleTracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	o.access(now, 1<<40|id.Frame<<12|uint64(id.Slot&0xfff), true, true, id)
-}
-
-// ReadStats is ignored.
-func (o *OracleTracer) ReadStats(now int64, loop int) {}
 
 // oracleSpeedup evaluates Equation 1's structure with exact distance bins:
 // each bin k constrains the initiation interval to T - A_k/k.
@@ -506,15 +505,8 @@ func runWithListener(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, l
 	vm := vmsim.New(pr.Annotated)
 	vm.AnnotCost = opts.Cfg.Tracer.AnnotCost
 	vm.ReadStatsCost = opts.Cfg.Tracer.ReadStatsCost
-	for name, vals := range in.Ints {
-		if err := vm.BindGlobalInts(name, vals); err != nil {
-			return err
-		}
-	}
-	for name, vals := range in.Floats {
-		if err := vm.BindGlobalFloats(name, vals); err != nil {
-			return err
-		}
+	if err := vm.BindInputs(in.Ints, in.Floats); err != nil {
+		return err
 	}
 	vm.Listeners = append(vm.Listeners, l)
 	return vm.Run("main")

@@ -130,15 +130,8 @@ func runVariant(src string, in jrpm.Input, aopts annotate.Options, popts jrpm.Op
 	vm := vmsim.New(prog)
 	vm.AnnotCost = popts.Cfg.Tracer.AnnotCost
 	vm.ReadStatsCost = popts.Cfg.Tracer.ReadStatsCost
-	for name, vals := range in.Ints {
-		if err := vm.BindGlobalInts(name, vals); err != nil {
-			return 0, softprof.Counts{}, err
-		}
-	}
-	for name, vals := range in.Floats {
-		if err := vm.BindGlobalFloats(name, vals); err != nil {
-			return 0, softprof.Counts{}, err
-		}
+	if err := vm.BindInputs(in.Ints, in.Floats); err != nil {
+		return 0, softprof.Counts{}, err
 	}
 	if err := vm.Run("main"); err != nil {
 		return 0, softprof.Counts{}, err

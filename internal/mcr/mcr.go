@@ -87,10 +87,33 @@ type contWindow struct {
 	frame      uint64 // caller frame; window closes when this frame moves on
 }
 
-var (
-	_ vmsim.Listener     = (*Analyzer)(nil)
-	_ vmsim.CallListener = (*Analyzer)(nil)
-)
+var _ vmsim.Listener = (*Analyzer)(nil)
+
+// ConsumeEvents implements vmsim.Listener. Locals are frame-private
+// across a call boundary (the callee cannot write the caller's locals in
+// JR), so local events carry no callee->continuation dependences and are
+// skipped, as are loop iterations and read-stats.
+func (a *Analyzer) ConsumeEvents(evs []vmsim.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case vmsim.EvCallEnter:
+			a.callEnter(ev.Now, int(ev.Loop), int(ev.PC), ev.Frame)
+		case vmsim.EvCallExit:
+			a.callExit(ev.Now, int(ev.Loop), int(ev.PC), ev.Frame)
+		case vmsim.EvHeapLoad:
+			a.heapLoad(ev.Now, ev.Addr)
+		case vmsim.EvHeapStore:
+			a.stores[uint64(ev.Addr)] = ev.Now
+		case vmsim.EvLoopStart:
+			a.loopDepth++
+		case vmsim.EvLoopEnd:
+			if a.loopDepth > 0 {
+				a.loopDepth--
+			}
+		}
+	}
+}
 
 // New builds an analyzer for an annotated program.
 func New(prog *tir.Program) *Analyzer {
@@ -114,16 +137,16 @@ func (a *Analyzer) SortedSites() []*SiteStats {
 	return out
 }
 
-// CallEnter opens a call record and closes the caller's open window (a
+// callEnter opens a call record and closes the caller's open window (a
 // new call ends the continuation of the previous one).
-func (a *Analyzer) CallEnter(now int64, fn, pc int, frame uint64) {
+func (a *Analyzer) callEnter(now int64, fn, pc int, frame uint64) {
 	a.closeWindows(now, frame)
 	a.frames = append(a.frames, &callRec{pc: pc, fn: fn, enter: now, inLoop: a.loopDepth > 0})
 }
 
-// CallExit finalizes the callee measurement and opens the continuation
+// callExit finalizes the callee measurement and opens the continuation
 // window.
-func (a *Analyzer) CallExit(now int64, fn, pc int, frame uint64) {
+func (a *Analyzer) callExit(now int64, fn, pc int, frame uint64) {
 	n := len(a.frames) - 1
 	if n < 0 {
 		return
@@ -188,14 +211,10 @@ func (a *Analyzer) finalize(w *contWindow, end int64) {
 	a.totalTime = end
 }
 
-// HeapStore records store times (for callee->continuation arcs).
-func (a *Analyzer) HeapStore(now int64, addr uint32, pc int) {
-	a.stores[uint64(addr)] = now
-}
-
-// HeapLoad checks open continuation windows for their first dependence on
-// a callee store.
-func (a *Analyzer) HeapLoad(now int64, addr uint32, pc int) {
+// heapLoad checks open continuation windows for their first dependence on
+// a callee store. Stores only record their time (in ConsumeEvents), for
+// these callee->continuation arcs.
+func (a *Analyzer) heapLoad(now int64, addr uint32) {
 	ts, ok := a.stores[uint64(addr)]
 	if !ok {
 		return
@@ -209,24 +228,6 @@ func (a *Analyzer) HeapLoad(now int64, addr uint32, pc int) {
 		}
 	}
 }
-
-// LocalLoad / LocalStore: locals are frame-private across a call boundary
-// (the callee cannot write the caller's locals in JR), so they carry no
-// callee->continuation dependences.
-func (a *Analyzer) LocalLoad(now int64, id vmsim.SlotID, pc int)  {}
-func (a *Analyzer) LocalStore(now int64, id vmsim.SlotID, pc int) {}
-
-// LoopStart/LoopEnd track whether calls happen under a candidate loop.
-func (a *Analyzer) LoopStart(now int64, loop, numLocals int, frame uint64) { a.loopDepth++ }
-func (a *Analyzer) LoopIter(now int64, loop int)                           {}
-func (a *Analyzer) LoopEnd(now int64, loop int) {
-	if a.loopDepth > 0 {
-		a.loopDepth--
-	}
-}
-
-// ReadStats is ignored.
-func (a *Analyzer) ReadStats(now int64, loop int) {}
 
 // Finish closes any windows still open at program end.
 func (a *Analyzer) Finish(now int64) {

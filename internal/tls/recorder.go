@@ -21,14 +21,14 @@ import (
 // locals live in per-call frames; both must not serialize the simulated
 // threads.
 type Recorder struct {
-	Selected map[int]bool
+	Selected []bool // indexed by loop id
 	Entries  []*Entry
 
 	prog        *tir.Program
 	active      *Entry
 	activeLoop  int
 	activeFrame uint64
-	allowed     map[int]bool // AnnLocals of the active selected loop
+	allowed     []bool // indexed by slot: AnnLocals of the active selected loop
 	entryStart  int64
 	iterStart   int64
 	cur         Iter
@@ -36,15 +36,44 @@ type Recorder struct {
 }
 
 // NewRecorder records traces for the given selected loop ids of prog.
+// Ids outside the program's loop table can never be entered and are
+// ignored.
 func NewRecorder(prog *tir.Program, selected []int) *Recorder {
-	m := make(map[int]bool, len(selected))
+	sel := make([]bool, len(prog.Loops))
 	for _, id := range selected {
-		m[id] = true
+		if id >= 0 && id < len(sel) {
+			sel[id] = true
+		}
 	}
-	return &Recorder{Selected: m, prog: prog}
+	return &Recorder{Selected: sel, prog: prog}
 }
 
 var _ vmsim.Listener = (*Recorder)(nil)
+
+// ConsumeEvents implements vmsim.Listener, demultiplexing each event to
+// the handler below. Read-stats and call events do not concern the
+// recording.
+func (r *Recorder) ConsumeEvents(evs []vmsim.Event) {
+	for i := range evs {
+		ev := &evs[i]
+		switch ev.Kind {
+		case vmsim.EvHeapLoad:
+			r.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+		case vmsim.EvHeapStore:
+			r.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+		case vmsim.EvLocalLoad:
+			r.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+		case vmsim.EvLocalStore:
+			r.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+		case vmsim.EvLoopStart:
+			r.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+		case vmsim.EvLoopIter:
+			r.LoopIter(ev.Now, int(ev.Loop))
+		case vmsim.EvLoopEnd:
+			r.LoopEnd(ev.Now, int(ev.Loop))
+		}
+	}
+}
 
 // LoopStart opens a recording when a selected loop is entered.
 func (r *Recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
@@ -54,14 +83,17 @@ func (r *Recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
 		}
 		return
 	}
-	if !r.Selected[loop] {
+	if loop < 0 || loop >= len(r.Selected) || !r.Selected[loop] {
 		return
 	}
 	r.active = &Entry{Loop: loop}
 	r.activeLoop = loop
 	r.activeFrame = frame
-	r.allowed = map[int]bool{}
+	clear(r.allowed)
 	for _, slot := range r.prog.Loops[loop].AnnLocals {
+		if slot >= len(r.allowed) {
+			r.allowed = append(r.allowed, make([]bool, slot+1-len(r.allowed))...)
+		}
 		r.allowed[slot] = true
 	}
 	r.entryStart = now
@@ -120,23 +152,25 @@ func slotAddr(id vmsim.SlotID) uint64 {
 	return 1<<40 | id.Frame<<12 | uint64(id.Slot&0xfff)
 }
 
+// tracks reports whether id is one of the active selected loop's
+// globalized variables in its own activation frame.
+func (r *Recorder) tracks(id vmsim.SlotID) bool {
+	return r.active != nil && id.Frame == r.activeFrame &&
+		uint(id.Slot) < uint(len(r.allowed)) && r.allowed[id.Slot]
+}
+
 // LocalLoad records a synchronized-local read (lwl annotation) of one of
 // the selected loop's globalized variables.
 func (r *Recorder) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	if r.active == nil || id.Frame != r.activeFrame || !r.allowed[id.Slot] {
-		return
+	if r.tracks(id) {
+		r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalLoad, PC: pc})
 	}
-	r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalLoad, PC: pc})
 }
 
 // LocalStore records a synchronized-local write (swl annotation) of one of
 // the selected loop's globalized variables.
 func (r *Recorder) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	if r.active == nil || id.Frame != r.activeFrame || !r.allowed[id.Slot] {
-		return
+	if r.tracks(id) {
+		r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalStore, PC: pc})
 	}
-	r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalStore, PC: pc})
 }
-
-// ReadStats is ignored by the recorder.
-func (r *Recorder) ReadStats(now int64, loop int) {}

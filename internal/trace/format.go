@@ -1,7 +1,8 @@
 // Package trace implements persistent capture and replay of the TEST
 // event stream. A recorded trace is the dynamic load/store/local-access/
 // loop-boundary sequence one sequential run of an annotated program
-// publishes to its vmsim.Listeners, serialized into a compact binary form
+// publishes to its vmsim.Listeners (call-boundary events excepted),
+// serialized into a compact binary form
 // (varint + delta encoding, per-record type tags, self-describing header
 // with a program hash and format version).
 //
@@ -98,19 +99,6 @@ type Summary struct {
 	LoopAnnots   int64
 	ReadStats    int64
 	Annotations  int64 // annotation instructions in the program
-}
-
-// Event is one decoded trace record. Fields are populated per Kind; the
-// unused ones are zero.
-type Event struct {
-	Kind      Kind
-	Time      int64  // cycle timestamp
-	Addr      uint32 // heap events
-	PC        int    // heap and local events
-	Frame     uint64 // local and loop-start events
-	Slot      int    // local events
-	Loop      int    // loop events
-	NumLocals int    // loop-start
 }
 
 // zigzag encodes a signed delta as an unsigned varint-friendly value.

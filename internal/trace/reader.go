@@ -28,8 +28,8 @@ var (
 //
 // One decoder serves every caller. It works on a byte window: the whole
 // recording for NewBytesReader, a refilled 64 KiB buffer for NewReader.
-// ReadEvents decodes records in batches of vmsim.Events; Next and Replay
-// are built on it.
+// ReadEvents decodes records in batches of vmsim.Events; Replay is built
+// on it.
 type Reader struct {
 	src io.Reader // nil for in-memory input
 	buf []byte    // decode window; buf[pos:] is not yet decoded
@@ -136,7 +136,8 @@ func (r *Reader) fill() error {
 func (r *Reader) Header() Header { return r.hdr }
 
 // Summary returns the trailer totals; ok is false until the summary
-// record has been reached (Next returned io.EOF or Replay succeeded).
+// record has been reached (ReadEvents returned io.EOF or Replay
+// succeeded).
 func (r *Reader) Summary() (Summary, bool) { return r.sum, r.err == io.EOF }
 
 // uvarint decodes one varint from the window.
@@ -343,52 +344,21 @@ func (r *Reader) readSummary() error {
 	return nil
 }
 
-// Next decodes the next event record. It returns io.EOF after the
-// summary trailer has been consumed (Summary then reports the totals);
-// a stream that ends anywhere else is reported as corrupt or truncated.
-func (r *Reader) Next() (Event, error) {
-	var one [1]vmsim.Event
-	if _, err := r.ReadEvents(one[:]); err != nil {
-		return Event{}, err
-	}
-	return eventOf(&one[0]), nil
-}
-
-// eventOf converts a decoded batch event to its record form.
-func eventOf(ev *vmsim.Event) Event {
-	return Event{
-		Kind:      Kind(ev.Kind) + KindHeapLoad,
-		Time:      ev.Now,
-		Addr:      ev.Addr,
-		PC:        int(ev.PC),
-		Frame:     ev.Frame,
-		Slot:      int(ev.Slot),
-		Loop:      int(ev.Loop),
-		NumLocals: int(ev.NumLocals),
-	}
-}
-
 // decodeBatch is the number of events Replay and Sweep decode per step:
 // enough to amortize the per-batch dispatch, few enough (20 KiB) that a
 // batch stays cache-resident while every consumer processes it.
 const decodeBatch = 512
 
-// Replay streams every event into the listeners (in order, like the VM
-// would) and returns the trace summary. The listeners see exactly the
-// sequence the recorded run produced: a vmsim.BatchConsumer receives it
-// through ConsumeEvents, any other listener through vmsim.Deliver.
+// Replay streams every event into the listeners, batch by batch in
+// recorded order, and returns the trace summary. The listeners see
+// exactly the sequence the recorded run produced, less its call events,
+// which a recording never stores.
 func (r *Reader) Replay(listeners ...vmsim.Listener) (Summary, error) {
 	evs := make([]vmsim.Event, decodeBatch)
 	for {
 		n, err := r.ReadEvents(evs)
 		for _, l := range listeners {
-			if bc, ok := l.(vmsim.BatchConsumer); ok {
-				bc.ConsumeEvents(evs[:n])
-				continue
-			}
-			for i := range evs[:n] {
-				vmsim.Deliver(l, &evs[i])
-			}
+			l.ConsumeEvents(evs[:n])
 		}
 		switch {
 		case err == io.EOF:

@@ -14,50 +14,30 @@ import (
 // eventLog records the replayed stream for comparison against what was
 // written.
 type eventLog struct {
-	events []Event
+	events []vmsim.Event
 }
 
-func (l *eventLog) HeapLoad(now int64, addr uint32, pc int) {
-	l.events = append(l.events, Event{Kind: KindHeapLoad, Time: now, Addr: addr, PC: pc})
-}
-func (l *eventLog) HeapStore(now int64, addr uint32, pc int) {
-	l.events = append(l.events, Event{Kind: KindHeapStore, Time: now, Addr: addr, PC: pc})
-}
-func (l *eventLog) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	l.events = append(l.events, Event{Kind: KindLocalLoad, Time: now, Frame: id.Frame, Slot: id.Slot, PC: pc})
-}
-func (l *eventLog) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	l.events = append(l.events, Event{Kind: KindLocalStore, Time: now, Frame: id.Frame, Slot: id.Slot, PC: pc})
-}
-func (l *eventLog) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	l.events = append(l.events, Event{Kind: KindLoopStart, Time: now, Loop: loop, NumLocals: numLocals, Frame: frame})
-}
-func (l *eventLog) LoopIter(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindLoopIter, Time: now, Loop: loop})
-}
-func (l *eventLog) LoopEnd(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindLoopEnd, Time: now, Loop: loop})
-}
-func (l *eventLog) ReadStats(now int64, loop int) {
-	l.events = append(l.events, Event{Kind: KindReadStats, Time: now, Loop: loop})
-}
+func (l *eventLog) ConsumeEvents(evs []vmsim.Event) { l.events = append(l.events, evs...) }
 
-// play drives a listener through a fixed synthetic event sequence that
-// exercises every record kind, both delta signs, and frame wraparound.
-func play(l vmsim.Listener) {
-	l.LoopStart(10, 0, 3, 0xffff_ffff_ffff_fff0)
-	l.HeapLoad(11, 0x1000, 4)
-	l.HeapStore(12, 0x0800, 9)     // negative address delta
-	l.HeapLoad(12, 0xffff_ffff, 2) // max address, negative pc delta
-	l.LocalLoad(13, vmsim.SlotID{Frame: 0xffff_ffff_ffff_fff0, Slot: 2}, 5)
-	l.LocalStore(14, vmsim.SlotID{Frame: 16, Slot: 0}, 6) // frame wraps forward past 0
-	l.LoopIter(20, 0)
-	l.LoopStart(21, 1, 0, 16)
-	l.LoopEnd(30, 1)
-	l.ReadStats(30, 1)
-	l.LoopIter(31, 0)
-	l.LoopEnd(40, 0)
-	l.ReadStats(40, 0)
+// playEvents is a fixed synthetic event sequence that exercises every
+// record kind, both delta signs, and frame wraparound.
+func playEvents() []vmsim.Event {
+	const wrap = 0xffff_ffff_ffff_fff0
+	return []vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 10, Loop: 0, NumLocals: 3, Frame: wrap},
+		{Kind: vmsim.EvHeapLoad, Now: 11, Addr: 0x1000, PC: 4},
+		{Kind: vmsim.EvHeapStore, Now: 12, Addr: 0x0800, PC: 9},     // negative address delta
+		{Kind: vmsim.EvHeapLoad, Now: 12, Addr: 0xffff_ffff, PC: 2}, // max address, negative pc delta
+		{Kind: vmsim.EvLocalLoad, Now: 13, Frame: wrap, Slot: 2, PC: 5},
+		{Kind: vmsim.EvLocalStore, Now: 14, Frame: 16, Slot: 0, PC: 6}, // frame wraps forward past 0
+		{Kind: vmsim.EvLoopIter, Now: 20, Loop: 0},
+		{Kind: vmsim.EvLoopStart, Now: 21, Loop: 1, NumLocals: 0, Frame: 16},
+		{Kind: vmsim.EvLoopEnd, Now: 30, Loop: 1},
+		{Kind: vmsim.EvReadStats, Now: 30, Loop: 1},
+		{Kind: vmsim.EvLoopIter, Now: 31, Loop: 0},
+		{Kind: vmsim.EvLoopEnd, Now: 40, Loop: 0},
+		{Kind: vmsim.EvReadStats, Now: 40, Loop: 0},
+	}
 }
 
 func record(t *testing.T, hash [32]byte) ([]byte, Summary) {
@@ -67,7 +47,7 @@ func record(t *testing.T, hash [32]byte) ([]byte, Summary) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	play(w)
+	w.ConsumeEvents(playEvents())
 	sum := Summary{
 		CleanCycles: 35, TracedCycles: 40,
 		HeapLoads: 2, HeapStores: 1, LocalAnnots: 2, LoopAnnots: 6,
@@ -91,8 +71,8 @@ func TestRoundTrip(t *testing.T) {
 	if r.Header().Version != Version || r.Header().ProgramHash != hash {
 		t.Fatalf("header = %+v", r.Header())
 	}
-	var got, want eventLog
-	play(&want)
+	var got eventLog
+	want := playEvents()
 	sum, err := r.Replay(&got)
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +80,43 @@ func TestRoundTrip(t *testing.T) {
 	if sum != wantSum {
 		t.Errorf("summary = %+v, want %+v", sum, wantSum)
 	}
-	if len(got.events) != len(want.events) {
-		t.Fatalf("replayed %d events, wrote %d", len(got.events), len(want.events))
+	if len(got.events) != len(want) {
+		t.Fatalf("replayed %d events, wrote %d", len(got.events), len(want))
 	}
-	for i := range want.events {
-		if got.events[i] != want.events[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got.events[i], want.events[i])
+	for i := range want {
+		if got.events[i] != want[i] {
+			t.Errorf("event %d: got %+v, want %+v", i, got.events[i], want[i])
 		}
+	}
+}
+
+// TestWriterSkipsCallEvents: call boundaries share the VM's event stream
+// but have no record kind, so interleaving them anywhere leaves the
+// trace bytes unchanged.
+func TestWriterSkipsCallEvents(t *testing.T) {
+	plain, _ := record(t, [32]byte{9})
+	var withCalls []vmsim.Event
+	for i, ev := range playEvents() {
+		withCalls = append(withCalls,
+			vmsim.Event{Kind: vmsim.EvCallEnter, Now: ev.Now, Loop: int32(i), PC: 77, Frame: 5},
+			ev,
+			vmsim.Event{Kind: vmsim.EvCallExit, Now: ev.Now + 1, Loop: int32(i), PC: 77, Frame: 5})
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, [32]byte{9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ConsumeEvents(withCalls)
+	if err := w.Finish(Summary{
+		CleanCycles: 35, TracedCycles: 40,
+		HeapLoads: 2, HeapStores: 1, LocalAnnots: 2, LoopAnnots: 6,
+		ReadStats: 2, Annotations: 13,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), plain) {
+		t.Errorf("call events changed the trace bytes")
 	}
 }
 
@@ -119,8 +129,9 @@ func TestReaderSummaryGating(t *testing.T) {
 	if _, ok := r.Summary(); ok {
 		t.Error("summary available before reaching the trailer")
 	}
+	one := make([]vmsim.Event, 1)
 	for {
-		if _, err := r.Next(); errors.Is(err, io.EOF) {
+		if _, err := r.ReadEvents(one); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -129,9 +140,9 @@ func TestReaderSummaryGating(t *testing.T) {
 	if _, ok := r.Summary(); !ok {
 		t.Error("summary unavailable after EOF")
 	}
-	// Next after EOF keeps returning EOF.
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("Next after EOF: %v", err)
+	// ReadEvents after EOF keeps returning EOF.
+	if n, err := r.ReadEvents(one); n != 0 || !errors.Is(err, io.EOF) {
+		t.Errorf("ReadEvents after EOF: %d, %v", n, err)
 	}
 }
 
@@ -165,8 +176,9 @@ func drain(data []byte, numLoops int) error {
 		return err
 	}
 	r.NumLoops = numLoops
+	evs := make([]vmsim.Event, 3)
 	for {
-		_, err := r.Next()
+		_, err := r.ReadEvents(evs)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -321,13 +333,11 @@ func TestReaderWindowRefill(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.NumLoops = 4
-		var got []Event
+		var got []vmsim.Event
 		evs := make([]vmsim.Event, n)
 		for {
 			k, err := r.ReadEvents(evs)
-			for i := range evs[:k] {
-				got = append(got, eventOf(&evs[i]))
-			}
+			got = append(got, evs[:k]...)
 			if errors.Is(err, io.EOF) {
 				break
 			}

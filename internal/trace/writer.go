@@ -14,7 +14,7 @@ import (
 // identical event sequence — which is what makes replay equivalent to
 // live profiling by construction rather than by testing alone.
 //
-// Listener methods cannot return errors, so the first I/O failure is
+// ConsumeEvents cannot return errors, so the first I/O failure is
 // latched and every later record becomes a no-op; Finish (or Err)
 // surfaces it. A Writer is single-goroutine, like the VM that drives it.
 type Writer struct {
@@ -32,15 +32,13 @@ type Writer struct {
 	scratch [2 + 4*binary.MaxVarintLen64]byte
 }
 
-var (
-	_ vmsim.Listener      = (*Writer)(nil)
-	_ vmsim.BatchConsumer = (*Writer)(nil)
-)
+var _ vmsim.Listener = (*Writer)(nil)
 
-// ConsumeEvents implements vmsim.BatchConsumer: the fast engine delivers
-// whole event batches with one interface dispatch, and the writer
-// serializes them in order. Record layouts are identical to per-event
-// delivery — batching changes dispatch, never bytes (FORMAT.md).
+// ConsumeEvents implements vmsim.Listener: the writer serializes each
+// batch in order. Record layouts do not depend on how the stream was
+// batched (FORMAT.md), and call-boundary events are skipped — the format
+// has no record for them, so trace bytes are those of the annotated
+// stream alone.
 func (w *Writer) ConsumeEvents(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]

@@ -1,19 +1,17 @@
 package vmsim
 
-// Devirtualized, batched event emission.
+// Batched event emission: the producer side of the one consumer contract.
 //
-// The reference interpreter fans every trace event out through
-// `for _, l := range vm.Listeners { l.HeapLoad(...) }` — one interface
-// dispatch per listener per event, in the middle of the hot loop. The
-// fast engine instead appends events to a small fixed-capacity batch
-// through concrete (inlinable) *batchEmitter methods, and flushes the
-// batch at block-boundary-like points: when it fills, before call
-// boundaries are announced to CallListeners, and when a frame or the run
-// ends. Listeners that implement BatchConsumer receive one ConsumeEvents
-// call per batch — a single interface dispatch amortized over up to
-// batchCap events, with the per-event demultiplexing done by concrete
-// method calls inside the listener's own package. Listeners that only
-// implement Listener get the classic per-event fan-out at flush time.
+// Every trace event reaches its listeners as part of an []Event batch
+// through Listener.ConsumeEvents. The fast engine appends events to a
+// small fixed-capacity buffer through concrete (inlinable) *batchEmitter
+// methods and flushes the buffer when it fills and when the run ends: one
+// interface dispatch per listener per batch, with the per-kind
+// demultiplexing done by each listener on its own concrete type. The
+// native tier emits into the same buffer (*batchEmitter satisfies
+// native.Emitter), and call boundaries join the batch as EvCallEnter and
+// EvCallExit, so every event reaches every listener through this one
+// buffer, in one order.
 //
 // Batching never reorders events: the buffer is drained in append order,
 // which is execution order, so every listener observes the exact sequence
@@ -24,7 +22,9 @@ package vmsim
 // EventKind discriminates the variants of Event.
 type EventKind uint8
 
-// Event kinds, one per Listener method.
+// Event kinds. The first eight are the annotated stream TEST watches
+// and the kinds a recorded trace stores; the call kinds mark function
+// call boundaries for the method-call-return analysis (internal/mcr).
 const (
 	EvHeapLoad EventKind = iota
 	EvHeapStore
@@ -34,12 +34,17 @@ const (
 	EvLoopIter
 	EvLoopEnd
 	EvReadStats
+	EvCallEnter
+	EvCallExit
 )
 
-// Event is one trace event in a batch. Fields are used per kind exactly
-// as the corresponding Listener method's parameters: Addr for heap
-// events, Frame+Slot for local events, Loop (+NumLocals for LoopStart)
-// for loop events.
+// Event is one trace event in a batch. Fields are used per kind: Addr+PC
+// for heap events, Frame+Slot+PC for local events, Loop (+NumLocals and
+// Frame for LoopStart) for loop events. Call events reuse fields so Event
+// stays 40 bytes: Loop holds the callee's function index, PC the call
+// instruction and Frame the caller's frame; EvCallEnter is stamped with
+// the call instruction's cycle, EvCallExit with the cycle after the
+// callee returned.
 type Event struct {
 	Now       int64
 	Frame     uint64
@@ -51,96 +56,38 @@ type Event struct {
 	Kind      EventKind
 }
 
-// BatchConsumer is an optional extension of Listener: implementations
-// receive whole event batches through a single call instead of one
-// interface dispatch per event. The events arrive in execution order and
-// must be processed in order; Deliver demultiplexes an event to the
-// matching Listener method signature.
-type BatchConsumer interface {
-	ConsumeEvents(evs []Event)
-}
-
-// Deliver dispatches one event to the matching Listener method. It is
-// the canonical decoding of an Event and what the emitter uses for
-// listeners that do not implement BatchConsumer; BatchConsumer
-// implementations typically inline the same switch over their concrete
-// handlers.
-func Deliver(l Listener, ev *Event) {
-	switch ev.Kind {
-	case EvHeapLoad:
-		l.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
-	case EvHeapStore:
-		l.HeapStore(ev.Now, ev.Addr, int(ev.PC))
-	case EvLocalLoad:
-		l.LocalLoad(ev.Now, SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-	case EvLocalStore:
-		l.LocalStore(ev.Now, SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-	case EvLoopStart:
-		l.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
-	case EvLoopIter:
-		l.LoopIter(ev.Now, int(ev.Loop))
-	case EvLoopEnd:
-		l.LoopEnd(ev.Now, int(ev.Loop))
-	case EvReadStats:
-		l.ReadStats(ev.Now, int(ev.Loop))
-	}
-}
-
 // batchCap is the event batch capacity. Large enough to amortize the
 // per-batch interface dispatch, small enough to stay in L1.
 const batchCap = 256
-
-// sink is one listener with its dispatch strategy resolved once at Run
-// time instead of per event.
-type sink struct {
-	batch BatchConsumer // non-nil when the listener consumes batches
-	l     Listener      // per-event fallback
-}
 
 // batchEmitter buffers events for the fast engine. All methods are on
 // the concrete type, so calls from the interpreter loop are direct (and
 // the append paths inline); no interface dispatch happens until flush.
 type batchEmitter struct {
-	n     int
-	sinks []sink
-	buf   [batchCap]Event
+	n         int
+	listeners []Listener
+	buf       [batchCap]Event
 }
 
-// newBatchEmitter resolves each listener's dispatch strategy. Returns
-// nil when there are no listeners, which is the emitter's "statically
-// off" state: the interpreter guards every emission site with a nil
-// check, so untraced runs pay one predictable branch and nothing else.
+// newBatchEmitter returns nil when there are no listeners, which is the
+// emitter's "statically off" state: the interpreter guards every emission
+// site with a nil check, so untraced runs pay one predictable branch and
+// nothing else.
 func newBatchEmitter(listeners []Listener) *batchEmitter {
 	if len(listeners) == 0 {
 		return nil
 	}
-	em := &batchEmitter{sinks: make([]sink, len(listeners))}
-	for i, l := range listeners {
-		s := sink{l: l}
-		if bc, ok := l.(BatchConsumer); ok {
-			s.batch = bc
-		}
-		em.sinks[i] = s
-	}
-	return em
+	return &batchEmitter{listeners: listeners}
 }
 
-// flush drains the batch to every sink in listener order. Each sink sees
-// the events in append (= execution) order.
+// flush hands the batch to every listener in listener order.
 func (em *batchEmitter) flush() {
 	if em.n == 0 {
 		return
 	}
 	evs := em.buf[:em.n]
-	for i := range em.sinks {
-		s := &em.sinks[i]
-		if s.batch != nil {
-			s.batch.ConsumeEvents(evs)
-			continue
-		}
-		for j := range evs {
-			Deliver(s.l, &evs[j])
-		}
+	for _, l := range em.listeners {
+		l.ConsumeEvents(evs)
 	}
 	em.n = 0
 }
@@ -154,42 +101,52 @@ func (em *batchEmitter) slot() *Event {
 	return ev
 }
 
-func (em *batchEmitter) heapLoad(now int64, addr uint32, pc int32) {
+func (em *batchEmitter) HeapLoad(now int64, addr uint32, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvHeapLoad, Now: now, Addr: addr, PC: pc}
 }
 
-func (em *batchEmitter) heapStore(now int64, addr uint32, pc int32) {
+func (em *batchEmitter) HeapStore(now int64, addr uint32, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvHeapStore, Now: now, Addr: addr, PC: pc}
 }
 
-func (em *batchEmitter) localLoad(now int64, frame uint64, slot, pc int32) {
+func (em *batchEmitter) LocalLoad(now int64, frame uint64, slot, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLocalLoad, Now: now, Frame: frame, Slot: slot, PC: pc}
 }
 
-func (em *batchEmitter) localStore(now int64, frame uint64, slot, pc int32) {
+func (em *batchEmitter) LocalStore(now int64, frame uint64, slot, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLocalStore, Now: now, Frame: frame, Slot: slot, PC: pc}
 }
 
-func (em *batchEmitter) loopStart(now int64, loop, numLocals int32, frame uint64) {
+func (em *batchEmitter) LoopStart(now int64, loop, numLocals int32, frame uint64) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopStart, Now: now, Loop: loop, NumLocals: numLocals, Frame: frame}
 }
 
-func (em *batchEmitter) loopIter(now int64, loop int32) {
+func (em *batchEmitter) LoopIter(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopIter, Now: now, Loop: loop}
 }
 
-func (em *batchEmitter) loopEnd(now int64, loop int32) {
+func (em *batchEmitter) LoopEnd(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopEnd, Now: now, Loop: loop}
 }
 
-func (em *batchEmitter) readStats(now int64, loop int32) {
+func (em *batchEmitter) ReadStats(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvReadStats, Now: now, Loop: loop}
+}
+
+func (em *batchEmitter) callEnter(now int64, fn, pc int32, frame uint64) {
+	ev := em.slot()
+	*ev = Event{Kind: EvCallEnter, Now: now, Loop: fn, PC: pc, Frame: frame}
+}
+
+func (em *batchEmitter) callExit(now int64, fn, pc int32, frame uint64) {
+	ev := em.slot()
+	*ev = Event{Kind: EvCallExit, Now: now, Loop: fn, PC: pc, Frame: frame}
 }

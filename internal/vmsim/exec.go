@@ -197,7 +197,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			regs[ins.dst] = mem[w]
 			vm.NHeapLoads++
 			if em != nil {
-				em.heapLoad(now, addr, ins.pc)
+				em.HeapLoad(now, addr, ins.pc)
 			}
 		case dStore:
 			addr := uint32(regs[ins.a])
@@ -209,7 +209,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			mem[w] = regs[ins.b]
 			vm.NHeapStores++
 			if em != nil {
-				em.heapStore(now, addr, ins.pc)
+				em.HeapStore(now, addr, ins.pc)
 			}
 		case dArrLen:
 			base := uint32(regs[ins.a])
@@ -257,13 +257,8 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				vm.sync(steps, cycles)
 				return 0, ErrInterrupted
 			}
-			if len(vm.callLsnrs) > 0 {
-				if em != nil {
-					em.flush()
-				}
-				for _, cl := range vm.callLsnrs {
-					cl.CallEnter(now, int(ins.t0), int(ins.pc), frame)
-				}
+			if em != nil {
+				em.callEnter(now, ins.t0, ins.pc, frame)
 			}
 			loopBase := 0
 			if sm := vm.sampler; sm != nil {
@@ -286,13 +281,8 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			if ins.dst >= 0 {
 				regs[ins.dst] = v
 			}
-			if len(vm.callLsnrs) > 0 {
-				if em != nil {
-					em.flush()
-				}
-				for _, cl := range vm.callLsnrs {
-					cl.CallExit(cycles, int(ins.t0), int(ins.pc), frame)
-				}
+			if em != nil {
+				em.callExit(cycles, ins.t0, ins.pc, frame)
 			}
 		case dPrintI:
 			fmt.Fprintf(vm.Out, "%d\n", int64(regs[ins.a]))
@@ -302,7 +292,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopStart(now, ins.x0, ins.x1, frame)
+				em.LoopStart(now, ins.x0, ins.x1, frame)
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.push(ins.x0)
@@ -311,7 +301,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopEnd(now, ins.x0)
+				em.LoopEnd(now, ins.x0)
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.pop(ins.x0)
@@ -320,25 +310,25 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopIter(now, ins.x0)
+				em.LoopIter(now, ins.x0)
 			}
 		case dLWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.localLoad(now, frame, ins.x0, ins.pc)
+				em.LocalLoad(now, frame, ins.x0, ins.pc)
 			}
 		case dSWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.localStore(now, frame, ins.x0, ins.pc)
+				em.LocalStore(now, frame, ins.x0, ins.pc)
 			}
 		case dReadStats:
 			cycles += readStatsCost - 1
 			vm.NReadStats++
 			if em != nil {
-				em.readStats(now, ins.x0)
+				em.ReadStats(now, ins.x0)
 			}
 
 		case dNativeEnter:
@@ -362,7 +352,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				},
 			}
 			if em != nil {
-				nst.Em = nativeEmit{em}
+				nst.Em = em // never a typed nil: untraced runs leave Em nil
 			}
 			if sm := vm.sampler; sm != nil {
 				nst.Prof = nativeProf{sm}
@@ -519,7 +509,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 					regs[m.valReg] = mem[w]
 					vm.NHeapLoads++
 					if em != nil {
-						em.heapLoad(cycles-1, addr, ins.pc)
+						em.HeapLoad(cycles-1, addr, ins.pc)
 					}
 				}
 				break
@@ -618,7 +608,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				regs[m.valReg] = mem[w]
 				vm.NHeapLoads++
 				if em != nil {
-					em.heapLoad(now, addr, ins.pc)
+					em.HeapLoad(now, addr, ins.pc)
 				}
 			}
 

@@ -231,27 +231,8 @@ func buildGlobLen(globals []uint32, arrays map[uint32]int64, buf []int64) []int6
 	return buf
 }
 
-// nativeEmit adapts the batched emitter to the native tier's event
-// interface; single pointer payload, so interface conversion does not
-// allocate.
-type nativeEmit struct{ em *batchEmitter }
-
-func (ne nativeEmit) HeapLoad(now int64, addr uint32, pc int32)  { ne.em.heapLoad(now, addr, pc) }
-func (ne nativeEmit) HeapStore(now int64, addr uint32, pc int32) { ne.em.heapStore(now, addr, pc) }
-func (ne nativeEmit) LocalLoad(now int64, frame uint64, slot, pc int32) {
-	ne.em.localLoad(now, frame, slot, pc)
-}
-func (ne nativeEmit) LocalStore(now int64, frame uint64, slot, pc int32) {
-	ne.em.localStore(now, frame, slot, pc)
-}
-func (ne nativeEmit) LoopStart(now int64, loop, numLocals int32, frame uint64) {
-	ne.em.loopStart(now, loop, numLocals, frame)
-}
-func (ne nativeEmit) LoopIter(now int64, loop int32) { ne.em.loopIter(now, loop) }
-func (ne nativeEmit) LoopEnd(now int64, loop int32)  { ne.em.loopEnd(now, loop) }
-func (ne nativeEmit) ReadStats(now int64, loop int32) {
-	ne.em.readStats(now, loop)
-}
+// Native code emits straight into the batch emitter.
+var _ native.Emitter = (*batchEmitter)(nil)
 
 // nativeProf keeps the sampling profiler's loop stack in sync while
 // native code crosses SLoop/ELoop annotations.

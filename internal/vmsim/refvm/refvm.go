@@ -2,8 +2,8 @@
 // original block-at-a-time interpreter that internal/vmsim used before
 // its hot path was rebuilt on a pre-decoded instruction stream. It is
 // deliberately simple — operands are decoded from tir.Instr on every
-// step and every trace event is fanned out through the Listener
-// interfaces immediately — and it is always compiled (no build tags), so
+// step and every trace event is handed to each listener immediately, as
+// a one-event batch — and it is always compiled (no build tags), so
 // the differential harness (TestVMDifferential, FuzzVMDiff) can hold the
 // fast engine bit-identical to it: same cycle counts, same event stream,
 // same heap contents, same printed output, same counters, same errors.
@@ -44,7 +44,7 @@ type VM struct {
 	heapTop     uint32
 	frameSeq    uint64
 	steps       int64
-	callLsnrs   []vmsim.CallListener
+	one         [1]vmsim.Event // the batch every event is delivered in
 	interrupted atomic.Bool
 
 	// Instruction mix counters for reports.
@@ -171,14 +171,18 @@ func (vm *VM) Run(name string) error {
 	if vm.MaxSteps == 0 {
 		vm.MaxSteps = 1 << 40
 	}
-	vm.callLsnrs = vm.callLsnrs[:0]
-	for _, l := range vm.Listeners {
-		if cl, ok := l.(vmsim.CallListener); ok {
-			vm.callLsnrs = append(vm.callLsnrs, cl)
-		}
-	}
 	_, err := vm.call(fi, nil)
 	return err
+}
+
+// emit delivers one event to every listener at once, as a batch of one:
+// the oracle keeps no buffer, so its delivery order is trivially
+// execution order.
+func (vm *VM) emit(ev vmsim.Event) {
+	vm.one[0] = ev
+	for _, l := range vm.Listeners {
+		l.ConsumeEvents(vm.one[:])
+	}
 }
 
 func (vm *VM) fault(f *tir.Function, in *tir.Instr, format string, args ...any) error {
@@ -308,9 +312,7 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				regs[in.Dst] = vm.Mem[w]
 				vm.NHeapLoads++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.HeapLoad(now, addr, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: int32(in.PC)})
 				}
 			case tir.OpStore:
 				addr := uint32(regs[in.A])
@@ -321,9 +323,7 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				vm.Mem[w] = regs[in.B]
 				vm.NHeapStores++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.HeapStore(now, addr, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: int32(in.PC)})
 				}
 			case tir.OpArrLen:
 				base := uint32(regs[in.A])
@@ -362,8 +362,8 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				if vm.interrupted.Load() {
 					return 0, vmsim.ErrInterrupted
 				}
-				for _, cl := range vm.callLsnrs {
-					cl.CallEnter(now, in.Func, in.PC, frame)
+				if traced {
+					vm.emit(vmsim.Event{Kind: vmsim.EvCallEnter, Now: now, Loop: int32(in.Func), PC: int32(in.PC), Frame: frame})
 				}
 				v, err := vm.call(in.Func, callArgs)
 				if err != nil {
@@ -372,8 +372,8 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				if in.Dst != tir.NoReg {
 					regs[in.Dst] = v
 				}
-				for _, cl := range vm.callLsnrs {
-					cl.CallExit(vm.Cycles, in.Func, in.PC, frame)
+				if traced {
+					vm.emit(vmsim.Event{Kind: vmsim.EvCallExit, Now: vm.Cycles, Loop: int32(in.Func), PC: int32(in.PC), Frame: frame})
 				}
 			case tir.OpPrint:
 				if in.IsF {
@@ -385,49 +385,37 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopStart(now, in.Loop, int(in.Imm), frame)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(in.Loop), NumLocals: int32(in.Imm), Frame: frame})
 				}
 			case tir.OpELoop:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopEnd(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(in.Loop)})
 				}
 			case tir.OpEOI:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLoopAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LoopIter(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(in.Loop)})
 				}
 			case tir.OpLWL:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLocalAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LocalLoad(now, vmsim.SlotID{Frame: frame, Slot: in.Slot}, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLocalLoad, Now: now, Frame: frame, Slot: int32(in.Slot), PC: int32(in.PC)})
 				}
 			case tir.OpSWL:
 				vm.Cycles += vm.AnnotCost - 1
 				vm.NLocalAnnot++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.LocalStore(now, vmsim.SlotID{Frame: frame, Slot: in.Slot}, in.PC)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvLocalStore, Now: now, Frame: frame, Slot: int32(in.Slot), PC: int32(in.PC)})
 				}
 			case tir.OpReadStats:
 				vm.Cycles += vm.ReadStatsCost - 1
 				vm.NReadStats++
 				if traced {
-					for _, l := range vm.Listeners {
-						l.ReadStats(now, in.Loop)
-					}
+					vm.emit(vmsim.Event{Kind: vmsim.EvReadStats, Now: now, Loop: int32(in.Loop)})
 				}
 			default:
 				return 0, vm.fault(f, in, "unknown opcode %d", uint8(in.Op))

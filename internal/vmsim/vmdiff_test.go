@@ -26,13 +26,11 @@ import (
 // (refvm.VM, the original interpreter) execute the same programs on the
 // same inputs, and every observable must match bit-for-bit:
 //
-//   - the trace event stream (kinds, cycle timestamps, payloads, order),
-//     captured through a plain Listener so the fast engine's per-event
-//     fan-out path is exercised;
-//   - the serialized trace bytes from an attached trace.Writer, which is
-//     both a digest of the event stream and coverage of the batched
-//     BatchConsumer path (the encoded header also pins the TraceHash the
-//     recording is bound to);
+//   - the full event stream (kinds, cycle timestamps, payloads, order),
+//     call-boundary events included: callee, call pc and caller frame;
+//   - the serialized trace bytes from an attached trace.Writer, a digest
+//     of the annotated stream (the encoded header also pins the
+//     TraceHash the recording is bound to);
 //   - cycle counts, printed output, final heap contents, instruction-mix
 //     counters;
 //   - errors, compared as strings (faults must agree in message,
@@ -49,43 +47,12 @@ import (
 // enforced identically by both engines.
 const diffMaxSteps = 400000
 
-// recorder captures the event stream through the plain Listener
-// interface (it deliberately does not implement BatchConsumer).
+// recorder captures the whole event stream.
 type recorder struct {
 	evs []vmsim.Event
 }
 
-func (r *recorder) HeapLoad(now int64, addr uint32, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: int32(pc)})
-}
-
-func (r *recorder) HeapStore(now int64, addr uint32, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: int32(pc)})
-}
-
-func (r *recorder) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLocalLoad, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)})
-}
-
-func (r *recorder) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLocalStore, Now: now, Frame: id.Frame, Slot: int32(id.Slot), PC: int32(pc)})
-}
-
-func (r *recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(loop), NumLocals: int32(numLocals), Frame: frame})
-}
-
-func (r *recorder) LoopIter(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopIter, Now: now, Loop: int32(loop)})
-}
-
-func (r *recorder) LoopEnd(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvLoopEnd, Now: now, Loop: int32(loop)})
-}
-
-func (r *recorder) ReadStats(now int64, loop int) {
-	r.evs = append(r.evs, vmsim.Event{Kind: vmsim.EvReadStats, Now: now, Loop: int32(loop)})
-}
+func (r *recorder) ConsumeEvents(evs []vmsim.Event) { r.evs = append(r.evs, evs...) }
 
 // engineResult is everything observable about one run of one engine.
 type engineResult struct {
@@ -148,7 +115,7 @@ func autoInput(prog *tir.Program) diffInput {
 // runCfg selects what to attach to a run.
 type runCfg struct {
 	maxSteps    int64
-	record      bool // attach the plain-listener recorder
+	record      bool // attach the event recorder
 	analyze     bool // attach core.Tracer + trace.Writer, run selection
 	native      bool // install the closure-threaded native tier on every loop
 	cleanCycles int64
@@ -356,13 +323,14 @@ func compilePair(src string) (clean, ann *tir.Program, err error) {
 }
 
 // diffPrograms runs the full three-way differential comparison for one
-// source program: clean untraced, annotated with the plain-listener
-// recorder, and annotated with the full tracer + writer + selection
+// source program: clean untraced, annotated with the event recorder, and
+// annotated with the full tracer + writer + selection
 // stack. Each configuration runs on the reference oracle, the predecoded
 // engine, and the predecoded engine with the closure-threaded native
 // tier installed on every loop; the oracle is the pivot for both
-// comparisons.
-func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps int64) {
+// comparisons. It returns the number of call events the oracle emitted,
+// so callers can tell the call-event comparison was not vacuous.
+func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps int64) (calls int) {
 	t.Helper()
 
 	// The recorded-trace identity all engines bind their writers to
@@ -371,30 +339,38 @@ func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps 
 		t.Fatal("TraceHash is not deterministic")
 	}
 
-	diffCfg := func(label string, prog *tir.Program, cfg runCfg) {
+	diffCfg := func(label string, prog *tir.Program, cfg runCfg) engineResult {
 		ref := runRef(t, prog, in, cfg)
 		compareResults(t, label+"/fast", runFast(t, prog, in, cfg), ref)
 		ncfg := cfg
 		ncfg.native = true
 		compareResults(t, label+"/native", runFast(t, prog, in, ncfg), ref)
+		return ref
 	}
 
 	fastClean := runFast(t, clean, in, runCfg{maxSteps: maxSteps})
 	diffCfg("clean", clean, runCfg{maxSteps: maxSteps})
 
-	diffCfg("annotated/recorder", ann, runCfg{maxSteps: maxSteps, record: true})
+	ref := diffCfg("annotated/recorder", ann, runCfg{maxSteps: maxSteps, record: true})
 
 	diffCfg("annotated/analysis", ann,
 		runCfg{maxSteps: maxSteps, record: true, analyze: true, cleanCycles: fastClean.cycles})
+
+	for _, ev := range ref.events {
+		if ev.Kind == vmsim.EvCallEnter {
+			calls++
+		}
+	}
+	return calls
 }
 
-func diffSource(t *testing.T, src string, in func(*tir.Program) diffInput, maxSteps int64) {
+func diffSource(t *testing.T, src string, in func(*tir.Program) diffInput, maxSteps int64) int {
 	t.Helper()
 	clean, ann, err := compilePair(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffPrograms(t, clean, ann, in(ann), maxSteps)
+	return diffPrograms(t, clean, ann, in(ann), maxSteps)
 }
 
 // corpusSources returns the checked-in differential corpus.
@@ -542,14 +518,18 @@ func TestVMStepLimitSweep(t *testing.T) {
 // workload, example and corpus program must behave bit-identically on
 // both engines.
 func TestVMDifferential(t *testing.T) {
+	calls := 0
 	for _, w := range workloads.All() {
 		w := w
 		t.Run("workload/"+w.Meta.Name, func(t *testing.T) {
 			in := w.NewInput(0.25)
-			diffSource(t, w.Source, func(*tir.Program) diffInput {
+			calls += diffSource(t, w.Source, func(*tir.Program) diffInput {
 				return newDiffInput(in.Ints, in.Floats)
 			}, 0)
 		})
+	}
+	if calls == 0 {
+		t.Error("no workload emitted a call event; the call-event comparison is vacuous")
 	}
 	for name, src := range corpusSources(t) {
 		src := src

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"jrpm/internal/hydra"
@@ -38,25 +39,19 @@ type SlotID struct {
 	Slot  int
 }
 
-// Listener receives trace events with their cycle timestamps.
+// Listener is the one consumer contract for the trace event stream. Every
+// producer — both engines, the native tier and trace.Reader.Replay —
+// delivers events in batches, in execution order, through ConsumeEvents;
+// the listener must process them in order and must not retain evs after
+// the call returns, because the producer reuses the buffer. The stream
+// includes call boundaries (EvCallEnter, EvCallExit), which consumers
+// that do not need them skip.
 type Listener interface {
-	HeapLoad(now int64, addr uint32, pc int)
-	HeapStore(now int64, addr uint32, pc int)
-	LocalLoad(now int64, id SlotID, pc int)
-	LocalStore(now int64, id SlotID, pc int)
-	LoopStart(now int64, loop int, numLocals int, frame uint64)
-	LoopIter(now int64, loop int)
-	LoopEnd(now int64, loop int)
-	ReadStats(now int64, loop int)
+	ConsumeEvents(evs []Event)
 }
 
-// CallListener is an optional extension of Listener: implementations also
-// receive function call boundaries, which the method-call-return analysis
-// (internal/mcr) consumes. pc identifies the call instruction.
-type CallListener interface {
-	CallEnter(now int64, fn int, pc int, frame uint64)
-	CallExit(now int64, fn int, pc int, frame uint64)
-}
+// BatchConsumer is Listener under its earlier name.
+type BatchConsumer = Listener
 
 // ErrStepLimit is returned when execution exceeds VM.MaxSteps.
 var ErrStepLimit = errors.New("vmsim: step limit exceeded")
@@ -105,7 +100,6 @@ type VM struct {
 	heapTop     uint32
 	frameSeq    uint64
 	steps       int64
-	callLsnrs   []CallListener
 	interrupted atomic.Bool
 	sampler     *Sampler
 
@@ -203,6 +197,34 @@ func (vm *VM) BindGlobalFloats(name string, vals []float64) error {
 	return nil
 }
 
+// BindInputs binds every int, then every float global array, each set in
+// sorted name order. Heap addresses are assigned at bind time, so
+// map-iteration order would make the address stream — and anything
+// derived from it, like buffer-line high-water marks or a recorded
+// trace — differ from run to run.
+func (vm *VM) BindInputs(ints map[string][]int64, floats map[string][]float64) error {
+	for _, name := range sortedKeys(ints) {
+		if err := vm.BindGlobalInts(name, ints[name]); err != nil {
+			return err
+		}
+	}
+	for _, name := range sortedKeys(floats) {
+		if err := vm.BindGlobalFloats(name, floats[name]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // GlobalInts copies back the current contents of an int global array.
 func (vm *VM) GlobalInts(name string) ([]int64, error) {
 	gi, ok := vm.Prog.GlobIndex[name]
@@ -264,12 +286,6 @@ func (vm *VM) Run(name string) error {
 	}
 	if vm.MaxSteps == 0 {
 		vm.MaxSteps = 1 << 40
-	}
-	vm.callLsnrs = vm.callLsnrs[:0]
-	for _, l := range vm.Listeners {
-		if cl, ok := l.(CallListener); ok {
-			vm.callLsnrs = append(vm.callLsnrs, cl)
-		}
 	}
 	if vm.native != nil {
 		// Globals are bound and arrays never freed, so the compiled

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jrpm/internal/annotate"
 	"jrpm/internal/lang"
@@ -187,27 +188,32 @@ func TestPrintOutput(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the batch element at 40 bytes: call events reuse
+// existing fields rather than widening every event in every batch.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(vmsim.Event{}); n != 40 {
+		t.Fatalf("unsafe.Sizeof(vmsim.Event{}) = %d, want 40", n)
+	}
+}
+
 // eventLog records the raw event stream for inspection.
 type eventLog struct {
 	events []string
 	times  []int64
 }
 
-func (l *eventLog) HeapLoad(now int64, addr uint32, pc int)  { l.add("L", now) }
-func (l *eventLog) HeapStore(now int64, addr uint32, pc int) { l.add("S", now) }
-func (l *eventLog) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	l.add("ll", now)
+var eventNames = [...]string{
+	vmsim.EvHeapLoad: "L", vmsim.EvHeapStore: "S",
+	vmsim.EvLocalLoad: "ll", vmsim.EvLocalStore: "ls",
+	vmsim.EvLoopStart: "sloop", vmsim.EvLoopIter: "eoi", vmsim.EvLoopEnd: "eloop",
+	vmsim.EvReadStats: "read", vmsim.EvCallEnter: "call", vmsim.EvCallExit: "ret",
 }
-func (l *eventLog) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	l.add("ls", now)
-}
-func (l *eventLog) LoopStart(now int64, loop, numLocals int, frame uint64) { l.add("sloop", now) }
-func (l *eventLog) LoopIter(now int64, loop int)                           { l.add("eoi", now) }
-func (l *eventLog) LoopEnd(now int64, loop int)                            { l.add("eloop", now) }
-func (l *eventLog) ReadStats(now int64, loop int)                          { l.add("read", now) }
-func (l *eventLog) add(k string, t int64) {
-	l.events = append(l.events, k)
-	l.times = append(l.times, t)
+
+func (l *eventLog) ConsumeEvents(evs []vmsim.Event) {
+	for _, ev := range evs {
+		l.events = append(l.events, eventNames[ev.Kind])
+		l.times = append(l.times, ev.Now)
+	}
 }
 
 // TestEventStreamOrdering: timestamps are monotone and loop events nest.

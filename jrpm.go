@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"jrpm/internal/annotate"
 	"jrpm/internal/core"
@@ -225,30 +224,7 @@ func newVM(prog *tir.Program, in Input, cfg hydra.Config) (*vmsim.VM, error) {
 	vm := vmsim.New(prog)
 	vm.AnnotCost = cfg.Tracer.AnnotCost
 	vm.ReadStatsCost = cfg.Tracer.ReadStatsCost
-	// Bind in sorted order: heap addresses are assigned at bind time, so
-	// map-iteration order would make the address stream — and anything
-	// derived from it, like buffer-line high-water marks or a recorded
-	// trace — differ from run to run.
-	for _, name := range sortedKeys(in.Ints) {
-		if err := vm.BindGlobalInts(name, in.Ints[name]); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range sortedKeys(in.Floats) {
-		if err := vm.BindGlobalFloats(name, in.Floats[name]); err != nil {
-			return nil, err
-		}
-	}
-	return vm, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return vm, vm.BindInputs(in.Ints, in.Floats)
 }
 
 // runVM executes the VM's main function under ctx: when ctx is canceled
@@ -292,19 +268,6 @@ func RunClean(src string, in Input, cfg hydra.Config) (*tir.Program, int64, erro
 	return prog, vm.Cycles, nil
 }
 
-// RunClean executes the clean program sequentially and returns its cycle
-// count. Safe for concurrent use: each call builds a fresh VM.
-func (c *Compiled) RunClean(ctx context.Context, in Input, cfg hydra.Config) (int64, error) {
-	vm, err := newVM(c.Clean, in, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if err := runVM(ctx, vm); err != nil {
-		return 0, err
-	}
-	return vm.Cycles, nil
-}
-
 // Profile runs the full profiling phase on a JR source program.
 func Profile(src string, in Input, opts Options) (*ProfileResult, error) {
 	opts = Normalize(opts)
@@ -336,19 +299,27 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
 
-	cleanCycles, err := c.runCleanOpts(ctx, in, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	vm, err := newVM(c.Annotated, in, opts.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(opts.NativeLoops) > 0 {
-		if _, err := vm.InstallNative(opts.NativeLoops...); err != nil {
-			return nil, err
+	// The clean and annotated programs share loop IDs, so the same native
+	// loop set accelerates both runs.
+	setup := func(prog *tir.Program) (*vmsim.VM, error) {
+		vm, err := newVM(prog, in, opts.Cfg)
+		if err == nil && len(opts.NativeLoops) > 0 {
+			_, err = vm.InstallNative(opts.NativeLoops...)
 		}
+		return vm, err
+	}
+	clean, err := setup(c.Clean)
+	if err != nil {
+		return nil, err
+	}
+	if err := runVM(ctx, clean); err != nil {
+		return nil, err
+	}
+	cleanCycles := clean.Cycles
+
+	vm, err := setup(c.Annotated)
+	if err != nil {
+		return nil, err
 	}
 	tracer := core.NewTracer(c.Annotated, opts.Cfg, opts.Tracer)
 	vm.Listeners = append(vm.Listeners, tracer)
@@ -388,23 +359,4 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 		res.NativeRejected = vm.NativeRejected()
 	}
 	return res, nil
-}
-
-// runCleanOpts is RunClean with the native tier installed per
-// opts.NativeLoops: the clean and annotated programs share loop IDs, so
-// the same set accelerates both profile runs.
-func (c *Compiled) runCleanOpts(ctx context.Context, in Input, opts Options) (int64, error) {
-	vm, err := newVM(c.Clean, in, opts.Cfg)
-	if err != nil {
-		return 0, err
-	}
-	if len(opts.NativeLoops) > 0 {
-		if _, err := vm.InstallNative(opts.NativeLoops...); err != nil {
-			return 0, err
-		}
-	}
-	if err := runVM(ctx, vm); err != nil {
-		return 0, err
-	}
-	return vm.Cycles, nil
 }

@@ -59,8 +59,14 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 	if err := runVM(ctx, vm); err != nil {
 		return nil, err
 	}
+	return speculateEntries(pr, plan, rec.Entries), nil
+}
 
-	results := tls.Simulate(rec.Entries, pr.Opts.Cfg)
+// speculateEntries runs the TLS timing simulation over recorded
+// per-iteration traces of the selected loops and derives the
+// whole-program time.
+func speculateEntries(pr *ProfileResult, plan *jit.Plan, entries []*tls.Entry) *SpeculateResult {
+	results := tls.Simulate(entries, pr.Opts.Cfg)
 
 	// Program-level time: the recording run shares the annotated
 	// program's timing, so per-loop sequential times are in traced units;
@@ -95,7 +101,7 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 	} else {
 		res.ActualSpeedup = 1
 	}
-	return res, nil
+	return res
 }
 
 // Run executes the complete Jrpm pipeline — profile, select, recompile,

@@ -13,6 +13,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/hydra"
+	"jrpm/internal/tls"
 	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
@@ -56,6 +57,65 @@ func TestReplayEquivalence(t *testing.T) {
 			// Full comparator-bank state, not just the headline numbers.
 			if !reflect.DeepEqual(rep.Tracer.Results(), live.Tracer.Results()) {
 				t.Errorf("replay: per-loop tracer tables differ from live run")
+			}
+		})
+	}
+}
+
+// TestRecorderReplayEquivalence: the TLS recorder is an ordinary event
+// consumer, so fed a recording through Replay it must capture exactly the
+// per-iteration traces of a live run of the annotated program, and the
+// simulation over them must give the pipeline's ActualSpeedup.
+func TestRecorderReplayEquivalence(t *testing.T) {
+	for _, w := range workloads.All() {
+		w := w
+		t.Run(w.Meta.Name, func(t *testing.T) {
+			t.Parallel()
+			opts := jrpm.DefaultOptions()
+			c, err := jrpm.Compile(w.Source, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := w.NewInput(equivScale)
+			var buf bytes.Buffer
+			pr, err := c.ProfileRecord(context.Background(), in, opts, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := jrpm.SpeculateContext(context.Background(), in, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			selected := pr.Analysis.SelectedLoopIDs()
+
+			live := tls.NewRecorder(pr.Annotated, selected)
+			vm := vmsim.New(pr.Annotated)
+			vm.AnnotCost = pr.Opts.Cfg.Tracer.AnnotCost
+			vm.ReadStatsCost = pr.Opts.Cfg.Tracer.ReadStatsCost
+			if err := vm.BindInputs(in.Ints, in.Floats); err != nil {
+				t.Fatal(err)
+			}
+			vm.Listeners = append(vm.Listeners, live)
+			if err := vm.Run("main"); err != nil {
+				t.Fatal(err)
+			}
+
+			replayed := tls.NewRecorder(pr.Annotated, selected)
+			r, err := trace.NewBytesReader(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Replay(replayed); err != nil {
+				t.Fatal(err)
+			}
+			if len(selected) > 0 && len(live.Entries) == 0 {
+				t.Fatalf("selected loops %v recorded no entries", selected)
+			}
+			if !reflect.DeepEqual(replayed.Entries, live.Entries) {
+				t.Fatalf("replayed recorder: %d entries differ from the live run's %d", len(replayed.Entries), len(live.Entries))
+			}
+			if got := jrpm.SpeculateEntries(pr, spec.Plan, replayed.Entries).ActualSpeedup; got != spec.ActualSpeedup {
+				t.Errorf("ActualSpeedup from replay %v, live %v", got, spec.ActualSpeedup)
 			}
 		})
 	}

@@ -21,6 +21,7 @@ import (
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/tir"
+	"jrpm/internal/tls"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/vmsim/refvm"
 	"jrpm/internal/workloads"
@@ -578,5 +579,72 @@ func BenchmarkReplayVsLiveProfile(b *testing.B) {
 				}
 			}
 		}
+	})
+}
+
+// BenchmarkSpeculateStages times the two TLS stages of a speculate job
+// over all 26 kernels at scale 1, as perfbench's speculate workload runs
+// them: `record` is the recording VM run of the selected loops with a
+// fresh tls.Recorder, `simulate` the TLS timing simulation of those
+// recordings. Run with -benchmem: both stages allocate per arena chunk or
+// table doubling, not per iteration.
+func BenchmarkSpeculateStages(b *testing.B) {
+	type kernel struct {
+		pr      *jrpm.ProfileResult
+		in      jrpm.Input
+		entries []*tls.Entry
+	}
+	var kernels []kernel
+	var accesses int64
+	record := func(b *testing.B, k *kernel) *tls.Recorder {
+		rec := tls.NewRecorder(k.pr.Annotated, k.pr.Analysis.SelectedLoopIDs())
+		vm := vmsim.New(k.pr.Annotated)
+		vm.AnnotCost = k.pr.Opts.Cfg.Tracer.AnnotCost
+		vm.ReadStatsCost = k.pr.Opts.Cfg.Tracer.ReadStatsCost
+		if err := vm.BindInputs(k.in.Ints, k.in.Floats); err != nil {
+			b.Fatal(err)
+		}
+		vm.Listeners = append(vm.Listeners, rec)
+		if err := vm.Run("main"); err != nil {
+			b.Fatal(err)
+		}
+		return rec
+	}
+	for _, w := range workloads.All() {
+		opts := jrpm.DefaultOptions()
+		c, err := jrpm.Compile(w.Source, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := kernel{in: w.NewInput(1)}
+		if k.pr, err = c.Profile(context.Background(), k.in, opts); err != nil {
+			b.Fatal(err)
+		}
+		k.entries = record(b, &k).Entries
+		for _, e := range k.entries {
+			for _, it := range e.Iters {
+				accesses += int64(len(it.Acc))
+			}
+		}
+		kernels = append(kernels, k)
+	}
+
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range kernels {
+				record(b, &kernels[j])
+			}
+		}
+		b.ReportMetric(float64(accesses), "accesses/op")
+	})
+	b.Run("simulate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, k := range kernels {
+				tls.Simulate(k.entries, k.pr.Opts.Cfg)
+			}
+		}
+		b.ReportMetric(float64(accesses), "accesses/op")
 	})
 }

@@ -169,3 +169,58 @@ func TestJobSpanJoinsSubmitterTrace(t *testing.T) {
 	}
 	_ = tracer
 }
+
+// TestDoneImpliesRecorded: by the time a job's Done channel closes, its
+// tenant's completion count includes it and its job.run span, carrying
+// the final state, is in the collector. Waiters read both right after
+// Done, so neither may be recorded after the job finishes.
+func TestDoneImpliesRecorded(t *testing.T) {
+	pool := NewPool(Config{Workers: 2, QueueDepth: 32})
+	defer pool.Stop()
+	col := telemetry.NewCollector(4096)
+	pool.SetTracer(telemetry.NewTracer(col))
+
+	var jobs []*Job
+	for i := 0; i < 12; i++ {
+		req := Request{Workload: "BitOps", Scale: 0.1, Tenant: []string{"a", "b", "c"}[i%3]}
+		if i%4 == 3 {
+			req = Request{Source: "this is not JR", Tenant: req.Tenant} // fails in the worker
+		}
+		j, err := pool.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+
+	for _, j := range jobs {
+		<-j.Done()
+		// Every job whose Done has closed so far must be counted.
+		done := map[string]int64{}
+		for _, o := range jobs {
+			select {
+			case <-o.Done():
+				done[o.Tenant]++
+			default:
+			}
+		}
+		for _, ts := range pool.Tenants() {
+			if ts.Completed < done[ts.Tenant] {
+				t.Fatalf("tenant %s: Completed=%d with %d jobs done", ts.Tenant, ts.Completed, done[ts.Tenant])
+			}
+		}
+		var span *telemetry.SpanData
+		for _, sd := range col.Snapshot("") {
+			if sd.Name == "job.run" && sd.Attrs["job.id"] == j.ID {
+				span = &sd
+				break
+			}
+		}
+		if span == nil {
+			t.Fatalf("job %s done without its job.run span", j.ID)
+		}
+		if v := j.View(); span.Attrs["job.state"] != string(v.State) {
+			t.Fatalf("job %s: span job.state=%q, job state %q", j.ID, span.Attrs["job.state"], v.State)
+		}
+	}
+}

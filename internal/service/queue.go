@@ -432,7 +432,6 @@ func (p *Pool) run(j *Job) {
 		return // canceled while queued; Cancel dropped the live count
 	}
 	defer p.retire(j)
-	defer p.queue.completed(j.Tenant)
 	p.metrics.QueueWait.Observe(wait)
 
 	var sp *telemetry.Span
@@ -460,25 +459,28 @@ func (p *Pool) run(j *Job) {
 	}()
 	p.metrics.RunTime.Observe(time.Since(began))
 
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
 		p.metrics.JobsCompleted.Add(1)
-		j.finish(StateDone, res, "")
 	case errors.Is(err, context.Canceled):
 		p.metrics.JobsCanceled.Add(1)
-		j.finish(StateCanceled, nil, "canceled")
+		state, errMsg, res = StateCanceled, "canceled", nil
 	default:
 		if dcause != nil && context.Cause(ctx) == dcause {
 			p.metrics.DeadlineExpired.Add(1)
 		}
 		p.metrics.JobsFailed.Add(1)
-		j.finish(StateFailed, nil, err.Error())
+		state, errMsg, res = StateFailed, err.Error(), nil
 	}
-	if sp != nil {
-		sp.SetAttr("job.state", string(j.View().State))
-		sp.Fail(err)
-		sp.End()
-	}
+	// finish wakes the job's waiters, so everything they may read about
+	// the finished job — its tenant's completion count and its job.run
+	// span — is recorded first.
+	p.queue.completed(j.Tenant)
+	sp.SetAttr("job.state", string(state))
+	sp.Fail(err)
+	sp.End()
+	j.finish(state, res, errMsg)
 }
 
 // execute runs one job. Pipeline jobs resolve, hit or fill the artifact

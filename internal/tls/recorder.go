@@ -20,19 +20,26 @@ import (
 // variables are private or inductive for the selected loop — and callee
 // locals live in per-call frames; both must not serialize the simulated
 // threads.
+//
+// Accesses and iterations are carved out of two chunked arenas, so a
+// recording allocates per arena chunk rather than per iteration: each
+// closed iteration's Acc and each closed entry's Iters is a
+// capacity-clipped window of a chunk.
 type Recorder struct {
 	Selected []bool // indexed by loop id
 	Entries  []*Entry
 
 	prog        *tir.Program
 	active      *Entry
-	activeLoop  int
+	activeLoop  int32
 	activeFrame uint64
 	allowed     []bool // indexed by slot: AnnLocals of the active selected loop
 	entryStart  int64
 	iterStart   int64
-	cur         Iter
 	depth       int // nested entries of the same selected loop (recursion)
+
+	acc   arena[Access] // open window: the current iteration's accesses
+	iters arena[Iter]   // open window: the active entry's closed iterations
 }
 
 // NewRecorder records traces for the given selected loop ids of prog.
@@ -50,127 +57,136 @@ func NewRecorder(prog *tir.Program, selected []int) *Recorder {
 
 var _ vmsim.Listener = (*Recorder)(nil)
 
-// ConsumeEvents implements vmsim.Listener, demultiplexing each event to
-// the handler below. Read-stats and call events do not concern the
-// recording.
+// ConsumeEvents implements vmsim.Listener. Loop events of the recorded
+// loop open and close iterations and the recording; heap events and the
+// recorded loop's synchronized-local events (lwl/swl annotations) become
+// accesses of the open iteration. Read-stats and call events do not
+// concern the recording.
 func (r *Recorder) ConsumeEvents(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]
+		var kind AccessKind
+		addr := uint64(ev.Addr)
 		switch ev.Kind {
 		case vmsim.EvHeapLoad:
-			r.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+			kind = Load
 		case vmsim.EvHeapStore:
-			r.HeapStore(ev.Now, ev.Addr, int(ev.PC))
-		case vmsim.EvLocalLoad:
-			r.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
-		case vmsim.EvLocalStore:
-			r.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			kind = Store
+		case vmsim.EvLocalLoad, vmsim.EvLocalStore:
+			if !r.tracks(ev.Frame, ev.Slot) {
+				continue
+			}
+			kind = LocalLoad
+			if ev.Kind == vmsim.EvLocalStore {
+				kind = LocalStore
+			}
+			addr = slotAddr(ev.Frame, ev.Slot)
 		case vmsim.EvLoopStart:
-			r.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+			if r.active != nil {
+				if ev.Loop == r.activeLoop {
+					r.depth++
+				}
+				continue
+			}
+			if ev.Loop < 0 || int(ev.Loop) >= len(r.Selected) || !r.Selected[ev.Loop] {
+				continue
+			}
+			r.active = &Entry{Loop: int(ev.Loop)}
+			r.activeLoop = ev.Loop
+			r.activeFrame = ev.Frame
+			clear(r.allowed)
+			for _, slot := range r.prog.Loops[ev.Loop].AnnLocals {
+				if slot >= len(r.allowed) {
+					r.allowed = append(r.allowed, make([]bool, slot+1-len(r.allowed))...)
+				}
+				r.allowed[slot] = true
+			}
+			r.entryStart = ev.Now
+			r.iterStart = ev.Now
+			r.depth = 0
+			continue
 		case vmsim.EvLoopIter:
-			r.LoopIter(ev.Now, int(ev.Loop))
+			if r.active != nil && ev.Loop == r.activeLoop && r.depth == 0 {
+				r.closeIter(ev.Now)
+			}
+			continue
 		case vmsim.EvLoopEnd:
-			r.LoopEnd(ev.Now, int(ev.Loop))
+			if r.active == nil || ev.Loop != r.activeLoop {
+				continue
+			}
+			if r.depth > 0 {
+				r.depth--
+				continue
+			}
+			r.closeIter(ev.Now)
+			r.active.Iters = r.iters.take()
+			r.active.SeqCycles = ev.Now - r.entryStart
+			r.Entries = append(r.Entries, r.active)
+			r.active = nil
+			continue
+		default:
+			continue
+		}
+		if r.active != nil {
+			r.acc.push(Access{Rel: ev.Now - r.iterStart, Addr: addr, Kind: kind, PC: ev.PC})
 		}
 	}
 }
 
-// LoopStart opens a recording when a selected loop is entered.
-func (r *Recorder) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	if r.active != nil {
-		if loop == r.activeLoop {
-			r.depth++
-		}
-		return
-	}
-	if loop < 0 || loop >= len(r.Selected) || !r.Selected[loop] {
-		return
-	}
-	r.active = &Entry{Loop: loop}
-	r.activeLoop = loop
-	r.activeFrame = frame
-	clear(r.allowed)
-	for _, slot := range r.prog.Loops[loop].AnnLocals {
-		if slot >= len(r.allowed) {
-			r.allowed = append(r.allowed, make([]bool, slot+1-len(r.allowed))...)
-		}
-		r.allowed[slot] = true
-	}
-	r.entryStart = now
+// closeIter ends the open iteration of the recorded loop at cycle now.
+func (r *Recorder) closeIter(now int64) {
+	r.iters.push(Iter{Len: now - r.iterStart, Acc: r.acc.take()})
 	r.iterStart = now
-	r.cur = Iter{}
-	r.depth = 0
-}
-
-// LoopIter closes the current iteration of the recorded loop.
-func (r *Recorder) LoopIter(now int64, loop int) {
-	if r.active == nil || loop != r.activeLoop || r.depth > 0 {
-		return
-	}
-	r.cur.Len = now - r.iterStart
-	r.active.Iters = append(r.active.Iters, r.cur)
-	r.cur = Iter{}
-	r.iterStart = now
-}
-
-// LoopEnd closes the recording.
-func (r *Recorder) LoopEnd(now int64, loop int) {
-	if r.active == nil || loop != r.activeLoop {
-		return
-	}
-	if r.depth > 0 {
-		r.depth--
-		return
-	}
-	r.cur.Len = now - r.iterStart
-	r.active.Iters = append(r.active.Iters, r.cur)
-	r.active.SeqCycles = now - r.entryStart
-	r.Entries = append(r.Entries, r.active)
-	r.active = nil
-	r.cur = Iter{}
-}
-
-// HeapLoad records a heap read.
-func (r *Recorder) HeapLoad(now int64, addr uint32, pc int) {
-	if r.active == nil {
-		return
-	}
-	r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: uint64(addr), Kind: Load, PC: pc})
-}
-
-// HeapStore records a heap write.
-func (r *Recorder) HeapStore(now int64, addr uint32, pc int) {
-	if r.active == nil {
-		return
-	}
-	r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: uint64(addr), Kind: Store, PC: pc})
 }
 
 // slotAddr packs a frame/slot pair into a synthetic address disjoint from
 // the 32-bit heap space.
-func slotAddr(id vmsim.SlotID) uint64 {
-	return 1<<40 | id.Frame<<12 | uint64(id.Slot&0xfff)
+func slotAddr(frame uint64, slot int32) uint64 {
+	return 1<<40 | frame<<12 | uint64(slot&0xfff)
 }
 
-// tracks reports whether id is one of the active selected loop's
+// tracks reports whether frame/slot is one of the active selected loop's
 // globalized variables in its own activation frame.
-func (r *Recorder) tracks(id vmsim.SlotID) bool {
-	return r.active != nil && id.Frame == r.activeFrame &&
-		uint(id.Slot) < uint(len(r.allowed)) && r.allowed[id.Slot]
+func (r *Recorder) tracks(frame uint64, slot int32) bool {
+	return r.active != nil && frame == r.activeFrame &&
+		uint(slot) < uint(len(r.allowed)) && r.allowed[slot]
 }
 
-// LocalLoad records a synchronized-local read (lwl annotation) of one of
-// the selected loop's globalized variables.
-func (r *Recorder) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	if r.tracks(id) {
-		r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalLoad, PC: pc})
-	}
+// Arena chunk sizes, in elements: chunks double from the minimum up to
+// the maximum, so a small recording stays small and a large one
+// allocates once per maximum-size chunk.
+const (
+	arenaMinChunk = 1 << 10
+	arenaMaxChunk = 1 << 14
+)
+
+// arena is an append-only buffer that hands out stable windows: push
+// appends to the open window and take closes it. When the chunk fills,
+// only the open window is copied into a fresh chunk, so a window once
+// taken never moves and no later push can reach it.
+type arena[T any] struct {
+	buf []T
+	lo  int // start of the open window in buf
 }
 
-// LocalStore records a synchronized-local write (swl annotation) of one of
-// the selected loop's globalized variables.
-func (r *Recorder) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	if r.tracks(id) {
-		r.cur.Acc = append(r.cur.Acc, Access{Rel: now - r.iterStart, Addr: slotAddr(id), Kind: LocalStore, PC: pc})
+func (a *arena[T]) push(v T) {
+	if len(a.buf) == cap(a.buf) {
+		open := a.buf[a.lo:]
+		n := min(max(2*cap(a.buf), arenaMinChunk), arenaMaxChunk)
+		buf := make([]T, len(open), max(n, 2*len(open)))
+		copy(buf, open)
+		a.buf, a.lo = buf, 0
 	}
+	a.buf = append(a.buf, v)
+}
+
+// take closes the open window and returns it clipped to its length, or
+// nil when it is empty.
+func (a *arena[T]) take() []T {
+	if a.lo == len(a.buf) {
+		return nil
+	}
+	w := a.buf[a.lo:len(a.buf):len(a.buf)]
+	a.lo = len(a.buf)
+	return w
 }

@@ -26,6 +26,8 @@
 package tls
 
 import (
+	"math/bits"
+
 	"jrpm/internal/hydra"
 )
 
@@ -41,12 +43,13 @@ const (
 )
 
 // Access is one memory or synchronized-local access at a relative cycle
-// offset within its iteration.
+// offset within its iteration. PC is an int32, like vmsim.Event's, which
+// keeps an Access at 24 bytes.
 type Access struct {
 	Rel  int64
 	Addr uint64 // byte address, or synthetic slot address for locals
 	Kind AccessKind
-	PC   int
+	PC   int32
 }
 
 // Iter is one recorded loop iteration.
@@ -107,14 +110,14 @@ const syncThreshold = 2
 // the loop once.
 func Simulate(entries []*Entry, cfg hydra.Config) map[int]*Result {
 	out := map[int]*Result{}
-	syncd := map[int]int{} // violations per load PC
+	s := &sim{cfg: cfg, procFree: make([]int64, max(cfg.CPUs, 0))}
 	for _, e := range entries {
 		r := out[e.Loop]
 		if r == nil {
 			r = &Result{Loop: e.Loop}
 			out[e.Loop] = r
 		}
-		tlsCycles := simulateEntry(e, cfg, r, syncd)
+		tlsCycles := s.entry(e, r)
 		r.Entries++
 		r.Threads += int64(len(e.Iters))
 		r.SeqCycles += e.SeqCycles
@@ -136,151 +139,149 @@ type lastWrite struct {
 	time   int64
 }
 
-// simulateEntry computes the speculative execution time of one loop entry.
-func simulateEntry(e *Entry, cfg hydra.Config, r *Result, syncd map[int]int) int64 {
-	p := cfg.CPUs
-	ov := cfg.Overheads
-
-	procFree := make([]int64, p)
-	for i := range procFree {
-		procFree[i] = ov.LoopStartup // loop startup runs before thread 0
-	}
+// sim is the scratch state of one Simulate call. Every table and buffer
+// is sized by the largest entry or thread seen so far and reused for the
+// next one, so a call allocates per table doubling, not per entry or per
+// thread. It is never shared between calls.
+type sim struct {
+	cfg      hydra.Config
+	procFree []int64 // per CPU: when its current thread commits
+	times    []int64 // absolute time of each access of the current thread
 
 	// RAW dependences are tracked at word granularity: Hydra's secondary
 	// cache write buffers hold per-word speculative data and forward it to
 	// dependent loads, and the TEST dependency analysis itself compares
-	// per-word store timestamps. (Buffer capacity below is still counted
-	// in cache lines, per Table 1.)
-	stores := map[uint64]lastWrite{} // heap: by word address
-	locals := map[uint64]lastWrite{} // synchronized locals: by slot id
+	// per-word store timestamps. (Buffer capacity is still counted in
+	// cache lines, per Table 1.)
+	stores table[lastWrite] // per entry, heap: by word address
+	locals table[lastWrite] // per entry, synchronized locals: by slot address
+
+	written   table[struct{}] // per scan: words this thread stored
+	ownLocals table[struct{}] // per scan: locals this thread stored
+	ldLines   table[struct{}] // per thread: distinct lines read
+	stLines   table[struct{}] // per thread: distinct lines written
+
+	// Violations per load PC, shared across entries: a slice indexed by
+	// PC for PCs in [0, denseSyncPCs), a map for any other.
+	syncd    []int32
+	syncdFar map[int32]int32
+}
+
+// denseSyncPCs bounds the PC-indexed violation counters; a program's PCs
+// are its instruction indices, far below it.
+const denseSyncPCs = 1 << 20
+
+func (s *sim) violations(pc int32) int32 {
+	if uint32(pc) < denseSyncPCs {
+		if int(pc) < len(s.syncd) {
+			return s.syncd[pc]
+		}
+		return 0
+	}
+	return s.syncdFar[pc]
+}
+
+func (s *sim) addViolation(pc int32) {
+	if uint32(pc) < denseSyncPCs {
+		if int(pc) >= len(s.syncd) {
+			grown := make([]int32, max(int(pc)+1, 2*len(s.syncd)))
+			copy(grown, s.syncd)
+			s.syncd = grown
+		}
+		s.syncd[pc]++
+		return
+	}
+	if s.syncdFar == nil {
+		s.syncdFar = map[int32]int32{}
+	}
+	s.syncdFar[pc]++
+}
+
+// entry computes the speculative execution time of one loop entry.
+func (s *sim) entry(e *Entry, r *Result) int64 {
+	cfg := &s.cfg
+	p := cfg.CPUs
+	ov := &cfg.Overheads
+
+	procFree := s.procFree
+	for i := range procFree {
+		procFree[i] = ov.LoopStartup // loop startup runs before thread 0
+	}
+	s.stores.reset()
+	s.locals.reset()
 	var commitPrev int64 = ov.LoopStartup
 	var prevStart int64 = ov.LoopStartup
 
 	for k := range e.Iters {
 		it := &e.Iters[k]
 		cpu := k % p
-		s := procFree[cpu]
-		if s < prevStart {
-			s = prevStart // threads are created in order
+		start := procFree[cpu]
+		if start < prevStart {
+			start = prevStart // threads are created in order
 		}
 		if k == 0 {
-			s = ov.LoopStartup
+			start = ov.LoopStartup
 		}
-
-		// scan replays the thread's accesses from start time s with the
-		// stores of finalized predecessors visible: it returns either a
-		// restart time (a RAW violation: an older thread's store landed
-		// after this thread already read the line) or the accumulated
-		// stall, communication-wait cycles, and the absolute time of every
-		// access.
-		scan := func(s int64) (restartAt, stall, comm int64, times []int64, restartPC int) {
-			restartAt = -1
-			times = make([]int64, len(it.Acc))
-			written := map[uint64]bool{}
-			ownLocals := map[uint64]bool{}
-			for ai := range it.Acc {
-				a := &it.Acc[ai]
-				t := s + a.Rel + stall
-				times[ai] = t
-				switch a.Kind {
-				case Load:
-					word := a.Addr &^ 3
-					if written[word] {
-						continue // forwarded from own store buffer
-					}
-					lw, ok := stores[word]
-					if !ok || lw.thread >= k {
-						continue
-					}
-					if lw.time > t && syncd[a.PC] < syncThreshold {
-						restartAt = lw.time + ov.Violation
-						restartPC = a.PC
-						return
-					}
-					if need := lw.time + ov.StoreLoadComm; need > t {
-						// Either plain store->load latency, or a
-						// synchronized access waiting out the producer.
-						stall += need - t
-						comm += need - t
-						times[ai] = need
-					}
-				case Store:
-					written[a.Addr&^3] = true
-				case LocalLoad:
-					if ownLocals[a.Addr] {
-						continue // reads this thread's own (private) value
-					}
-					lw, ok := locals[a.Addr]
-					if !ok || lw.thread >= k {
-						continue
-					}
-					// Globalized + synchronized by the recompiler: wait,
-					// never violate.
-					if need := lw.time + ov.StoreLoadComm; need > t {
-						stall += need - t
-						comm += need - t
-						times[ai] = need
-					}
-				case LocalStore:
-					ownLocals[a.Addr] = true
-				}
-			}
-			return
+		if n := len(it.Acc); cap(s.times) < n {
+			s.times = make([]int64, n, max(n, 2*cap(s.times)))
 		}
+		s.times = s.times[:len(it.Acc)]
 
 		// Fixed point over restarts: the thread's start only moves later,
 		// which can only satisfy more dependences, so this terminates.
 		var stall, comm int64
-		var times []int64
 		for tries := 0; ; tries++ {
-			restartAt, st, cm, tm, pc := scan(s)
+			restartAt, st, cm, pc := s.scan(it, k, start)
+			stall, comm = st, cm
 			if restartAt < 0 {
-				stall, comm, times = st, cm, tm
 				break
 			}
 			r.Violations++
-			syncd[pc]++
-			if restartAt <= s {
-				restartAt = s + 1 // guarantee progress
+			s.addViolation(pc)
+			if restartAt <= start {
+				restartAt = start + 1 // guarantee progress
 			}
-			s = restartAt
+			start = restartAt
 			if tries > len(it.Acc)+4 {
 				// Defensive bound; with finitely many predecessor stores
 				// each restart consumes one, so this cannot trigger.
-				_, stall, comm, times = 0, st, cm, tm
 				break
 			}
 		}
 		r.CommStalls += comm
+		times := s.times
 
 		// Speculative buffer overflow: find the first access at which the
 		// thread's distinct-line footprint exceeds a Table 1 limit; from
-		// that point it stalls until it is the head thread.
+		// that point it stalls until it is the head thread. A thread with
+		// no more accesses than the smaller limit cannot exceed either.
 		var ovfStall int64
-		ldLines := map[uint64]bool{}
-		stLines := map[uint64]bool{}
-		for ai := range it.Acc {
-			a := &it.Acc[ai]
-			over := false
-			switch a.Kind {
-			case Load:
-				ldLines[a.Addr/hydra.LineSize] = true
-				over = len(ldLines) > cfg.Buffers.LoadLines
-			case Store:
-				stLines[a.Addr/hydra.LineSize] = true
-				over = len(stLines) > cfg.Buffers.StoreLines
-			}
-			if over {
-				at := times[ai]
-				if commitPrev > at {
-					ovfStall = commitPrev - at
-					r.OverflowStalls++
+		if len(it.Acc) > min(cfg.Buffers.LoadLines, cfg.Buffers.StoreLines) {
+			s.ldLines.reset()
+			s.stLines.reset()
+			for ai := range it.Acc {
+				a := &it.Acc[ai]
+				over := false
+				switch a.Kind {
+				case Load:
+					s.ldLines.put(a.Addr / hydra.LineSize)
+					over = s.ldLines.n > cfg.Buffers.LoadLines
+				case Store:
+					s.stLines.put(a.Addr / hydra.LineSize)
+					over = s.stLines.n > cfg.Buffers.StoreLines
 				}
-				break
+				if over {
+					at := times[ai]
+					if commitPrev > at {
+						ovfStall = commitPrev - at
+						r.OverflowStalls++
+					}
+					break
+				}
 			}
 		}
 
-		finish := s + it.Len + stall + ovfStall + ov.EndOfIter
+		finish := start + it.Len + stall + ovfStall + ov.EndOfIter
 		commit := finish
 		if commit < commitPrev {
 			commit = commitPrev
@@ -294,20 +295,171 @@ func simulateEntry(e *Entry, cfg hydra.Config, r *Result, syncd map[int]int) int
 			t := times[ai]
 			switch a.Kind {
 			case Store:
-				word := a.Addr &^ 3
-				if lw, ok := stores[word]; !ok || t >= lw.time {
-					stores[word] = lastWrite{thread: k, time: t}
+				if lw, added := s.stores.put(a.Addr &^ 3); added || t >= lw.time {
+					*lw = lastWrite{thread: k, time: t}
 				}
 			case LocalStore:
-				if lw, ok := locals[a.Addr]; !ok || t >= lw.time {
-					locals[a.Addr] = lastWrite{thread: k, time: t}
+				if lw, added := s.locals.put(a.Addr); added || t >= lw.time {
+					*lw = lastWrite{thread: k, time: t}
 				}
 			}
 		}
 
 		procFree[cpu] = commit
-		prevStart = s
+		prevStart = start
 		commitPrev = commit
 	}
 	return commitPrev + ov.LoopShutdown
+}
+
+// scan replays thread k's accesses from start time start with the stores
+// of finalized predecessors visible, filling s.times with the absolute
+// time of every access. It returns either a restart time (a RAW
+// violation: an older thread's store landed after this thread already
+// read the line) and the violating load's PC, or restartAt < 0 and the
+// accumulated stall and communication-wait cycles.
+func (s *sim) scan(it *Iter, k int, start int64) (restartAt, stall, comm int64, restartPC int32) {
+	ov := &s.cfg.Overheads
+	times := s.times
+	s.written.reset()
+	s.ownLocals.reset()
+	for ai := range it.Acc {
+		a := &it.Acc[ai]
+		t := start + a.Rel + stall
+		times[ai] = t
+		switch a.Kind {
+		case Load:
+			word := a.Addr &^ 3
+			if s.written.get(word) != nil {
+				continue // forwarded from own store buffer
+			}
+			lw := s.stores.get(word)
+			if lw == nil || lw.thread >= k {
+				continue
+			}
+			if lw.time > t && s.violations(a.PC) < syncThreshold {
+				return lw.time + ov.Violation, stall, comm, a.PC
+			}
+			if need := lw.time + ov.StoreLoadComm; need > t {
+				// Either plain store->load latency, or a synchronized
+				// access waiting out the producer.
+				stall += need - t
+				comm += need - t
+				times[ai] = need
+			}
+		case Store:
+			s.written.put(a.Addr &^ 3)
+		case LocalLoad:
+			if s.ownLocals.get(a.Addr) != nil {
+				continue // reads this thread's own (private) value
+			}
+			lw := s.locals.get(a.Addr)
+			if lw == nil || lw.thread >= k {
+				continue
+			}
+			// Globalized + synchronized by the recompiler: wait, never
+			// violate.
+			if need := lw.time + ov.StoreLoadComm; need > t {
+				stall += need - t
+				comm += need - t
+				times[ai] = need
+			}
+		case LocalStore:
+			s.ownLocals.put(a.Addr)
+		}
+	}
+	return -1, stall, comm, 0
+}
+
+// table is an open-addressed hash table keyed by address, with linear
+// probing. reset empties it in O(1) by bumping a generation stamp: a slot
+// is live only if it carries the current generation. It doubles when
+// three quarters full, so it grows on demand to the largest working set
+// it has held and is then reused without allocating.
+type table[V any] struct {
+	slots []slot[V]
+	gen   uint32
+	n     int   // live slots
+	shift uint8 // 64 - log2(len(slots))
+}
+
+type slot[V any] struct {
+	key uint64
+	gen uint32
+	val V
+}
+
+const minTableSlots = 64
+
+func (t *table[V]) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 { // wrapped: stale stamps would read as live again
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+func (t *table[V]) index(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// get returns key's value, or nil when key is absent.
+func (t *table[V]) get(key uint64) *V {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := t.index(key); ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		if sl.gen != t.gen {
+			return nil
+		}
+		if sl.key == key {
+			return &sl.val
+		}
+	}
+}
+
+// put returns key's value, inserting a zero value if key is absent;
+// added reports the insertion.
+func (t *table[V]) put(key uint64) (v *V, added bool) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	for i := t.index(key); ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		if sl.gen != t.gen {
+			var zero V
+			sl.key, sl.gen, sl.val = key, t.gen, zero
+			t.n++
+			return &sl.val, true
+		}
+		if sl.key == key {
+			return &sl.val, false
+		}
+	}
+}
+
+// grow doubles the table and moves the live slots over, starting a fresh
+// generation in the fresh slots.
+func (t *table[V]) grow() {
+	old, oldGen := t.slots, t.gen
+	size := max(2*len(old), minTableSlots)
+	t.slots = make([]slot[V], size)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	t.gen = 1
+	mask := size - 1
+	for j := range old {
+		if old[j].gen != oldGen {
+			continue
+		}
+		i := t.index(old[j].key)
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = old[j]
+		t.slots[i].gen = t.gen
+	}
 }

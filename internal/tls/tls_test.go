@@ -3,6 +3,7 @@ package tls_test
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
@@ -156,7 +157,7 @@ func TestBufferOverflowStalls(t *testing.T) {
 		var acc []tls.Access
 		for i := 0; i < 6; i++ { // 6 distinct lines > 4-line limit
 			acc = append(acc, tls.Access{
-				Rel: int64(10 + i), Addr: uint64(0x4000 + i*hydra.LineSize), Kind: tls.Store, PC: i,
+				Rel: int64(10 + i), Addr: uint64(0x4000 + i*hydra.LineSize), Kind: tls.Store, PC: int32(i),
 			})
 		}
 		return acc
@@ -174,7 +175,7 @@ func TestBufferOverflowStalls(t *testing.T) {
 		var acc []tls.Access
 		for i := 0; i < 6; i++ {
 			acc = append(acc, tls.Access{
-				Rel: int64(10 + i), Addr: uint64(0x4000 + i*hydra.LineSize), Kind: tls.Store, PC: i,
+				Rel: int64(10 + i), Addr: uint64(0x4000 + i*hydra.LineSize), Kind: tls.Store, PC: int32(i),
 			})
 		}
 		return acc
@@ -217,14 +218,46 @@ func recorderProg() *tir.Program {
 	return p
 }
 
+// Event constructors for feeding the recorder batches.
+
+func heapLoad(now int64, addr uint32, pc int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvHeapLoad, Now: now, Addr: addr, PC: pc}
+}
+
+func heapStore(now int64, addr uint32, pc int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvHeapStore, Now: now, Addr: addr, PC: pc}
+}
+
+func localLoad(now int64, frame uint64, slot, pc int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvLocalLoad, Now: now, Frame: frame, Slot: slot, PC: pc}
+}
+
+func localStore(now int64, frame uint64, slot, pc int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvLocalStore, Now: now, Frame: frame, Slot: slot, PC: pc}
+}
+
+func loopStart(now int64, loop int32, frame uint64) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvLoopStart, Now: now, Loop: loop, NumLocals: 1, Frame: frame}
+}
+
+func loopIter(now int64, loop int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvLoopIter, Now: now, Loop: loop}
+}
+
+func loopEnd(now int64, loop int32) vmsim.Event {
+	return vmsim.Event{Kind: vmsim.EvLoopEnd, Now: now, Loop: loop}
+}
+
 // TestRecorderCapturesIterations: boundaries, lengths and accesses.
 func TestRecorderCapturesIterations(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(100, 0, 1, 9)
-	rec.HeapLoad(110, 0x1000, 1)
-	rec.LoopIter(150, 0)
-	rec.HeapStore(160, 0x2000, 2)
-	rec.LoopEnd(230, 0)
+	rec.ConsumeEvents([]vmsim.Event{
+		loopStart(100, 0, 9),
+		heapLoad(110, 0x1000, 1),
+		loopIter(150, 0),
+		heapStore(160, 0x2000, 2),
+		loopEnd(230, 0),
+	})
 
 	if len(rec.Entries) != 1 {
 		t.Fatalf("entries = %d", len(rec.Entries))
@@ -251,16 +284,21 @@ func TestRecorderCapturesIterations(t *testing.T) {
 // its own frame are recorded.
 func TestRecorderFiltersLocals(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(0, 0, 1, 9)
-	rec.LocalLoad(10, vmsim.SlotID{Frame: 9, Slot: 3}, 1)  // allowed
-	rec.LocalLoad(20, vmsim.SlotID{Frame: 9, Slot: 5}, 2)  // other loop's slot
-	rec.LocalLoad(30, vmsim.SlotID{Frame: 8, Slot: 3}, 3)  // wrong frame
-	rec.LocalStore(40, vmsim.SlotID{Frame: 9, Slot: 3}, 4) // allowed
-	rec.LoopEnd(50, 0)
+	rec.ConsumeEvents([]vmsim.Event{
+		loopStart(0, 0, 9),
+		localLoad(10, 9, 3, 1),  // allowed
+		localLoad(20, 9, 5, 2),  // other loop's slot
+		localLoad(30, 8, 3, 3),  // wrong frame
+		localStore(40, 9, 3, 4), // allowed
+		loopEnd(50, 0),
+	})
 
 	acc := rec.Entries[0].Iters[0].Acc
 	if len(acc) != 2 {
 		t.Fatalf("recorded %d local accesses, want 2: %+v", len(acc), acc)
+	}
+	if acc[0].Kind != tls.LocalLoad || acc[1].Kind != tls.LocalStore || acc[0].Addr != acc[1].Addr {
+		t.Fatalf("local accesses = %+v", acc)
 	}
 }
 
@@ -268,12 +306,14 @@ func TestRecorderFiltersLocals(t *testing.T) {
 // as plain accesses of the active recording.
 func TestRecorderIgnoresUnselectedLoops(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.LoopStart(0, 0, 1, 9)
-	rec.LoopStart(10, 1, 1, 9) // nested unselected loop
-	rec.HeapLoad(20, 0x1000, 1)
-	rec.LoopIter(30, 1) // must not split iteration of loop 0
-	rec.LoopEnd(40, 1)
-	rec.LoopEnd(50, 0)
+	rec.ConsumeEvents([]vmsim.Event{
+		loopStart(0, 0, 9),
+		loopStart(10, 1, 9), // nested unselected loop
+		heapLoad(20, 0x1000, 1),
+		loopIter(30, 1), // must not split iteration of loop 0
+		loopEnd(40, 1),
+		loopEnd(50, 0),
+	})
 	e := rec.Entries[0]
 	if len(e.Iters) != 1 {
 		t.Fatalf("nested loop events split the recording: %d iters", len(e.Iters))
@@ -287,12 +327,94 @@ func TestRecorderIgnoresUnselectedLoops(t *testing.T) {
 // are not recorded.
 func TestRecorderOutsideLoopsIgnoresEvents(t *testing.T) {
 	rec := tls.NewRecorder(recorderProg(), []int{0})
-	rec.HeapLoad(5, 0x1000, 1)
-	rec.LoopStart(10, 0, 1, 9)
-	rec.LoopEnd(20, 0)
-	rec.HeapStore(30, 0x1000, 2)
-	if len(rec.Entries) != 1 || len(rec.Entries[0].Iters[0].Acc) != 0 {
+	rec.ConsumeEvents([]vmsim.Event{
+		heapLoad(5, 0x1000, 1),
+		loopStart(10, 0, 9),
+		loopEnd(20, 0),
+		heapStore(30, 0x1000, 2),
+	})
+	if len(rec.Entries) != 1 || rec.Entries[0].Iters[0].Acc != nil {
 		t.Fatalf("out-of-loop events recorded: %+v", rec.Entries)
+	}
+}
+
+// TestRecorderRecursionNestsEntries: re-entering the recorded loop (a
+// recursive call) neither opens a second recording nor splits or closes
+// the outer one.
+func TestRecorderRecursionNestsEntries(t *testing.T) {
+	rec := tls.NewRecorder(recorderProg(), []int{0})
+	rec.ConsumeEvents([]vmsim.Event{
+		loopStart(0, 0, 9),
+		loopStart(10, 0, 10), // recursive entry
+		heapLoad(15, 0x1000, 1),
+		loopIter(20, 0),
+		loopEnd(30, 0),
+		loopIter(40, 0),
+		loopEnd(60, 0),
+	})
+	if len(rec.Entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(rec.Entries))
+	}
+	e := rec.Entries[0]
+	if len(e.Iters) != 2 || e.Iters[0].Len != 40 || e.Iters[1].Len != 20 || len(e.Iters[0].Acc) != 1 {
+		t.Fatalf("recursive entry = %+v", e)
+	}
+}
+
+// TestRecorderWindowsStable: closed iterations keep their accesses while
+// later iterations fill and overflow arena chunks, no window aliases the
+// next one, and the entry's iterations survive the same way.
+func TestRecorderWindowsStable(t *testing.T) {
+	rec := tls.NewRecorder(recorderProg(), []int{0})
+	const entries, iters = 3, 200
+	for e := 0; e < entries; e++ {
+		base := int64(e) * 1_000_000
+		evs := []vmsim.Event{loopStart(base, 0, 9)}
+		for k := 0; k < iters; k++ {
+			now := base + int64(k)*100
+			// k%7 accesses per iteration; k%7 == 0 gives empty iterations.
+			for a := 0; a < k%7*(1+k%3*40); a++ {
+				evs = append(evs, heapStore(now+int64(a%90)+1, uint32(e<<20|k<<8|a%64), int32(a)))
+			}
+			if k < iters-1 {
+				evs = append(evs, loopIter(now+100, 0))
+			}
+		}
+		evs = append(evs, loopEnd(base+iters*100, 0))
+		rec.ConsumeEvents(evs)
+	}
+	if len(rec.Entries) != entries {
+		t.Fatalf("entries = %d", len(rec.Entries))
+	}
+	for e, en := range rec.Entries {
+		if len(en.Iters) != iters {
+			t.Fatalf("entry %d: %d iters", e, len(en.Iters))
+		}
+		for k, it := range en.Iters {
+			want := k % 7 * (1 + k%3*40)
+			if want == 0 {
+				if it.Acc != nil {
+					t.Fatalf("entry %d iter %d: empty iteration has non-nil Acc", e, k)
+				}
+				continue
+			}
+			if len(it.Acc) != want || cap(it.Acc) != want {
+				t.Fatalf("entry %d iter %d: len %d cap %d, want %d", e, k, len(it.Acc), cap(it.Acc), want)
+			}
+			for a, acc := range it.Acc {
+				if acc.Addr != uint64(e<<20|k<<8|a%64) || acc.PC != int32(a) || acc.Kind != tls.Store {
+					t.Fatalf("entry %d iter %d access %d = %+v", e, k, a, acc)
+				}
+			}
+		}
+	}
+}
+
+// TestAccessSize pins Access at 24 bytes: recordings hold one per traced
+// memory access of the selected loops.
+func TestAccessSize(t *testing.T) {
+	if n := unsafe.Sizeof(tls.Access{}); n != 24 {
+		t.Fatalf("unsafe.Sizeof(tls.Access{}) = %d, want 24", n)
 	}
 }
 
@@ -320,7 +442,7 @@ func TestSimulationInvariants(t *testing.T) {
 					Rel:  rel,
 					Addr: uint64(sp.Addr%32) * 4,
 					Kind: kind,
-					PC:   int(sp.Addr),
+					PC:   int32(sp.Addr),
 				})
 			}
 			e.Iters = append(e.Iters, it)

@@ -351,9 +351,9 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // dispatchKernelSrc is a straight-line array-walk kernel: one hot inner
-// loop whose body is a single basic block, the shape the native tier's
-// fused whole-iteration path targets. The outer loop re-arms the inner
-// one so each VM.Run executes ~600k micro-ops.
+// loop whose body is a single basic block, dominated by the fused
+// address, increment and `i < len(a)` superinstructions. The outer loop
+// re-arms the inner one so each VM.Run executes ~600k micro-ops.
 const dispatchKernelSrc = `
 global a: int[];
 
@@ -373,16 +373,14 @@ func main() {
 }
 `
 
-// BenchmarkVMDispatch isolates the interpreter hot path across the three
-// execution tiers: the reference block-at-a-time oracle (refvm), the
-// pre-decoded fast engine (vmsim), and the fast engine with the
-// closure-threaded native tier installed on every loop. The untraced
-// group runs the clean Huffman workload with no listeners — pure
-// dispatch; the traced group runs the annotated program with the full
-// comparator-bank tracer attached, measuring what batched emission and
-// compiled event closures buy when every heap access emits an event; the
-// kernel group runs the straight-line array walk where the native tier's
-// fused iteration path should dominate.
+// BenchmarkVMDispatch isolates the interpreter hot path across the two
+// engines: the reference block-at-a-time oracle (refvm) and the
+// pre-decoded fast engine (vmsim). The untraced group runs the clean
+// Huffman workload with no listeners — pure dispatch; the traced group
+// runs the annotated program with the full comparator-bank tracer
+// attached, measuring what batched emission buys when every heap access
+// emits an event; the kernel group runs the straight-line array walk
+// where the fused superinstructions dominate.
 func BenchmarkVMDispatch(b *testing.B) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
@@ -422,15 +420,10 @@ func BenchmarkVMDispatch(b *testing.B) {
 		name string
 		run  func(prog *tir.Program, ints map[string][]int64, traced bool) int64
 	}
-	fastRun := func(native bool) func(prog *tir.Program, ints map[string][]int64, traced bool) int64 {
-		return func(prog *tir.Program, ints map[string][]int64, traced bool) int64 {
+	engines := []engine{
+		{"fast", func(prog *tir.Program, ints map[string][]int64, traced bool) int64 {
 			vm := vmsim.New(prog)
 			vm.Out = io.Discard
-			if native {
-				if _, err := vm.InstallNativeAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
 			if traced {
 				vm.Listeners = []vmsim.Listener{core.NewTracer(prog, opts.Cfg, core.DefaultOptions())}
 			}
@@ -439,11 +432,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			return vm.Cycles
-		}
-	}
-	engines := []engine{
-		{"fast", fastRun(false)},
-		{"native", fastRun(true)},
+		}},
 		{"ref", func(prog *tir.Program, ints map[string][]int64, traced bool) int64 {
 			vm := refvm.New(prog)
 			vm.Out = io.Discard

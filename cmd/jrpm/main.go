@@ -65,7 +65,6 @@ import (
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
-	"jrpm/internal/tir"
 	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
@@ -449,7 +448,6 @@ func profileMain(args []string) {
 	sample := fs.Bool("sample", true, "attach the VM sampling profiler")
 	period := fs.Int64("period", 8192, "sampling period in VM steps (rounded up to the interpreter's poll window)")
 	topN := fs.Int("top", 10, "rows to print per table")
-	native := fs.Bool("native", true, "run annotated loops on the closure-threaded native tier (bit-identical; reported per loop)")
 	fs.Parse(args)
 	src, in := resolveProgram(fs, *wname, *srcPath, *scale)
 
@@ -457,16 +455,7 @@ func profileMain(args []string) {
 	if *sample {
 		opts.SamplePeriod = *period
 	}
-	c, err := jrpm.Compile(src, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if *native {
-		for i := range c.Clean.Loops {
-			opts.NativeLoops = append(opts.NativeLoops, c.Clean.Loops[i].ID)
-		}
-	}
-	pr, err := c.Profile(context.Background(), in, opts)
+	pr, err := jrpm.Profile(src, in, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -474,9 +463,6 @@ func profileMain(args []string) {
 	fmt.Printf("traced cycles:      %d (slowdown %.2fx)\n", pr.TracedCycles, pr.Slowdown())
 	fmt.Printf("selected STLs:      %v (predicted %.2fx)\n",
 		pr.Analysis.SelectedLoopIDs(), pr.Analysis.PredictedSpeedup())
-	if *native {
-		printLoopTiers(c.Clean, pr)
-	}
 	sp := pr.Samples
 	if sp == nil {
 		return
@@ -501,38 +487,6 @@ func profileMain(args []string) {
 			}
 			fmt.Printf("%-24s %8d %8d %5.1f%%\n", l.Name, l.Flat, l.Cum, 100*float64(l.Cum)/float64(sp.Samples))
 		}
-	}
-}
-
-// printLoopTiers reports which execution tier each annotated loop ran
-// in during the traced run: "native" (closure-threaded, with its
-// enter/deopt/step counters, "fused" when the whole-iteration fast path
-// compiled) or "predecode" (the interpreter, with the native compiler's
-// rejection reason).
-func printLoopTiers(prog *tir.Program, pr *jrpm.ProfileResult) {
-	if len(prog.Loops) == 0 {
-		return
-	}
-	stats := make(map[int]jrpm.NativeLoopStats, len(pr.Native))
-	for _, ns := range pr.Native {
-		stats[ns.Loop] = ns
-	}
-	fmt.Printf("\n%-24s %-14s %8s %8s %10s\n", "loop", "tier", "enters", "deopts", "steps")
-	for i := range prog.Loops {
-		l := &prog.Loops[i]
-		if ns, ok := stats[l.ID]; ok {
-			tier := "native"
-			if ns.Fused {
-				tier = "native(fused)"
-			}
-			fmt.Printf("%-24s %-14s %8d %8d %10d\n", l.Name, tier, ns.Enters, ns.Deopts, ns.Steps)
-			continue
-		}
-		why := pr.NativeRejected[l.ID]
-		if why == "" {
-			why = "not requested"
-		}
-		fmt.Printf("%-24s %-14s (%s)\n", l.Name, "predecode", why)
 	}
 }
 

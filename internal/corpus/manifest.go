@@ -327,8 +327,8 @@ func SpecByName(name string) (Spec, bool) {
 
 // FuzzSeeds returns the stratified seed programs for FuzzVMDiff: every
 // dependence kind and distance regime, shallow and deep nests, with
-// calls and branch-gated bodies on so the native tier's deopt-guard
-// edges are in every seed's path.
+// calls and branch-gated bodies on so call boundaries and conditional
+// control flow are in every seed's path.
 func FuzzSeeds() []*Program {
 	kinds := []struct {
 		dep  string

@@ -188,21 +188,12 @@ type SheddingSnapshot struct {
 }
 
 // SessionsSnapshot is the "sessions" section of GET /v1/metrics.
-// Promoted/Demoted count transitions touching the speculative tier;
-// the native_* fields cover the closure-threaded middle rung —
-// promotions into it, demotions off it, and its aggregate execution
-// counters (loop entries, deoptimizations, natively retired VM steps).
 type SessionsSnapshot struct {
-	Started        int   `json:"started"`
-	Active         int   `json:"active"`
-	Epochs         int64 `json:"epochs"`
-	Promoted       int64 `json:"promoted"`
-	Demoted        int64 `json:"demoted"`
-	PromotedNative int64 `json:"promoted_native"`
-	DemotedNative  int64 `json:"demoted_native"`
-	NativeEnters   int64 `json:"native_enters"`
-	NativeDeopts   int64 `json:"native_deopts"`
-	NativeSteps    int64 `json:"native_steps"`
+	Started  int   `json:"started"`
+	Active   int   `json:"active"`
+	Epochs   int64 `json:"epochs"`
+	Promoted int64 `json:"promoted"`
+	Demoted  int64 `json:"demoted"`
 }
 
 // sessionsSnapshot assembles the session section from the manager's
@@ -210,16 +201,11 @@ type SessionsSnapshot struct {
 func (p *Pool) sessionsSnapshot() SessionsSnapshot {
 	c := p.sessions.Counts()
 	return SessionsSnapshot{
-		Started:        c.Started,
-		Active:         c.Active,
-		Epochs:         p.smetrics.Epochs.Load(),
-		Promoted:       p.smetrics.Promoted.Load(),
-		Demoted:        p.smetrics.Demoted.Load(),
-		PromotedNative: p.smetrics.PromotedNative.Load(),
-		DemotedNative:  p.smetrics.DemotedNative.Load(),
-		NativeEnters:   p.smetrics.NativeEnters.Load(),
-		NativeDeopts:   p.smetrics.NativeDeopts.Load(),
-		NativeSteps:    p.smetrics.NativeSteps.Load(),
+		Started:  c.Started,
+		Active:   c.Active,
+		Epochs:   p.smetrics.Epochs.Load(),
+		Promoted: p.smetrics.Promoted.Load(),
+		Demoted:  p.smetrics.Demoted.Load(),
 	}
 }
 

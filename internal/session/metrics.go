@@ -22,15 +22,6 @@ type Metrics struct {
 	Promoted *telemetry.Counter
 	Demoted  *telemetry.Counter
 
-	// Native-tier instruments. Promotions/demotions count lattice
-	// transitions touching the native rung; the exec counters aggregate
-	// the closure-threaded engine's per-epoch loop stats.
-	PromotedNative *telemetry.Counter
-	DemotedNative  *telemetry.Counter
-	NativeEnters   *telemetry.Counter
-	NativeDeopts   *telemetry.Counter
-	NativeSteps    *telemetry.Counter
-
 	reg    *telemetry.Registry
 	mu     sync.Mutex
 	gauges map[string]bool // "session/loop" pairs already registered
@@ -39,16 +30,11 @@ type Metrics struct {
 // NewMetrics registers the session instruments on reg.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
-		Epochs:         reg.Counter("session_epochs_total", "Adaptive session epochs executed."),
-		Promoted:       reg.Counter("session_loops_promoted_total", "Loop promotions to the speculative tier."),
-		Demoted:        reg.Counter("session_loops_demoted_total", "Loop demotions from the speculative tier (one rung, to native)."),
-		PromotedNative: reg.Counter("session_loops_promoted_native_total", "Loop promotions to the native tier."),
-		DemotedNative:  reg.Counter("session_loops_demoted_native_total", "Loop demotions from the native tier."),
-		NativeEnters:   reg.Counter("session_native_enters_total", "Native-tier loop entries across all sessions."),
-		NativeDeopts:   reg.Counter("session_native_deopts_total", "Native-tier deoptimizations across all sessions."),
-		NativeSteps:    reg.Counter("session_native_steps_total", "VM steps retired in the native tier across all sessions."),
-		reg:            reg,
-		gauges:         map[string]bool{},
+		Epochs:   reg.Counter("session_epochs_total", "Adaptive session epochs executed."),
+		Promoted: reg.Counter("session_loops_promoted_total", "Loop promotions to the speculative tier."),
+		Demoted:  reg.Counter("session_loops_demoted_total", "Loop demotions back to the sequential tier."),
+		reg:      reg,
+		gauges:   map[string]bool{},
 	}
 }
 
@@ -89,27 +75,4 @@ func (m *Metrics) incDemoted() {
 	if m != nil {
 		m.Demoted.Inc()
 	}
-}
-
-func (m *Metrics) incPromotedNative() {
-	if m != nil {
-		m.PromotedNative.Inc()
-	}
-}
-
-func (m *Metrics) incDemotedNative() {
-	if m != nil {
-		m.DemotedNative.Inc()
-	}
-}
-
-// addNativeExec folds one epoch's aggregate native-tier execution stats
-// into the cross-session counters. Nil-safe like the inc helpers.
-func (m *Metrics) addNativeExec(enters, deopts, steps int64) {
-	if m == nil || enters == 0 && deopts == 0 && steps == 0 {
-		return
-	}
-	m.NativeEnters.Add(enters)
-	m.NativeDeopts.Add(deopts)
-	m.NativeSteps.Add(steps)
 }

@@ -226,25 +226,17 @@ func (s *Session) runEpoch(ctx context.Context, epoch int) error {
 	in := s.cfg.Traffic(epoch)
 	opts := s.cfg.Opts
 	opts.SamplePeriod = s.cfg.SamplePeriod
-	// Loops resident in the native tier (decided in earlier epochs) run
-	// their sequential code closure-threaded this epoch; bit-identical,
-	// so profiles and selections are unaffected.
-	opts.NativeLoops = s.nativeSet()
 	pr, err := s.cfg.Compiled.Profile(ctx, in, opts)
 	if err != nil {
 		sp.Fail(err)
 		return err
 	}
 
-	promoted, nativeDemoted, specSet := s.absorbProfile(epoch, pr)
-	for _, tr := range nativeDemoted {
-		s.noteTransition(ctx, tr)
-	}
+	promoted, specSet := s.absorbProfile(epoch, pr)
 	for _, tr := range promoted {
 		s.noteTransition(ctx, tr)
 	}
 	sp.SetInt("loops", int64(len(pr.Analysis.Nodes)))
-	sp.SetInt("native", int64(len(opts.NativeLoops)))
 	sp.SetInt("promotions", int64(len(promoted)))
 	sp.SetInt("speculative", int64(len(specSet)))
 
@@ -260,36 +252,19 @@ func (s *Session) runEpoch(ctx context.Context, epoch int) error {
 			s.noteTransition(ctx, tr)
 		}
 	}
-	sp.SetInt("demotions", int64(len(demoted)+len(nativeDemoted)))
+	sp.SetInt("demotions", int64(len(demoted)))
 	s.cfg.Metrics.incEpochs()
 	s.cfg.Logger.DebugCtx(ctx, "session epoch",
 		"session", s.ID, "epoch", epoch,
-		"native", len(opts.NativeLoops), "speculative", len(specSet),
-		"promotions", len(promoted), "demotions", len(demoted)+len(nativeDemoted))
+		"speculative", len(specSet), "promotions", len(promoted), "demotions", len(demoted))
 	return nil
 }
 
-// nativeSet returns the sorted loop IDs currently resident in the
-// native tier — the set the next profile run compiles.
-func (s *Session) nativeSet() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ids []int
-	for id, r := range s.records {
-		if r.Tier == TierNative {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // absorbProfile folds one profiling run into the tier records and runs
-// the native-decay and promotion passes. It returns the promotion
-// transitions, the native-tier demotions, and the sorted speculative set
-// for this epoch's TLS run. Loop iteration is in ascending loop-id order
-// throughout — determinism depends on it.
-func (s *Session) absorbProfile(epoch int, pr *jrpm.ProfileResult) (promoted, nativeDemoted []Transition, specSet []int) {
+// the promotion pass. It returns the promotion transitions and the
+// sorted speculative set for this epoch's TLS run. Loop iteration is in
+// ascending loop-id order throughout — determinism depends on it.
+func (s *Session) absorbProfile(epoch int, pr *jrpm.ProfileResult) (promoted []Transition, specSet []int) {
 	an := pr.Analysis
 	ids := make([]int, 0, len(an.Nodes))
 	for id := range an.Nodes {
@@ -325,53 +300,16 @@ func (s *Session) absorbProfile(epoch int, pr *jrpm.ProfileResult) (promoted, na
 			promotable = append(promotable, id)
 		}
 	}
-	// Native-decay pass, before promotions so a loop demoted here cannot
-	// re-promote in the same epoch: fold the native tier's execution of
-	// this epoch's profile runs into the native-resident records. Loops
-	// the native compiler refused are demoted outright — they cannot earn
-	// native-tier evidence.
-	nstats := make(map[int]jrpm.NativeLoopStats, len(pr.Native))
-	var nEnters, nDeopts, nSteps int64
-	for _, ns := range pr.Native {
-		nstats[ns.Loop] = ns
-		nEnters += ns.Enters
-		nDeopts += ns.Deopts
-		nSteps += ns.Steps
-	}
-	s.cfg.Metrics.addNativeExec(nEnters, nDeopts, nSteps)
-	for _, id := range sortedRecordIDs(s.records) {
-		r := s.records[id]
-		if r.Tier != TierNative {
-			continue
-		}
-		var tr *Transition
-		if why, rejected := pr.NativeRejected[id]; rejected {
-			tr = r.demoteNative(epoch, fmt.Sprintf("native compile rejected: %s", why), 0, s.th)
-		} else if ns, ok := nstats[id]; ok {
-			tr = r.observeNative(epoch, ns.Enters, ns.Deopts, ns.Steps, s.th)
-		}
-		if tr != nil {
-			s.transitions = append(s.transitions, *tr)
-			nativeDemoted = append(nativeDemoted, *tr)
-		}
-	}
-	// Promotion pass, one rung up the ladder per epoch. The streak and
-	// cooldown are rechecked against the live record — a loop the native
-	// pass just demoted lost both. Speculative promotion additionally
-	// clears the Equation 2 exclusivity: only one decomposition can be
-	// active on a nest at a time, so a loop with a speculative ancestor
-	// or descendant is passed over — checked against live records, so
-	// when a parent and child clear the bar in the same epoch the lower
-	// loop id wins and the other waits.
+	// Promotion pass. Only one decomposition can be active on a nest at a
+	// time (the Equation 2 exclusivity), so a loop with a speculative
+	// ancestor or descendant is passed over — checked against live
+	// records, so when a parent and child clear the bar in the same epoch
+	// the lower loop id wins and the other waits.
 	for _, id := range promotable {
-		r := s.records[id]
-		if r.Cooldown > 0 || r.SelectedStreak < s.th.PromoteStreak {
+		if s.specRelatedLocked(an, id) {
 			continue
 		}
-		if r.Tier == TierNative && s.specRelatedLocked(an, id) {
-			continue
-		}
-		tr := r.promote(epoch)
+		tr := s.records[id].promote(epoch)
 		s.transitions = append(s.transitions, tr)
 		promoted = append(promoted, tr)
 	}
@@ -380,16 +318,7 @@ func (s *Session) absorbProfile(epoch int, pr *jrpm.ProfileResult) (promoted, na
 			specSet = append(specSet, id)
 		}
 	}
-	return promoted, nativeDemoted, specSet
-}
-
-func sortedRecordIDs(records map[int]*TierRecord) []int {
-	ids := make([]int, 0, len(records))
-	for id := range records {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return promoted, specSet
 }
 
 // specRelatedLocked reports whether any ancestor or descendant of loop
@@ -464,8 +393,7 @@ func (s *Session) noteTransition(ctx context.Context, tr Transition) {
 		"session", s.ID, "epoch", tr.Epoch,
 		"loop", fmt.Sprintf("L%d", tr.Loop), "name", tr.Name,
 		"from", tr.From, "to", tr.To, "reason", tr.Reason)
-	switch {
-	case tr.To == TierSpeculative.String():
+	if tr.To == TierSpeculative.String() {
 		s.cfg.Metrics.incPromoted()
 		loop := tr.Loop
 		s.cfg.Metrics.registerLoopGauge(s.ID, loop, func() float64 {
@@ -476,13 +404,7 @@ func (s *Session) noteTransition(ctx context.Context, tr Transition) {
 			}
 			return 0
 		})
-	case tr.To == TierNative.String() && tr.From == TierSequential.String():
-		s.cfg.Metrics.incPromotedNative()
-	case tr.From == TierNative.String():
-		s.cfg.Metrics.incDemotedNative()
-	default:
-		// speculative -> native (one rung down) and any residual
-		// downward move count as demotions from the top tier.
+	} else {
 		s.cfg.Metrics.incDemoted()
 	}
 }

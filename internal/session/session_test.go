@@ -83,11 +83,10 @@ func TestTransitionLogGolden(t *testing.T) {
 	}
 
 	// The scenario the subsystem exists for: at least one loop whose
-	// observed speedup fell short of the prediction was demoted from the
-	// speculative tier (one rung down, to native).
+	// observed speedup fell short of the prediction was demoted.
 	demoted := false
 	for _, tr := range v.Transitions {
-		if tr.From == TierSpeculative.String() && tr.Observed < tr.Predicted {
+		if tr.To == TierSequential.String() && tr.Observed < tr.Predicted {
 			demoted = true
 		}
 	}

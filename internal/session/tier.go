@@ -29,16 +29,9 @@ import "fmt"
 type Tier uint8
 
 const (
-	// TierSequential runs the loop as ordinary sequential code on the
-	// predecoded interpreter (the default).
+	// TierSequential runs the loop as ordinary sequential code (the
+	// default, and where demoted loops return to).
 	TierSequential Tier = iota
-	// TierNative runs the loop's sequential code on the closure-threaded
-	// native tier (internal/vmsim/native) — bit-identical to the
-	// interpreter but several times faster in wall-clock, so session
-	// epochs over hot loops cost less real time. The promotion ladder is
-	// sequential → native → speculative: each rung requires its own
-	// selection streak, and demotions step back down.
-	TierNative
 	// TierSpeculative runs the loop as speculative threads under the
 	// recompiled decomposition.
 	TierSpeculative
@@ -48,8 +41,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierSequential:
 		return "sequential"
-	case TierNative:
-		return "native"
 	case TierSpeculative:
 		return "speculative"
 	default:
@@ -140,14 +131,6 @@ type TierRecord struct {
 	SpecEpochs      int     `json:"spec_epochs,omitempty"`      // epochs executed speculatively
 	PlanSummary     string  `json:"plan,omitempty"`             // recompilation classes
 
-	// Native view, updated on epochs the loop executed on the native
-	// tier. NativeEWMA smooths the per-epoch efficiency
-	// steps/(steps + 64·deopts): a loop that keeps bouncing back to the
-	// interpreter without retiring native work is not earning its
-	// compiled code.
-	NativeEWMA   float64 `json:"native_ewma,omitempty"`
-	NativeEpochs int     `json:"native_epochs,omitempty"`
-
 	// Hysteresis bookkeeping, all in whole epochs.
 	SelectedStreak int `json:"selected_streak"`
 	Dwell          int `json:"dwell"`
@@ -198,120 +181,41 @@ func (r *TierRecord) observeProfile(selected bool, est, coverage float64, sample
 	} else {
 		r.SelectedStreak = 0
 	}
-	return (r.Tier == TierSequential || r.Tier == TierNative) &&
+	return r.Tier == TierSequential &&
 		r.SelectedStreak >= th.PromoteStreak &&
 		!coolingDown
 }
 
-// promote moves the record one rung up the ladder — sequential → native,
-// native → speculative — and returns the transition. The streak resets
-// so each rung must be earned by its own run of selected epochs. The
-// caller provides the epoch for the log.
+// promote moves the record into the speculative tier and returns the
+// transition. The caller provides the epoch for the log.
 func (r *TierRecord) promote(epoch int) Transition {
-	to := TierNative
-	if r.Tier == TierNative {
-		to = TierSpeculative
-	}
 	tr := Transition{
 		Epoch:     epoch,
 		Loop:      r.Loop,
 		Name:      r.Name,
 		From:      r.Tier.String(),
-		To:        to.String(),
+		To:        TierSpeculative.String(),
 		Reason:    fmt.Sprintf("selected %d consecutive epochs, est %.2fx", r.SelectedStreak, r.EstSpeedup),
 		Predicted: r.EstSpeedup,
 	}
-	r.Tier = to
+	r.Tier = TierSpeculative
 	r.Dwell = 0
-	r.SelectedStreak = 0
 	r.Promotions++
-	// A fresh promotion starts with a clean history for the tier it
-	// enters: the EWMAs describe the *current* residency's behaviour, not
-	// the one demoted epochs ago.
-	if to == TierSpeculative {
-		r.RatioEWMA = 0
-		r.ViolationEWMA = 0
-		r.SpecEpochs = 0
-	} else {
-		r.NativeEWMA = 0
-		r.NativeEpochs = 0
-	}
+	// A fresh promotion starts with a clean speculative history: the
+	// EWMAs describe the *current* decomposition's behaviour, not the one
+	// demoted epochs ago.
+	r.RatioEWMA = 0
+	r.ViolationEWMA = 0
+	r.SpecEpochs = 0
 	return tr
-}
-
-// nativeDeoptPenalty is the charge, in equivalent interpreted
-// micro-ops, assessed per native-tier deopt when computing a loop's
-// efficiency. Deopts themselves are not all pathological — a loop
-// crossing a poll window exits via deopt by design — so efficiency is
-// judged by how much native work each exit amortizes: a healthy loop
-// retires thousands of steps per deopt (eff → 1), while one thrashing
-// on a stub or failing entry prechecks retires a handful (eff → 0).
-const nativeDeoptPenalty = 64
-
-// observeNative folds one native-tier execution epoch into the record
-// and applies the decay policy: a native loop whose efficiency EWMA
-// (steps / (steps + 64·deopts), i.e. the fraction of work retired
-// natively after charging each deopt its re-entry overhead) sinks below
-// DemoteRatio is demoted back to the sequential tier — after MinDwell
-// epochs, with a Cooldown barring immediate re-promotion, exactly the
-// speculative tier's hysteresis. Epochs where the loop was never
-// entered contribute no evidence. Returns the demotion transition, or
-// nil when the loop keeps its tier.
-func (r *TierRecord) observeNative(epoch int, enters, deopts, steps int64, th Thresholds) *Transition {
-	if enters <= 0 {
-		return nil // loop not entered under this epoch's traffic
-	}
-	eff := 1.0
-	if deopts > 0 {
-		eff = float64(steps) / (float64(steps) + nativeDeoptPenalty*float64(deopts))
-	}
-	r.NativeEpochs++
-	if r.NativeEpochs == 1 {
-		r.NativeEWMA = eff
-	} else {
-		r.NativeEWMA += th.Alpha * (eff - r.NativeEWMA)
-	}
-	if r.Dwell < th.MinDwell {
-		return nil // hysteresis: too fresh in the tier to judge
-	}
-	if r.NativeEWMA >= th.DemoteRatio {
-		return nil
-	}
-	return r.demoteNative(epoch,
-		fmt.Sprintf("native efficiency EWMA %.4f < %.2f", r.NativeEWMA, th.DemoteRatio),
-		eff, th)
-}
-
-// demoteNative moves a native-tier record back to sequential.
-func (r *TierRecord) demoteNative(epoch int, reason string, observed float64, th Thresholds) *Transition {
-	tr := Transition{
-		Epoch:     epoch,
-		Loop:      r.Loop,
-		Name:      r.Name,
-		From:      r.Tier.String(),
-		To:        TierSequential.String(),
-		Reason:    reason,
-		Predicted: r.EstSpeedup,
-		Observed:  observed,
-		Ratio:     r.NativeEWMA,
-	}
-	r.Tier = TierSequential
-	r.Dwell = 0
-	r.Cooldown = th.Cooldown
-	r.SelectedStreak = 0
-	r.Demotions++
-	return &tr
 }
 
 // observeSpeculation folds one TLS execution epoch into the record and
 // applies the decay policy: a speculative loop whose observed/predicted
 // EWMA sinks below DemoteRatio, or whose violation-rate EWMA exceeds
-// MaxViolationRate, is demoted one rung down to the native tier (its
-// sequential code was sampler-hot enough to climb the ladder, so it
-// keeps native-speed execution while it cools) — but only after
-// MinDwell epochs in the tier, and with a Cooldown barring immediate
-// re-promotion. Returns the demotion transition, or nil when the loop
-// keeps its tier.
+// MaxViolationRate, is demoted — but only after MinDwell epochs in the
+// tier, and with a Cooldown barring immediate re-promotion. Returns the
+// demotion transition, or nil when the loop keeps its tier.
 func (r *TierRecord) observeSpeculation(epoch int, observed, violationRate float64, threads int64, th Thresholds) *Transition {
 	r.ObservedSpeedup = observed
 	r.Threads += threads
@@ -344,18 +248,16 @@ func (r *TierRecord) observeSpeculation(epoch int, observed, violationRate float
 		Loop:      r.Loop,
 		Name:      r.Name,
 		From:      r.Tier.String(),
-		To:        TierNative.String(),
+		To:        TierSequential.String(),
 		Reason:    reason,
 		Predicted: r.EstSpeedup,
 		Observed:  observed,
 		Ratio:     r.RatioEWMA,
 	}
-	r.Tier = TierNative
+	r.Tier = TierSequential
 	r.Dwell = 0
 	r.Cooldown = th.Cooldown
 	r.SelectedStreak = 0
 	r.Demotions++
-	r.NativeEWMA = 0
-	r.NativeEpochs = 0
 	return &tr
 }

@@ -44,50 +44,28 @@ func TestPromoteAfterStreak(t *testing.T) {
 		t.Fatal("not promotable after two consecutive selected epochs")
 	}
 	tr := r.promote(2)
-	if r.Tier != TierNative || r.Promotions != 1 || r.Dwell != 0 {
+	if r.Tier != TierSpeculative || r.Promotions != 1 || r.Dwell != 0 {
 		t.Fatalf("after promote: tier=%v promotions=%d dwell=%d", r.Tier, r.Promotions, r.Dwell)
 	}
-	if tr.From != "sequential" || tr.To != "native" || tr.Epoch != 2 {
+	if tr.To != "speculative" || tr.Epoch != 2 {
 		t.Fatalf("transition = %+v", tr)
 	}
 	if !strings.Contains(tr.Reason, "2 consecutive") {
 		t.Fatalf("reason %q does not name the streak", tr.Reason)
 	}
-
-	// The second rung must be earned by its own streak: the promote reset
-	// SelectedStreak, so the loop is not immediately promotable again.
-	if r.observeProfile(true, 2.5, 0.4, 5, th) {
-		t.Fatal("promotable to speculative one epoch after reaching native")
-	}
-	if !r.observeProfile(true, 2.5, 0.4, 5, th) {
-		t.Fatal("not promotable after a second two-epoch streak in the native tier")
-	}
-	tr = r.promote(4)
-	if r.Tier != TierSpeculative || r.Promotions != 2 {
-		t.Fatalf("after second promote: tier=%v promotions=%d", r.Tier, r.Promotions)
-	}
-	if tr.From != "native" || tr.To != "speculative" {
-		t.Fatalf("second transition = %+v", tr)
-	}
 }
 
-// promoteAt climbs a record up the full ladder — sequential → native →
-// speculative, each rung on its own streak — so decay tests start from
-// a speculative loop.
+// promoteAt runs a record straight through promotion so decay tests
+// start from a speculative loop.
 func promoteAt(t *testing.T, r *TierRecord, th Thresholds, est float64) {
 	t.Helper()
+	for i := 0; i < th.PromoteStreak; i++ {
+		r.observeProfile(true, est, 0.5, 10, th)
+	}
 	if r.Tier != TierSequential {
-		t.Fatal("setup: record already promoted")
+		t.Fatal("setup: record already speculative")
 	}
-	for _, want := range []Tier{TierNative, TierSpeculative} {
-		for i := 0; i < th.PromoteStreak; i++ {
-			r.observeProfile(true, est, 0.5, 10, th)
-		}
-		r.promote(0)
-		if r.Tier != want {
-			t.Fatalf("setup: tier=%v, want %v", r.Tier, want)
-		}
-	}
+	r.promote(0)
 }
 
 func TestMinDwellDelaysDemotion(t *testing.T) {
@@ -106,10 +84,8 @@ func TestMinDwellDelaysDemotion(t *testing.T) {
 	if tr == nil {
 		t.Fatal("not demoted once dwell reached MinDwell with ratio EWMA 0.5")
 	}
-	// Speculative demotion steps one rung down the ladder, not to the
-	// bottom: the loop keeps its native-tier sequential code.
-	if tr.To != "native" || r.Tier != TierNative || r.Cooldown != th.Cooldown || r.Demotions != 1 {
-		t.Fatalf("after demotion: %+v, tier=%v cooldown=%d demotions=%d", tr, r.Tier, r.Cooldown, r.Demotions)
+	if tr.To != "sequential" || r.Cooldown != th.Cooldown || r.Demotions != 1 {
+		t.Fatalf("after demotion: %+v, cooldown=%d demotions=%d", tr, r.Cooldown, r.Demotions)
 	}
 }
 
@@ -193,27 +169,20 @@ func TestViolationRateDemotes(t *testing.T) {
 	}
 }
 
-// latticeEvent is one epoch of evidence in a TestThreeTierLattice
-// scenario. Profile evidence is always folded in first (it advances the
-// epoch clocks); native or speculative execution evidence follows when
-// the loop is resident in that tier, mirroring absorbProfile /
-// absorbSpeculation order in the session.
+// latticeEvent is one scripted epoch: the profile's selection verdict
+// and, when the loop is speculative, the TLS execution result.
 type latticeEvent struct {
-	selected bool
-	// Native-tier execution stats (consulted when the record is native).
-	enters, deopts, steps int64
-	// Speculative execution result (consulted when speculative).
+	selected             bool
 	observed, violations float64
 }
 
 // TestThreeTierLattice drives a TierRecord through scripted epochs and
-// pins the full transition sequence of the three-tier ladder:
-// sequential (predecode) → native → speculative, with demotions one
-// rung at a time and cooldown gating re-promotion.
+// pins the whole transition sequence of the tier ladder, sequential →
+// speculative, with cooldown gating re-promotion after a demotion.
 func TestThreeTierLattice(t *testing.T) {
 	sel := latticeEvent{selected: true}
-	healthyNative := latticeEvent{selected: true, enters: 10, deopts: 2, steps: 100000}
-	thrashNative := latticeEvent{selected: true, enters: 100, deopts: 100, steps: 500}
+	healthy := latticeEvent{selected: true, observed: 2.0}
+	thrash := latticeEvent{selected: true, observed: 1.0}
 	cases := []struct {
 		name        string
 		events      []latticeEvent
@@ -221,69 +190,26 @@ func TestThreeTierLattice(t *testing.T) {
 		transitions []string // "from->to@epoch"
 	}{
 		{
-			name:     "predecode to native promotion after streak",
-			events:   []latticeEvent{sel, sel},
-			wantTier: TierNative,
-			transitions: []string{
-				"sequential->native@2",
-			},
-		},
-		{
 			name: "full ladder to speculative",
-			// Two epochs per rung: streak of 2 at sequential, then a fresh
-			// streak of 2 while resident in native.
-			events:   []latticeEvent{sel, sel, healthyNative, healthyNative},
+			// A streak of 2 promotes at epoch 2; observed speedup then
+			// matches the estimate, so the loop holds its tier.
+			events:   []latticeEvent{sel, sel, healthy, healthy},
 			wantTier: TierSpeculative,
 			transitions: []string{
-				"sequential->native@2",
-				"native->speculative@4",
-			},
-		},
-		{
-			name: "native to predecode demotion on efficiency EWMA",
-			// Promoted at epoch 2; the loop then thrashes — hundreds of
-			// deopts amortizing almost no native steps. MinDwell=2 holds the
-			// tier through epoch 3 (dwell 1); epoch 4 demotes. The selection
-			// streak is irrelevant: execution evidence wins.
-			events:   []latticeEvent{sel, sel, thrashNative, thrashNative},
-			wantTier: TierSequential,
-			transitions: []string{
-				"sequential->native@2",
-				"native->sequential@4",
-			},
-		},
-		{
-			name: "healthy native loop holds its tier",
-			events: []latticeEvent{sel, sel,
-				{selected: false, enters: 10, deopts: 2, steps: 100000},
-				{selected: false, enters: 10, deopts: 2, steps: 100000},
-				{selected: false, enters: 10, deopts: 2, steps: 100000}},
-			wantTier: TierNative,
-			transitions: []string{
-				"sequential->native@2",
+				"sequential->speculative@2",
 			},
 		},
 		{
 			name: "cooldown blocks re-promotion for exactly Cooldown epochs",
-			// Demoted at epoch 4 with Cooldown=3: epochs 5-7 burn the
-			// cooldown (streak rebuilds meanwhile), epoch 8 re-promotes.
-			events:   []latticeEvent{sel, sel, thrashNative, thrashNative, sel, sel, sel, sel},
-			wantTier: TierNative,
+			// Demoted at epoch 4 (MinDwell=2) with Cooldown=3: epochs 5-7
+			// burn the cooldown (streak rebuilds meanwhile), epoch 8
+			// re-promotes.
+			events:   []latticeEvent{sel, sel, thrash, thrash, sel, sel, sel, sel},
+			wantTier: TierSpeculative,
 			transitions: []string{
-				"sequential->native@2",
-				"native->sequential@4",
-				"sequential->native@8",
-			},
-		},
-		{
-			name: "speculative demotes one rung to native",
-			events: []latticeEvent{sel, sel, healthyNative, healthyNative,
-				{selected: true, observed: 1.0}, {selected: true, observed: 1.0}},
-			wantTier: TierNative,
-			transitions: []string{
-				"sequential->native@2",
-				"native->speculative@4",
-				"speculative->native@6",
+				"sequential->speculative@2",
+				"speculative->sequential@4",
+				"sequential->speculative@8",
 			},
 		},
 	}
@@ -292,27 +218,20 @@ func TestThreeTierLattice(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &TierRecord{Loop: 1, Name: "main.k"}
 			var got []string
-			note := func(tr *Transition) {
-				if tr != nil {
-					got = append(got, fmtTransition(*tr))
-				}
-			}
 			for i, ev := range tc.events {
 				epoch := i + 1
 				promotable := r.observeProfile(ev.selected, 2.0, 0.5, 10, th)
-				switch {
-				case r.Tier == TierNative && ev.enters > 0:
-					note(r.observeNative(epoch, ev.enters, ev.deopts, ev.steps, th))
-				case r.Tier == TierSpeculative && ev.observed > 0:
-					note(r.observeSpeculation(epoch, ev.observed, ev.violations, 10, th))
+				if r.Tier == TierSpeculative && ev.observed > 0 {
+					if tr := r.observeSpeculation(epoch, ev.observed, ev.violations, 10, th); tr != nil {
+						got = append(got, fmtTransition(*tr))
+					}
 				}
 				// Re-check eligibility on the live record, as the session's
 				// promotion pass does: a demotion this epoch zeroed the
 				// streak and armed the cooldown.
-				if promotable && r.Tier != TierSpeculative &&
+				if promotable && r.Tier == TierSequential &&
 					r.Cooldown == 0 && r.SelectedStreak >= th.PromoteStreak {
-					tr := r.promote(epoch)
-					note(&tr)
+					got = append(got, fmtTransition(r.promote(epoch)))
 				}
 			}
 			if r.Tier != tc.wantTier {

@@ -112,14 +112,6 @@ const (
 	dFusedAddrLoad // the same chain ending in a Load
 	dFusedIncLoc   // LdLoc; ConstI; Add; StLoc — i++ and friends
 	dFusedLenBr    // [LdLoc] LdGlob; ArrLen; cmp; BrIf — `i < len(a)` loop headers
-
-	// dNativeEnter exists only in the patched per-plan clones built by
-	// InstallNative, never in the shared Predecode output. It overwrites
-	// a compiled loop's header-block start: x0 is the plan's loop index,
-	// t0 the flat index of the relocated original instruction (used when
-	// the native entry precheck fails and the header must run
-	// interpretively instead).
-	dNativeEnter
 )
 
 // Write-back flags. Registers are only observable through later reads
@@ -222,11 +214,8 @@ type dfunc struct {
 	addrMeta []fusedAddrMeta
 	incMeta  []fusedIncMeta
 	lenMeta  []fusedLenBrMeta
-	// blockStart maps each source block index to its start in the flat
-	// decoded stream; the native tier's exit edges resume through it.
-	blockStart []int32
-	numRegs    int
-	numSlots   int
+	numRegs  int
+	numSlots int
 }
 
 // Code is a decoded program, ready for the fast interpreter. It is
@@ -685,10 +674,6 @@ func decodeFunc(f *tir.Function) dfunc {
 			}
 			ii += consumed
 		}
-	}
-	df.blockStart = make([]int32, len(starts))
-	for i, s := range starts {
-		df.blockStart[i] = int32(s)
 	}
 	return df
 }

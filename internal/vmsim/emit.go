@@ -7,11 +7,9 @@ package vmsim
 // small fixed-capacity buffer through concrete (inlinable) *batchEmitter
 // methods and flushes the buffer when it fills and when the run ends: one
 // interface dispatch per listener per batch, with the per-kind
-// demultiplexing done by each listener on its own concrete type. The
-// native tier emits into the same buffer (*batchEmitter satisfies
-// native.Emitter), and call boundaries join the batch as EvCallEnter and
-// EvCallExit, so every event reaches every listener through this one
-// buffer, in one order.
+// demultiplexing done by each listener on its own concrete type. Call
+// boundaries join the batch as EvCallEnter and EvCallExit, so every event
+// reaches every listener through this one buffer, in one order.
 //
 // Batching never reorders events: the buffer is drained in append order,
 // which is execution order, so every listener observes the exact sequence
@@ -101,42 +99,42 @@ func (em *batchEmitter) slot() *Event {
 	return ev
 }
 
-func (em *batchEmitter) HeapLoad(now int64, addr uint32, pc int32) {
+func (em *batchEmitter) heapLoad(now int64, addr uint32, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvHeapLoad, Now: now, Addr: addr, PC: pc}
 }
 
-func (em *batchEmitter) HeapStore(now int64, addr uint32, pc int32) {
+func (em *batchEmitter) heapStore(now int64, addr uint32, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvHeapStore, Now: now, Addr: addr, PC: pc}
 }
 
-func (em *batchEmitter) LocalLoad(now int64, frame uint64, slot, pc int32) {
+func (em *batchEmitter) localLoad(now int64, frame uint64, slot, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLocalLoad, Now: now, Frame: frame, Slot: slot, PC: pc}
 }
 
-func (em *batchEmitter) LocalStore(now int64, frame uint64, slot, pc int32) {
+func (em *batchEmitter) localStore(now int64, frame uint64, slot, pc int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLocalStore, Now: now, Frame: frame, Slot: slot, PC: pc}
 }
 
-func (em *batchEmitter) LoopStart(now int64, loop, numLocals int32, frame uint64) {
+func (em *batchEmitter) loopStart(now int64, loop, numLocals int32, frame uint64) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopStart, Now: now, Loop: loop, NumLocals: numLocals, Frame: frame}
 }
 
-func (em *batchEmitter) LoopIter(now int64, loop int32) {
+func (em *batchEmitter) loopIter(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopIter, Now: now, Loop: loop}
 }
 
-func (em *batchEmitter) LoopEnd(now int64, loop int32) {
+func (em *batchEmitter) loopEnd(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvLoopEnd, Now: now, Loop: loop}
 }
 
-func (em *batchEmitter) ReadStats(now int64, loop int32) {
+func (em *batchEmitter) readStats(now int64, loop int32) {
 	ev := em.slot()
 	*ev = Event{Kind: EvReadStats, Now: now, Loop: loop}
 }

@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"jrpm/internal/hydra"
-	"jrpm/internal/vmsim/native"
 )
 
 // The fast interpreter loop. It executes the pre-decoded form produced
@@ -197,7 +196,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			regs[ins.dst] = mem[w]
 			vm.NHeapLoads++
 			if em != nil {
-				em.HeapLoad(now, addr, ins.pc)
+				em.heapLoad(now, addr, ins.pc)
 			}
 		case dStore:
 			addr := uint32(regs[ins.a])
@@ -209,7 +208,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			mem[w] = regs[ins.b]
 			vm.NHeapStores++
 			if em != nil {
-				em.HeapStore(now, addr, ins.pc)
+				em.heapStore(now, addr, ins.pc)
 			}
 		case dArrLen:
 			base := uint32(regs[ins.a])
@@ -292,7 +291,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.LoopStart(now, ins.x0, ins.x1, frame)
+				em.loopStart(now, ins.x0, ins.x1, frame)
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.push(ins.x0)
@@ -301,7 +300,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.LoopEnd(now, ins.x0)
+				em.loopEnd(now, ins.x0)
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.pop(ins.x0)
@@ -310,89 +309,25 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.LoopIter(now, ins.x0)
+				em.loopIter(now, ins.x0)
 			}
 		case dLWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.LocalLoad(now, frame, ins.x0, ins.pc)
+				em.localLoad(now, frame, ins.x0, ins.pc)
 			}
 		case dSWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.LocalStore(now, frame, ins.x0, ins.pc)
+				em.localStore(now, frame, ins.x0, ins.pc)
 			}
 		case dReadStats:
 			cycles += readStatsCost - 1
 			vm.NReadStats++
 			if em != nil {
-				em.ReadStats(now, ins.x0)
-			}
-
-		case dNativeEnter:
-			// Third-tier entry: this prologue's step, cycle and poll are
-			// the header block's first micro-op, prepaid. Native code
-			// commits whole blocks and exits at any block whose window
-			// precheck fails, so limits, interrupts and sampler ticks
-			// always happen right here in the interpreter, on the same
-			// instruction as the other tiers.
-			r := &vm.native.loops[ins.x0]
-			nst := native.State{
-				Regs: regs, Slots: slots, Mem: mem,
-				Globals: globals, GlobLen: vm.nativeGlobLen, Arrays: vm.arrays,
-				HeapTop: heapTop,
-				Steps:   steps, Cycles: cycles, MaxSteps: maxSteps,
-				Frame: frame, Out: vm.Out,
-				Ctr: [native.NumCounters]int64{
-					vm.NHeapLoads, vm.NHeapStores,
-					vm.NLocalLoads, vm.NLocalStores,
-					vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats,
-				},
-			}
-			if em != nil {
-				nst.Em = em // never a typed nil: untraced runs leave Em nil
-			}
-			if sm := vm.sampler; sm != nil {
-				nst.Prof = nativeProf{sm}
-			}
-			ex := r.loop.Run(&nst)
-			lst := &vm.nativeStats[ins.x0]
-			if ex.Kind == native.ExitDeoptEntry {
-				// Nothing ran. Undo the prologue and execute the original
-				// header instruction (relocated to t0) interpretively;
-				// per-micro-op accounting repays the step, the cycle and
-				// — only if it did not already fire — the poll.
-				steps--
-				cycles--
-				lst.Enters++
-				lst.Deopts++
-				vm.NNativeEnters++
-				vm.NNativeDeopts++
-				ip = int(ins.t0)
-				continue
-			}
-			consumed := nst.Steps - steps
-			steps = nst.Steps
-			cycles = nst.Cycles
-			vm.NHeapLoads, vm.NHeapStores = nst.Ctr[0], nst.Ctr[1]
-			vm.NLocalLoads, vm.NLocalStores = nst.Ctr[2], nst.Ctr[3]
-			vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats = nst.Ctr[4], nst.Ctr[5], nst.Ctr[6]
-			lst.Enters++
-			lst.Steps += consumed
-			vm.NNativeEnters++
-			vm.NNativeSteps += consumed
-			switch ex.Kind {
-			case native.ExitFault:
-				vm.sync(steps, cycles)
-				return 0, dfault(f.name, ex.Fault.Line, "%s", ex.Fault.Msg)
-			case native.ExitDeopt:
-				lst.Deopts++
-				vm.NNativeDeopts++
-				ip = int(f.blockStart[ex.Block])
-			default: // ExitEdge
-				ip = int(f.blockStart[ex.Block])
+				em.readStats(now, ins.x0)
 			}
 
 		case dFusedConstAdd:
@@ -509,7 +444,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 					regs[m.valReg] = mem[w]
 					vm.NHeapLoads++
 					if em != nil {
-						em.HeapLoad(cycles-1, addr, ins.pc)
+						em.heapLoad(cycles-1, addr, ins.pc)
 					}
 				}
 				break
@@ -608,7 +543,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				regs[m.valReg] = mem[w]
 				vm.NHeapLoads++
 				if em != nil {
-					em.HeapLoad(now, addr, ins.pc)
+					em.heapLoad(now, addr, ins.pc)
 				}
 			}
 

@@ -29,8 +29,8 @@ func fuzzCompile(src string) (clean, ann *tir.Program, err error) {
 // same events, output, heap, cycles, counters, trace bytes, faults and
 // STL selections. Seeded with the checked-in corpus, the generated
 // corpus's stratified seeds (every dependence kind and distance regime,
-// shallow and deep nests, with calls and branch-gated bodies aimed at
-// the native tier's deopt-guard edges), and statement-soup programs.
+// shallow and deep nests, with calls and branch-gated bodies), and
+// statement-soup programs.
 func FuzzVMDiff(f *testing.F) {
 	for _, src := range corpusSources(f) {
 		f.Add(src)

@@ -66,19 +66,4 @@ func TestInterruptAtCallSites(t *testing.T) {
 			t.Fatalf("want ErrInterrupted, got %v", err)
 		}
 	})
-	// The native tier never compiles call-bearing blocks (they deopt to
-	// the interpreter), so the unthrottled poll at the call site must
-	// still observe the interrupt mid-loop.
-	t.Run("native", func(t *testing.T) {
-		vm := vmsim.New(prog)
-		vm.Out = &bytes.Buffer{}
-		if _, err := vm.InstallNativeAll(); err != nil {
-			t.Fatal(err)
-		}
-		vm.Interrupt()
-		err := vm.Run("main")
-		if !errors.Is(err, vmsim.ErrInterrupted) {
-			t.Fatalf("want ErrInterrupted, got %v", err)
-		}
-	})
 }

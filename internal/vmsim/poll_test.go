@@ -1,22 +1,14 @@
 package vmsim
 
-import (
-	"testing"
+import "testing"
 
-	"jrpm/internal/vmsim/native"
-)
-
-// TestPollShiftMatchesInterpreter pins the one constant the native
-// tier's bit-identity contract hangs on: its poll-window shift must
-// equal the interpreter's interrupt shift, or window prechecks would
-// deopt on different instruction boundaries than the interpreter polls
-// on, and interrupts/sampler ticks would land on different instructions
-// across tiers.
+// TestPollShiftMatchesInterpreter pins the interpreter's poll window:
+// interruptMask must be exactly the low interruptShift bits, or the
+// per-step poll (steps&interruptMask) and the fused superinstructions'
+// window check (steps>>interruptShift) would disagree on where poll
+// boundaries fall, and interrupts and sampler ticks would land on
+// different instructions than in the reference engine.
 func TestPollShiftMatchesInterpreter(t *testing.T) {
-	if native.PollShift != interruptShift {
-		t.Fatalf("native.PollShift = %d, interpreter interruptShift = %d; the tiers disagree on the poll window",
-			native.PollShift, interruptShift)
-	}
 	if interruptMask != 1<<interruptShift-1 {
 		t.Fatalf("interruptMask = %#x is not 2^%d-1", interruptMask, interruptShift)
 	}

@@ -117,7 +117,6 @@ type runCfg struct {
 	maxSteps    int64
 	record      bool // attach the event recorder
 	analyze     bool // attach core.Tracer + trace.Writer, run selection
-	native      bool // install the closure-threaded native tier on every loop
 	cleanCycles int64
 }
 
@@ -127,11 +126,6 @@ func runFast(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRe
 	vm.MaxSteps = cfg.maxSteps
 	var out bytes.Buffer
 	vm.Out = &out
-	if cfg.native {
-		if _, err := vm.InstallNativeAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	hcfg := hydra.DefaultConfig()
 	var tracer *core.Tracer
@@ -322,18 +316,17 @@ func compilePair(src string) (clean, ann *tir.Program, err error) {
 	return clean, ann, nil
 }
 
-// diffPrograms runs the full three-way differential comparison for one
-// source program: clean untraced, annotated with the event recorder, and
-// annotated with the full tracer + writer + selection
-// stack. Each configuration runs on the reference oracle, the predecoded
-// engine, and the predecoded engine with the closure-threaded native
-// tier installed on every loop; the oracle is the pivot for both
-// comparisons. It returns the number of call events the oracle emitted,
-// so callers can tell the call-event comparison was not vacuous.
+// diffPrograms runs the full differential comparison for one source
+// program: clean untraced, annotated with the event recorder, and
+// annotated with the full tracer + writer + selection stack. Each
+// configuration runs on the reference oracle and the predecoded engine,
+// and the two must agree bit for bit. It returns the number of call
+// events the oracle emitted, so callers can tell the call-event
+// comparison was not vacuous.
 func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps int64) (calls int) {
 	t.Helper()
 
-	// The recorded-trace identity all engines bind their writers to
+	// The recorded-trace identity both engines bind their writers to
 	// must agree before any run happens.
 	if trace.ProgramHash(ann) != trace.ProgramHash(ann) {
 		t.Fatal("TraceHash is not deterministic")
@@ -342,9 +335,6 @@ func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps 
 	diffCfg := func(label string, prog *tir.Program, cfg runCfg) engineResult {
 		ref := runRef(t, prog, in, cfg)
 		compareResults(t, label+"/fast", runFast(t, prog, in, cfg), ref)
-		ncfg := cfg
-		ncfg.native = true
-		compareResults(t, label+"/native", runFast(t, prog, in, ncfg), ref)
 		return ref
 	}
 
@@ -461,35 +451,15 @@ func TestVMStepLimitSweep(t *testing.T) {
 		cfg := runCfg{maxSteps: limit, record: true}
 		ref := runRef(t, ann, in, cfg)
 		compareResults(t, fmt.Sprintf("limit=%d/fast", limit), runFast(t, ann, in, cfg), ref)
-		// The native tier must stop on the identical micro-op: the sweep
-		// lands the limit on every position inside every fused closure
-		// chain, which the entry precheck turns into an entry deopt (the
-		// header block re-runs interpretively) or a mid-region window
-		// exit.
-		ncfg := cfg
-		ncfg.native = true
-		compareResults(t, fmt.Sprintf("limit=%d/native", limit), runFast(t, ann, in, ncfg), ref)
 	}
 
-	// Interrupt observed at the throttled poll boundary: all engines
-	// must take the same number of cycles to notice it. For the native
-	// tier the 8192-step poll lands inside a compiled loop, so the entry
-	// precheck must deopt and let the interpreter observe it on the
-	// identical instruction.
+	// Interrupt observed at the throttled poll boundary: both engines
+	// must take the same number of cycles to notice it.
 	fvm := vmsim.New(clean)
 	fvm.Out = &bytes.Buffer{}
 	bindInput(t, fvm.BindGlobalInts, fvm.BindGlobalFloats, in)
 	fvm.Interrupt()
 	fErr := fvm.Run("main")
-
-	nvm := vmsim.New(clean)
-	nvm.Out = &bytes.Buffer{}
-	if _, err := nvm.InstallNativeAll(); err != nil {
-		t.Fatal(err)
-	}
-	bindInput(t, nvm.BindGlobalInts, nvm.BindGlobalFloats, in)
-	nvm.Interrupt()
-	nErr := nvm.Run("main")
 
 	rvm := refvm.New(clean)
 	rvm.Out = &bytes.Buffer{}
@@ -505,12 +475,6 @@ func TestVMStepLimitSweep(t *testing.T) {
 	}
 	if fvm.Cycles != rvm.Cycles {
 		t.Errorf("interrupt cycles: fast %d, ref %d", fvm.Cycles, rvm.Cycles)
-	}
-	if fmt.Sprint(nErr) != fmt.Sprint(rErr) {
-		t.Errorf("interrupt error: native %q, ref %q", fmt.Sprint(nErr), fmt.Sprint(rErr))
-	}
-	if nvm.Cycles != rvm.Cycles {
-		t.Errorf("interrupt cycles: native %d, ref %d", nvm.Cycles, rvm.Cycles)
 	}
 }
 

@@ -40,7 +40,7 @@ type SlotID struct {
 }
 
 // Listener is the one consumer contract for the trace event stream. Every
-// producer — both engines, the native tier and trace.Reader.Replay —
+// producer — both engines and trace.Reader.Replay —
 // delivers events in batches, in execution order, through ConsumeEvents;
 // the listener must process them in order and must not retain evs after
 // the call returns, because the producer reuses the buffer. The stream
@@ -102,18 +102,6 @@ type VM struct {
 	steps       int64
 	interrupted atomic.Bool
 	sampler     *Sampler
-
-	// Native tier attachment (InstallNative): the patched code clone is
-	// what vm.code points at, these carry the compiled loops and the
-	// per-run state they need.
-	native        *nativeBuild
-	nativeGlobLen []int64
-	nativeStats   []NativeLoopStats
-
-	// Native-tier execution counters for reports and /v1/metrics.
-	NNativeEnters int64
-	NNativeDeopts int64
-	NNativeSteps  int64
 
 	// Instruction mix counters for reports.
 	NHeapLoads   int64
@@ -286,12 +274,6 @@ func (vm *VM) Run(name string) error {
 	}
 	if vm.MaxSteps == 0 {
 		vm.MaxSteps = 1 << 40
-	}
-	if vm.native != nil {
-		// Globals are bound and arrays never freed, so the compiled
-		// `len(a)` guards can read a flat per-run cache instead of the
-		// arrays map.
-		vm.nativeGlobLen = buildGlobLen(vm.globals, vm.arrays, vm.nativeGlobLen)
 	}
 	em := newBatchEmitter(vm.Listeners)
 	_, err := vm.exec(vm.code, fi, nil, em)

@@ -46,10 +46,6 @@ import (
 // build as well as by trace-format version.
 const Version = "0.4.0"
 
-// NativeLoopStats is the per-loop execution record of the closure-
-// threaded native tier (re-exported from vmsim for API consumers).
-type NativeLoopStats = vmsim.NativeLoopStats
-
 // Input binds harness data to a program's global arrays.
 type Input struct {
 	Ints   map[string][]int64
@@ -74,14 +70,6 @@ type Options struct {
 	// and the active annotated-loop stack. 0 leaves the dispatch loop
 	// untouched. See ProfileResult.Samples.
 	SamplePeriod int64
-	// NativeLoops lists annotated-loop IDs to execute on the closure-
-	// threaded native tier (internal/vmsim/native) during the profile
-	// runs. The tier is bit-identical to the interpreter — simulated
-	// cycles, events, counters and traces are unaffected; only wall-clock
-	// speed changes — so it is safe to enable per-epoch from adaptive
-	// sessions. Loops the native compiler rejects silently stay on the
-	// predecoded tier; see ProfileResult.Native and NativeRejected.
-	NativeLoops []int
 }
 
 // DefaultOptions returns the paper's setup: the Hydra configuration,
@@ -201,12 +189,6 @@ type ProfileResult struct {
 	// Samples is the sampling-profiler result for the traced run; nil
 	// unless Options.SamplePeriod was set.
 	Samples *vmsim.SampleProfile
-	// Native reports the native tier's execution of the traced run (one
-	// entry per compiled loop); nil unless Options.NativeLoops was set.
-	// NativeRejected maps requested loop IDs the native compiler refused
-	// to their reasons.
-	Native         []vmsim.NativeLoopStats
-	NativeRejected map[int]string
 	// AnnotationCount is the number of annotation instructions inserted.
 	AnnotationCount int
 	Opts            Options
@@ -299,16 +281,7 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
 
-	// The clean and annotated programs share loop IDs, so the same native
-	// loop set accelerates both runs.
-	setup := func(prog *tir.Program) (*vmsim.VM, error) {
-		vm, err := newVM(prog, in, opts.Cfg)
-		if err == nil && len(opts.NativeLoops) > 0 {
-			_, err = vm.InstallNative(opts.NativeLoops...)
-		}
-		return vm, err
-	}
-	clean, err := setup(c.Clean)
+	clean, err := newVM(c.Clean, in, opts.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +290,7 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	}
 	cleanCycles := clean.Cycles
 
-	vm, err := setup(c.Annotated)
+	vm, err := newVM(c.Annotated, in, opts.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -353,10 +326,6 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	}
 	if sampler != nil {
 		res.Samples = sampler.Profile(c.Annotated)
-	}
-	if len(opts.NativeLoops) > 0 {
-		res.Native = vm.NativeStats()
-		res.NativeRejected = vm.NativeRejected()
 	}
 	return res, nil
 }

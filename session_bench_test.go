@@ -7,6 +7,7 @@ package jrpm_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"jrpm"
@@ -19,7 +20,10 @@ import (
 // adaptive session epoch, on a prewarmed Compiled. PromoteStreak 1 makes
 // the single session epoch promote and speculate immediately, so both
 // sub-benchmarks execute the same VM work and the difference is the
-// session machinery itself.
+// session machinery itself. The epoch side fails unless it promoted a
+// loop to the speculative tier: a promotion there is what puts the loop
+// in the epoch's SpeculateLoops set, so without one the two sides would
+// silently compare unequal work.
 func BenchmarkSessionEpoch(b *testing.B) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
@@ -71,8 +75,11 @@ func BenchmarkSessionEpoch(b *testing.B) {
 			if err := s.Run(ctx); err != nil {
 				b.Fatal(err)
 			}
-			if v := s.View(); len(v.Transitions) == 0 {
-				b.Fatal("session epoch promoted nothing")
+			speculated := slices.ContainsFunc(s.View().Transitions, func(tr session.Transition) bool {
+				return tr.To == session.TierSpeculative.String()
+			})
+			if !speculated {
+				b.Fatal("session epoch made no ->speculative promotion, so it never speculated")
 			}
 		}
 	})

@@ -220,7 +220,7 @@ func applyFunc(prog *tir.Program, fi int, f *tir.Function, opts Options) (int, e
 		chain := plans[e]
 		nb := len(f.Blocks)
 		chain = append(chain, tir.Instr{Op: tir.OpBr, Line: chain[len(chain)-1].Line})
-		f.Blocks = append(f.Blocks, tir.Block{Instrs: chain, Targets: []int{e.to}})
+		f.Blocks = append(f.Blocks, tir.Block{Instrs: chain, Targets: []int{e.to}, Trampoline: true})
 		for ti, t := range f.Blocks[e.from].Targets {
 			if t == e.to {
 				f.Blocks[e.from].Targets[ti] = nb

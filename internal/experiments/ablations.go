@@ -58,9 +58,9 @@ type BankRow struct {
 }
 
 // AblateBanks sweeps the comparator bank count. Record once, replay many:
-// each workload is executed exactly once (one clean + one traced run,
-// captured by internal/trace); every bank configuration is then a cheap
-// parallel replay of the recording — the tracer is a pure function of the
+// each workload is executed exactly once (one traced run, captured by
+// internal/trace); every bank configuration is then a cheap parallel
+// replay of the recording — the tracer is a pure function of the
 // event stream, so the results are bit-identical to re-running the VM
 // per configuration, at a fraction of the cost.
 func AblateBanks(scale float64, bankCounts []int) ([]BankRow, string, error) {
@@ -502,10 +502,8 @@ func AblateBins(scale float64) ([]BinsRow, string, error) {
 
 // runWithListener re-runs an already-profiled program with a listener.
 func runWithListener(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, l vmsim.Listener) error {
-	vm := vmsim.New(pr.Annotated)
-	vm.AnnotCost = opts.Cfg.Tracer.AnnotCost
-	vm.ReadStatsCost = opts.Cfg.Tracer.ReadStatsCost
-	if err := vm.BindInputs(in.Ints, in.Floats); err != nil {
+	vm, err := jrpm.NewVM(pr.Annotated, in, opts.Cfg)
+	if err != nil {
 		return err
 	}
 	vm.Listeners = append(vm.Listeners, l)

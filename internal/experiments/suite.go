@@ -16,7 +16,6 @@ import (
 	"jrpm/internal/lang"
 	"jrpm/internal/profile"
 	"jrpm/internal/softprof"
-	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
 )
 
@@ -127,10 +126,8 @@ func runVariant(src string, in jrpm.Input, aopts annotate.Options, popts jrpm.Op
 	if _, err := annotate.Apply(prog, aopts); err != nil {
 		return 0, softprof.Counts{}, err
 	}
-	vm := vmsim.New(prog)
-	vm.AnnotCost = popts.Cfg.Tracer.AnnotCost
-	vm.ReadStatsCost = popts.Cfg.Tracer.ReadStatsCost
-	if err := vm.BindInputs(in.Ints, in.Floats); err != nil {
+	vm, err := jrpm.NewVM(prog, in, popts.Cfg)
+	if err != nil {
 		return 0, softprof.Counts{}, err
 	}
 	if err := vm.Run("main"); err != nil {

@@ -367,17 +367,19 @@ func (j *Job) Cancel() CancelOutcome {
 }
 
 // failIfQueued marks a still-queued job failed with msg (the drain and
-// queued-deadline-expiry paths), reporting whether it transitioned; a
-// job already canceled or started is left alone.
-func (j *Job) failIfQueued(msg string) bool {
+// queued-deadline-expiry paths); a job already canceled or started is
+// left alone. On the transition it calls account before waking the
+// job's waiters, so whatever account records is visible to them;
+// account runs under j.mu and must not take a job lock.
+func (j *Job) failIfQueued(msg string, account func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return
 	}
 	j.state = StateFailed
 	j.errMsg = msg
 	j.finished = time.Now()
+	account()
 	close(j.done)
-	return true
 }

@@ -77,7 +77,7 @@ type Metrics struct {
 	CacheHits   *telemetry.Counter
 	CacheMisses *telemetry.Counter
 
-	// CyclesSimulated totals VM cycles executed across clean, traced and
+	// CyclesSimulated totals VM cycles executed across traced and
 	// recording runs — the daemon's unit of useful work.
 	CyclesSimulated *telemetry.Counter
 
@@ -99,7 +99,7 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		DrainFailed:     reg.Counter("jrpmd_drain_failed_total", "Queued jobs failed by shutdown before starting (ErrServerDraining)."),
 		CacheHits:       reg.Counter("jrpmd_artifact_cache_hits_total", "Compiled-artifact cache hits."),
 		CacheMisses:     reg.Counter("jrpmd_artifact_cache_misses_total", "Compiled-artifact cache misses."),
-		CyclesSimulated: reg.Counter("jrpmd_cycles_simulated_total", "VM cycles executed across clean, traced and recording runs."),
+		CyclesSimulated: reg.Counter("jrpmd_cycles_simulated_total", "VM cycles executed across traced and recording runs."),
 		QueueWait: Histogram{reg.Histogram("jrpmd_queue_wait_seconds",
 			"Time from job submission to worker pickup.", histBounds, usToSeconds)},
 		RunTime: Histogram{reg.Histogram("jrpmd_run_time_seconds",

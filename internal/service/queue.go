@@ -363,11 +363,11 @@ func (p *Pool) stop() {
 	// loudly with ErrServerDraining (not a silent drop, not "canceled" —
 	// the client did nothing) so a status poll says to resubmit.
 	for _, j := range p.queue.drain() {
-		if j.failIfQueued(ErrServerDraining.Error()) {
+		j.failIfQueued(ErrServerDraining.Error(), func() {
 			p.metrics.DrainFailed.Add(1)
 			p.metrics.JobsFailed.Add(1)
 			p.retire(j)
-		}
+		})
 	}
 }
 
@@ -401,11 +401,11 @@ func (p *Pool) run(j *Job) {
 	if j.Req.DeadlineMs > 0 {
 		deadline = j.submitted.Add(time.Duration(j.Req.DeadlineMs) * time.Millisecond)
 		if !time.Now().Before(deadline) {
-			if j.failIfQueued(fmt.Sprintf("deadline (%dms) expired while queued", j.Req.DeadlineMs)) {
+			j.failIfQueued(fmt.Sprintf("deadline (%dms) expired while queued", j.Req.DeadlineMs), func() {
 				p.metrics.DeadlineExpired.Add(1)
 				p.metrics.JobsFailed.Add(1)
 				p.retire(j)
-			}
+			})
 			return
 		}
 	}
@@ -431,7 +431,6 @@ func (p *Pool) run(j *Job) {
 	if !ok {
 		return // canceled while queued; Cancel dropped the live count
 	}
-	defer p.retire(j)
 	p.metrics.QueueWait.Observe(wait)
 
 	var sp *telemetry.Span
@@ -474,12 +473,13 @@ func (p *Pool) run(j *Job) {
 		state, errMsg, res = StateFailed, err.Error(), nil
 	}
 	// finish wakes the job's waiters, so everything they may read about
-	// the finished job — its tenant's completion count and its job.run
-	// span — is recorded first.
+	// the finished job — its tenant's completion count, its job.run span
+	// and its place among the retained finished jobs — is recorded first.
 	p.queue.completed(j.Tenant)
 	sp.SetAttr("job.state", string(state))
 	sp.Fail(err)
 	sp.End()
+	p.retire(j)
 	j.finish(state, res, errMsg)
 }
 
@@ -537,7 +537,7 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 			return nil, err
 		}
 	}
-	p.metrics.CyclesSimulated.Add(pr.CleanCycles + pr.TracedCycles)
+	p.metrics.CyclesSimulated.Add(pr.TracedCycles)
 
 	res := buildResult(pr, hit)
 	res.TraceKey = traceKey

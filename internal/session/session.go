@@ -42,9 +42,11 @@ type Config struct {
 	// Epochs bounds the run; 0 with a CycleBudget means budget-only,
 	// 0 with no budget means DefaultEpochs.
 	Epochs int
-	// CycleBudget bounds the total simulated VM cycles the session may
-	// burn (clean + traced + recording runs); 0 means unbounded. A cycle
-	// budget is deterministic where a wall-clock budget would not be.
+	// CycleBudget bounds the simulated VM cycles the session may burn;
+	// 0 means unbounded. Each epoch is charged CleanCycles + TracedCycles
+	// although CleanCycles is derived, not run: the transition goldens
+	// depend on that charge. A cycle budget is deterministic where a
+	// wall-clock budget would not be.
 	CycleBudget int64
 	// SamplePeriod is the sampling-profiler period in VM steps
 	// (DefaultSamplePeriod when 0).

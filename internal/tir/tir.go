@@ -136,6 +136,9 @@ type Instr struct {
 type Block struct {
 	Instrs  []Instr
 	Targets []int // successor block indices (empty for Ret)
+	// Trampoline marks an annotation block spliced onto a CFG edge; the
+	// engines count its closing Br, a jump the clean program never takes.
+	Trampoline bool
 }
 
 // Terminator returns the block's final instruction.

@@ -80,6 +80,7 @@ const (
 	dArrLen
 	dNewArr
 	dBr
+	dTrampBr // the Br closing an annotation trampoline; counts NTrampolines
 	dBrIf
 	dRet
 	dRetVal
@@ -774,6 +775,9 @@ func decodeInstr(df *dfunc, b *tir.Block, starts []int, in *tir.Instr) dinstr {
 		d.op = dNewArr
 	case tir.OpBr:
 		d.op, d.t0 = dBr, int32(starts[b.Targets[0]])
+		if b.Trampoline {
+			d.op = dTrampBr
+		}
 	case tir.OpBrIf:
 		d.op = dBrIf
 		d.t0 = int32(starts[b.Targets[0]])

@@ -229,6 +229,9 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			heapTop = vm.heapTop
 		case dBr:
 			ip = int(ins.t0)
+		case dTrampBr:
+			vm.NTrampolines++
+			ip = int(ins.t0)
 		case dBrIf:
 			if regs[ins.a] != 0 {
 				ip = int(ins.t0)

@@ -55,6 +55,7 @@ type VM struct {
 	NLocalAnnot  int64
 	NLoopAnnot   int64
 	NReadStats   int64
+	NTrampolines int64 // Br instructions closing annotation trampolines
 }
 
 // interruptMask matches vmsim's throttled interrupt poll: one atomic
@@ -340,6 +341,9 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				regs[in.Dst] = uint64(base)
 			case tir.OpBr:
 				bi = b.Targets[0]
+				if b.Trampoline {
+					vm.NTrampolines++
+				}
 			case tir.OpBrIf:
 				if regs[in.A] != 0 {
 					bi = b.Targets[0]

@@ -60,7 +60,7 @@ type engineResult struct {
 	cycles   int64
 	out      []byte
 	mem      []uint64
-	counters [7]int64
+	counters [8]int64
 	events   []vmsim.Event
 	traceB   []byte
 	selected []int
@@ -155,8 +155,8 @@ func runFast(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRe
 		cycles: vm.Cycles,
 		out:    out.Bytes(),
 		mem:    vm.Mem,
-		counters: [7]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
-			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats},
+		counters: [8]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
+			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats, vm.NTrampolines},
 		events: rec.evs,
 	}
 	if runErr != nil {
@@ -208,8 +208,8 @@ func runRef(t *testing.T, prog *tir.Program, in diffInput, cfg runCfg) engineRes
 		cycles: vm.Cycles,
 		out:    out.Bytes(),
 		mem:    vm.Mem,
-		counters: [7]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
-			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats},
+		counters: [8]int64{vm.NHeapLoads, vm.NHeapStores, vm.NLocalLoads,
+			vm.NLocalStores, vm.NLocalAnnot, vm.NLoopAnnot, vm.NReadStats, vm.NTrampolines},
 		events: rec.evs,
 	}
 	if runErr != nil {
@@ -345,6 +345,17 @@ func diffPrograms(t *testing.T, clean, ann *tir.Program, in diffInput, maxSteps 
 
 	diffCfg("annotated/analysis", ann,
 		runCfg{maxSteps: maxSteps, record: true, analyze: true, cleanCycles: fastClean.cycles})
+
+	// jrpm derives the clean baseline from the annotated run's counters
+	// instead of running the clean program; on every completed run the
+	// derivation must equal the measured clean cycles.
+	if ref.errStr == "" {
+		tc, n := hydra.DefaultConfig().Tracer, ref.counters
+		derived := ref.cycles - tc.AnnotCost*(n[4]+n[5]) - tc.ReadStatsCost*n[6] - n[7]
+		if derived != fastClean.cycles {
+			t.Errorf("derived clean cycles %d, measured %d", derived, fastClean.cycles)
+		}
+	}
 
 	for _, ev := range ref.events {
 		if ev.Kind == vmsim.EvCallEnter {

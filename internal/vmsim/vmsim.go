@@ -111,6 +111,7 @@ type VM struct {
 	NLocalAnnot  int64
 	NLoopAnnot   int64
 	NReadStats   int64
+	NTrampolines int64 // Br instructions closing annotation trampolines
 }
 
 // New creates a VM for prog. The decoded instruction stream comes from

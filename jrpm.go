@@ -153,11 +153,10 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %w", err)
 	}
-	// Lower both programs to the VM's pre-decoded instruction stream now,
-	// while this is still the compile stage: every later Profile/RunClean
-	// (and every jrpmd worker sharing this artifact) hits the decode
-	// cache instead of paying the lowering on its first run.
-	vmsim.Predecode(clean)
+	// Lower the annotated program to the VM's pre-decoded instruction
+	// stream now, while this is still the compile stage: every later
+	// Profile (and every jrpmd worker sharing this artifact) hits the
+	// decode cache. The run stages never execute the clean program.
 	vmsim.Predecode(annotated)
 	return &Compiled{
 		Clean:           clean,
@@ -176,7 +175,7 @@ type ProfileResult struct {
 	Annotated *tir.Program
 	// CleanCycles is the sequential execution time without tracing;
 	// TracedCycles the time with annotation overheads (Figure 6 compares
-	// the two).
+	// the two); CleanCycles is derived from the traced run, see cleanCycles.
 	CleanCycles  int64
 	TracedCycles int64
 	// Tracer is the TEST hardware model after the run.
@@ -202,11 +201,23 @@ func (r *ProfileResult) Slowdown() float64 {
 	return float64(r.TracedCycles) / float64(r.CleanCycles)
 }
 
-func newVM(prog *tir.Program, in Input, cfg hydra.Config) (*vmsim.VM, error) {
+// NewVM builds the VM every pipeline stage and experiment runs: prog
+// under cfg's annotation costs, with in bound to its globals.
+func NewVM(prog *tir.Program, in Input, cfg hydra.Config) (*vmsim.VM, error) {
 	vm := vmsim.New(prog)
 	vm.AnnotCost = cfg.Tracer.AnnotCost
 	vm.ReadStatsCost = cfg.Tracer.ReadStatsCost
 	return vm, vm.BindInputs(in.Ints, in.Floats)
+}
+
+// cleanCycles derives from a completed run of an annotated program the
+// cycles its clean program takes on the same input. Annotation only adds
+// instructions: each costs AnnotCost (read-statistics ReadStatsCost), and
+// each trampoline annotate splices onto a CFG edge adds its closing Br.
+// TestCleanCyclesIdentity holds this to real clean runs.
+func cleanCycles(vm *vmsim.VM) int64 {
+	return vm.Cycles - vm.AnnotCost*(vm.NLoopAnnot+vm.NLocalAnnot) -
+		vm.ReadStatsCost*vm.NReadStats - vm.NTrampolines
 }
 
 // runVM executes the VM's main function under ctx: when ctx is canceled
@@ -230,26 +241,6 @@ func runVM(ctx context.Context, vm *vmsim.VM) error {
 	return err
 }
 
-// RunClean compiles and runs src without any instrumentation, returning
-// the program and its sequential cycle count.
-func RunClean(src string, in Input, cfg hydra.Config) (*tir.Program, int64, error) {
-	prog, err := lang.Compile(src)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := annotate.Apply(prog, annotate.Options{}); err != nil {
-		return nil, 0, fmt.Errorf("loop discovery: %w", err)
-	}
-	vm, err := newVM(prog, in, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := vm.Run("main"); err != nil {
-		return nil, 0, err
-	}
-	return prog, vm.Cycles, nil
-}
-
 // Profile runs the full profiling phase on a JR source program.
 func Profile(src string, in Input, opts Options) (*ProfileResult, error) {
 	opts = Normalize(opts)
@@ -261,13 +252,13 @@ func Profile(src string, in Input, opts Options) (*ProfileResult, error) {
 }
 
 // Profile runs the run stages of the profiling phase (steps 2-3) on a
-// pre-compiled artifact: a clean sequential run for the baseline cycle
-// count, a traced run with the TEST model attached, then tree building,
-// Equation 1 estimation and Equation 2 selection.
+// pre-compiled artifact: one traced run with the TEST model attached,
+// then tree building, Equation 1 estimation and Equation 2 selection.
+// The clean baseline cycle count is derived from that run (cleanCycles).
 //
 // Only the run-stage fields of opts (Cfg, Tracer, Select) are consulted;
 // the compile-stage fields were fixed when c was built. Safe for
-// concurrent use on a shared c: every call builds its own VMs and Tracer.
+// concurrent use on a shared c: every call builds its own VM and Tracer.
 func (c *Compiled) Profile(ctx context.Context, in Input, opts Options) (*ProfileResult, error) {
 	return c.profileWith(ctx, in, opts)
 }
@@ -281,16 +272,7 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
 
-	clean, err := newVM(c.Clean, in, opts.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := runVM(ctx, clean); err != nil {
-		return nil, err
-	}
-	cleanCycles := clean.Cycles
-
-	vm, err := newVM(c.Annotated, in, opts.Cfg)
+	vm, err := NewVM(c.Annotated, in, opts.Cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -305,14 +287,15 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	if err := runVM(ctx, vm); err != nil {
 		return nil, err
 	}
+	clean := cleanCycles(vm)
 
-	analysis := profile.BuildTree(c.Annotated, tracer, vm.Cycles, cleanCycles, opts.Cfg)
+	analysis := profile.BuildTree(c.Annotated, tracer, vm.Cycles, clean, opts.Cfg)
 	analysis.Select(opts.Select)
 
 	res := &ProfileResult{
 		Clean:           c.Clean,
 		Annotated:       c.Annotated,
-		CleanCycles:     cleanCycles,
+		CleanCycles:     clean,
 		TracedCycles:    vm.Cycles,
 		Tracer:          tracer,
 		Analysis:        analysis,

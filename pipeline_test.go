@@ -26,14 +26,9 @@ func TestHuffmanPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Correctness of the kernel itself.
-	prog, cycles, err := jrpm.RunClean(w.Source, in, res.Opts.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = prog
-	if cycles != res.CleanCycles {
-		t.Fatalf("clean run not deterministic: %d vs %d", cycles, res.CleanCycles)
+	// The derived clean baseline matches a real clean run.
+	if cycles := runClean(t, w.Source, in).Cycles; cycles != res.CleanCycles {
+		t.Fatalf("clean run %d cycles, derived %d", cycles, res.CleanCycles)
 	}
 
 	// The tracer should have found exactly two loops, nested.
@@ -82,27 +77,32 @@ func TestHuffmanPipeline(t *testing.T) {
 	}
 }
 
+// runClean compiles src with the default options and runs its clean
+// program.
+func runClean(t *testing.T, src string, in jrpm.Input) *vmsim.VM {
+	t.Helper()
+	opts := jrpm.DefaultOptions()
+	c, err := jrpm.Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := jrpm.NewVM(c.Clean, in, opts.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	return vm
+}
+
 // TestHuffmanDecodesCorrectly runs the kernel clean and validates output.
 func TestHuffmanDecodesCorrectly(t *testing.T) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := w.NewInput(0.5)
-	prog, _, err := jrpm.RunClean(w.Source, in, jrpm.DefaultOptions().Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := vmsim.New(prog)
-	for name, vals := range in.Ints {
-		if err := vm.BindGlobalInts(name, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := vm.Run("main"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Check(vm); err != nil {
+	if err := w.Check(runClean(t, w.Source, w.NewInput(0.5))); err != nil {
 		t.Fatal(err)
 	}
 }

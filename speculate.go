@@ -51,7 +51,7 @@ func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected [
 	}
 
 	rec := tls.NewRecorder(pr.Annotated, selected)
-	vm, err := newVM(pr.Annotated, in, pr.Opts.Cfg)
+	vm, err := NewVM(pr.Annotated, in, pr.Opts.Cfg)
 	if err != nil {
 		return nil, err
 	}

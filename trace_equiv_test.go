@@ -176,8 +176,8 @@ func TestSweepSingleExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	recorded := vmsim.RunCount() - before
-	if recorded != 2 { // clean run + traced run, exactly as Profile does
-		t.Fatalf("recording used %d VM executions, want 2", recorded)
+	if recorded != 1 { // the traced run alone, exactly as Profile does
+		t.Fatalf("recording used %d VM executions, want 1", recorded)
 	}
 
 	base := hydra.DefaultConfig()
@@ -216,6 +216,38 @@ func TestSweepSingleExecution(t *testing.T) {
 	if !reflect.DeepEqual(def.Analysis.SelectedLoopIDs(), live.Analysis.SelectedLoopIDs()) ||
 		def.Analysis.PredictedCycles != live.Analysis.PredictedCycles {
 		t.Error("default-config sweep outcome differs from direct replay")
+	}
+}
+
+// TestProfileSpeculateRunCount pins the VM executions of a speculate
+// job: Profile runs the annotated program once (the clean baseline is
+// derived from that run), and SpeculateContext runs it once more to
+// record the selected loops' iterations.
+func TestProfileSpeculateRunCount(t *testing.T) {
+	w, err := workloads.ByName("Huffman")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := jrpm.DefaultOptions()
+	c, err := jrpm.Compile(w.Source, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := w.NewInput(equivScale)
+
+	before := vmsim.RunCount()
+	pr, err := c.Profile(context.Background(), in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := vmsim.RunCount() - before; n != 1 {
+		t.Fatalf("Profile used %d VM executions, want 1", n)
+	}
+	if _, err := jrpm.SpeculateContext(context.Background(), in, pr); err != nil {
+		t.Fatal(err)
+	}
+	if n := vmsim.RunCount() - before; n != 2 {
+		t.Fatalf("Profile plus SpeculateContext used %d VM executions, want 2", n)
 	}
 }
 

@@ -16,9 +16,12 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/annotate"
 	"jrpm/internal/core"
+	"jrpm/internal/corpus"
 	"jrpm/internal/experiments"
 	"jrpm/internal/hydra"
+	"jrpm/internal/lang"
 	"jrpm/internal/service"
 	"jrpm/internal/tir"
 	"jrpm/internal/tls"
@@ -635,5 +638,83 @@ func BenchmarkSpeculateStages(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(accesses), "accesses/op")
+	})
+}
+
+// BenchmarkCompileCorpus times the compile stage over the 500-program
+// default corpus, one program per op, split into its front-end stages:
+// `lex` drains a lang.Lexer, `parse` runs lang.Parse (lexing included),
+// `gen` type-checks and lowers a parsed file to TIR, `annotate` clones a
+// compiled program and annotates the clone as jrpm.Compile does, and
+// `compile` is jrpm.Compile end to end. Run with -benchmem: the lexer
+// allocates nothing per token.
+func BenchmarkCompileCorpus(b *testing.B) {
+	_, progs, err := corpus.Compile(corpus.DefaultSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := jrpm.DefaultOptions()
+	srcs := make([]string, len(progs))
+	files := make([]*lang.File, len(progs))
+	cleans := make([]*tir.Program, len(progs))
+	for i, p := range progs {
+		srcs[i] = p.Source
+		if files[i], err = lang.Parse(p.Source); err != nil {
+			b.Fatal(err)
+		}
+		if cleans[i], err = lang.Compile(p.Source); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("lex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lx := lang.NewLexer(srcs[i%len(srcs)])
+			for {
+				t, err := lx.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if t.Kind == lang.TokEOF {
+					break
+				}
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := lang.Parse(srcs[i%len(srcs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("gen", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			checked, err := lang.Check(files[i%len(files)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := lang.Gen(checked); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("annotate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := annotate.Apply(cleans[i%len(cleans)].Clone(), opts.Annot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := jrpm.Compile(srcs[i%len(srcs)], opts); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

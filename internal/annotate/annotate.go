@@ -42,6 +42,8 @@ func Optimized() Options {
 // always fills prog.Loops (the potential-STL table) even when opts insert
 // no instructions, so callers can inspect loop structure on clean
 // programs. It returns the number of annotation instructions inserted.
+// jrpm.Compile applies it to a clone of the clean program, so
+// Compiled.Clean stays a pre-annotation snapshot with no loop table.
 //
 // Apply mutates prog and is the last compile-stage pass: per the
 // tir.Program concurrency contract it must run before the program is

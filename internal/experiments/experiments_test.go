@@ -214,3 +214,25 @@ func TestStaticTablesRender(t *testing.T) {
 		t.Error("Table 4 missing sloop")
 	}
 }
+
+// TestLadderHonoursOptimize: the Figure 6 ladder compiles through
+// jrpm.Compile with the suite's optimizer setting, so its full-annotation
+// rung runs exactly the program the profile traced.
+func TestLadderHonoursOptimize(t *testing.T) {
+	traced := map[bool]int64{}
+	for _, optimize := range []bool{false, true} {
+		s := experiments.NewSuite(0.25)
+		s.Opts.Optimize = optimize
+		r, err := s.Run("Huffman")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.FullCycles != r.Profile.TracedCycles {
+			t.Errorf("optimize=%v: full-annotation rung %d cycles, profiled run %d", optimize, r.FullCycles, r.Profile.TracedCycles)
+		}
+		traced[optimize] = r.Profile.TracedCycles
+	}
+	if traced[false] == traced[true] {
+		t.Fatalf("the optimizer leaves Huffman's traced cycles at %d; pick a kernel it changes", traced[false])
+	}
+}

@@ -13,7 +13,6 @@ import (
 
 	"jrpm"
 	"jrpm/internal/annotate"
-	"jrpm/internal/lang"
 	"jrpm/internal/profile"
 	"jrpm/internal/softprof"
 	"jrpm/internal/workloads"
@@ -117,16 +116,13 @@ func (s *Suite) Run(name string) (*BenchResult, error) {
 	return r, nil
 }
 
-// runVariant compiles, annotates with opts, and runs without a tracer.
+// runVariant compiles, annotates with aopts, and runs without a tracer.
 func runVariant(src string, in jrpm.Input, aopts annotate.Options, popts jrpm.Options) (int64, softprof.Counts, error) {
-	prog, err := lang.Compile(src)
+	c, err := jrpm.Compile(src, jrpm.Options{Annot: aopts, Optimize: popts.Optimize})
 	if err != nil {
 		return 0, softprof.Counts{}, err
 	}
-	if _, err := annotate.Apply(prog, aopts); err != nil {
-		return 0, softprof.Counts{}, err
-	}
-	vm, err := jrpm.NewVM(prog, in, popts.Cfg)
+	vm, err := jrpm.NewVM(c.Annotated, in, popts.Cfg)
 	if err != nil {
 		return 0, softprof.Counts{}, err
 	}

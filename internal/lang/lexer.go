@@ -175,33 +175,36 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 
 	// Operators and punctuation, longest match first.
-	two := ""
 	if lx.pos+1 < len(lx.src) {
-		two = lx.src[lx.pos : lx.pos+2]
+		two := lx.src[lx.pos : lx.pos+2]
+		if k, ok := twoKinds[two]; ok {
+			lx.pos += 2
+			return Token{Kind: k, Text: two, Line: line}, nil
+		}
 	}
-	twoKinds := map[string]TokKind{
-		"+=": TokPlusEq, "-=": TokMinusEq, "*=": TokStarEq,
-		"++": TokPlusPlus, "--": TokMinusMinus,
-		"<<": TokShl, ">>": TokShr, "==": TokEq, "!=": TokNe,
-		"<=": TokLe, ">=": TokGe, "&&": TokAndAnd, "||": TokOrOr,
-	}
-	if k, ok := twoKinds[two]; ok {
+	if k := oneKinds[c]; k != 0 {
 		lx.advance()
-		lx.advance()
-		return Token{Kind: k, Text: two, Line: line}, nil
-	}
-	oneKinds := map[byte]TokKind{
-		'(': TokLParen, ')': TokRParen, '{': TokLBrace, '}': TokRBrace,
-		'[': TokLBrack, ']': TokRBrack, ',': TokComma, ';': TokSemi, ':': TokColon,
-		'=': TokAssign, '+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash,
-		'%': TokPercent, '&': TokAmp, '|': TokPipe, '^': TokCaret,
-		'<': TokLt, '>': TokGt, '!': TokBang,
-	}
-	if k, ok := oneKinds[c]; ok {
-		lx.advance()
-		return Token{Kind: k, Text: string(c), Line: line}, nil
+		return Token{Kind: k, Text: lx.src[lx.pos-1 : lx.pos], Line: line}, nil
 	}
 	return Token{}, errf(line, "unexpected character %q", string(c))
+}
+
+// twoKinds maps two-character operators to their token kinds.
+var twoKinds = map[string]TokKind{
+	"+=": TokPlusEq, "-=": TokMinusEq, "*=": TokStarEq,
+	"++": TokPlusPlus, "--": TokMinusMinus,
+	"<<": TokShl, ">>": TokShr, "==": TokEq, "!=": TokNe,
+	"<=": TokLe, ">=": TokGe, "&&": TokAndAnd, "||": TokOrOr,
+}
+
+// oneKinds maps single-character operators and punctuation to their
+// token kinds; 0 (TokEOF) marks a byte that starts no token.
+var oneKinds = [256]TokKind{
+	'(': TokLParen, ')': TokRParen, '{': TokLBrace, '}': TokRBrace,
+	'[': TokLBrack, ']': TokRBrack, ',': TokComma, ';': TokSemi, ':': TokColon,
+	'=': TokAssign, '+': TokPlus, '-': TokMinus, '*': TokStar, '/': TokSlash,
+	'%': TokPercent, '&': TokAmp, '|': TokPipe, '^': TokCaret,
+	'<': TokLt, '>': TokGt, '!': TokBang,
 }
 
 // stripBOM drops a leading UTF-8 byte-order mark, if present.

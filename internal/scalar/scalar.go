@@ -26,8 +26,6 @@
 package scalar
 
 import (
-	"sort"
-
 	"jrpm/internal/cfg"
 	"jrpm/internal/tir"
 )
@@ -86,62 +84,94 @@ type LoopScalars struct {
 	Reject string
 }
 
+// slotStats counts one named local's accesses inside the loop.
+type slotStats struct {
+	loads, stores int
+	selfOp        int  // stores of the form s = s OP x
+	indOp         int  // stores of the form s = s ± const
+	selfLoads     int  // LdLoc instructions feeding a self-update
+	notOnce       bool // some store may run other than once per iteration
+}
+
+// analyzer is the per-call state of Analyze. Its scratch slices are
+// indexed by slot, register (+1, so NoReg is 0), instruction or block,
+// and are reused across the loop's blocks rather than reallocated.
+type analyzer struct {
+	f      *tir.Function
+	l      *cfg.Loop
+	g      *cfg.Graph
+	forest *cfg.Forest
+	idom   []int
+	blocks []int // the loop's blocks, ascending
+	st     []slotStats
+
+	// Per-block scratch for analyzeBlock. An entry is live only while
+	// its gen equals the current block's gen, so starting a block
+	// clears them all at once.
+	gen  int
+	regs []regState
+	used []int // LdLoc index -> gen in which it fed a self-update
+
+	facts []blockFacts // scratch for definedBeforeUsed
+}
+
+// regState is what analyzeBlock knows about one register.
+type regState struct {
+	def   def
+	chain chain
+}
+
+// def records what a register holds: a constant, or the value of a
+// LdLoc of slot, which the next store of the slot overwrites.
+type def struct {
+	gen     int
+	slot    int // -1 if not a direct LdLoc value
+	stores  int // the slot's store count at the LdLoc
+	isConst bool
+	ldIdx   int // instruction index of the LdLoc
+}
+
+// chain records a "LdLoc(slot) OP x" result.
+type chain struct {
+	gen   int
+	slot  int
+	ind   bool // OP is ± with a constant other operand
+	ldIdx int
+}
+
 // Analyze classifies the named locals of loop l in function f. The graph
 // and forest must be the ones l came from.
 func Analyze(f *tir.Function, l *cfg.Loop, g *cfg.Graph, forest *cfg.Forest) *LoopScalars {
-	res := &LoopScalars{Classes: map[int]Class{}}
-
-	loads := map[int]int{}         // slot -> LdLoc count in loop
-	stores := map[int]int{}        // slot -> StLoc count in loop
-	selfOp := map[int]int{}        // stores of the form s = s OP x
-	indOp := map[int]int{}         // stores of the form s = s ± const
-	selfLoads := map[int]int{}     // LdLoc instructions feeding a self-update
-	storeBlocks := map[int][]int{} // slot -> blocks containing its stores
-
+	a := &analyzer{
+		f: f, l: l, g: g, forest: forest,
+		idom: g.Dominators(),
+		st:   make([]slotStats, len(f.Locals)),
+		regs: make([]regState, f.NumRegs+1),
+	}
+	a.blocks = make([]int, 0, len(l.Blocks))
 	for bi := range f.Blocks {
-		if !l.Blocks[bi] {
+		if l.Blocks[bi] {
+			a.blocks = append(a.blocks, bi)
+			a.analyzeBlock(bi)
+		}
+	}
+
+	res := &LoopScalars{Classes: map[int]Class{}}
+	for s := range a.st {
+		st := &a.st[s]
+		if st.loads == 0 && st.stores == 0 {
 			continue
 		}
-		analyzeBlock(bi, f.Blocks[bi].Instrs, loads, stores, selfOp, indOp, selfLoads, storeBlocks)
-	}
-
-	seen := map[int]bool{}
-	for s := range loads {
-		seen[s] = true
-	}
-	for s := range stores {
-		seen[s] = true
-	}
-	for s := range seen {
 		res.Accessed = append(res.Accessed, s)
-	}
-	sort.Ints(res.Accessed)
-
-	idom := g.Dominators()
-	oncePerIter := func(slot int) bool {
-		for _, sb := range storeBlocks[slot] {
-			if inNestedLoop(sb, l, forest) {
-				return false
-			}
-			for _, latch := range l.Latches {
-				if !cfg.Dominates(idom, sb, latch) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	for _, s := range res.Accessed {
 		cls := ClassPlain
 		switch {
-		case stores[s] == 0:
+		case st.stores == 0:
 			cls = ClassInvariant
-		case indOp[s] == stores[s] && oncePerIter(s):
+		case st.indOp == st.stores && !st.notOnce:
 			cls = ClassInductor
-		case selfOp[s] == stores[s] && loads[s] == selfLoads[s] && loads[s] == stores[s]:
+		case st.selfOp == st.stores && st.loads == st.selfLoads && st.loads == st.stores:
 			cls = ClassReduction
-		case definedBeforeUsed(f, l, g, s):
+		case a.definedBeforeUsed(s):
 			cls = ClassPrivate
 		}
 		res.Classes[s] = cls
@@ -150,8 +180,30 @@ func Analyze(f *tir.Function, l *cfg.Loop, g *cfg.Graph, forest *cfg.Forest) *Lo
 		}
 	}
 
-	res.Reject = screen(f, l, res)
+	res.Reject = screen(f, l, res, a.st)
 	return res
+}
+
+// oncePerIter reports whether block b runs exactly once per iteration of
+// the loop: it lies outside every loop nested in it and dominates all of
+// its latches.
+func (a *analyzer) oncePerIter(b int) bool {
+	if inNestedLoop(b, a.l, a.forest) {
+		return false
+	}
+	for _, latch := range a.l.Latches {
+		if !cfg.Dominates(a.idom, b, latch) {
+			return false
+		}
+	}
+	return true
+}
+
+// blockFacts are one block's facts about a slot for definedBeforeUsed.
+type blockFacts struct {
+	upUse    bool // a load before any store of the slot
+	hasStore bool
+	defIn    bool // the slot is defined on every path into the block
 }
 
 // definedBeforeUsed reports whether every load of slot inside the loop is
@@ -161,64 +213,57 @@ func Analyze(f *tir.Function, l *cfg.Loop, g *cfg.Graph, forest *cfg.Forest) *Lo
 // must-define forward dataflow over the loop body with the header entry
 // forced undefined, so a value can never be observed across an iteration
 // boundary.
-func definedBeforeUsed(f *tir.Function, l *cfg.Loop, g *cfg.Graph, slot int) bool {
+func (a *analyzer) definedBeforeUsed(slot int) bool {
+	if a.facts == nil {
+		a.facts = make([]blockFacts, len(a.f.Blocks))
+	}
 	// Per-block facts: does the block have a load before any store of the
 	// slot (upward-exposed use), and does it store the slot at all?
-	upUse := map[int]bool{}
-	hasStore := map[int]bool{}
-	for b := range l.Blocks {
-		seenStore := false
-		for i := range f.Blocks[b].Instrs {
-			in := &f.Blocks[b].Instrs[i]
+	// Optimistic must-define iteration: defIn true unless proven
+	// otherwise; the header entry is undefined (iteration start).
+	anyStore := false
+	for _, b := range a.blocks {
+		bf := blockFacts{defIn: b != a.l.Header}
+		for i := range a.f.Blocks[b].Instrs {
+			in := &a.f.Blocks[b].Instrs[i]
 			if in.Op == tir.OpStLoc && in.Slot == slot {
-				hasStore[b] = true
-				seenStore = true
+				bf.hasStore = true
 			}
-			if in.Op == tir.OpLdLoc && in.Slot == slot && !seenStore {
-				upUse[b] = true
+			if in.Op == tir.OpLdLoc && in.Slot == slot && !bf.hasStore {
+				bf.upUse = true
 			}
 		}
-	}
-	// Optimistic must-define iteration: defIn[b] true unless proven
-	// otherwise; the header entry is undefined (iteration start).
-	defIn := map[int]bool{}
-	for b := range l.Blocks {
-		defIn[b] = b != l.Header
+		anyStore = anyStore || bf.hasStore
+		a.facts[b] = bf
 	}
 	changed := true
 	for changed {
 		changed = false
-		for b := range l.Blocks {
-			in := defIn[b]
-			if b != l.Header {
-				in = true
-				for _, p := range g.Preds[b] {
-					if !l.Blocks[p] {
-						continue
-					}
-					if !(defIn[p] || hasStore[p]) {
+		for _, b := range a.blocks {
+			in := b != a.l.Header
+			if in {
+				for _, p := range a.g.Preds[b] {
+					if a.l.Blocks[p] && !a.facts[p].defIn && !a.facts[p].hasStore {
 						in = false
 						break
 					}
 				}
-			} else {
-				in = false
 			}
-			if in != defIn[b] {
-				defIn[b] = in
+			if in != a.facts[b].defIn {
+				a.facts[b].defIn = in
 				changed = true
 			}
 		}
 	}
-	for b := range l.Blocks {
-		if upUse[b] && !defIn[b] {
+	for _, b := range a.blocks {
+		if a.facts[b].upUse && !a.facts[b].defIn {
 			return false
 		}
 	}
 	// A slot never loaded in the loop is trivially private, but that case
 	// is classified earlier; require at least one store so ClassPrivate
 	// only applies to written variables.
-	return len(hasStore) > 0
+	return anyStore
 }
 
 // inNestedLoop reports whether block b belongs to a loop strictly nested
@@ -235,74 +280,66 @@ func inNestedLoop(b int, l *cfg.Loop, forest *cfg.Forest) bool {
 	return false
 }
 
-// analyzeBlock performs a single pass over one block, tracking, per
+// analyzeBlock performs a single pass over block bi, tracking, per
 // register, whether it currently holds the value of a LdLoc of some slot
 // or a constant, in order to pattern-match self-updates.
-func analyzeBlock(bi int, instrs []tir.Instr, loads, stores, selfOp, indOp, selfLoads map[int]int, storeBlocks map[int][]int) {
-	type def struct {
-		fromSlot int // -1 if not a direct LdLoc value
-		isConst  bool
-		ldIdx    int // instruction index of the LdLoc
+func (a *analyzer) analyzeBlock(bi int) {
+	instrs := a.f.Blocks[bi].Instrs
+	a.gen++
+	gen := a.gen
+	if len(a.used) < len(instrs) {
+		a.used = make([]int, len(instrs))
 	}
-	defs := map[tir.Reg]def{}
-	usedBySelf := map[int]bool{}
-
-	// chains[reg] records "LdLoc(slot) OP x" results.
-	type chain struct {
-		slot  int
-		ind   bool // OP is ± with a constant other operand
-		ldIdx int
+	// slotDef returns r's def, if r holds a constant or a LdLoc value
+	// that no store of its slot has since overwritten.
+	slotDef := func(r tir.Reg) (def, bool) {
+		d := a.regs[r+1].def
+		if d.gen != gen || d.slot >= 0 && a.st[d.slot].stores != d.stores {
+			return def{}, false
+		}
+		return d, true
 	}
-	chains := map[tir.Reg]chain{}
+	once, onceKnown := false, false // a.oncePerIter(bi), found at the first store
 
 	for idx := range instrs {
 		in := &instrs[idx]
 		switch in.Op {
 		case tir.OpLdLoc:
-			loads[in.Slot]++
-			defs[in.Dst] = def{fromSlot: in.Slot, ldIdx: idx}
-			delete(chains, in.Dst)
+			a.st[in.Slot].loads++
+			a.regs[in.Dst+1] = regState{def: def{gen: gen, slot: in.Slot, stores: a.st[in.Slot].stores, ldIdx: idx}}
 		case tir.OpConstI, tir.OpConstF:
-			defs[in.Dst] = def{fromSlot: -1, isConst: true}
-			delete(chains, in.Dst)
+			a.regs[in.Dst+1] = regState{def: def{gen: gen, slot: -1, isConst: true}}
 		case tir.OpAdd, tir.OpSub, tir.OpFAdd, tir.OpFSub, tir.OpMul, tir.OpFMul:
-			a, aok := defs[in.A]
-			b, bok := defs[in.B]
+			da, aok := slotDef(in.A)
+			db, bok := slotDef(in.B)
 			c := chain{slot: -1}
 			addSub := in.Op == tir.OpAdd || in.Op == tir.OpSub || in.Op == tir.OpFAdd || in.Op == tir.OpFSub
-			if aok && a.fromSlot >= 0 {
-				c = chain{slot: a.fromSlot, ind: addSub && bok && b.isConst, ldIdx: a.ldIdx}
-			} else if bok && b.fromSlot >= 0 && in.Op != tir.OpSub && in.Op != tir.OpFSub {
-				c = chain{slot: b.fromSlot, ind: addSub && aok && a.isConst, ldIdx: b.ldIdx}
+			if aok && da.slot >= 0 {
+				c = chain{gen: gen, slot: da.slot, ind: addSub && bok && db.isConst, ldIdx: da.ldIdx}
+			} else if bok && db.slot >= 0 && in.Op != tir.OpSub && in.Op != tir.OpFSub {
+				c = chain{gen: gen, slot: db.slot, ind: addSub && aok && da.isConst, ldIdx: db.ldIdx}
 			}
-			if c.slot >= 0 {
-				chains[in.Dst] = c
-			} else {
-				delete(chains, in.Dst)
-			}
-			defs[in.Dst] = def{fromSlot: -1}
+			a.regs[in.Dst+1] = regState{def: def{gen: gen, slot: -1}, chain: c}
 		case tir.OpStLoc:
-			stores[in.Slot]++
-			storeBlocks[in.Slot] = append(storeBlocks[in.Slot], bi)
-			if c, ok := chains[in.A]; ok && c.slot == in.Slot {
-				selfOp[in.Slot]++
-				if c.ind {
-					indOp[in.Slot]++
-				}
-				if !usedBySelf[c.ldIdx] {
-					usedBySelf[c.ldIdx] = true
-					selfLoads[in.Slot]++
-				}
+			st := &a.st[in.Slot]
+			st.stores++ // also retires every def holding the slot's old value
+			if !onceKnown {
+				once, onceKnown = a.oncePerIter(bi), true
 			}
-			for r, d := range defs {
-				if d.fromSlot == in.Slot {
-					delete(defs, r)
+			st.notOnce = st.notOnce || !once
+			if c := a.regs[in.A+1].chain; c.gen == gen && c.slot == in.Slot {
+				st.selfOp++
+				if c.ind {
+					st.indOp++
+				}
+				if a.used[c.ldIdx] != gen {
+					a.used[c.ldIdx] = gen
+					st.selfLoads++
 				}
 			}
 		default:
 			if writesDst(in.Op) {
-				defs[in.Dst] = def{fromSlot: -1}
-				delete(chains, in.Dst)
+				a.regs[in.Dst+1] = regState{def: def{gen: gen, slot: -1}}
 			}
 		}
 	}
@@ -316,7 +353,7 @@ func writesDst(op tir.Op) bool {
 		tir.OpNop, tir.OpSLoop, tir.OpELoop, tir.OpEOI, tir.OpLWL, tir.OpSWL, tir.OpReadStats:
 		return false
 	case tir.OpCall:
-		return true // Dst may be NoReg; the map key -1 is harmless
+		return true // Dst may be NoReg, which has its own scratch entry
 	default:
 		return true
 	}
@@ -327,10 +364,10 @@ func writesDst(op tir.Op) bool {
 // latch block (after its last load there) forms an end-of-loop-store ->
 // start-of-loop-load recurrence whose dependency arc spans the whole
 // iteration, eliminating any speedup.
-func screen(f *tir.Function, l *cfg.Loop, res *LoopScalars) string {
+func screen(f *tir.Function, l *cfg.Loop, res *LoopScalars, st []slotStats) string {
 	header := f.Blocks[l.Header].Instrs
 	for _, slot := range res.Annotated {
-		if !storedInLoop(f, l, slot) {
+		if st[slot].stores == 0 {
 			continue
 		}
 		headLoad := false
@@ -368,19 +405,4 @@ func screen(f *tir.Function, l *cfg.Loop, res *LoopScalars) string {
 		}
 	}
 	return ""
-}
-
-func storedInLoop(f *tir.Function, l *cfg.Loop, slot int) bool {
-	for bi := range f.Blocks {
-		if !l.Blocks[bi] {
-			continue
-		}
-		for i := range f.Blocks[bi].Instrs {
-			in := &f.Blocks[bi].Instrs[i]
-			if in.Op == tir.OpStLoc && in.Slot == slot {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -16,7 +16,11 @@
 // loop-borne dependencies, from block-local temporaries, which cannot).
 package tir
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Op enumerates TIR opcodes.
 type Op uint8
@@ -304,4 +308,64 @@ func (f *Function) NumInstrs() int {
 		n += len(f.Blocks[bi].Instrs)
 	}
 	return n
+}
+
+// Clone returns a deep copy of p: no slice or map of the copy shares
+// storage with p, so a pass may rewrite the copy while p stays intact.
+// Each function's instructions, branch targets and call arguments are
+// carved out of one backing array per kind, with capacities capped so
+// that appending to one block never writes into the next.
+func (p *Program) Clone() *Program {
+	q := *p
+	q.Funcs = make([]*Function, len(p.Funcs))
+	for i, f := range p.Funcs {
+		q.Funcs[i] = f.clone()
+	}
+	q.FuncIndex = maps.Clone(p.FuncIndex)
+	q.Globals = slices.Clone(p.Globals)
+	q.GlobIndex = maps.Clone(p.GlobIndex)
+	q.Loops = slices.Clone(p.Loops)
+	for i := range q.Loops {
+		q.Loops[i].Blocks = slices.Clone(q.Loops[i].Blocks)
+		q.Loops[i].AnnLocals = slices.Clone(q.Loops[i].AnnLocals)
+	}
+	return &q
+}
+
+func (f *Function) clone() *Function {
+	g := *f
+	g.Locals = slices.Clone(f.Locals)
+	g.Blocks = make([]Block, len(f.Blocks))
+	nTargets, nArgs := 0, 0
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		nTargets += len(b.Targets)
+		for ii := range b.Instrs {
+			nArgs += len(b.Instrs[ii].Args)
+		}
+	}
+	instrs := make([]Instr, 0, f.NumInstrs())
+	targets := make([]int, 0, nTargets)
+	args := make([]Reg, 0, nArgs)
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		nb := &g.Blocks[bi]
+		*nb = *b
+		n := len(instrs)
+		instrs = append(instrs, b.Instrs...)
+		nb.Instrs = instrs[n:len(instrs):len(instrs)]
+		for ii := range nb.Instrs {
+			if a := nb.Instrs[ii].Args; a != nil {
+				n := len(args)
+				args = append(args, a...)
+				nb.Instrs[ii].Args = args[n:len(args):len(args)]
+			}
+		}
+		if b.Targets != nil {
+			n := len(targets)
+			targets = append(targets, b.Targets...)
+			nb.Targets = targets[n:len(targets):len(targets)]
+		}
+	}
+	return &g
 }

@@ -1,9 +1,12 @@
 package tir_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"jrpm/internal/annotate"
 	"jrpm/internal/lang"
 	"jrpm/internal/tir"
 )
@@ -189,5 +192,117 @@ func TestLookup(t *testing.T) {
 	}
 	if _, _, ok := prog.Lookup("missing"); ok {
 		t.Fatal("Lookup(missing) succeeded")
+	}
+}
+
+// TestCloneIsDeep rewrites every slice element and map of a clone, grows
+// each of its blocks in place, and annotates it; the original must come
+// through unchanged, and no block of the clone may spill into the next.
+func TestCloneIsDeep(t *testing.T) {
+	const src = `
+global a: int[];
+global x: float[];
+func helper(p: int, q: int): int { return p * 2 + q; }
+func main() {
+	var i: int = 0;
+	var s: int = 0;
+	while (i < len(a)) {
+		var j: int = 0;
+		while (j < 3) {
+			s = s + helper(a[i], j);
+			j++;
+		}
+		x[i] = x[i] + 1.5;
+		i++;
+	}
+	print(s);
+}`
+	compile := func() *tir.Program {
+		p, err := lang.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := annotate.Apply(p, annotate.Options{}); err != nil { // fill the loop table
+			t.Fatal(err)
+		}
+		return p
+	}
+	orig, want := compile(), compile()
+	before := tir.DisasmProgram(orig)
+	c := orig.Clone()
+	if !reflect.DeepEqual(c, orig) {
+		t.Fatal("clone differs from its original")
+	}
+	if len(c.Loops) == 0 || len(c.Globals) == 0 {
+		t.Fatal("test program has no loops or no globals")
+	}
+
+	c.FuncIndex["extra"] = 0
+	c.GlobIndex["extra"] = 0
+	for i := range c.Globals {
+		c.Globals[i].Name += "'"
+	}
+	for i := range c.Loops {
+		l := &c.Loops[i]
+		l.Name += "'"
+		for k := range l.Blocks {
+			l.Blocks[k] = -1
+		}
+		for k := range l.AnnLocals {
+			l.AnnLocals[k] = -1
+		}
+	}
+	calls := 0
+	for _, f := range c.Funcs {
+		f.Name += "'"
+		for k := range f.Locals {
+			f.Locals[k].Name += "'"
+		}
+		for bi := range f.Blocks {
+			b := &f.Blocks[bi]
+			slices.Reverse(b.Targets)
+			for ii := range b.Instrs {
+				in := &b.Instrs[ii]
+				in.Line, in.PC, in.FImm = -1, -1, in.FImm+1
+				if in.Op == tir.OpConstI {
+					in.Imm++
+				}
+				if len(in.Args) > 0 {
+					calls++
+					slices.Reverse(in.Args)
+					in.Args = append(in.Args, tir.NoReg)[:len(in.Args)]
+				}
+			}
+			b.Instrs = append(b.Instrs, tir.Instr{Op: tir.OpNop})[:len(b.Instrs)]
+			b.Targets = append(b.Targets, -1)[:len(b.Targets)]
+		}
+	}
+	if calls == 0 {
+		t.Fatal("test program has no call arguments")
+	}
+	for fi, f := range c.Funcs {
+		for bi := range f.Blocks {
+			got, want := &f.Blocks[bi], &orig.Funcs[fi].Blocks[bi]
+			for ii := range got.Instrs {
+				if got.Instrs[ii].Op != want.Instrs[ii].Op || len(got.Instrs[ii].Args) != len(want.Instrs[ii].Args) {
+					t.Fatalf("%s b%d i%d of the clone was overwritten by a neighbour", f.Name, bi, ii)
+				}
+			}
+			rev := slices.Clone(want.Targets)
+			slices.Reverse(rev)
+			if !slices.Equal(got.Targets, rev) {
+				t.Fatalf("%s b%d targets %v of the clone are not the original's reversed", f.Name, bi, got.Targets)
+			}
+		}
+	}
+	if _, err := annotate.Apply(c, annotate.Optimized()); err != nil {
+		t.Fatal(err)
+	}
+
+	if !reflect.DeepEqual(orig, want) {
+		t.Error("rewriting the clone changed the original")
+	}
+	if after := tir.DisasmProgram(orig); after != before {
+		t.Errorf("original disassembly changed:\n%s\nwant:\n%s", after, before)
 	}
 }

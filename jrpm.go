@@ -107,12 +107,15 @@ func Normalize(opts Options) Options {
 }
 
 // Compiled holds the compile-stage artifacts for one source program: the
-// clean program (loop table filled, no instrumentation) and the annotated
-// program traced by TEST. Both programs are read-only once Compile
-// returns — see the tir.Program documentation — so a Compiled may be
-// shared freely across goroutines and profiled concurrently; each Profile
-// call builds its own VM and Tracer.
+// clean program and the annotated program traced by TEST. Both programs
+// are read-only once Compile returns — see the tir.Program documentation
+// — so a Compiled may be shared freely across goroutines and profiled
+// concurrently; each Profile call builds its own VM and Tracer.
 type Compiled struct {
+	// Clean is the program as compiled (and optimized) before annotation:
+	// no instrumentation and no loop table (Clean.Loops is nil). The run
+	// stages never execute it; it is the uninstrumented baseline for
+	// benchmarks and tests. Annotated.Loops holds the loop table.
 	Clean     *tir.Program
 	Annotated *tir.Program
 	// AnnotationCount is the number of annotation instructions inserted
@@ -125,10 +128,11 @@ type Compiled struct {
 	Optimize bool
 }
 
-// Compile runs the compile stage (step 1) once: lex, parse, generate TIR,
-// optionally run the scalar optimizer, discover loops, and insert
-// annotations per opts.Annot. Only opts.Annot and opts.Optimize affect
-// the artifact; the remaining fields configure the run stages.
+// Compile runs the compile stage (step 1) once: lex, parse, generate TIR
+// and optionally run the scalar optimizer, giving Clean; then discover
+// loops and insert annotations per opts.Annot into a copy of it, giving
+// Annotated. Only opts.Annot and opts.Optimize affect the artifact; the
+// remaining fields configure the run stages.
 func Compile(src string, opts Options) (*Compiled, error) {
 	opts = Normalize(opts)
 	clean, err := lang.Compile(src)
@@ -138,17 +142,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	if opts.Optimize {
 		opt.Program(clean)
 	}
-	if _, err := annotate.Apply(clean, annotate.Options{}); err != nil {
-		return nil, fmt.Errorf("loop discovery: %w", err)
-	}
-
-	annotated, err := lang.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Optimize {
-		opt.Program(annotated)
-	}
+	annotated := clean.Clone()
 	nAnnot, err := annotate.Apply(annotated, opts.Annot)
 	if err != nil {
 		return nil, fmt.Errorf("annotate: %w", err)

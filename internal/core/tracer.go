@@ -22,10 +22,18 @@
 // local-variable timestamp space is left, persistently overflowing loops
 // release their bank to deeper loops, and loops with enough collected data
 // have their annotations disabled.
+//
+// One model (a Group) serves every machine config that shares a store
+// geometry: the buffers and the banks' state are kept once, and each
+// config (a Tracer) keeps only its own bank allocation, policy state and
+// statistics. A live profile runs a group of one.
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
@@ -276,12 +284,102 @@ func (f *storeFIFO) lookup(addr uint32) (int64, bool) {
 	return f.ring[s].ts[word], true
 }
 
+// GroupSize is the most configs one Group serves: a bank's config mask
+// is one machine word.
+const GroupSize = 64
+
+// MaxTableLines bounds each store table of a config: the store FIFO
+// depth and both line timestamp caches.
+const MaxTableLines = 1 << 20
+
+// MaxGridTableLines bounds the store-table lines of all the groups one
+// sweep grid builds together. With MaxTableLines it keeps a grid taken
+// from the network from making the model allocate without limit.
+const MaxGridTableLines = 1 << 22
+
+// Geometry is the part of a machine config that the shared model state
+// depends on: the store FIFO, the two line timestamp caches and the
+// speculative buffer limits behind a thread's overflow flag. Configs
+// with equal geometries share one Group.
+type Geometry struct {
+	HeapStoreLines, LoadLineTS, StoreLineTS int
+	LoadLines, StoreLines                   int
+}
+
+// GeometryOf returns cfg's store geometry.
+func GeometryOf(cfg hydra.Config) Geometry {
+	return Geometry{
+		HeapStoreLines: cfg.Tracer.HeapStoreLines,
+		LoadLineTS:     cfg.Tracer.LoadLineTS,
+		StoreLineTS:    cfg.Tracer.StoreLineTS,
+		LoadLines:      cfg.Buffers.LoadLines,
+		StoreLines:     cfg.Buffers.StoreLines,
+	}
+}
+
+// tableLines is the number of store-table lines a group of geometry g
+// may hold.
+func (g Geometry) tableLines() int {
+	return max(g.HeapStoreLines, 0) + max(g.LoadLineTS, 0) + max(g.StoreLineTS, 0)
+}
+
+// GeometryError reports store tables over their bound.
+type GeometryError struct {
+	Field        string
+	Lines, Bound int
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("core: %s = %d exceeds the %d-line bound", e.Field, e.Lines, e.Bound)
+}
+
+// CheckGeometry returns a *GeometryError when one of cfg's store tables
+// exceeds MaxTableLines. Sizes <= 0 pass: they are not an allocation
+// hazard.
+func CheckGeometry(cfg hydra.Config) error {
+	t := cfg.Tracer
+	switch {
+	case t.HeapStoreLines > MaxTableLines:
+		return &GeometryError{"HeapStoreLines", t.HeapStoreLines, MaxTableLines}
+	case t.LoadLineTS > MaxTableLines:
+		return &GeometryError{"LoadLineTS", t.LoadLineTS, MaxTableLines}
+	case t.StoreLineTS > MaxTableLines:
+		return &GeometryError{"StoreLineTS", t.StoreLineTS, MaxTableLines}
+	}
+	return nil
+}
+
+// CheckGrid returns a *GeometryError when one of cfgs fails
+// CheckGeometry, or when the groups a sweep of cfgs builds — one per
+// GroupSize configs of each geometry — would hold more than
+// MaxGridTableLines store-table lines between them.
+func CheckGrid(cfgs []hydra.Config) error {
+	seen := map[Geometry]int{}
+	total := 0
+	for _, cfg := range cfgs {
+		if err := CheckGeometry(cfg); err != nil {
+			return err
+		}
+		g := GeometryOf(cfg)
+		if seen[g]%GroupSize == 0 {
+			if total += g.tableLines(); total > MaxGridTableLines {
+				return &GeometryError{"the grid's store tables", total, MaxGridTableLines}
+			}
+		}
+		seen[g]++
+	}
+	return nil
+}
+
 // bank is one comparator bank (Figure 7) bound to a dynamic loop entry.
+// Its state depends only on the events and on the group's shared store
+// tables, so one bank serves every config of the group that allocated
+// the entry.
 type bank struct {
 	loopID    int
 	frame     uint64
 	numLocals int
-	allocated bool // false: placeholder for an untraced loop entry
+	mask      uint64 // bit i: config i allocated this entry; 0 = untraced placeholder
 
 	entryStart int64
 	tsCur      int64 // thread start timestamp (t)
@@ -298,7 +396,8 @@ type bank struct {
 	stLines    int
 	overflowed bool
 
-	// Per-entry accumulation, folded into the loop table at eloop.
+	// Per-entry accumulation, folded into each allocating config's loop
+	// table at eloop.
 	acc LoopStats
 
 	// slotPos maps a named-local slot to its position in the loop's
@@ -325,95 +424,169 @@ func (b *bank) localPos(slot int) int {
 	return int(b.slotPos[slot])
 }
 
-// loopState is the tracer's per-static-loop bookkeeping, indexed by loop
-// id.
-type loopState struct {
-	stats    *LoopStats    // nil until the loop first reports
-	parents  map[int]int64 // this loop's row of parentEdges
-	slotPos  []int32       // see bank.slotPos; built on first allocation
-	disabled bool          // thread quota reached
-	freed    bool          // bank released due to persistent overflow
+// loopRow is a group's per-static-loop bookkeeping, indexed by loop id.
+type loopRow struct {
+	parents map[int]int64 // this loop's row of parentEdges
+	slotPos []int32       // see bank.slotPos; built on first allocation
 }
 
-// Tracer is the full TEST hardware model: the comparator bank array plus
-// the repurposed store buffers, driven by the VM event stream.
-type Tracer struct {
-	cfg  hydra.Config
-	opts Options
+// loopState is one config's per-static-loop bookkeeping, indexed by
+// loop id.
+type loopState struct {
+	stats    *LoopStats // nil until the loop first reports
+	disabled bool       // thread quota reached
+	freed    bool       // bank released due to persistent overflow
+}
+
+// Group is the full TEST hardware model — the comparator bank array
+// plus the repurposed store buffers, driven by the VM event stream —
+// shared by up to GroupSize machine configs with one store Geometry.
+//
+// The store FIFO and the line caches depend only on the geometry, and
+// a bank's state only on the events and those tables, so the group
+// keeps one of each. What differs per config is which dynamic loop
+// entries get a bank (Banks, LocalSlots and the runtime policies): each
+// bank carries a mask of the configs that allocated it, and each config
+// (a Tracer) folds the banks it owns into its own statistics table.
+// Every config therefore ends with exactly the tables a model of its
+// own would have built, for one pass over the events.
+type Group struct {
 	prog *tir.Program
+	geo  Geometry
 
 	heapTS *storeFIFO
 	ldLine []lineEntry
 	stLine []lineEntry
 
-	stack      []*bank
-	pool       []*bank // banks released at eloop, reused by later sloops
+	stack []*bank
+	pool  []*bank // banks released at eloop, reused by later sloops
+
+	loopRows []loopRow
+
+	// parentEdges records observed dynamic nesting: child loop -> parent
+	// loop (-1 at top level) -> entry count. The profile analyzer turns
+	// this into the dynamic loop tree that Equation 2 selects over. It
+	// does not depend on bank allocation, so every config shares it.
+	parentEdges map[int]map[int]int64
+
+	cfgs     []Tracer
+	extended uint64 // mask of the configs with Options.Extended
+}
+
+// Tracer is one machine config's view of a Group: its bank and local
+// timestamp budget, its runtime-policy state and its statistics table.
+// The embedded Group takes the events, so a lone Tracer (NewTracer) is
+// fed directly, as a VM listener. Feeding any view of a larger group
+// advances every config of that group: such views are only read.
+type Tracer struct {
+	*Group
+	cfg  hydra.Config
+	opts Options
+
 	inUseBanks int
 	localUsed  int
 
 	loops []loopState
 	table map[int]*LoopStats
-
-	// parentEdges records observed dynamic nesting: child loop -> parent
-	// loop (-1 at top level) -> entry count. The profile analyzer turns
-	// this into the dynamic loop tree that Equation 2 selects over.
-	parentEdges map[int]map[int]int64
 }
 
 // Compile-time check that Tracer is a VM listener.
 var _ vmsim.Listener = (*Tracer)(nil)
 
-// ConsumeEvents implements vmsim.Listener: the VM hands the tracer whole
+// ConsumeEvents implements vmsim.Listener: the VM hands the model whole
 // event batches — one interface dispatch per batch instead of one per
 // event — and the demultiplexing below resolves to direct method calls on
-// the concrete Tracer. Events are processed in order, so the
+// the concrete Group. Events are processed in order, so the
 // comparator-bank state evolves exactly as it would under per-event
 // delivery. Call-boundary events are skipped: the hardware model watches
 // only the annotated stream.
-func (t *Tracer) ConsumeEvents(evs []vmsim.Event) {
+func (g *Group) ConsumeEvents(evs []vmsim.Event) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind {
 		case vmsim.EvHeapLoad:
-			t.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+			g.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
 		case vmsim.EvHeapStore:
-			t.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+			g.HeapStore(ev.Now, ev.Addr, int(ev.PC))
 		case vmsim.EvLocalLoad:
-			t.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			g.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
 		case vmsim.EvLocalStore:
-			t.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			g.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
 		case vmsim.EvLoopStart:
-			t.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+			g.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
 		case vmsim.EvLoopIter:
-			t.LoopIter(ev.Now, int(ev.Loop))
+			g.LoopIter(ev.Now, int(ev.Loop))
 		case vmsim.EvLoopEnd:
-			t.LoopEnd(ev.Now, int(ev.Loop))
+			g.LoopEnd(ev.Now, int(ev.Loop))
 		case vmsim.EvReadStats:
-			t.ReadStats(ev.Now, int(ev.Loop))
+			g.ReadStats(ev.Now, int(ev.Loop))
 		}
 	}
 }
 
-// NewTracer builds a tracer for prog with the given machine config.
-func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
-	return &Tracer{
-		cfg:         cfg,
-		opts:        opts,
-		prog:        prog,
-		heapTS:      newStoreFIFO(cfg.Tracer.HeapStoreLines),
-		ldLine:      make([]lineEntry, cfg.Tracer.LoadLineTS),
-		stLine:      make([]lineEntry, cfg.Tracer.StoreLineTS),
-		loops:       make([]loopState, len(prog.Loops)),
-		table:       map[int]*LoopStats{},
-		parentEdges: map[int]map[int]int64{},
+// NewGroup builds one model for prog serving cfgs, with opts[i] the
+// runtime policies of cfgs[i]. It returns an error unless there are
+// 1..GroupSize configs, one Options each, sharing one Geometry that
+// passes CheckGeometry.
+func NewGroup(prog *tir.Program, cfgs []hydra.Config, opts []Options) (*Group, error) {
+	if len(cfgs) == 0 || len(cfgs) > GroupSize || len(opts) != len(cfgs) {
+		return nil, fmt.Errorf("core: a group needs 1..%d configs with one Options each, got %d and %d", GroupSize, len(cfgs), len(opts))
 	}
+	if err := CheckGeometry(cfgs[0]); err != nil {
+		return nil, err
+	}
+	geo := GeometryOf(cfgs[0])
+	for _, cfg := range cfgs {
+		if GeometryOf(cfg) != geo {
+			return nil, errors.New("core: the configs of a group differ in store geometry")
+		}
+	}
+	g := &Group{
+		prog:        prog,
+		geo:         geo,
+		heapTS:      newStoreFIFO(geo.HeapStoreLines),
+		ldLine:      make([]lineEntry, geo.LoadLineTS),
+		stLine:      make([]lineEntry, geo.StoreLineTS),
+		loopRows:    make([]loopRow, len(prog.Loops)),
+		parentEdges: map[int]map[int]int64{},
+		cfgs:        make([]Tracer, len(cfgs)),
+	}
+	nl := len(prog.Loops)
+	states := make([]loopState, len(cfgs)*nl)
+	for i, cfg := range cfgs {
+		if opts[i].Extended {
+			g.extended |= 1 << i
+		}
+		g.cfgs[i] = Tracer{
+			Group: g,
+			cfg:   cfg,
+			opts:  opts[i],
+			loops: states[i*nl : (i+1)*nl : (i+1)*nl],
+			table: map[int]*LoopStats{},
+		}
+	}
+	return g, nil
 }
+
+// NewTracer builds a model for prog with one machine config: a group of
+// one. It panics where NewGroup returns an error.
+func NewTracer(prog *tir.Program, cfg hydra.Config, opts Options) *Tracer {
+	g, err := NewGroup(prog, []hydra.Config{cfg}, []Options{opts})
+	if err != nil {
+		panic(err)
+	}
+	return g.Tracer(0)
+}
+
+// Tracer returns the view of the group's i-th config.
+func (g *Group) Tracer(i int) *Tracer { return &g.cfgs[i] }
 
 // ParentEdges returns the observed dynamic nesting edge counts:
 // child loop id -> parent loop id (-1 for top level) -> entries.
-func (t *Tracer) ParentEdges() map[int]map[int]int64 { return t.parentEdges }
+func (g *Group) ParentEdges() map[int]map[int]int64 { return g.parentEdges }
 
-// Results returns the per-loop statistics table collected so far.
+// Results returns the config's per-loop statistics table collected so
+// far.
 func (t *Tracer) Results() map[int]*LoopStats { return t.table }
 
 func (t *Tracer) loopStats(loop int) *LoopStats {
@@ -429,34 +602,35 @@ func (t *Tracer) loopStats(loop int) *LoopStats {
 }
 
 // slotPositions returns loop's slot -> AnnLocals position table.
-func (t *Tracer) slotPositions(loop int) []int32 {
-	ls := &t.loops[loop]
-	if ls.slotPos == nil {
-		ann := t.prog.Loops[loop].AnnLocals
+func (g *Group) slotPositions(loop int) []int32 {
+	row := &g.loopRows[loop]
+	if row.slotPos == nil {
+		ann := g.prog.Loops[loop].AnnLocals
 		n := 0
 		for _, s := range ann {
 			n = max(n, s+1)
 		}
-		ls.slotPos = make([]int32, n)
-		for i := range ls.slotPos {
-			ls.slotPos[i] = -1
+		pos := make([]int32, n)
+		for i := range pos {
+			pos[i] = -1
 		}
 		for i, s := range ann {
-			if ls.slotPos[s] < 0 {
-				ls.slotPos[s] = int32(i)
+			if pos[s] < 0 {
+				pos[s] = int32(i)
 			}
 		}
+		row.slotPos = pos
 	}
-	return ls.slotPos
+	return row.slotPos
 }
 
 // newBank takes a bank from the pool (or allocates one) and resets it
 // for a new loop entry, keeping its local timestamp storage.
-func (t *Tracer) newBank() *bank {
+func (g *Group) newBank() *bank {
 	var b *bank
-	if n := len(t.pool); n > 0 {
-		b = t.pool[n-1]
-		t.pool = t.pool[:n-1]
+	if n := len(g.pool); n > 0 {
+		b = g.pool[n-1]
+		g.pool = g.pool[:n-1]
 		*b = bank{localTS: b.localTS[:0]}
 	} else {
 		b = &bank{}
@@ -464,43 +638,49 @@ func (t *Tracer) newBank() *bank {
 	return b
 }
 
-// LoopStart handles an sloop annotation: allocate a comparator bank if the
-// runtime policies allow, otherwise push an inactive placeholder so the
-// stack discipline stays aligned with eloop events.
-func (t *Tracer) LoopStart(now int64, loop, numLocals int, frame uint64) {
+// LoopStart handles an sloop annotation: each config allocates the
+// entry a comparator bank if its runtime policies allow. The bank is
+// pushed either way — with an empty mask, an inactive placeholder — so
+// the stack discipline stays aligned with eloop events.
+func (g *Group) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	parent := -1
-	if len(t.stack) > 0 {
-		parent = t.stack[len(t.stack)-1].loopID
+	if len(g.stack) > 0 {
+		parent = g.stack[len(g.stack)-1].loopID
 	}
-	ls := &t.loops[loop]
-	if ls.parents == nil {
-		ls.parents = map[int]int64{}
-		t.parentEdges[loop] = ls.parents
+	row := &g.loopRows[loop]
+	if row.parents == nil {
+		row.parents = map[int]int64{}
+		g.parentEdges[loop] = row.parents
 	}
-	ls.parents[parent]++
+	row.parents[parent]++
 
-	b := t.newBank()
+	b := g.newBank()
 	b.loopID, b.frame, b.numLocals = loop, frame, numLocals
-	switch {
-	case ls.disabled || ls.freed:
-		// Annotations for this loop are logically nop'd out.
-	case t.inUseBanks >= t.cfg.Tracer.Banks:
-		t.loopStats(loop).SkippedEntries++
-	case t.localUsed+numLocals > t.cfg.Tracer.LocalSlots:
-		t.loopStats(loop).SkippedEntries++
-	default:
-		b.allocated = true
+	for i := range g.cfgs {
+		t := &g.cfgs[i]
+		ls := &t.loops[loop]
+		switch {
+		case ls.disabled || ls.freed:
+			// Annotations for this loop are logically nop'd out.
+		case t.inUseBanks >= t.cfg.Tracer.Banks,
+			t.localUsed+numLocals > t.cfg.Tracer.LocalSlots:
+			t.loopStats(loop).SkippedEntries++
+		default:
+			b.mask |= 1 << i
+			t.inUseBanks++
+			t.localUsed += numLocals
+		}
+	}
+	if b.mask != 0 {
 		b.entryStart = now
 		b.tsCur = now
 		b.resetThread()
-		b.slotPos = t.slotPositions(loop)
-		for range t.prog.Loops[loop].AnnLocals {
+		b.slotPos = g.slotPositions(loop)
+		for range g.prog.Loops[loop].AnnLocals {
 			b.localTS = append(b.localTS, noStore)
 		}
-		t.inUseBanks++
-		t.localUsed += numLocals
 	}
-	t.stack = append(t.stack, b)
+	g.stack = append(g.stack, b)
 }
 
 func (b *bank) resetThread() {
@@ -511,23 +691,13 @@ func (b *bank) resetThread() {
 
 // endThread folds the current thread's critical arcs and overflow flag
 // into the entry accumulator, then starts the next thread at time now.
-func (b *bank) endThread(now int64, t *Tracer) {
+func (b *bank) endThread(now int64, g *Group) {
 	for bin := 0; bin < 2; bin++ {
 		if b.hasArc[bin] {
 			b.acc.ArcCount[bin]++
 			b.acc.ArcLenSum[bin] += b.minArc[bin]
-			if t.opts.Extended {
-				s := t.loopStats(b.loopID)
-				pa := s.PCArcs[b.minArcPC[bin]]
-				if pa == nil {
-					pa = &PCArcStats{MinLen: b.minArc[bin]}
-					s.PCArcs[b.minArcPC[bin]] = pa
-				}
-				pa.Count++
-				pa.LenSum += b.minArc[bin]
-				if b.minArc[bin] < pa.MinLen {
-					pa.MinLen = b.minArc[bin]
-				}
+			for m := b.mask & g.extended; m != 0; m &= m - 1 {
+				g.cfgs[bits.TrailingZeros64(m)].pcArc(b.loopID, b.minArcPC[bin], b.minArc[bin])
 			}
 		}
 	}
@@ -546,13 +716,28 @@ func (b *bank) endThread(now int64, t *Tracer) {
 	b.resetThread()
 }
 
+// pcArc bins one thread's critical arc by its load PC (extended tracer).
+func (t *Tracer) pcArc(loop, pc int, arc int64) {
+	s := t.loopStats(loop)
+	pa := s.PCArcs[pc]
+	if pa == nil {
+		pa = &PCArcStats{MinLen: arc}
+		s.PCArcs[pc] = pa
+	}
+	pa.Count++
+	pa.LenSum += arc
+	if arc < pa.MinLen {
+		pa.MinLen = arc
+	}
+}
+
 // LoopIter handles an eoi annotation: shift the thread start timestamps of
 // the matching bank.
-func (t *Tracer) LoopIter(now int64, loop int) {
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i].loopID == loop {
-			if t.stack[i].allocated {
-				t.stack[i].endThread(now, t)
+func (g *Group) LoopIter(now int64, loop int) {
+	for i := len(g.stack) - 1; i >= 0; i-- {
+		if g.stack[i].loopID == loop {
+			if g.stack[i].mask != 0 {
+				g.stack[i].endThread(now, g)
 			}
 			return
 		}
@@ -560,35 +745,45 @@ func (t *Tracer) LoopIter(now int64, loop int) {
 }
 
 // LoopEnd handles an eloop annotation: finish the final thread, fold the
-// entry's counters into the loop table, free the bank, and apply the
-// runtime policies (overflow release, thread quota).
-func (t *Tracer) LoopEnd(now int64, loop int) {
-	n := len(t.stack) - 1
+// entry's counters into the loop table of every config that allocated
+// the bank, free the bank, and apply each config's runtime policies
+// (overflow release, thread quota).
+func (g *Group) LoopEnd(now int64, loop int) {
+	n := len(g.stack) - 1
 	if n < 0 {
 		return
 	}
-	b := t.stack[n]
-	t.stack = t.stack[:n]
+	b := g.stack[n]
+	g.stack = g.stack[:n]
 	if b.loopID != loop {
 		// Mismatched nesting should be impossible with well-formed
 		// annotations; scan down defensively.
 		for i := n - 1; i >= 0; i-- {
-			if t.stack[i].loopID == loop {
-				t.pool = append(t.pool, b)
-				b = t.stack[i]
-				t.stack = append(t.stack[:i], t.stack[i+1:]...)
+			if g.stack[i].loopID == loop {
+				g.pool = append(g.pool, b)
+				b = g.stack[i]
+				g.stack = append(g.stack[:i], g.stack[i+1:]...)
 				break
 			}
 		}
 	}
-	t.pool = append(t.pool, b)
-	if !b.allocated {
+	g.pool = append(g.pool, b)
+	if b.mask == 0 {
 		return
 	}
-	b.endThread(now, t)
+	b.endThread(now, g)
 	b.acc.Threads = b.threadIdx
 	b.acc.Entries = 1
 	b.acc.Cycles = now - b.entryStart
+	for m := b.mask; m != 0; m &= m - 1 {
+		g.cfgs[bits.TrailingZeros64(m)].endEntry(loop, b)
+	}
+}
+
+// endEntry folds a finished entry of loop into the config's table,
+// returns its bank and local timestamp space, and applies the config's
+// runtime policies.
+func (t *Tracer) endEntry(loop int, b *bank) {
 	s := t.loopStats(loop)
 	s.add(&b.acc)
 	t.inUseBanks--
@@ -605,13 +800,13 @@ func (t *Tracer) LoopEnd(now int64, loop int) {
 
 // ReadStats is a timing-only event (the VM charges the software routine's
 // cycles); statistics are folded at LoopEnd.
-func (t *Tracer) ReadStats(now int64, loop int) {}
+func (g *Group) ReadStats(now int64, loop int) {}
 
 // dependency runs the load dependency analysis (§4.2.1) for one load with
 // the given last-store timestamp against every active bank.
-func (t *Tracer) dependency(now int64, storeTS int64, pc int) {
-	for _, b := range t.stack {
-		if !b.allocated {
+func (g *Group) dependency(now int64, storeTS int64, pc int) {
+	for _, b := range g.stack {
+		if b.mask == 0 {
 			continue
 		}
 		if storeTS < b.entryStart || storeTS >= b.tsCur {
@@ -634,21 +829,21 @@ func (t *Tracer) dependency(now int64, storeTS int64, pc int) {
 
 // HeapLoad implements the automatic tracing of lw instructions: the load
 // dependency analysis plus the load-line half of the overflow analysis.
-func (t *Tracer) HeapLoad(now int64, addr uint32, pc int) {
-	if ts, ok := t.heapTS.lookup(addr); ok {
-		t.dependency(now, ts, pc)
+func (g *Group) HeapLoad(now int64, addr uint32, pc int) {
+	if ts, ok := g.heapTS.lookup(addr); ok {
+		g.dependency(now, ts, pc)
 	}
 	// Overflow analysis, load geometry: index bits 13:5, tag bits 31:14.
-	idx := (addr / hydra.LineSize) % uint32(len(t.ldLine))
+	idx := (addr / hydra.LineSize) % uint32(len(g.ldLine))
 	tag := addr >> 14
-	e := &t.ldLine[idx]
-	for _, b := range t.stack {
-		if !b.allocated {
+	e := &g.ldLine[idx]
+	for _, b := range g.stack {
+		if b.mask == 0 {
 			continue
 		}
 		if !(e.valid && e.tag == tag && e.ts >= b.tsCur) {
 			b.ldLines++
-			if b.ldLines > t.cfg.Buffers.LoadLines {
+			if b.ldLines > g.geo.LoadLines {
 				b.overflowed = true
 			}
 		}
@@ -659,19 +854,19 @@ func (t *Tracer) HeapLoad(now int64, addr uint32, pc int) {
 // HeapStore implements the automatic tracing of sw instructions: record
 // the store timestamp for later loads plus the store-line half of the
 // overflow analysis.
-func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
-	t.heapTS.record(addr, now)
+func (g *Group) HeapStore(now int64, addr uint32, pc int) {
+	g.heapTS.record(addr, now)
 	// Overflow analysis, store geometry: index bits 10:5, tag bits 31:11.
-	idx := (addr / hydra.LineSize) % uint32(len(t.stLine))
+	idx := (addr / hydra.LineSize) % uint32(len(g.stLine))
 	tag := addr >> 11
-	e := &t.stLine[idx]
-	for _, b := range t.stack {
-		if !b.allocated {
+	e := &g.stLine[idx]
+	for _, b := range g.stack {
+		if b.mask == 0 {
 			continue
 		}
 		if !(e.valid && e.tag == tag && e.ts >= b.tsCur) {
 			b.stLines++
-			if b.stLines > t.cfg.Buffers.StoreLines {
+			if b.stLines > g.geo.StoreLines {
 				b.overflowed = true
 			}
 		}
@@ -683,9 +878,9 @@ func (t *Tracer) HeapStore(now int64, addr uint32, pc int) {
 // dependency analysis (they carry loop-borne scalar dependencies) but not
 // in the overflow analysis (they live in registers, not buffers). Each
 // bank consults its own reserved timestamp entry for the variable.
-func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	for _, b := range t.stack {
-		if !b.allocated || b.frame != id.Frame {
+func (g *Group) LocalLoad(now int64, id vmsim.SlotID, pc int) {
+	for _, b := range g.stack {
+		if b.mask == 0 || b.frame != id.Frame {
 			continue
 		}
 		p := b.localPos(id.Slot)
@@ -711,9 +906,9 @@ func (t *Tracer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 
 // LocalStore handles an swl annotation: every active bank that reserved
 // the variable records its own store timestamp.
-func (t *Tracer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	for _, b := range t.stack {
-		if !b.allocated || b.frame != id.Frame {
+func (g *Group) LocalStore(now int64, id vmsim.SlotID, pc int) {
+	for _, b := range g.stack {
+		if b.mask == 0 || b.frame != id.Frame {
 			continue
 		}
 		if p := b.localPos(id.Slot); p >= 0 {

@@ -686,38 +686,76 @@ func TestStoreFIFOMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// eventModel is the per-event interface shared by a Tracer and a Group.
+type eventModel interface {
+	LoopStart(now int64, loop, numLocals int, frame uint64)
+	LoopIter(now int64, loop int)
+	LoopEnd(now int64, loop int)
+	ReadStats(now int64, loop int)
+	HeapLoad(now int64, addr uint32, pc int)
+	HeapStore(now int64, addr uint32, pc int)
+	LocalLoad(now int64, id vmsim.SlotID, pc int)
+	LocalStore(now int64, id vmsim.SlotID, pc int)
+}
+
 // TestTracerAllocsIndependentOfLoopEntries: the model allocates per
 // static loop and per distinct store line, never per loop entry or per
-// event, so a run with 100x the loop entries allocates no more.
+// event, so a run with 100x the loop entries allocates no more. This
+// holds for a lone tracer and for an 8-config group.
 func TestTracerAllocsIndependentOfLoopEntries(t *testing.T) {
 	prog := makeProg(2, []int{0, 3}, []int{1})
-	run := func(entries int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			tr := core.NewTracer(prog, hydra.DefaultConfig(), core.DefaultOptions())
-			now := int64(0)
-			tick := func() int64 { now++; return now }
-			tr.LoopStart(tick(), 0, 2, 1)
-			for e := 0; e < entries; e++ {
-				tr.LoopStart(tick(), 1, 1, 2)
-				for it := 0; it < 4; it++ {
-					a := uint32(0x1000 + 4*((e*4+it)%32))
-					tr.HeapLoad(tick(), a, 1)
-					tr.HeapStore(tick(), a+4, 2)
-					tr.LocalLoad(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 3)
-					tr.LocalStore(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 4)
-					tr.LocalStore(tick(), vmsim.SlotID{Frame: 1, Slot: 3}, 5)
-					tr.LoopIter(tick(), 1)
-				}
-				tr.LoopEnd(tick(), 1)
-				tr.ReadStats(tick(), 1)
-				tr.LoopIter(tick(), 0)
+	var cfgs []hydra.Config
+	var opts []core.Options
+	for _, banks := range []int{1, 2, 4, 8} {
+		for _, ext := range []bool{false, true} {
+			cfg := hydra.DefaultConfig()
+			cfg.Tracer.Banks = banks
+			o := core.DefaultOptions()
+			o.Extended = ext
+			cfgs, opts = append(cfgs, cfg), append(opts, o)
+		}
+	}
+	for _, m := range []struct {
+		name  string
+		build func() eventModel
+	}{
+		{"single", func() eventModel { return core.NewTracer(prog, hydra.DefaultConfig(), core.DefaultOptions()) }},
+		{"group-8", func() eventModel {
+			g, err := core.NewGroup(prog, cfgs, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tr.LoopEnd(tick(), 0)
-		})
+			return g
+		}},
+	} {
+		run := func(entries int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				tr := m.build()
+				now := int64(0)
+				tick := func() int64 { now++; return now }
+				tr.LoopStart(tick(), 0, 2, 1)
+				for e := 0; e < entries; e++ {
+					tr.LoopStart(tick(), 1, 1, 2)
+					for it := 0; it < 4; it++ {
+						a := uint32(0x1000 + 4*((e*4+it)%32))
+						tr.HeapLoad(tick(), a, 1)
+						tr.HeapStore(tick(), a+4, 2)
+						tr.LocalLoad(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 3)
+						tr.LocalStore(tick(), vmsim.SlotID{Frame: 2, Slot: 1}, 4)
+						tr.LocalStore(tick(), vmsim.SlotID{Frame: 1, Slot: 3}, 5)
+						tr.LoopIter(tick(), 1)
+					}
+					tr.LoopEnd(tick(), 1)
+					tr.ReadStats(tick(), 1)
+					tr.LoopIter(tick(), 0)
+				}
+				tr.LoopEnd(tick(), 0)
+			})
+		}
+		few, many := run(10), run(1000)
+		if many > few {
+			t.Fatalf("%s: allocs grow with loop entries: %v allocs for 10 entries, %v for 1000", m.name, few, many)
+		}
+		t.Logf("%s: %v allocs per model run, independent of loop entries", m.name, few)
 	}
-	few, many := run(10), run(1000)
-	if many > few {
-		t.Fatalf("allocs grow with loop entries: %v allocs for 10 entries, %v for 1000", few, many)
-	}
-	t.Logf("%v allocs per tracer run, independent of loop entries", few)
 }

@@ -14,12 +14,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"jrpm"
 	"jrpm/internal/cluster"
+	"jrpm/internal/core"
 	"jrpm/internal/hydra"
 	"jrpm/internal/telemetry"
 )
@@ -183,22 +185,10 @@ func newID() string {
 }
 
 func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
-	var sr SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(rw, req.Body, 1<<30)).Decode(&sr); err != nil {
-		httpError(rw, http.StatusBadRequest, "bad sweep request: "+err.Error())
+	grid, err := decodeSweepRequest(http.MaxBytesReader(rw, req.Body, 1<<30))
+	if err != nil {
+		httpError(rw, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(sr.Traces) == 0 || len(sr.Configs) == 0 {
-		httpError(rw, http.StatusBadRequest, "sweep needs at least one trace and one config")
-		return
-	}
-	grid := cluster.Grid{Configs: sr.Configs, Opts: sr.Opts}
-	for _, t := range sr.Traces {
-		if len(t.Data) == 0 {
-			httpError(rw, http.StatusBadRequest, fmt.Sprintf("trace %q has no recording bytes", t.Name))
-			return
-		}
-		grid.Traces = append(grid.Traces, cluster.GridTrace{Name: t.Name, Source: t.Source, Data: t.Data})
 	}
 
 	// The sweep outlives the submission request: detach from the request
@@ -224,6 +214,32 @@ func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(rw).Encode(map[string]string{"id": r.id}) //nolint:errcheck
+}
+
+// decodeSweepRequest decodes and validates a POST /v1/sweeps body into
+// the grid to run. It needs at least one trace and one config, recording
+// bytes on every trace, and store tables within core.CheckGrid's bounds,
+// so that no accepted grid can make the model allocate without limit.
+// Every error it returns is the client's: HTTP 400.
+func decodeSweepRequest(body io.Reader) (cluster.Grid, error) {
+	var sr SweepRequest
+	if err := json.NewDecoder(body).Decode(&sr); err != nil {
+		return cluster.Grid{}, fmt.Errorf("bad sweep request: %w", err)
+	}
+	if len(sr.Traces) == 0 || len(sr.Configs) == 0 {
+		return cluster.Grid{}, errors.New("sweep needs at least one trace and one config")
+	}
+	if err := core.CheckGrid(sr.Configs); err != nil {
+		return cluster.Grid{}, err
+	}
+	grid := cluster.Grid{Configs: sr.Configs, Opts: sr.Opts}
+	for _, t := range sr.Traces {
+		if len(t.Data) == 0 {
+			return cluster.Grid{}, fmt.Errorf("trace %q has no recording bytes", t.Name)
+		}
+		grid.Traces = append(grid.Traces, cluster.GridTrace{Name: t.Name, Source: t.Source, Data: t.Data})
+	}
+	return grid, nil
 }
 
 // makeRoomLocked evicts terminal runs FIFO until a slot is free; false

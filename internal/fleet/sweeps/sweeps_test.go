@@ -19,6 +19,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/cluster"
+	"jrpm/internal/core"
 	"jrpm/internal/hydra"
 	"jrpm/internal/workloads"
 )
@@ -412,6 +413,16 @@ func TestSweepsValidation(t *testing.T) {
 	if code := post(`not json`); code != http.StatusBadRequest {
 		t.Errorf("bad json = %d, want 400", code)
 	}
+	// A store table this large would exhaust memory in the model, which
+	// no recover can catch: it must be refused before the sweep starts.
+	src, data := recordWorkload(t, "Huffman")
+	if code := post(hugeTableBody(t, src, data)); code != http.StatusBadRequest {
+		t.Errorf("LoadLineTS = 1<<38: %d, want 400", code)
+	}
+	// So would many geometries that each pass the per-table bound.
+	if code := post(manyGeometriesBody(t, src, data)); code != http.StatusBadRequest {
+		t.Errorf("1,000 geometries at the per-table bound: %d, want 400", code)
+	}
 	for _, path := range []string{"/v1/sweeps/nope", "/v1/sweeps/nope/rows"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -430,4 +441,42 @@ func TestSweepsValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative cursor = %d, want 400", resp.StatusCode)
 	}
+}
+
+// hugeTableBody is a sweep submission with a real recording and one
+// config whose load-line timestamp table has 1<<38 entries.
+func hugeTableBody(t testing.TB, src string, data []byte) string {
+	cfg := hydra.DefaultConfig()
+	cfg.Tracer.LoadLineTS = 1 << 38
+	return gridBody(t, src, data, []hydra.Config{cfg})
+}
+
+// manyGeometriesBody is a sweep submission with 1,000 configs, each
+// with both line timestamp caches at core.MaxTableLines and its own
+// Buffers.LoadLines (free to choose, but part of the geometry key).
+// Each config passes the per-table bound; their groups together would
+// hold about 48 GB of tables.
+func manyGeometriesBody(t testing.TB, src string, data []byte) string {
+	cfgs := make([]hydra.Config, 1000)
+	for i := range cfgs {
+		cfgs[i] = hydra.DefaultConfig()
+		cfgs[i].Tracer.LoadLineTS = core.MaxTableLines
+		cfgs[i].Tracer.StoreLineTS = core.MaxTableLines
+		cfgs[i].Buffers.LoadLines = i + 1
+	}
+	return gridBody(t, src, data, cfgs)
+}
+
+// gridBody is a sweep submission of one recording under cfgs.
+func gridBody(t testing.TB, src string, data []byte, cfgs []hydra.Config) string {
+	t.Helper()
+	body, err := json.Marshal(SweepRequest{
+		Traces:  []TraceInput{{Name: "Huffman", Source: src, Data: data}},
+		Configs: cfgs,
+		Opts:    jrpm.DefaultOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"jrpm/internal/core"
@@ -15,16 +16,18 @@ import (
 )
 
 // SweepJob is one offline analysis configuration: replay the recorded
-// event stream through a fresh comparator-bank model with this machine
-// config and these runtime policies, then run selection.
+// event stream through a fresh comparator-bank model (shared with the
+// jobs of the same store geometry) with this machine config and these
+// runtime policies, then run selection.
 type SweepJob struct {
 	Cfg    hydra.Config
 	Tracer core.Options
 	Select profile.SelectOptions
 }
 
-// SweepOutcome is one job's result: the replayed tracer (its Results()
-// table carries the raw per-loop counters) and the full profile analysis.
+// SweepOutcome is one job's result: the job's view of the replayed
+// model (its Results() table carries the raw per-loop counters) and the
+// full profile analysis.
 type SweepOutcome struct {
 	Job      SweepJob
 	Tracer   *core.Tracer
@@ -32,15 +35,21 @@ type SweepOutcome struct {
 	Err      error
 }
 
-// Sweep analyzes one recorded trace under every job concurrently. The
-// jobs are dealt round-robin to the workers; each worker decodes the
-// shared recording once and feeds every one of its jobs' comparator-bank
-// models the same batch of events in lockstep — no VM execution, no
-// shared mutable state — so N hydra configurations cost one decode per
-// worker plus N model runs. prog must be the annotated program the trace
-// was recorded from (enforced via the header hash). workers <= 0 uses
-// GOMAXPROCS. Once ctx is canceled, every job not yet complete ends with
-// the cancellation cause.
+// Sweep analyzes one recorded trace under every job concurrently, with
+// no VM execution and no shared mutable state between workers. The
+// jobs are grouped by store geometry (core.Geometry), cut into chunks
+// of core.GroupSize, and each chunk becomes one core.Group: one
+// comparator-bank pass serves all of its jobs. Each worker decodes the
+// shared recording once and feeds the batches to the groups dealt to
+// it, so N hydra configurations cost one decode per worker plus one
+// model pass per group. workers <= 0 runs one worker per group, at
+// most GOMAXPROCS; an explicit count is met, splitting groups if there
+// are fewer groups than workers (and at most one worker per job). prog
+// must be the annotated program the trace was recorded from (enforced
+// via the header hash). A job whose store tables exceed
+// core.MaxTableLines fails with a *core.GeometryError before anything
+// is allocated. Once ctx is canceled, every job not yet complete ends
+// with the cancellation cause.
 //
 // This is the record-once / analyze-many primitive behind the
 // internal/experiments ablations and the jrpmd trace-analysis job kind.
@@ -55,12 +64,6 @@ func sweep(ctx context.Context, prog *tir.Program, data []byte, jobs []SweepJob,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	out := make([]SweepOutcome, len(jobs))
 	for i := range jobs {
 		out[i].Job = jobs[i]
@@ -68,100 +71,170 @@ func sweep(ctx context.Context, prog *tir.Program, data []byte, jobs []SweepJob,
 	want := ProgramHash(prog)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		var share []*SweepOutcome
-		for i := w; i < len(out); i += workers {
-			share = append(share, &out[i])
+	for _, share := range plan(jobs, workers) {
+		groups := make([][]*SweepOutcome, len(share))
+		for m, idx := range share {
+			for _, i := range idx {
+				groups[m] = append(groups[m], &out[i])
+			}
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sweepShare(ctx, prog, want, data, share, open)
+			sweepShare(ctx, prog, want, data, groups, open)
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// sweepShare replays data once through the models of one worker's share
-// of the jobs. A panic in one model (a pathological config blowing up
-// tracer construction, say) is recovered into that job's Err and drops
-// it from the replay, so a single bad configuration cannot poison the
-// rest of the sweep.
-func sweepShare(ctx context.Context, prog *tir.Program, want [32]byte, data []byte,
-	share []*SweepOutcome, open func([]byte) (*Reader, error)) {
-	fail := func(outs []*SweepOutcome, err error) {
-		for _, o := range outs {
-			o.Err = err
+// plan groups the jobs and deals the groups to the workers:
+// result[w][m] lists the job indices that worker w runs through its
+// m-th group. A group is the jobs of one store geometry, in order,
+// cut every core.GroupSize jobs. Whole groups are dealt in contiguous
+// runs; only when workers asks for more workers than there are groups
+// is the largest group halved until each worker has one.
+func plan(jobs []SweepJob, workers int) [][][]int {
+	var groups [][]int
+	last := map[core.Geometry]int{} // geometry -> its latest group
+	for i, j := range jobs {
+		g := core.GeometryOf(j.Cfg)
+		m, ok := last[g]
+		if !ok || len(groups[m]) == core.GroupSize {
+			m = len(groups)
+			last[g] = m
+			groups = append(groups, nil)
 		}
+		groups[m] = append(groups[m], i)
+	}
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), len(groups))
+	}
+	workers = min(workers, len(jobs))
+	for len(groups) < workers {
+		m := 0
+		for i := range groups {
+			if len(groups[i]) > len(groups[m]) {
+				m = i
+			}
+		}
+		half := len(groups[m]) / 2
+		groups = slices.Insert(groups, m+1, groups[m][half:])
+		groups[m] = groups[m][:half]
+	}
+	shares := make([][][]int, workers)
+	for w := range shares {
+		shares[w] = groups[w*len(groups)/workers : (w+1)*len(groups)/workers]
+	}
+	return shares
+}
+
+// sweepShare replays data once through the groups of one worker's
+// share of the jobs, groups[m] being the jobs that share the m-th
+// core.Group. A geometry error, or a panic while building or feeding a
+// group (a pathological geometry blowing up table construction, say),
+// fails that group's jobs only and drops the group from the replay, so
+// a bad configuration cannot poison the rest of the sweep.
+func sweepShare(ctx context.Context, prog *tir.Program, want [32]byte, data []byte,
+	groups [][]*SweepOutcome, open func([]byte) (*Reader, error)) {
+	type model struct {
+		g    *core.Group
+		outs []*SweepOutcome
+	}
+	fail := func(err error, ms ...model) {
+		for _, m := range ms {
+			for _, o := range m.outs {
+				o.Err = err
+			}
+		}
+	}
+	all := make([]model, len(groups))
+	for m, outs := range groups {
+		all[m].outs = outs
 	}
 	// A failed job carries its error alone, never a half-built result.
 	defer func() {
-		for _, o := range share {
-			if o.Err != nil {
-				o.Tracer, o.Analysis = nil, nil
+		for _, m := range all {
+			for _, o := range m.outs {
+				if o.Err != nil {
+					o.Tracer, o.Analysis = nil, nil
+				}
 			}
 		}
 	}()
 	if ctx.Err() != nil {
-		fail(share, context.Cause(ctx))
+		fail(context.Cause(ctx), all...)
 		return
 	}
 	r, err := open(data)
 	if err != nil {
-		fail(share, err)
+		fail(err, all...)
 		return
 	}
 	if r.Header().ProgramHash != want {
-		fail(share, ErrHashMismatch)
+		fail(ErrHashMismatch, all...)
 		return
 	}
 	r.NumLoops = len(prog.Loops)
 
-	live := make([]*SweepOutcome, 0, len(share))
-	for _, o := range share {
-		if o.Err = guard(func() { o.Tracer = core.NewTracer(prog, o.Job.Cfg, o.Job.Tracer) }); o.Err == nil {
-			live = append(live, o)
+	live := make([]model, 0, len(all))
+	for _, m := range all {
+		cfgs := make([]hydra.Config, len(m.outs))
+		opts := make([]core.Options, len(m.outs))
+		for i, o := range m.outs {
+			cfgs[i], opts[i] = o.Job.Cfg, o.Job.Tracer
 		}
+		if err := guard(func() (err error) { m.g, err = core.NewGroup(prog, cfgs, opts); return err }); err != nil {
+			fail(err, m)
+			continue
+		}
+		for i, o := range m.outs {
+			o.Tracer = m.g.Tracer(i)
+		}
+		live = append(live, m)
 	}
 	evs := make([]vmsim.Event, decodeBatch)
 	for len(live) > 0 {
 		if ctx.Err() != nil {
-			fail(live, context.Cause(ctx))
+			fail(context.Cause(ctx), live...)
 			return
 		}
 		n, err := r.ReadEvents(evs)
 		next := live[:0]
-		for _, o := range live {
-			if o.Err = guard(func() { o.Tracer.ConsumeEvents(evs[:n]) }); o.Err == nil {
-				next = append(next, o)
+		for _, m := range live {
+			if err := guard(func() error { m.g.ConsumeEvents(evs[:n]); return nil }); err != nil {
+				fail(err, m)
+				continue
 			}
+			next = append(next, m)
 		}
 		live = next
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			fail(live, err)
+			fail(err, live...)
 			return
 		}
 	}
 	sum, _ := r.Summary()
-	for _, o := range live {
-		o.Err = guard(func() {
-			o.Analysis = profile.BuildTree(prog, o.Tracer, sum.TracedCycles, sum.CleanCycles, o.Job.Cfg)
-			o.Analysis.Select(o.Job.Select)
-		})
+	for _, m := range live {
+		for _, o := range m.outs {
+			o.Err = guard(func() error {
+				o.Analysis = profile.BuildTree(prog, o.Tracer, sum.TracedCycles, sum.CleanCycles, o.Job.Cfg)
+				o.Analysis.Select(o.Job.Select)
+				return nil
+			})
+		}
 	}
 }
 
 // guard runs f, turning a panic into an error.
-func guard(f func()) (err error) {
+func guard(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sweep job panicked: %v", r)
 		}
 	}()
-	f()
-	return nil
+	return f()
 }

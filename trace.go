@@ -104,10 +104,12 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 
 // SweepTrace analyzes one recorded trace under every configuration
 // concurrently (see trace.Sweep): each worker decodes the shared bytes
-// once and feeds every one of its configurations' comparator-bank models
-// from that single decode, so N configurations cost zero additional VM
-// executions. Tracer policies and selection thresholds
-// come from opts; each cfgs entry supplies the machine under analysis.
+// once and feeds that single decode to one comparator-bank model per
+// store geometry among its configurations, so N configurations cost
+// zero additional VM executions and one model pass per geometry
+// (workers <= 0 keeps each geometry on one worker). Tracer
+// policies and selection thresholds come from opts; each cfgs entry
+// supplies the machine under analysis.
 func (c *Compiled) SweepTrace(ctx context.Context, data []byte, cfgs []hydra.Config, opts Options, workers int) []trace.SweepOutcome {
 	opts = Normalize(opts)
 	jobs := make([]trace.SweepJob, len(cfgs))

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/core"
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/workloads"
@@ -554,5 +555,36 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil || ae.Code != "trace_missing" {
 		t.Errorf("missing trace shard: code=%q err=%v, want trace_missing", ae.Code, err)
+	}
+}
+
+// TestShardGeometryBound: POST /v1/shards applies core.CheckGrid before
+// anything else, so a direct request with many distinct geometries, each
+// within the per-table bound, is refused with 400 instead of allocating
+// their store tables (tens of GB). The trace key is one the worker does
+// not hold: without the bound the answer would be a 404.
+func TestShardGeometryBound(t *testing.T) {
+	srv, _ := newTestWorker(t, nil)
+	cfgs := make([]hydra.Config, 1000)
+	for i := range cfgs {
+		cfgs[i] = hydra.DefaultConfig()
+		cfgs[i].Tracer.LoadLineTS = core.MaxTableLines
+		cfgs[i].Tracer.StoreLineTS = core.MaxTableLines
+		cfgs[i].Buffers.LoadLines = i + 1
+	}
+	if core.CheckGrid(cfgs[:1]) != nil {
+		t.Fatal("one geometry of the grid is already over the bound")
+	}
+	body, err := json.Marshal(ShardRequest{TraceKey: strings.Repeat("0", 64), Source: "func main() {}", Configs: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/shards", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1,000-geometry shard: HTTP %d, want 400", resp.StatusCode)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/core"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
 	"jrpm/internal/trace"
@@ -298,6 +299,13 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Configs) == 0 {
 		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "shard has no configs"})
+		return
+	}
+	// Coordinators cut shards from grids POST /v1/sweeps has checked,
+	// but this endpoint faces the network too: bound the store tables
+	// the replay would allocate.
+	if err := core.CheckGrid(req.Configs); err != nil {
+		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "bad shard request: " + err.Error()})
 		return
 	}
 	// When jrpmd wraps the worker routes in telemetry.Middleware, the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -386,5 +387,46 @@ func TestDrainCompletesQueued(t *testing.T) {
 	}
 	if n := pool.Metrics().DrainFailed.Load(); n != 0 {
 		t.Errorf("drain_failed=%d after clean drain, want 0", n)
+	}
+}
+
+// TestScaleValidation: a scale that is negative, not finite or above
+// MaxScale is refused with 400 on the job and session endpoints before
+// any input is built; 1e9 used to panic the submit handler in
+// NewInput, and 1e300 wrapped to an accepted size.
+func TestScaleValidation(t *testing.T) {
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	srv := httptest.NewServer(NewServer(pool).Handler())
+	defer srv.Close()
+	for _, path := range []string{"/v1/jobs", "/v1/sessions"} {
+		for _, body := range []string{
+			`{"workload":"euler","scale":1e9}`,
+			`{"workload":"euler","scale":1e300}`,
+			`{"workload":"euler","scale":1000}`,
+			`{"workload":"euler","scale":-0.5}`,
+		} {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s %s: %v", path, body, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %s: HTTP %d, want 400", path, body, resp.StatusCode)
+			}
+		}
+	}
+	if n := pool.Metrics().JobsSubmitted.Load(); n != 0 {
+		t.Errorf("hostile scales were queued: submitted=%d", n)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxScale + 1e-9} {
+		if err := (&Request{Workload: "euler", Scale: scale}).validate(); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+	for _, scale := range []float64{0, 0.1, 1, MaxScale} {
+		if err := (&Request{Workload: "euler", Scale: scale}).validate(); err != nil {
+			t.Errorf("scale %v refused: %v", scale, err)
+		}
 	}
 }

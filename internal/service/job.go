@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -23,8 +24,8 @@ import (
 type Request struct {
 	// Exactly one of Source / Workload must be set. Workload names a
 	// built-in benchmark whose deterministic inputs are generated
-	// server-side at Scale (default 1.0); Source carries inline JR text
-	// bound to Ints/Floats.
+	// server-side at Scale (default 1.0, at most MaxScale); Source
+	// carries inline JR text bound to Ints/Floats.
 	Source   string  `json:"source,omitempty"`
 	Workload string  `json:"workload,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
@@ -142,8 +143,16 @@ func (r *Request) validate() error {
 	return err
 }
 
+// MaxScale bounds Request.Scale. A workload's inputs grow with the
+// scale, some quadratically, and are built while the submit handler
+// validates the request; at MaxScale the largest takes about 80 MB.
+const MaxScale = 16
+
 // resolve turns a Request into runnable source + inputs.
 func (r *Request) resolve() (src string, in jrpm.Input, err error) {
+	if math.IsNaN(r.Scale) || r.Scale < 0 || r.Scale > MaxScale {
+		return "", in, fmt.Errorf("scale %v outside [0, %d]", r.Scale, MaxScale)
+	}
 	switch {
 	case r.Source != "" && r.Workload != "":
 		return "", in, fmt.Errorf("set either source or workload, not both")

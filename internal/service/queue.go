@@ -485,7 +485,8 @@ func (p *Pool) run(j *Job) {
 
 // execute runs one job. Pipeline jobs resolve, hit or fill the artifact
 // cache, profile (optionally recording a trace), and optionally
-// speculate; analyze_trace jobs replay a cached recording under each
+// speculate — from the one traced run (Compiled.Run) unless the job also
+// records; analyze_trace jobs replay a cached recording under each
 // requested machine configuration without touching the VM.
 func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	if p.testHook != nil {
@@ -514,9 +515,11 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	}
 
 	var pr *jrpm.ProfileResult
+	var sr *jrpm.SpeculateResult
 	var traceKey string
 	var traceBytes int64
-	if j.Req.Record {
+	switch {
+	case j.Req.Record:
 		var buf bytes.Buffer
 		pr, err = compiled.ProfileRecord(ctx, in, opts, &buf)
 		if err != nil {
@@ -531,7 +534,12 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 				TracedCycles: pr.TracedCycles,
 			},
 		})
-	} else {
+	case j.Req.Speculate:
+		if sr, err = compiled.Run(ctx, in, opts); err != nil {
+			return nil, err
+		}
+		pr = sr.Profile
+	default:
 		pr, err = compiled.Profile(ctx, in, opts)
 		if err != nil {
 			return nil, err
@@ -543,11 +551,16 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	res.TraceKey = traceKey
 	res.TraceBytes = traceBytes
 	if j.Req.Speculate {
-		sr, err := jrpm.SpeculateContext(ctx, in, pr)
-		if err != nil {
-			return nil, err
+		if sr == nil {
+			// A Record job's traced run fed the trace writer, not an
+			// event log: the recorder gets a recording run of its own.
+			if sr, err = jrpm.SpeculateContext(ctx, in, pr); err != nil {
+				return nil, err
+			}
 		}
-		p.metrics.CyclesSimulated.Add(pr.TracedCycles) // recording run replays the annotated program
+		if sr.RecordRuns == 1 { // the recording run replayed the annotated program
+			p.metrics.CyclesSimulated.Add(pr.TracedCycles)
+		}
 		mergeSpeculation(res, sr)
 	}
 	return res, nil

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -101,11 +102,19 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // DefaultTenant.
 const TenantHeader = "X-JRPM-Tenant"
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest decodes a POST /v1/jobs body, refusing unknown fields.
+// Pool.SubmitCtx validates what it returns.
+func decodeRequest(body io.Reader) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

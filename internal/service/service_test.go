@@ -208,6 +208,41 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSpeculateCyclesSimulated pins jrpmd_cycles_simulated_total per
+// speculate job: a plain speculate job executes the annotated program
+// once (its event log feeds the TLS recorder), a job that also records
+// a trace executes it twice.
+func TestSpeculateCyclesSimulated(t *testing.T) {
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	for _, tc := range []struct {
+		req  Request
+		runs int64
+	}{
+		{Request{Workload: "Huffman", Scale: 0.2, Speculate: true}, 1},
+		{Request{Workload: "Huffman", Scale: 0.2, Speculate: true, Record: true}, 2},
+		{Request{Workload: "Huffman", Scale: 0.2}, 1},
+	} {
+		before := pool.Metrics().CyclesSimulated.Load()
+		j, err := pool.Submit(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := mustWait(t, j)
+		if v.State != StateDone {
+			t.Fatalf("%+v: job %s: %s", tc.req, v.State, v.Error)
+		}
+		if tc.req.Speculate && v.Result.ActualSpeedup == 0 {
+			t.Errorf("%+v: no speculation result", tc.req)
+		}
+		got := pool.Metrics().CyclesSimulated.Load() - before
+		if want := tc.runs * v.Result.TracedCycles; got != want {
+			t.Errorf("%+v: cycles_simulated rose by %d, want %d (%d runs of %d cycles)",
+				tc.req, got, want, tc.runs, v.Result.TracedCycles)
+		}
+	}
+}
+
 // TestSubmitValidation: unresolvable requests are rejected at submit time
 // with 400, not queued.
 func TestSubmitValidation(t *testing.T) {

@@ -20,12 +20,17 @@ type SpeculateResult struct {
 	// Figure 11 "Actual" series is ActualCycles / CleanCycles.
 	ActualCycles  float64
 	ActualSpeedup float64
+	// RecordRuns counts the VM executions spent recording the selected
+	// loops' iterations: 0 when Compiled.Run's event log fed the
+	// recorder, 1 when the annotated program ran again.
+	RecordRuns int
 }
 
 // Speculate recompiles the loops selected by Profile and executes them
-// speculatively: it replays the program once more to record per-iteration
-// traces of the selected loops, then runs the trace-driven TLS timing
-// simulation of the 4-CPU Hydra.
+// speculatively: it runs the annotated program once more to record
+// per-iteration traces of the selected loops, then runs the trace-driven
+// TLS timing simulation of the 4-CPU Hydra. Compiled.Run gives the same
+// result from one VM execution.
 func Speculate(in Input, pr *ProfileResult) (*SpeculateResult, error) {
 	return SpeculateContext(context.Background(), in, pr)
 }
@@ -43,23 +48,65 @@ func SpeculateContext(ctx context.Context, in Input, pr *ProfileResult) (*Specul
 // loop must have passed the scalar screen (jit.Build rejects the set
 // otherwise). This is the entry point for adaptive callers — a session
 // that promotes and demotes loops over time owns its own speculative set,
-// which drifts away from the per-epoch Equation 2 answer.
+// which drifts away from the per-epoch Equation 2 answer. It always runs
+// the VM to record the loops (RecordRuns is 1).
 func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected []int) (*SpeculateResult, error) {
+	return speculateLogged(ctx, in, pr, selected, nil)
+}
+
+// Run profiles and speculates with one VM execution: the traced run's
+// event stream is kept in a pooled, bounded in-memory log, and after
+// Equation 2 selection the log feeds the TLS recorder in place of a
+// recording run. The result is bit-identical to Profile followed by
+// SpeculateContext. A run whose stream outgrows the log's bound (about
+// 64 MB of events) falls back to a recording run, and RecordRuns says
+// which path was taken. Safe for concurrent use on a shared c.
+func (c *Compiled) Run(ctx context.Context, in Input, opts Options) (*SpeculateResult, error) {
+	return c.run(ctx, in, opts, newEventLog(maxLogEvents))
+}
+
+func (c *Compiled) run(ctx context.Context, in Input, opts Options, log *eventLog) (*SpeculateResult, error) {
+	defer log.release()
+	pr, err := c.profileWith(ctx, in, opts, log)
+	if err != nil {
+		return nil, err
+	}
+	return speculateLogged(ctx, in, pr, pr.Analysis.SelectedLoopIDs(), log)
+}
+
+// speculateLogged is the one recording path: the selected loops' traces
+// come from log when it holds pr's whole traced run, and from a fresh
+// run of the annotated program otherwise (log nil or over its bound).
+// Both deliver the same events in the same order — same program, input
+// and annotation costs, and every listener is passive — so the recorder
+// captures the same entries either way.
+func speculateLogged(ctx context.Context, in Input, pr *ProfileResult, selected []int, log *eventLog) (*SpeculateResult, error) {
 	plan, err := jit.Build(pr.Annotated, selected, pr.Opts.Cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	rec := tls.NewRecorder(pr.Annotated, selected)
-	vm, err := NewVM(pr.Annotated, in, pr.Opts.Cfg)
-	if err != nil {
-		return nil, err
+	runs := 0
+	if log.complete() {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		log.replay(rec)
+	} else {
+		vm, err := NewVM(pr.Annotated, in, pr.Opts.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		vm.Listeners = append(vm.Listeners, rec)
+		if err := runVM(ctx, vm); err != nil {
+			return nil, err
+		}
+		runs = 1
 	}
-	vm.Listeners = append(vm.Listeners, rec)
-	if err := runVM(ctx, vm); err != nil {
-		return nil, err
-	}
-	return speculateEntries(pr, plan, rec.Entries), nil
+	res := speculateEntries(pr, plan, rec.Entries)
+	res.RecordRuns = runs
+	return res, nil
 }
 
 // speculateEntries runs the TLS timing simulation over recorded
@@ -105,11 +152,12 @@ func speculateEntries(pr *ProfileResult, plan *jit.Plan, entries []*tls.Entry) *
 }
 
 // Run executes the complete Jrpm pipeline — profile, select, recompile,
-// speculate — on one program.
+// speculate — on one program: Compile, then Compiled.Run, so the program
+// executes once.
 func Run(src string, in Input, opts Options) (*SpeculateResult, error) {
-	pr, err := Profile(src, in, opts)
+	c, err := Compile(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	return Speculate(in, pr)
+	return c.Run(context.Background(), in, opts)
 }

@@ -63,9 +63,10 @@ func TestReplayEquivalence(t *testing.T) {
 }
 
 // TestRecorderReplayEquivalence: the TLS recorder is an ordinary event
-// consumer, so fed a recording through Replay it must capture exactly the
-// per-iteration traces of a live run of the annotated program, and the
-// simulation over them must give the pipeline's ActualSpeedup.
+// consumer, so fed a recording through Replay, or the traced run's
+// in-memory event log as Compiled.Run feeds it, it must capture exactly
+// the per-iteration traces of a live run of the annotated program, and
+// the simulation over them must give the pipeline's ActualSpeedup.
 func TestRecorderReplayEquivalence(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -116,6 +117,14 @@ func TestRecorderReplayEquivalence(t *testing.T) {
 			}
 			if got := jrpm.SpeculateEntries(pr, spec.Plan, replayed.Entries).ActualSpeedup; got != spec.ActualSpeedup {
 				t.Errorf("ActualSpeedup from replay %v, live %v", got, spec.ActualSpeedup)
+			}
+
+			logged, err := c.LogFedRecorder(context.Background(), in, opts, selected)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(logged.Entries, live.Entries) {
+				t.Fatalf("log-fed recorder: %d entries differ from the live run's %d", len(logged.Entries), len(live.Entries))
 			}
 		})
 	}
@@ -222,7 +231,9 @@ func TestSweepSingleExecution(t *testing.T) {
 // TestProfileSpeculateRunCount pins the VM executions of a speculate
 // job: Profile runs the annotated program once (the clean baseline is
 // derived from that run), and SpeculateContext runs it once more to
-// record the selected loops' iterations.
+// record the selected loops' iterations. Compiled.Run records from the
+// traced run's event log instead, so it runs the program once, unless
+// the log goes over its bound and the recording run comes back.
 func TestProfileSpeculateRunCount(t *testing.T) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
@@ -248,6 +259,31 @@ func TestProfileSpeculateRunCount(t *testing.T) {
 	}
 	if n := vmsim.RunCount() - before; n != 2 {
 		t.Fatalf("Profile plus SpeculateContext used %d VM executions, want 2", n)
+	}
+
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		run        func() (*jrpm.SpeculateResult, error)
+		runs       int64
+		recordRuns int
+	}{
+		{"Compiled.Run", func() (*jrpm.SpeculateResult, error) { return c.Run(ctx, in, opts) }, 1, 0},
+		{"Compiled.Run over the log bound", func() (*jrpm.SpeculateResult, error) {
+			return c.RunLogLimit(ctx, in, opts, 1000)
+		}, 2, 1},
+	} {
+		before = vmsim.RunCount()
+		sr, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := vmsim.RunCount() - before; n != tc.runs {
+			t.Errorf("%s used %d VM executions, want %d", tc.name, n, tc.runs)
+		}
+		if sr.RecordRuns != tc.recordRuns {
+			t.Errorf("%s: RecordRuns %d, want %d", tc.name, sr.RecordRuns, tc.recordRuns)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package jrpm_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -114,6 +115,66 @@ func TestProfileDeterminismAcrossWorkers(t *testing.T) {
 			}
 			if sigs[i] != sigs[0] {
 				t.Fatalf("%s: worker %d diverged:\n  %s\nvs\n  %s", name, i, sigs[i], sigs[0])
+			}
+		}
+	}
+}
+
+// TestRunConcurrentKernelsSharePools runs Compiled.Run on different
+// kernels from several goroutines at once, so the event-log pool and
+// the recorder and simulator free lists hand scratch back and forth
+// between unrelated jobs. Every result must be bit-identical to the same
+// kernel's sequential run. Under -race it is also the pools' data-race
+// audit.
+func TestRunConcurrentKernelsSharePools(t *testing.T) {
+	ctx := context.Background()
+	opts := jrpm.DefaultOptions()
+	all := workloads.All()
+	compiled := make([]*jrpm.Compiled, len(all))
+	inputs := make([]jrpm.Input, len(all))
+	want := make([]*jrpm.SpeculateResult, len(all))
+	for i, w := range all {
+		c, err := jrpm.Compile(w.Source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled[i], inputs[i] = c, w.NewInput(equivScale)
+		if want[i], err = c.Run(ctx, inputs[i], opts); err != nil {
+			t.Fatalf("%s: %v", w.Meta.Name, err)
+		}
+	}
+
+	// Each worker walks every kernel from its own starting point, so at
+	// any moment the workers run different kernels.
+	const workers = 4
+	got := make([][]*jrpm.SpeculateResult, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		got[g] = make([]*jrpm.SpeculateResult, len(all))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range all {
+				i := (j + g*len(all)/workers) % len(all)
+				res, err := compiled[i].Run(ctx, inputs[i], opts)
+				if err != nil {
+					errs[g] = fmt.Errorf("%s: %w", all[i].Meta.Name, err)
+					return
+				}
+				got[g][i] = res
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("worker %d: %v", g, errs[g])
+		}
+		for i, res := range got[g] {
+			if !reflect.DeepEqual(res, want[i]) {
+				t.Errorf("worker %d, %s: result differs from the sequential run", g, all[i].Meta.Name)
 			}
 		}
 	}

@@ -430,3 +430,44 @@ func TestScaleValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunawayRecursionFailsJob: a submitted program that recurses
+// without end fails its own job with the VM's call-depth fault, with or
+// without speculation, and the server keeps serving. The recursion used
+// to overflow the Go stack, a fatal error that took the daemon down.
+func TestRunawayRecursionFailsJob(t *testing.T) {
+	pool := NewPool(Config{Workers: 2})
+	defer pool.Stop()
+	srv := httptest.NewServer(NewServer(pool).Handler())
+	defer srv.Close()
+
+	const src = `func f(x: int): int { return f(x + 1); } func main() { print(f(0)); }`
+	for _, speculate := range []bool{false, true} {
+		v, err := runJob(srv.URL, Request{Source: src, Speculate: speculate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateFailed || !strings.Contains(v.Error, "call depth exceeds") {
+			t.Fatalf("speculate=%v: state=%s error=%q, want failed on the call depth", speculate, v.State, v.Error)
+		}
+	}
+
+	v, err := runJob(srv.URL, Request{Workload: "Huffman", Scale: 0.2, Speculate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone {
+		t.Fatalf("follow-up job: state=%s error=%q", v.State, v.Error)
+	}
+	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz: HTTP %d", resp.StatusCode)
+	}
+	if n := pool.Metrics().JobsFailed.Load(); n != 2 {
+		t.Errorf("jobs_failed=%d, want 2", n)
+	}
+}

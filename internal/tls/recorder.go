@@ -1,6 +1,8 @@
 package tls
 
 import (
+	"slices"
+
 	"jrpm/internal/tir"
 	"jrpm/internal/vmsim"
 )
@@ -24,7 +26,10 @@ import (
 // Accesses and iterations are carved out of two chunked arenas, so a
 // recording allocates per arena chunk rather than per iteration: each
 // closed iteration's Acc and each closed entry's Iters is a
-// capacity-clipped window of a chunk.
+// capacity-clipped window of a chunk. Release hands the chunks, and the
+// recorder, to the next NewRecorder, so a caller that releases its
+// recorders allocates chunks only while its recordings outgrow the
+// kept ones.
 type Recorder struct {
 	Selected []bool // indexed by loop id
 	Entries  []*Entry
@@ -42,17 +47,47 @@ type Recorder struct {
 	iters arena[Iter]   // open window: the active entry's closed iterations
 }
 
+// recorders holds released recorders for NewRecorder.
+var recorders freeList[Recorder]
+
 // NewRecorder records traces for the given selected loop ids of prog.
 // Ids outside the program's loop table can never be entered and are
-// ignored.
+// ignored. The recorder may be a released one, reused.
 func NewRecorder(prog *tir.Program, selected []int) *Recorder {
-	sel := make([]bool, len(prog.Loops))
+	r := recorders.get()
+	r.init(prog, selected)
+	return r
+}
+
+// init readies an empty recorder for prog's selected loops.
+func (r *Recorder) init(prog *tir.Program, selected []int) {
+	r.prog = prog
+	n := len(prog.Loops)
+	r.Selected = slices.Grow(r.Selected[:0], n)[:n]
+	clear(r.Selected)
 	for _, id := range selected {
-		if id >= 0 && id < len(sel) {
-			sel[id] = true
+		if id >= 0 && id < len(r.Selected) {
+			r.Selected[id] = true
 		}
 	}
-	return &Recorder{Selected: sel, prog: prog}
+}
+
+// Release returns the recorder and its arena chunks for reuse by a later
+// NewRecorder. Entries, and every Iters and Acc window they hold, are
+// invalid afterwards, and r must not be used again.
+func (r *Recorder) Release() {
+	r.reset()
+	recorders.put(r)
+}
+
+// reset empties the recorder, keeping its buffers: the arenas' chunks
+// move to their free lists, up to a bound.
+func (r *Recorder) reset() {
+	clear(r.Entries)
+	r.Entries = r.Entries[:0]
+	r.prog, r.active = nil, nil
+	r.acc.reset()
+	r.iters.reset()
 }
 
 var _ vmsim.Listener = (*Recorder)(nil)
@@ -154,30 +189,62 @@ func (r *Recorder) tracks(frame uint64, slot int32) bool {
 
 // Arena chunk sizes, in elements: chunks double from the minimum up to
 // the maximum, so a small recording stays small and a large one
-// allocates once per maximum-size chunk.
+// allocates once per maximum-size chunk. A reset arena keeps at most
+// arenaKeep elements' worth of chunks, none larger than the maximum.
 const (
 	arenaMinChunk = 1 << 10
 	arenaMaxChunk = 1 << 14
+	arenaKeep     = 8 * arenaMaxChunk
 )
 
 // arena is an append-only buffer that hands out stable windows: push
 // appends to the open window and take closes it. When the chunk fills,
 // only the open window is copied into a fresh chunk, so a window once
-// taken never moves and no later push can reach it.
+// taken never moves and no later push can reach it. Chunks come from
+// the free list when one is large enough.
 type arena[T any] struct {
-	buf []T
-	lo  int // start of the open window in buf
+	buf  []T
+	lo   int   // start of the open window in buf
+	full [][]T // earlier chunks, still referenced by taken windows
+	free [][]T // empty chunks that reset kept for reuse
+
+	// fullInline backs full for a recording's first 16 chunks, so a
+	// fresh recorder allocates per chunk only: letting append grow full
+	// adds one allocation each time the chunk count doubles.
+	fullInline [16][]T
 }
 
 func (a *arena[T]) push(v T) {
 	if len(a.buf) == cap(a.buf) {
-		open := a.buf[a.lo:]
-		n := min(max(2*cap(a.buf), arenaMinChunk), arenaMaxChunk)
-		buf := make([]T, len(open), max(n, 2*len(open)))
-		copy(buf, open)
-		a.buf, a.lo = buf, 0
+		a.refill()
 	}
 	a.buf = append(a.buf, v)
+}
+
+// refill moves the open window into a chunk with room for at least as
+// many more elements.
+func (a *arena[T]) refill() {
+	open := a.buf[a.lo:]
+	var buf []T
+	for i, c := range a.free {
+		if cap(c) >= 2*len(open) {
+			buf = c[:len(open)]
+			a.free = slices.Delete(a.free, i, i+1)
+			break
+		}
+	}
+	if buf == nil {
+		n := min(max(2*cap(a.buf), arenaMinChunk), arenaMaxChunk)
+		buf = make([]T, len(open), max(n, 2*len(open)))
+	}
+	copy(buf, open)
+	if cap(a.buf) > 0 {
+		if a.full == nil {
+			a.full = a.fullInline[:0]
+		}
+		a.full = append(a.full, a.buf)
+	}
+	a.buf, a.lo = buf, 0
 }
 
 // take closes the open window and returns it clipped to its length, or
@@ -189,4 +256,23 @@ func (a *arena[T]) take() []T {
 	w := a.buf[a.lo:len(a.buf):len(a.buf)]
 	a.lo = len(a.buf)
 	return w
+}
+
+// reset invalidates every window and moves the chunks to the free list,
+// cleared, dropping oversized ones and any past arenaKeep elements.
+func (a *arena[T]) reset() {
+	kept := 0
+	for _, c := range a.free {
+		kept += cap(c)
+	}
+	for _, c := range append(a.full, a.buf) {
+		if cap(c) == 0 || cap(c) > arenaMaxChunk || kept+cap(c) > arenaKeep {
+			continue
+		}
+		clear(c)
+		a.free = append(a.free, c[:0])
+		kept += cap(c)
+	}
+	clear(a.full)
+	a.full, a.buf, a.lo = a.full[:0], nil, 0
 }

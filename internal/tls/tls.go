@@ -27,6 +27,8 @@ package tls
 
 import (
 	"math/bits"
+	"slices"
+	"unsafe"
 
 	"jrpm/internal/hydra"
 )
@@ -109,8 +111,32 @@ const syncThreshold = 2
 // of section 3.2) is shared across entries, as the recompiler would patch
 // the loop once.
 func Simulate(entries []*Entry, cfg hydra.Config) map[int]*Result {
+	s := sims.get()
+	out := s.run(entries, cfg)
+	if s.bytes() <= simKeepBytes {
+		sims.put(s)
+	}
+	return out
+}
+
+// sims holds idle simulator scratch, so Simulate allocates tables only
+// while its working sets outgrow the kept ones.
+var sims freeList[sim]
+
+// simKeepBytes bounds the scratch an idle sim may keep; a larger one,
+// grown by an unusually large loop, is left to the collector. The 26
+// paper kernels at scale 1 need at most about 0.6 MB.
+const simKeepBytes = 4 << 20
+
+// run simulates entries on s, after resetting the state that carries
+// over between its entries: the CPUs and the violation counts.
+func (s *sim) run(entries []*Entry, cfg hydra.Config) map[int]*Result {
+	s.cfg = cfg
+	cpus := max(cfg.CPUs, 0)
+	s.procFree = slices.Grow(s.procFree[:0], cpus)[:cpus]
+	clear(s.syncd)
+	clear(s.syncdFar)
 	out := map[int]*Result{}
-	s := &sim{cfg: cfg, procFree: make([]int64, max(cfg.CPUs, 0))}
 	for _, e := range entries {
 		r := out[e.Loop]
 		if r == nil {
@@ -139,10 +165,10 @@ type lastWrite struct {
 	time   int64
 }
 
-// sim is the scratch state of one Simulate call. Every table and buffer
+// sim is the scratch state of a Simulate call. Every table and buffer
 // is sized by the largest entry or thread seen so far and reused for the
 // next one, so a call allocates per table doubling, not per entry or per
-// thread. It is never shared between calls.
+// thread. Between calls it waits in sims; one call at a time owns it.
 type sim struct {
 	cfg      hydra.Config
 	procFree []int64 // per CPU: when its current thread commits
@@ -165,6 +191,13 @@ type sim struct {
 	// PC for PCs in [0, denseSyncPCs), a map for any other.
 	syncd    []int32
 	syncdFar map[int32]int32
+}
+
+// bytes reports the memory s holds in its tables and buffers.
+func (s *sim) bytes() int {
+	return 8*(cap(s.procFree)+cap(s.times)) + 4*cap(s.syncd) +
+		s.stores.bytes() + s.locals.bytes() + s.written.bytes() +
+		s.ownLocals.bytes() + s.ldLines.bytes() + s.stLines.bytes()
 }
 
 // denseSyncPCs bounds the PC-indexed violation counters; a program's PCs
@@ -398,6 +431,10 @@ func (t *table[V]) reset() {
 		clear(t.slots)
 		t.gen = 1
 	}
+}
+
+func (t *table[V]) bytes() int {
+	return len(t.slots) * int(unsafe.Sizeof(slot[V]{}))
 }
 
 func (t *table[V]) index(key uint64) int {

@@ -215,8 +215,10 @@ type dfunc struct {
 	addrMeta []fusedAddrMeta
 	incMeta  []fusedIncMeta
 	lenMeta  []fusedLenBrMeta
-	numRegs  int
-	numSlots int
+	// The function's frame on the VM stack: numSlots slots, then its
+	// registers, frameSize words in all.
+	numSlots  int
+	frameSize int
 }
 
 // Code is a decoded program, ready for the fast interpreter. It is
@@ -545,9 +547,9 @@ func readCounts(f *tir.Function) []int32 {
 
 func decodeFunc(f *tir.Function) dfunc {
 	df := dfunc{
-		name:     f.Name,
-		numRegs:  f.NumRegs,
-		numSlots: len(f.Locals),
+		name:      f.Name,
+		numSlots:  len(f.Locals),
+		frameSize: len(f.Locals) + f.NumRegs,
 	}
 
 	// Pass 1: choose fusions and compute each block's start index in the

@@ -38,13 +38,32 @@ func (vm *VM) sync(steps, cycles int64) {
 	vm.Cycles = cycles
 }
 
-// exec runs decoded function fi to completion. args fills the leading
-// named-local slots (the parameters).
-func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, error) {
+// reserve grows the frame stack, by doubling, to hold at least n words.
+// Growth moves the stack, so every live frame re-slices its window from
+// vm.stack after a call returns.
+func (vm *VM) reserve(n int) {
+	if n <= len(vm.stack) {
+		return
+	}
+	grown := make([]uint64, max(n, 2*len(vm.stack)))
+	copy(grown, vm.stack)
+	vm.stack = grown
+}
+
+// window returns f's slots and registers in the frame at fp.
+func (vm *VM) window(f *dfunc, fp int) (slots, regs []uint64) {
+	w := vm.stack[fp : fp+f.frameSize : fp+f.frameSize]
+	return w[:f.numSlots:f.numSlots], w[f.numSlots:]
+}
+
+// exec runs decoded function fi to completion in the frame window at fp
+// on the VM stack, which the caller has reserved. The caller has written
+// the nargs arguments into the window's leading slots (the parameters);
+// exec clears the rest of the window.
+func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error) {
 	f := &c.funcs[fi]
-	regs := make([]uint64, f.numRegs)
-	slots := make([]uint64, f.numSlots)
-	copy(slots, args)
+	clear(vm.stack[fp+min(nargs, f.numSlots) : fp+f.frameSize])
+	slots, regs := vm.window(f, fp)
 	vm.frameSeq++
 	frame := vm.frameSeq
 
@@ -245,10 +264,15 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			vm.sync(steps, cycles)
 			return regs[ins.a], nil
 		case dCall:
+			// The arguments go straight into the callee's leading slots,
+			// in the window that starts where this frame's ends. If
+			// reserve moves the stack, regs still reads the old copy
+			// until the window is re-sliced after the call.
 			argv := f.argPool[ins.x0 : ins.x0+ins.x1]
-			callArgs := make([]uint64, len(argv))
+			top := fp + f.frameSize
+			vm.reserve(top + max(len(argv), c.funcs[ins.t0].frameSize))
 			for i, r := range argv {
-				callArgs[i] = regs[r]
+				vm.stack[top+i] = regs[r]
 			}
 			// Unthrottled interrupt poll at call boundaries: the masked
 			// poll above fires every few thousand instructions, which
@@ -259,6 +283,10 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				vm.sync(steps, cycles)
 				return 0, ErrInterrupted
 			}
+			if vm.depth >= MaxCallDepth {
+				vm.sync(steps, cycles)
+				return 0, dfault(f.name, ins.line, "call depth exceeds %d", MaxCallDepth)
+			}
 			if em != nil {
 				em.callEnter(now, ins.t0, ins.pc, frame)
 			}
@@ -267,7 +295,9 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 				loopBase = len(sm.stack)
 			}
 			vm.sync(steps, cycles)
-			v, err := vm.exec(c, int(ins.t0), callArgs, em)
+			vm.depth++
+			v, err := vm.exec(c, int(ins.t0), top, len(argv), em)
+			vm.depth--
 			steps = vm.steps
 			cycles = vm.Cycles
 			mem = vm.Mem
@@ -275,6 +305,7 @@ func (vm *VM) exec(c *Code, fi int, args []uint64, em *batchEmitter) (uint64, er
 			if err != nil {
 				return 0, err
 			}
+			slots, regs = vm.window(f, fp) // the callee may have grown the stack
 			if sm := vm.sampler; sm != nil {
 				// Loop annotations the callee left unclosed (early
 				// returns) must not leak into this frame's stack.

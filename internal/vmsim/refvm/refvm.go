@@ -44,6 +44,7 @@ type VM struct {
 	heapTop     uint32
 	frameSeq    uint64
 	steps       int64
+	depth       int            // live calls below the entry function
 	one         [1]vmsim.Event // the batch every event is delivered in
 	interrupted atomic.Bool
 
@@ -366,10 +367,15 @@ func (vm *VM) call(fi int, args []uint64) (uint64, error) {
 				if vm.interrupted.Load() {
 					return 0, vmsim.ErrInterrupted
 				}
+				if vm.depth >= vmsim.MaxCallDepth {
+					return 0, vm.fault(f, in, "call depth exceeds %d", vmsim.MaxCallDepth)
+				}
 				if traced {
 					vm.emit(vmsim.Event{Kind: vmsim.EvCallEnter, Now: now, Loop: int32(in.Func), PC: int32(in.PC), Frame: frame})
 				}
+				vm.depth++
 				v, err := vm.call(in.Func, callArgs)
+				vm.depth--
 				if err != nil {
 					return 0, err
 				}

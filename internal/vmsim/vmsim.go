@@ -69,6 +69,12 @@ const (
 	interruptMask  = 1<<interruptShift - 1
 )
 
+// MaxCallDepth bounds the nesting of calls below the entry function. A
+// call that would exceed it faults with a RuntimeError at the call site
+// instead of growing the interpreter's stacks without limit: unbounded
+// recursion in a submitted program must fail its job, not the process.
+const MaxCallDepth = 1 << 14
+
 // RuntimeError is a positioned execution fault.
 type RuntimeError struct {
 	Msg  string
@@ -102,6 +108,12 @@ type VM struct {
 	steps       int64
 	interrupted atomic.Bool
 	sampler     *Sampler
+
+	// stack holds every live activation's frame window, slots then
+	// registers, the callee's window starting where its caller's ends.
+	// It grows by doubling and is reused by every call of the run.
+	stack []uint64
+	depth int // live calls below the entry function
 
 	// Instruction mix counters for reports.
 	NHeapLoads   int64
@@ -277,7 +289,8 @@ func (vm *VM) Run(name string) error {
 		vm.MaxSteps = 1 << 40
 	}
 	em := newBatchEmitter(vm.Listeners)
-	_, err := vm.exec(vm.code, fi, nil, em)
+	vm.reserve(vm.code.funcs[fi].frameSize)
+	_, err := vm.exec(vm.code, fi, 0, 0, em)
 	// Drain pending events even on error: the reference engine delivers
 	// every event produced before the fault, so the fast engine must too.
 	if em != nil {

@@ -37,7 +37,8 @@ func Speculate(in Input, pr *ProfileResult) (*SpeculateResult, error) {
 
 // SpeculateContext is Speculate under a context: canceling ctx interrupts
 // the recording run. Safe for concurrent use across jobs sharing pr's
-// programs — the recorder, VM and simulation state are all per-call.
+// programs — the recorder, VM and simulation state are all per-call
+// (pooled scratch belongs to one call at a time).
 func SpeculateContext(ctx context.Context, in Input, pr *ProfileResult) (*SpeculateResult, error) {
 	return SpeculateLoops(ctx, in, pr, pr.Analysis.SelectedLoopIDs())
 }
@@ -87,6 +88,7 @@ func speculateLogged(ctx context.Context, in Input, pr *ProfileResult, selected 
 	}
 
 	rec := tls.NewRecorder(pr.Annotated, selected)
+	defer rec.Release() // after speculateEntries has simulated its entries
 	runs := 0
 	if log.complete() {
 		if ctx != nil && ctx.Err() != nil {

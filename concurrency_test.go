@@ -1,6 +1,7 @@
 package jrpm_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -175,6 +176,72 @@ func TestRunConcurrentKernelsSharePools(t *testing.T) {
 		for i, res := range got[g] {
 			if !reflect.DeepEqual(res, want[i]) {
 				t.Errorf("worker %d, %s: result differs from the sequential run", g, all[i].Meta.Name)
+			}
+		}
+	}
+}
+
+// TestRecordConcurrentProgramsSharePools compiles and records different
+// kernels from several goroutines at once, so the token slices, program
+// hash buffers, VM event batches and trace-writer staging buffers pass
+// between unrelated jobs through their free lists. Every trace must be
+// byte-identical to the same kernel's sequential recording. Under -race
+// it is also the free lists' data-race audit.
+func TestRecordConcurrentProgramsSharePools(t *testing.T) {
+	ctx := context.Background()
+	opts := jrpm.DefaultOptions()
+	all := workloads.All()
+	record := func(i int) ([]byte, error) {
+		c, err := jrpm.Compile(all[i].Source, opts)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if _, err := c.ProfileRecord(ctx, all[i].NewInput(equivScale), opts, &buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
+	want := make([][]byte, len(all))
+	for i := range all {
+		var err error
+		if want[i], err = record(i); err != nil {
+			t.Fatalf("%s: %v", all[i].Meta.Name, err)
+		}
+	}
+
+	// Each worker walks every kernel from its own starting point, so at
+	// any moment the workers record different programs.
+	const workers = 4
+	got := make([][][]byte, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		got[g] = make([][]byte, len(all))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range all {
+				i := (j + g*len(all)/workers) % len(all)
+				data, err := record(i)
+				if err != nil {
+					errs[g] = fmt.Errorf("%s: %w", all[i].Meta.Name, err)
+					return
+				}
+				got[g][i] = data
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("worker %d: %v", g, errs[g])
+		}
+		for i, data := range got[g] {
+			if !bytes.Equal(data, want[i]) {
+				t.Errorf("worker %d, %s: trace differs from the sequential recording (%d vs %d bytes)",
+					g, all[i].Meta.Name, len(data), len(want[i]))
 			}
 		}
 	}

@@ -21,12 +21,17 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the entire source, returning the token stream terminated by
 // a TokEOF token.
 func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
+	return appendTokens(nil, src)
+}
+
+// appendTokens appends src's token stream to toks. On error it returns
+// toks with whatever tokens it appended, for reuse, and the error.
+func appendTokens(toks []Token, src string) ([]Token, error) {
+	lx := Lexer{src: src, line: 1}
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == TokEOF {

@@ -1,5 +1,7 @@
 package lang
 
+import "jrpm/internal/freelist"
+
 // Parser is a recursive-descent parser for JR with precedence-climbing
 // expression parsing.
 type Parser struct {
@@ -7,14 +9,37 @@ type Parser struct {
 	pos  int
 }
 
-// Parse parses a JR source file.
+// Parse parses a JR source file. It lexes into a token slice reused
+// from call to call; the AST holds no reference to it.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(stripBOM(src))
-	if err != nil {
+	tb := tokBufs.Get()
+	defer tb.release()
+	var err error
+	if tb.toks, err = appendTokens(tb.toks[:0], stripBOM(src)); err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{toks: tb.toks}
 	return p.file()
+}
+
+// tokBuf is Parse's reusable token slice.
+type tokBuf struct{ toks []Token }
+
+// tokBufs holds idle token slices.
+var tokBufs freelist.List[tokBuf]
+
+// tokKeep bounds the tokens an idle tokBuf may keep (48 bytes each); a
+// slice grown by an unusually long source is left to the collector.
+const tokKeep = 1 << 14
+
+// release clears the tokens, so the idle slice pins no source text, and
+// gives the slice back to the free list.
+func (tb *tokBuf) release() {
+	if cap(tb.toks) > tokKeep {
+		return
+	}
+	clear(tb.toks)
+	tokBufs.Put(tb)
 }
 
 func (p *Parser) cur() Token  { return p.toks[p.pos] }

@@ -15,6 +15,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/telemetry"
+	"jrpm/internal/workloads"
 )
 
 func postJob(base string, req Request) (string, error) {
@@ -582,8 +583,16 @@ func TestTraceJobs(t *testing.T) {
 	if m.TraceCache.Count != 1 {
 		t.Errorf("trace_cache.count=%d, want 1", m.TraceCache.Count)
 	}
-	if m.TraceCache.Bytes != rec.Result.TraceBytes {
-		t.Errorf("trace_cache.bytes=%d, want %d", m.TraceCache.Bytes, rec.Result.TraceBytes)
+	// The artifact is charged its trace bytes plus its program's heap.
+	art, ok := pool.Traces().Get(rec.Result.TraceKey)
+	if !ok {
+		t.Fatal("recorded trace is not in the trace cache")
+	}
+	if int64(len(art.Data)) != rec.Result.TraceBytes {
+		t.Errorf("cached trace holds %d bytes, result reports %d", len(art.Data), rec.Result.TraceBytes)
+	}
+	if want := rec.Result.TraceBytes + art.Compiled.HeapBytes(); m.TraceCache.Bytes != want {
+		t.Errorf("trace_cache.bytes=%d, want %d", m.TraceCache.Bytes, want)
 	}
 	if m.TraceCache.Hits < 1 || m.TraceCache.HitRatio <= 0 {
 		t.Errorf("trace_cache hit accounting: hits=%d ratio=%v",
@@ -656,6 +665,51 @@ func TestTraceCacheEviction(t *testing.T) {
 	}
 	if c.Snapshot().Bytes != 80 {
 		t.Errorf("bytes=%d after oversized put, want 80", c.Snapshot().Bytes)
+	}
+}
+
+// TestTraceCacheChargesProgram: an artifact is charged its trace bytes
+// plus the heap of the compiled program it pins, so a cache with room
+// for one program evicts on the second artifact, and a Data with a
+// grown buffer's spare capacity is stored clipped to its length.
+func TestTraceCacheChargesProgram(t *testing.T) {
+	w, err := workloads.ByName("Huffman")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := jrpm.Compile(w.Source, jrpm.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := prog.HeapBytes()
+	if heap <= 0 {
+		t.Fatalf("HeapBytes = %d, want > 0", heap)
+	}
+	c := NewTraceCache(heap + 1500)
+	mk := func(fill byte) *TraceArtifact {
+		data := make([]byte, 1000, 1<<16)
+		for i := range data {
+			data[i] = fill
+		}
+		return &TraceArtifact{Data: data, Compiled: prog}
+	}
+	a1 := mk(1)
+	k1 := c.Put(a1)
+	if s := c.Snapshot(); s.Count != 1 || s.Bytes != 1000+heap {
+		t.Errorf("count=%d bytes=%d, want 1/%d", s.Count, s.Bytes, 1000+heap)
+	}
+	if cap(a1.Data) > 1000+1000/8 {
+		t.Errorf("stored Data keeps capacity %d for 1000 bytes", cap(a1.Data))
+	}
+	k2 := c.Put(mk(2))
+	if _, ok := c.Get(k1); ok {
+		t.Error("first artifact should have been evicted: two programs exceed the cache")
+	}
+	if _, ok := c.Get(k2); !ok {
+		t.Error("second artifact lost")
+	}
+	if s := c.Snapshot(); s.Count != 1 || s.Bytes != 1000+heap {
+		t.Errorf("count=%d bytes=%d after eviction, want 1/%d", s.Count, s.Bytes, 1000+heap)
 	}
 }
 

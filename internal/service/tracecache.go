@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -21,6 +22,8 @@ type TraceArtifact struct {
 	Data     []byte
 	Compiled *jrpm.Compiled
 	Summary  trace.Summary
+
+	size int64 // bytes charged to the cache, set by Put
 }
 
 // TraceKeyOf returns the content address of a recorded trace.
@@ -30,9 +33,11 @@ func TraceKeyOf(data []byte) string {
 }
 
 // TraceCache is a thread-safe LRU of trace artifacts bounded by total
-// byte size (traces are orders of magnitude larger than compiled
-// programs, so counting entries would be the wrong unit). Hit/miss/byte
-// counters feed GET /v1/metrics.
+// byte size. An artifact is charged its trace bytes plus the heap its
+// compiled program holds (jrpm.Compiled.HeapBytes): a default-corpus
+// recording is about 9 KB and its clean and annotated programs about
+// 40 KB, and traces range over orders of magnitude, so counting entries
+// would be the wrong unit. Hit/miss/byte counters feed GET /v1/metrics.
 type TraceCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -66,14 +71,23 @@ func (c *TraceCache) Get(key string) (*TraceArtifact, bool) {
 
 // Put stores an artifact under its content address and returns the key.
 // An artifact larger than the whole cache is not stored (it would evict
-// everything and then be evicted itself on the next Put).
+// everything and then be evicted itself on the next Put). A stored Data
+// with more spare capacity than allocator rounding leaves — a
+// bytes.Buffer doubled as the trace was written — is copied to its
+// length first, so the cache pins only what it charges.
 func (c *TraceCache) Put(a *TraceArtifact) string {
 	if a.Key == "" {
 		a.Key = TraceKeyOf(a.Data)
 	}
-	size := int64(len(a.Data))
-	if c.maxBytes <= 0 || size > c.maxBytes {
+	a.size = int64(len(a.Data))
+	if a.Compiled != nil {
+		a.size += a.Compiled.HeapBytes()
+	}
+	if c.maxBytes <= 0 || a.size > c.maxBytes {
 		return a.Key
+	}
+	if cap(a.Data)-len(a.Data) > len(a.Data)/8 {
+		a.Data = bytes.Clone(a.Data)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -83,13 +97,13 @@ func (c *TraceCache) Put(a *TraceArtifact) string {
 		return a.Key
 	}
 	c.items[a.Key] = c.ll.PushFront(a)
-	c.curBytes += size
+	c.curBytes += a.size
 	for c.curBytes > c.maxBytes {
 		oldest := c.ll.Back()
 		victim := oldest.Value.(*TraceArtifact)
 		c.ll.Remove(oldest)
 		delete(c.items, victim.Key)
-		c.curBytes -= int64(len(victim.Data))
+		c.curBytes -= victim.size
 	}
 	return a.Key
 }

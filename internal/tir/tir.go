@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"unsafe"
 )
 
 // Op enumerates TIR opcodes.
@@ -308,6 +309,39 @@ func (f *Function) NumInstrs() int {
 		n += len(f.Blocks[bi].Instrs)
 	}
 	return n
+}
+
+// HeapBytes estimates the heap p occupies: its structs, the backing
+// arrays of its slices at their capacity, the bytes of its names and its
+// two name indexes. A service cache charges a program's artifact by it.
+func (p *Program) HeapBytes() int64 {
+	const mapEntry = 48 // key header, value and bucket share of a map entry
+	n := int64(unsafe.Sizeof(*p)) + int64(cap(p.Funcs))*8
+	for _, f := range p.Funcs {
+		n += int64(unsafe.Sizeof(*f)) + int64(len(f.Name)) +
+			int64(cap(f.Locals))*int64(unsafe.Sizeof(Local{})) +
+			int64(cap(f.Blocks))*int64(unsafe.Sizeof(Block{}))
+		for _, l := range f.Locals {
+			n += int64(len(l.Name))
+		}
+		for bi := range f.Blocks {
+			b := &f.Blocks[bi]
+			n += int64(cap(b.Instrs))*int64(unsafe.Sizeof(Instr{})) + int64(cap(b.Targets))*8
+			for ii := range b.Instrs {
+				n += int64(cap(b.Instrs[ii].Args)) * int64(unsafe.Sizeof(Reg(0)))
+			}
+		}
+	}
+	n += int64(cap(p.Globals)) * int64(unsafe.Sizeof(GlobalArray{}))
+	for _, g := range p.Globals {
+		n += int64(len(g.Name))
+	}
+	n += int64(cap(p.Loops)) * int64(unsafe.Sizeof(LoopInfo{}))
+	for i := range p.Loops {
+		l := &p.Loops[i]
+		n += int64(len(l.Name)+len(l.Reject)) + int64(cap(l.Blocks)+cap(l.AnnLocals))*8
+	}
+	return n + int64(len(p.FuncIndex)+len(p.GlobIndex))*mapEntry
 }
 
 // Clone returns a deep copy of p: no slice or map of the copy shares

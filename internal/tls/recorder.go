@@ -3,6 +3,7 @@ package tls
 import (
 	"slices"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/tir"
 	"jrpm/internal/vmsim"
 )
@@ -48,13 +49,13 @@ type Recorder struct {
 }
 
 // recorders holds released recorders for NewRecorder.
-var recorders freeList[Recorder]
+var recorders freelist.List[Recorder]
 
 // NewRecorder records traces for the given selected loop ids of prog.
 // Ids outside the program's loop table can never be entered and are
 // ignored. The recorder may be a released one, reused.
 func NewRecorder(prog *tir.Program, selected []int) *Recorder {
-	r := recorders.get()
+	r := recorders.Get()
 	r.init(prog, selected)
 	return r
 }
@@ -77,7 +78,7 @@ func (r *Recorder) init(prog *tir.Program, selected []int) {
 // invalid afterwards, and r must not be used again.
 func (r *Recorder) Release() {
 	r.reset()
-	recorders.put(r)
+	recorders.Put(r)
 }
 
 // reset empties the recorder, keeping its buffers: the arenas' chunks

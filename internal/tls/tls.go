@@ -30,6 +30,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
 )
 
@@ -111,17 +112,17 @@ const syncThreshold = 2
 // of section 3.2) is shared across entries, as the recompiler would patch
 // the loop once.
 func Simulate(entries []*Entry, cfg hydra.Config) map[int]*Result {
-	s := sims.get()
+	s := sims.Get()
 	out := s.run(entries, cfg)
 	if s.bytes() <= simKeepBytes {
-		sims.put(s)
+		sims.Put(s)
 	}
 	return out
 }
 
 // sims holds idle simulator scratch, so Simulate allocates tables only
 // while its working sets outgrow the kept ones.
-var sims freeList[sim]
+var sims freelist.List[sim]
 
 // simKeepBytes bounds the scratch an idle sim may keep; a larger one,
 // grown by an unusually large loop, is left to the collector. The 26

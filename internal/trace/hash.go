@@ -3,10 +3,9 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
-	"io"
 	"math"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/tir"
 )
 
@@ -15,63 +14,73 @@ import (
 // block graph, the globals, and the loop table. Two programs hash equal
 // iff they publish identical event streams on identical inputs, so the
 // hash in a trace header pins the exact artifact a recording belongs to.
+//
+// The hashed stream is strings as raw bytes, ints as signed varints and
+// 64-bit immediates as little-endian words. It is appended into one
+// buffer, reused from call to call, and hashed in one sha256.Sum256.
 func ProgramHash(p *tir.Program) [32]byte {
-	h := sha256.New()
-	io.WriteString(h, "jrpm-trace-prog-v1\x00")
-	putInt(h, len(p.Funcs))
+	hb := hashBufs.Get()
+	b := append(hb.b[:0], "jrpm-trace-prog-v1\x00"...)
+	b = appendInts(b, len(p.Funcs))
 	for _, f := range p.Funcs {
-		io.WriteString(h, f.Name)
-		putInt(h, f.Params, len(f.Locals), f.NumRegs, len(f.Blocks))
+		b = append(b, f.Name...)
+		b = appendInts(b, f.Params, len(f.Locals), f.NumRegs, len(f.Blocks))
 		for _, l := range f.Locals {
-			io.WriteString(h, l.Name)
-			putInt(h, int(l.Kind), b2i(l.Param))
+			b = append(b, l.Name...)
+			b = appendInts(b, int(l.Kind), b2i(l.Param))
 		}
 		for bi := range f.Blocks {
-			b := &f.Blocks[bi]
-			putInt(h, len(b.Instrs), len(b.Targets))
-			putInt(h, b.Targets...)
-			for ii := range b.Instrs {
-				in := &b.Instrs[ii]
-				putInt(h, int(in.Op), int(in.Dst), int(in.A), int(in.B),
+			blk := &f.Blocks[bi]
+			b = appendInts(b, len(blk.Instrs), len(blk.Targets))
+			b = appendInts(b, blk.Targets...)
+			for ii := range blk.Instrs {
+				in := &blk.Instrs[ii]
+				b = appendInts(b, int(in.Op), int(in.Dst), int(in.A), int(in.B),
 					in.Slot, in.Func, in.Loop, b2i(in.HasVal), b2i(in.IsF), len(in.Args))
-				put64(h, uint64(in.Imm), math.Float64bits(in.FImm))
+				b = binary.LittleEndian.AppendUint64(b, uint64(in.Imm))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(in.FImm))
 				for _, a := range in.Args {
-					putInt(h, int(a))
+					b = binary.AppendVarint(b, int64(a))
 				}
 			}
 		}
 	}
-	putInt(h, len(p.Globals))
+	b = appendInts(b, len(p.Globals))
 	for _, g := range p.Globals {
-		io.WriteString(h, g.Name)
-		putInt(h, int(g.Kind))
+		b = append(b, g.Name...)
+		b = appendInts(b, int(g.Kind))
 	}
-	putInt(h, len(p.Loops))
+	b = appendInts(b, len(p.Loops))
 	for i := range p.Loops {
 		l := &p.Loops[i]
-		io.WriteString(h, l.Name)
-		putInt(h, l.ID, l.Func, l.Header, l.NumLocals, b2i(l.Candidate), len(l.AnnLocals))
-		putInt(h, l.AnnLocals...)
+		b = append(b, l.Name...)
+		b = appendInts(b, l.ID, l.Func, l.Header, l.NumLocals, b2i(l.Candidate), len(l.AnnLocals))
+		b = appendInts(b, l.AnnLocals...)
 	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	sum := sha256.Sum256(b)
+	if cap(b) <= hashKeepBytes {
+		hb.b = b
+		hashBufs.Put(hb)
+	}
+	return sum
 }
 
-func putInt(h hash.Hash, vs ...int) {
-	var buf [binary.MaxVarintLen64]byte
-	for _, v := range vs {
-		n := binary.PutVarint(buf[:], int64(v))
-		h.Write(buf[:n])
-	}
-}
+// hashBuf is ProgramHash's reusable stream buffer.
+type hashBuf struct{ b []byte }
 
-func put64(h hash.Hash, vs ...uint64) {
-	var buf [8]byte
+// hashBufs holds idle ProgramHash buffers.
+var hashBufs freelist.List[hashBuf]
+
+// hashKeepBytes bounds the buffer an idle hashBuf may keep; one grown by
+// an unusually large program is left to the collector. A default-corpus
+// program streams about 4.5 KB.
+const hashKeepBytes = 1 << 20
+
+func appendInts(b []byte, vs ...int) []byte {
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		b = binary.AppendVarint(b, int64(v))
 	}
+	return b
 }
 
 func b2i(b bool) int {

@@ -353,3 +353,65 @@ func TestReaderWindowRefill(t *testing.T) {
 		}
 	}
 }
+
+// writeLog is a Writer destination that keeps every Write's size.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.sizes = append(l.sizes, len(p))
+	return l.Buffer.Write(p)
+}
+
+// TestWriterStagesWrites: records reach the destination through the
+// staging buffer — a short trace in one Write at Finish, a long one in
+// writes of nearly stagingSize bytes and never more — and a batch fed
+// through ConsumeEvents writes the bytes the per-record methods write.
+func TestWriterStagesWrites(t *testing.T) {
+	for _, n := range []int{100, 100_000} {
+		evs := make([]vmsim.Event, n)
+		for i := range evs {
+			evs[i] = vmsim.Event{Kind: vmsim.EvHeapStore, Now: int64(3 * i), Addr: uint32(i * 4096), PC: int32(i % 977)}
+		}
+		var batched, single writeLog
+		wb, err := NewWriter(&batched, [32]byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i += 256 {
+			wb.ConsumeEvents(evs[i:min(i+256, n)])
+		}
+		ws, err := NewWriter(&single, [32]byte{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			ws.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+		}
+		for _, w := range []*Writer{wb, ws} {
+			if err := w.Finish(Summary{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(batched.Bytes(), single.Bytes()) {
+			t.Fatalf("%d records: ConsumeEvents and HeapStore wrote different bytes", n)
+		}
+		for _, l := range []*writeLog{&batched, &single} {
+			if l.Len() < stagingSize-maxRecordLen {
+				if len(l.sizes) != 1 {
+					t.Errorf("%d-byte trace reached the destination in %d writes, want 1", l.Len(), len(l.sizes))
+				}
+				continue
+			}
+			for i, size := range l.sizes {
+				last := i == len(l.sizes)-1
+				if size > stagingSize || (!last && size < stagingSize-maxRecordLen) {
+					t.Errorf("%d-byte trace: write %d of %d is %d bytes, want at most %d and, before the last, at least %d",
+						l.Len(), i, len(l.sizes), size, stagingSize, stagingSize-maxRecordLen)
+				}
+			}
+		}
+	}
+}

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/vmsim"
 )
 
@@ -14,11 +14,17 @@ import (
 // identical event sequence — which is what makes replay equivalent to
 // live profiling by construction rather than by testing alone.
 //
+// Records are appended to a 64 KiB staging buffer, taken from a free list
+// and written to the destination whenever it cannot hold one more record
+// and at Finish, which gives the buffer back. A trace that fits in the
+// buffer therefore reaches the destination in one Write.
+//
 // ConsumeEvents cannot return errors, so the first I/O failure is
 // latched and every later record becomes a no-op; Finish (or Err)
 // surfaces it. A Writer is single-goroutine, like the VM that drives it.
 type Writer struct {
-	bw  *bufio.Writer
+	dst io.Writer
+	st  *staging // nil once finished
 	err error
 
 	prevTime  int64
@@ -28,9 +34,17 @@ type Writer struct {
 
 	records  uint64
 	finished bool
-
-	scratch [2 + 4*binary.MaxVarintLen64]byte
 }
+
+// staging is a Writer's record buffer, reused by later writers.
+type staging struct{ b []byte }
+
+// stagings holds idle staging buffers.
+var stagings freelist.List[staging]
+
+// stagingSize is the staging buffer's capacity. Before each record the
+// buffer is flushed if fewer than maxRecordLen bytes are free.
+const stagingSize = 64 << 10
 
 var _ vmsim.Listener = (*Writer)(nil)
 
@@ -40,43 +54,52 @@ var _ vmsim.Listener = (*Writer)(nil)
 // has no record for them, so trace bytes are those of the annotated
 // stream alone.
 func (w *Writer) ConsumeEvents(evs []vmsim.Event) {
+	if w.err != nil || w.finished {
+		return
+	}
+	b := w.st.b
 	for i := range evs {
 		ev := &evs[i]
+		if cap(b)-len(b) < maxRecordLen {
+			w.st.b = b
+			if w.flush(); w.err != nil {
+				return
+			}
+			b = w.st.b
+		}
 		switch ev.Kind {
 		case vmsim.EvHeapLoad:
-			w.HeapLoad(ev.Now, ev.Addr, int(ev.PC))
+			b = w.appendHeap(b, KindHeapLoad, ev.Now, ev.Addr, int(ev.PC))
 		case vmsim.EvHeapStore:
-			w.HeapStore(ev.Now, ev.Addr, int(ev.PC))
+			b = w.appendHeap(b, KindHeapStore, ev.Now, ev.Addr, int(ev.PC))
 		case vmsim.EvLocalLoad:
-			w.LocalLoad(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			b = w.appendLocal(b, KindLocalLoad, ev.Now, ev.Frame, int(ev.Slot), int(ev.PC))
 		case vmsim.EvLocalStore:
-			w.LocalStore(ev.Now, vmsim.SlotID{Frame: ev.Frame, Slot: int(ev.Slot)}, int(ev.PC))
+			b = w.appendLocal(b, KindLocalStore, ev.Now, ev.Frame, int(ev.Slot), int(ev.PC))
 		case vmsim.EvLoopStart:
-			w.LoopStart(ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
+			b = w.appendLoopStart(b, ev.Now, int(ev.Loop), int(ev.NumLocals), ev.Frame)
 		case vmsim.EvLoopIter:
-			w.LoopIter(ev.Now, int(ev.Loop))
+			b = w.appendLoopMark(b, KindLoopIter, ev.Now, int(ev.Loop))
 		case vmsim.EvLoopEnd:
-			w.LoopEnd(ev.Now, int(ev.Loop))
+			b = w.appendLoopMark(b, KindLoopEnd, ev.Now, int(ev.Loop))
 		case vmsim.EvReadStats:
-			w.ReadStats(ev.Now, int(ev.Loop))
+			b = w.appendLoopMark(b, KindReadStats, ev.Now, int(ev.Loop))
 		}
 	}
+	w.st.b = b
 }
 
 // NewWriter opens a trace on w for a program with the given structural
-// hash (see ProgramHash) and writes the header.
+// hash (see ProgramHash) and stages the header.
 func NewWriter(w io.Writer, progHash [32]byte) (*Writer, error) {
-	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := tw.bw.Write(Magic[:]); err != nil {
-		return nil, err
+	st := stagings.Get()
+	if st.b == nil {
+		st.b = make([]byte, 0, stagingSize)
 	}
-	if err := tw.bw.WriteByte(Version); err != nil {
-		return nil, err
-	}
-	if _, err := tw.bw.Write(progHash[:]); err != nil {
-		return nil, err
-	}
-	return tw, nil
+	st.b = append(st.b[:0], Magic[:]...)
+	st.b = append(st.b, Version)
+	st.b = append(st.b, progHash[:]...)
+	return &Writer{dst: w, st: st}, nil
 }
 
 // Err returns the first error encountered while writing records.
@@ -85,101 +108,162 @@ func (w *Writer) Err() error { return w.err }
 // Records returns the number of event records written so far.
 func (w *Writer) Records() uint64 { return w.records }
 
-// Finish writes the summary trailer and flushes. sum.Records is filled in
-// by the writer. Finish must be called exactly once, after the traced run
-// completes.
+// Finish writes the summary trailer, flushes and releases the staging
+// buffer. sum.Records is filled in by the writer. Finish must be called
+// exactly once, after the traced run completes.
 func (w *Writer) Finish(sum Summary) error {
 	if w.err != nil {
+		w.release()
 		return w.err
 	}
 	if w.finished {
 		return fmt.Errorf("trace: Finish called twice")
 	}
-	w.finished = true
 	sum.Records = w.records
-	buf := w.scratch[:0]
-	buf = append(buf, byte(KindSummary))
-	buf = binary.AppendUvarint(buf, sum.Records)
-	buf = binary.AppendUvarint(buf, uint64(sum.CleanCycles))
-	buf = binary.AppendUvarint(buf, uint64(sum.TracedCycles))
-	buf = binary.AppendUvarint(buf, uint64(sum.HeapLoads))
-	buf = binary.AppendUvarint(buf, uint64(sum.HeapStores))
-	buf = binary.AppendUvarint(buf, uint64(sum.LocalAnnots))
-	buf = binary.AppendUvarint(buf, uint64(sum.LoopAnnots))
-	buf = binary.AppendUvarint(buf, uint64(sum.ReadStats))
-	buf = binary.AppendUvarint(buf, uint64(sum.Annotations))
-	if _, err := w.bw.Write(buf); err != nil {
-		w.err = err
-		return err
+	if b, ok := w.room(); ok {
+		b = append(b, byte(KindSummary))
+		b = binary.AppendUvarint(b, sum.Records)
+		b = binary.AppendUvarint(b, uint64(sum.CleanCycles))
+		b = binary.AppendUvarint(b, uint64(sum.TracedCycles))
+		b = binary.AppendUvarint(b, uint64(sum.HeapLoads))
+		b = binary.AppendUvarint(b, uint64(sum.HeapStores))
+		b = binary.AppendUvarint(b, uint64(sum.LocalAnnots))
+		b = binary.AppendUvarint(b, uint64(sum.LoopAnnots))
+		b = binary.AppendUvarint(b, uint64(sum.ReadStats))
+		b = binary.AppendUvarint(b, uint64(sum.Annotations))
+		w.st.b = b
+		w.flush()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
+	w.finished = true
+	w.release()
+	return w.err
 }
 
-// emit writes one record: the kind tag, the time delta, then the payload
-// values (alternating raw uvarints and zigzag deltas per record layout).
-func (w *Writer) emit(kind Kind, now int64, fields ...uint64) {
-	if w.err != nil || w.finished {
-		return
-	}
-	buf := w.scratch[:0]
-	buf = append(buf, byte(kind))
-	buf = binary.AppendUvarint(buf, uint64(now-w.prevTime))
-	w.prevTime = now
-	for _, f := range fields {
-		buf = binary.AppendUvarint(buf, f)
-	}
-	if _, err := w.bw.Write(buf); err != nil {
+// flush writes the staged bytes to the destination, latching an error.
+func (w *Writer) flush() {
+	if _, err := w.dst.Write(w.st.b); err != nil {
 		w.err = err
-		return
 	}
+	w.st.b = w.st.b[:0]
+}
+
+// release gives the staging buffer back to the free list.
+func (w *Writer) release() {
+	if w.st != nil {
+		stagings.Put(w.st)
+		w.st = nil
+	}
+}
+
+// room returns the staging buffer with space for one more record,
+// flushing it first if need be; ok is false once the writer has failed
+// or finished, and the record is then dropped.
+func (w *Writer) room() (b []byte, ok bool) {
+	if w.err != nil || w.finished {
+		return nil, false
+	}
+	if cap(w.st.b)-len(w.st.b) < maxRecordLen {
+		if w.flush(); w.err != nil {
+			return nil, false
+		}
+	}
+	return w.st.b, true
+}
+
+// appendHead appends a record's kind tag and time delta and counts the
+// record. The append methods below each add one record kind's payload;
+// b must have room for a whole record (see room).
+func (w *Writer) appendHead(b []byte, kind Kind, now int64) []byte {
+	b = append(b, byte(kind))
+	b = binary.AppendUvarint(b, uint64(now-w.prevTime))
+	w.prevTime = now
 	w.records++
+	return b
+}
+
+func (w *Writer) appendHeap(b []byte, kind Kind, now int64, addr uint32, pc int) []byte {
+	b = w.appendHead(b, kind, now)
+	b = binary.AppendUvarint(b, zigzag(int64(addr)-int64(w.prevAddr)))
+	b = binary.AppendUvarint(b, zigzag(int64(pc-w.prevPC)))
+	w.prevAddr, w.prevPC = addr, pc
+	return b
+}
+
+func (w *Writer) appendLocal(b []byte, kind Kind, now int64, frame uint64, slot, pc int) []byte {
+	b = w.appendHead(b, kind, now)
+	b = binary.AppendUvarint(b, zigzag(int64(frame-w.prevFrame)))
+	b = binary.AppendUvarint(b, uint64(slot))
+	b = binary.AppendUvarint(b, zigzag(int64(pc-w.prevPC)))
+	w.prevFrame, w.prevPC = frame, pc
+	return b
+}
+
+func (w *Writer) appendLoopStart(b []byte, now int64, loop, numLocals int, frame uint64) []byte {
+	b = w.appendHead(b, KindLoopStart, now)
+	b = binary.AppendUvarint(b, uint64(loop))
+	b = binary.AppendUvarint(b, uint64(numLocals))
+	b = binary.AppendUvarint(b, zigzag(int64(frame-w.prevFrame)))
+	w.prevFrame = frame
+	return b
+}
+
+func (w *Writer) appendLoopMark(b []byte, kind Kind, now int64, loop int) []byte {
+	b = w.appendHead(b, kind, now)
+	return binary.AppendUvarint(b, uint64(loop))
 }
 
 // HeapLoad records an lw event.
 func (w *Writer) HeapLoad(now int64, addr uint32, pc int) {
-	w.emit(KindHeapLoad, now, zigzag(int64(addr)-int64(w.prevAddr)), zigzag(int64(pc-w.prevPC)))
-	w.prevAddr, w.prevPC = addr, pc
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendHeap(b, KindHeapLoad, now, addr, pc)
+	}
 }
 
 // HeapStore records an sw event.
 func (w *Writer) HeapStore(now int64, addr uint32, pc int) {
-	w.emit(KindHeapStore, now, zigzag(int64(addr)-int64(w.prevAddr)), zigzag(int64(pc-w.prevPC)))
-	w.prevAddr, w.prevPC = addr, pc
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendHeap(b, KindHeapStore, now, addr, pc)
+	}
 }
 
 // LocalLoad records an lwl event.
 func (w *Writer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	w.emit(KindLocalLoad, now, zigzag(int64(id.Frame-w.prevFrame)), uint64(id.Slot), zigzag(int64(pc-w.prevPC)))
-	w.prevFrame, w.prevPC = id.Frame, pc
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLocal(b, KindLocalLoad, now, id.Frame, id.Slot, pc)
+	}
 }
 
 // LocalStore records an swl event.
 func (w *Writer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	w.emit(KindLocalStore, now, zigzag(int64(id.Frame-w.prevFrame)), uint64(id.Slot), zigzag(int64(pc-w.prevPC)))
-	w.prevFrame, w.prevPC = id.Frame, pc
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLocal(b, KindLocalStore, now, id.Frame, id.Slot, pc)
+	}
 }
 
 // LoopStart records an sloop event.
 func (w *Writer) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	w.emit(KindLoopStart, now, uint64(loop), uint64(numLocals), zigzag(int64(frame-w.prevFrame)))
-	w.prevFrame = frame
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLoopStart(b, now, loop, numLocals, frame)
+	}
 }
 
 // LoopIter records an eoi event.
 func (w *Writer) LoopIter(now int64, loop int) {
-	w.emit(KindLoopIter, now, uint64(loop))
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLoopMark(b, KindLoopIter, now, loop)
+	}
 }
 
 // LoopEnd records an eloop event.
 func (w *Writer) LoopEnd(now int64, loop int) {
-	w.emit(KindLoopEnd, now, uint64(loop))
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLoopMark(b, KindLoopEnd, now, loop)
+	}
 }
 
 // ReadStats records a read-statistics event.
 func (w *Writer) ReadStats(now int64, loop int) {
-	w.emit(KindReadStats, now, uint64(loop))
+	if b, ok := w.room(); ok {
+		w.st.b = w.appendLoopMark(b, KindReadStats, now, loop)
+	}
 }

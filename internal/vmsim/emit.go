@@ -17,6 +17,8 @@ package vmsim
 // order of events that share a cycle timestamp. internal/trace/FORMAT.md
 // depends on this.
 
+import "jrpm/internal/freelist"
+
 // EventKind discriminates the variants of Event.
 type EventKind uint8
 
@@ -67,6 +69,10 @@ type batchEmitter struct {
 	buf       [batchCap]Event
 }
 
+// emitters holds idle batch emitters, so a run reuses an earlier run's
+// 10 KiB buffer.
+var emitters freelist.List[batchEmitter]
+
 // newBatchEmitter returns nil when there are no listeners, which is the
 // emitter's "statically off" state: the interpreter guards every emission
 // site with a nil check, so untraced runs pay one predictable branch and
@@ -75,7 +81,17 @@ func newBatchEmitter(listeners []Listener) *batchEmitter {
 	if len(listeners) == 0 {
 		return nil
 	}
-	return &batchEmitter{listeners: listeners}
+	em := emitters.Get()
+	em.listeners = listeners
+	return em
+}
+
+// release drains the pending events and gives the emitter back to the
+// free list; em must not be used afterwards.
+func (em *batchEmitter) release() {
+	em.flush()
+	em.listeners = nil
+	emitters.Put(em)
 }
 
 // flush hands the batch to every listener in listener order.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jrpm/internal/hydra"
 	"jrpm/internal/lang"
 	"jrpm/internal/tir"
 )
@@ -63,6 +64,38 @@ func main() {
 	}
 	if err := New(prog).BindInputs(nil, map[string][]float64{"nope": {1}}); err == nil {
 		t.Fatal("binding an unknown float global should fail")
+	}
+}
+
+// TestBindInputsSizesMemOnce: BindInputs allocates the heap once, at
+// exactly the words its line-rounded arrays need, instead of doubling
+// it per bound array; an array the program allocates later still grows
+// it.
+func TestBindInputsSizesMemOnce(t *testing.T) {
+	prog, err := lang.Compile(`
+global a: int[];
+global b: int[];
+global f: float[];
+func main() {
+	a[0] = b[0];
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := New(prog)
+	ints := map[string][]int64{"a": make([]int64, 100), "b": make([]int64, 3)}
+	floats := map[string][]float64{"f": make([]float64, 17)}
+	if err := vm.BindInputs(ints, floats); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(vm.heapTop / hydra.WordSize); len(vm.Mem) != want || cap(vm.Mem) != want {
+		t.Fatalf("Mem len %d cap %d after BindInputs, want exactly %d words", len(vm.Mem), cap(vm.Mem), want)
+	}
+	if _, err := vm.Alloc(1); err != nil {
+		t.Fatal(err)
+	}
+	if need := int(vm.heapTop / hydra.WordSize); len(vm.Mem) < need {
+		t.Fatalf("Mem len %d after Alloc, want at least %d", len(vm.Mem), need)
 	}
 }
 

@@ -150,10 +150,7 @@ func (vm *VM) Alloc(n int64) (uint32, error) {
 		return 0, fmt.Errorf("vmsim: negative allocation %d", n)
 	}
 	base := vm.heapTop
-	bytes := uint32(n) * hydra.WordSize
-	// Round the next allocation up to a fresh cache line so arrays never
-	// share lines (matches how a JVM heap would lay out largish arrays).
-	vm.heapTop += (bytes + hydra.LineSize - 1) &^ (hydra.LineSize - 1)
+	vm.heapTop += lineBytes(n)
 	need := int(vm.heapTop / hydra.WordSize)
 	if need > len(vm.Mem) {
 		grown := make([]uint64, need*2)
@@ -162,6 +159,13 @@ func (vm *VM) Alloc(n int64) (uint32, error) {
 	}
 	vm.arrays[base] = n
 	return base, nil
+}
+
+// lineBytes is the heap an array of n elements takes: rounded up to a
+// fresh cache line so arrays never share lines (matches how a JVM heap
+// would lay out largish arrays).
+func lineBytes(n int64) uint32 {
+	return (uint32(n)*hydra.WordSize + hydra.LineSize - 1) &^ (hydra.LineSize - 1)
 }
 
 // BindGlobalInts allocates and fills an int global array.
@@ -203,7 +207,22 @@ func (vm *VM) BindGlobalFloats(name string, vals []float64) error {
 // map-iteration order would make the address stream — and anything
 // derived from it, like buffer-line high-water marks or a recorded
 // trace — differ from run to run.
+//
+// Mem is sized once for all the arrays, rather than doubled by Alloc as
+// each is bound; Alloc still doubles it for arrays the program allocates.
 func (vm *VM) BindInputs(ints map[string][]int64, floats map[string][]float64) error {
+	top := vm.heapTop
+	for _, vals := range ints {
+		top += lineBytes(int64(len(vals)))
+	}
+	for _, vals := range floats {
+		top += lineBytes(int64(len(vals)))
+	}
+	if need := int(top / hydra.WordSize); need > len(vm.Mem) {
+		grown := make([]uint64, need)
+		copy(grown, vm.Mem)
+		vm.Mem = grown
+	}
 	for _, name := range sortedKeys(ints) {
 		if err := vm.BindGlobalInts(name, ints[name]); err != nil {
 			return err
@@ -294,7 +313,7 @@ func (vm *VM) Run(name string) error {
 	// Drain pending events even on error: the reference engine delivers
 	// every event produced before the fault, so the fast engine must too.
 	if em != nil {
-		em.flush()
+		em.release()
 	}
 	return err
 }

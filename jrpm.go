@@ -126,6 +126,25 @@ type Compiled struct {
 	// call).
 	Annot    annotate.Options
 	Optimize bool
+
+	// heapBytes is HeapBytes, computed once by Compile.
+	heapBytes int64
+}
+
+// HeapBytes estimates the heap the artifact holds: its clean and
+// annotated programs (tir.Program.HeapBytes). Compile computes it once;
+// for a Compiled built by hand it is computed on each call.
+func (c *Compiled) HeapBytes() int64 {
+	if c.heapBytes != 0 {
+		return c.heapBytes
+	}
+	var n int64
+	for _, p := range []*tir.Program{c.Clean, c.Annotated} {
+		if p != nil {
+			n += p.HeapBytes()
+		}
+	}
+	return n
 }
 
 // Compile runs the compile stage (step 1) once: lex, parse, generate TIR
@@ -152,13 +171,15 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	// Profile (and every jrpmd worker sharing this artifact) hits the
 	// decode cache. The run stages never execute the clean program.
 	vmsim.Predecode(annotated)
-	return &Compiled{
+	c := &Compiled{
 		Clean:           clean,
 		Annotated:       annotated,
 		AnnotationCount: nAnnot,
 		Annot:           opts.Annot,
 		Optimize:        opts.Optimize,
-	}, nil
+	}
+	c.heapBytes = c.HeapBytes()
+	return c, nil
 }
 
 // ProfileResult is the outcome of the profiling phase (steps 1-3).

@@ -41,7 +41,7 @@ func TestRunAllocsPerJob(t *testing.T) {
 	}
 	in := w.NewInput(1)
 	run := func() {
-		if _, err := c.Run(context.Background(), in, opts); err != nil {
+		if _, err := c.Run(context.Background(), in, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -140,7 +140,7 @@ func TestRunConcurrentKernelsSharePools(t *testing.T) {
 			t.Fatal(err)
 		}
 		compiled[i], inputs[i] = c, w.NewInput(equivScale)
-		if want[i], err = c.Run(ctx, inputs[i], opts); err != nil {
+		if want[i], err = c.Run(ctx, inputs[i], opts, nil); err != nil {
 			t.Fatalf("%s: %v", w.Meta.Name, err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRunConcurrentKernelsSharePools(t *testing.T) {
 			defer wg.Done()
 			for j := range all {
 				i := (j + g*len(all)/workers) % len(all)
-				res, err := compiled[i].Run(ctx, inputs[i], opts)
+				res, err := compiled[i].Run(ctx, inputs[i], opts, nil)
 				if err != nil {
 					errs[g] = fmt.Errorf("%s: %w", all[i].Meta.Name, err)
 					return

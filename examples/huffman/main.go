@@ -28,11 +28,12 @@ func main() {
 
 	opts := jrpm.DefaultOptions()
 	opts.Tracer.Extended = true // per-load-PC arc binning (Figure 8b)
-	pr, err := jrpm.Profile(w.Source, in, opts)
+	// One run of the program: profile, select, recompile, speculate.
+	spec, err := jrpm.Run(w.Source, in, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	an := pr.Analysis
+	an := spec.Profile.Analysis
 	outer := an.Roots[0]
 	inner := outer.Children[0]
 
@@ -72,10 +73,6 @@ func main() {
 		fmt.Println("  -> inner loop selected (differs from the paper!)")
 	}
 
-	spec, err := jrpm.Speculate(in, pr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\n=== Speculative execution on the simulated Hydra ===")
 	for loop, r := range spec.Loops {
 		fmt.Printf("  %s: %d threads, %d violations, %d comm-stall cycles -> %.2fx\n",

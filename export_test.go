@@ -7,9 +7,15 @@ import (
 	"jrpm/internal/tls"
 )
 
-// SpeculateEntries exposes the simulation half of SpeculateLoops, so
-// tests can feed it per-iteration traces recorded some other way.
+// SpeculateEntries exposes the simulation half of the recording path,
+// so tests can feed it per-iteration traces recorded some other way.
 var SpeculateEntries = speculateEntries
+
+// SpeculateByRecording is SpeculateContext over an explicit loop set:
+// the recording-run path Compiled.Run's event log replaces.
+func SpeculateByRecording(ctx context.Context, in Input, pr *ProfileResult, selected []int) (*SpeculateResult, error) {
+	return speculateLogged(ctx, in, pr, selected, nil)
+}
 
 // MaxLogEvents is the event log's bound in events.
 const MaxLogEvents = maxLogEvents
@@ -17,7 +23,7 @@ const MaxLogEvents = maxLogEvents
 // RunLogLimit is Compiled.Run with the event log bounded at limit
 // events, so tests can drive the over-limit fallback.
 func (c *Compiled) RunLogLimit(ctx context.Context, in Input, opts Options, limit int) (*SpeculateResult, error) {
-	return c.run(ctx, in, opts, newEventLog(limit))
+	return c.run(ctx, in, opts, nil, newEventLog(limit), nil)
 }
 
 // RunCanceledBeforeReplay is Compiled.Run with ctx canceled with cause
@@ -27,7 +33,7 @@ func (c *Compiled) RunCanceledBeforeReplay(in Input, opts Options, cause error) 
 	defer cancel(nil)
 	log := newEventLog(maxLogEvents)
 	defer log.release()
-	pr, err := c.profileWith(ctx, in, opts, log)
+	pr, err := c.Profile(ctx, in, opts, log)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +46,7 @@ func (c *Compiled) RunCanceledBeforeReplay(in Input, opts Options, cause error) 
 func (c *Compiled) LogFedRecorder(ctx context.Context, in Input, opts Options, selected []int) (*tls.Recorder, error) {
 	log := newEventLog(maxLogEvents)
 	defer log.release()
-	if _, err := c.profileWith(ctx, in, opts, log); err != nil {
+	if _, err := c.Profile(ctx, in, opts, log); err != nil {
 		return nil, err
 	}
 	if !log.complete() {

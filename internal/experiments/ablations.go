@@ -13,7 +13,6 @@ import (
 	"jrpm/internal/hydra"
 	"jrpm/internal/profile"
 	"jrpm/internal/tir"
-	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
 )
@@ -192,17 +191,6 @@ func sweepSuite(ctx context.Context, sw GridSweeper, scale float64, opts jrpm.Op
 		}
 	}
 	return nil
-}
-
-// replayInto replays a recorded trace into an arbitrary VM listener.
-func replayInto(c *jrpm.Compiled, data []byte, l vmsim.Listener) error {
-	r, err := trace.NewBytesReader(data)
-	if err != nil {
-		return err
-	}
-	r.NumLoops = len(c.Annotated.Loops)
-	_, err = r.Replay(l)
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -454,23 +442,15 @@ func AblateBins(scale float64) ([]BinsRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		var buf bytes.Buffer
-		pr, err := c.ProfileRecord(context.Background(), in, opts, &buf)
-		if err != nil {
-			return nil, "", err
-		}
-		// The oracle consumes the same event stream the hardware model
-		// saw; replay it from the recording instead of re-running the VM.
-		oracle := NewOracleTracer(pr.Annotated)
-		if err := replayInto(c, buf.Bytes(), oracle); err != nil {
-			return nil, "", err
-		}
-		spec, err := jrpm.Speculate(in, pr)
+		// The oracle listens to the same traced run the hardware model
+		// and the TLS recorder read.
+		oracle := NewOracleTracer(c.Annotated)
+		spec, err := c.Run(context.Background(), in, opts, nil, oracle)
 		if err != nil {
 			return nil, "", err
 		}
 
-		an := pr.Analysis
+		an := spec.Profile.Analysis
 		row := BinsRow{Name: w.Meta.Name}
 		var wsum float64
 		for _, n := range an.Selected {
@@ -498,14 +478,4 @@ func AblateBins(scale float64) ([]BinsRow, string, error) {
 	sb.WriteString("The paper's claim (§6.2): parallelism is determined by recent, not\n")
 	sb.WriteString("distant, past threads — the two-bin estimates should track the exact ones.\n")
 	return rows, sb.String(), nil
-}
-
-// runWithListener re-runs an already-profiled program with a listener.
-func runWithListener(pr *jrpm.ProfileResult, in jrpm.Input, opts jrpm.Options, l vmsim.Listener) error {
-	vm, err := jrpm.NewVM(pr.Annotated, in, opts.Cfg)
-	if err != nil {
-		return err
-	}
-	vm.Listeners = append(vm.Listeners, l)
-	return vm.Run("main")
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
 )
@@ -16,11 +17,23 @@ type streamLog struct{ evs []vmsim.Event }
 
 func (l *streamLog) ConsumeEvents(evs []vmsim.Event) { l.evs = append(l.evs, evs...) }
 
-// TestRunWithListenerMatchesRecording: runWithListener binds inputs in the
-// same sorted name order as the profiling pipeline, so for every workload
-// with two or more input arrays — where bind order decides the heap
-// addresses — the stream it delivers is the one ProfileRecord recorded,
-// less the call events a recording never stores.
+// replayInto replays a recorded trace into an arbitrary VM listener.
+func replayInto(c *jrpm.Compiled, data []byte, l vmsim.Listener) error {
+	r, err := trace.NewBytesReader(data)
+	if err != nil {
+		return err
+	}
+	r.NumLoops = len(c.Annotated.Loops)
+	_, err = r.Replay(l)
+	return err
+}
+
+// TestRunWithListenerMatchesRecording: a listener passed to
+// Compiled.Profile as an extra listener — how the experiments attach
+// their analyses — sees the stream ProfileRecord records, event for
+// event and in order, less the call events a recording never stores.
+// Only workloads with two or more input arrays are checked, where the
+// order inputs are bound in decides the heap addresses.
 func TestRunWithListenerMatchesRecording(t *testing.T) {
 	checked := 0
 	for _, w := range workloads.All() {
@@ -35,12 +48,11 @@ func TestRunWithListenerMatchesRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		pr, err := c.ProfileRecord(context.Background(), in, opts, &buf)
-		if err != nil {
+		if _, err := c.ProfileRecord(context.Background(), in, opts, &buf); err != nil {
 			t.Fatal(err)
 		}
 		var live, replayed streamLog
-		if err := runWithListener(pr, in, opts, &live); err != nil {
+		if _, err := c.Profile(context.Background(), in, opts, &live); err != nil {
 			t.Fatal(err)
 		}
 		if err := replayInto(c, buf.Bytes(), &replayed); err != nil {
@@ -49,8 +61,8 @@ func TestRunWithListenerMatchesRecording(t *testing.T) {
 		annotated := slices.DeleteFunc(live.evs, func(ev vmsim.Event) bool {
 			return ev.Kind == vmsim.EvCallEnter || ev.Kind == vmsim.EvCallExit
 		})
-		if !slices.Equal(annotated, replayed.evs) {
-			t.Errorf("%s: runWithListener's stream (%d events) differs from the recording (%d events)",
+		if len(annotated) == 0 || !slices.Equal(annotated, replayed.evs) {
+			t.Errorf("%s: the extra listener's stream (%d events) differs from the recording (%d events)",
 				w.Meta.Name, len(annotated), len(replayed.evs))
 		}
 	}

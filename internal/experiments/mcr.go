@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -29,12 +30,13 @@ func MethodCallReturn(scale float64) ([]MCRRow, string, error) {
 	for _, w := range workloads.All() {
 		in := w.NewInput(scale)
 		opts := jrpm.DefaultOptions()
-		pr, err := jrpm.Profile(w.Source, in, opts)
+		c, err := jrpm.Compile(w.Source, opts)
 		if err != nil {
 			return nil, "", err
 		}
-		an := mcr.New(pr.Annotated)
-		if err := runWithListener(pr, in, opts, an); err != nil {
+		an := mcr.New(c.Annotated)
+		pr, err := c.Profile(context.Background(), in, opts, an)
+		if err != nil {
 			return nil, "", err
 		}
 		an.Finish(pr.TracedCycles)

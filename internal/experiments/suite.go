@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -68,14 +69,15 @@ func (s *Suite) Run(name string) (*BenchResult, error) {
 	}
 	in := w.NewInput(s.Scale)
 
-	pr, err := jrpm.Profile(w.Source, in, s.Opts)
+	c, err := jrpm.Compile(w.Source, s.Opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s: profile: %w", name, err)
+		return nil, fmt.Errorf("%s: compile: %w", name, err)
 	}
-	spec, err := jrpm.Speculate(in, pr)
+	spec, err := c.Run(context.Background(), in, s.Opts, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s: speculate: %w", name, err)
+		return nil, fmt.Errorf("%s: run: %w", name, err)
 	}
+	pr := spec.Profile
 
 	r := &BenchResult{
 		Workload:    w,

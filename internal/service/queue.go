@@ -19,6 +19,7 @@ import (
 	"jrpm/internal/session"
 	"jrpm/internal/telemetry"
 	"jrpm/internal/trace"
+	"jrpm/internal/vmsim"
 )
 
 // ErrQueueFull is returned by Submit when the bounded queue is at
@@ -484,10 +485,10 @@ func (p *Pool) run(j *Job) {
 }
 
 // execute runs one job. Pipeline jobs resolve, hit or fill the artifact
-// cache, profile (optionally recording a trace), and optionally
-// speculate — from the one traced run (Compiled.Run) unless the job also
-// records; analyze_trace jobs replay a cached recording under each
-// requested machine configuration without touching the VM.
+// cache, then profile — or, with speculate, profile and speculate
+// (Compiled.Run) — in one VM execution, with the trace writer attached
+// when the job records; analyze_trace jobs replay a cached recording
+// under each requested machine configuration without touching the VM.
 func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	if p.testHook != nil {
 		p.testHook(j)
@@ -514,51 +515,41 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 		p.cache.Put(key, compiled)
 	}
 
-	var pr *jrpm.ProfileResult
-	var sr *jrpm.SpeculateResult
-	var traceKey string
-	var traceBytes int64
-	switch {
-	case j.Req.Record:
-		var buf bytes.Buffer
-		pr, err = compiled.ProfileRecord(ctx, in, opts, &buf)
-		if err != nil {
+	// One traced run serves the whole job: a Record job's trace writer
+	// listens to it, and a speculate job's recorder reads its event log.
+	var buf *bytes.Buffer
+	var tw *trace.Writer
+	var extra []vmsim.Listener
+	if j.Req.Record {
+		buf = new(bytes.Buffer)
+		if tw, err = trace.NewWriter(buf, compiled.TraceHash()); err != nil {
 			return nil, err
 		}
-		traceBytes = int64(buf.Len())
-		traceKey = p.traces.Put(&TraceArtifact{
-			Data:     buf.Bytes(),
-			Compiled: compiled,
-			Summary: trace.Summary{
-				CleanCycles:  pr.CleanCycles,
-				TracedCycles: pr.TracedCycles,
-			},
-		})
-	case j.Req.Speculate:
-		if sr, err = compiled.Run(ctx, in, opts); err != nil {
+		extra = []vmsim.Listener{tw}
+	}
+	var pr *jrpm.ProfileResult
+	var sr *jrpm.SpeculateResult
+	if j.Req.Speculate {
+		if sr, err = compiled.Run(ctx, in, opts, nil, extra...); err != nil {
 			return nil, err
 		}
 		pr = sr.Profile
-	default:
-		pr, err = compiled.Profile(ctx, in, opts)
-		if err != nil {
-			return nil, err
-		}
+	} else if pr, err = compiled.Profile(ctx, in, opts, extra...); err != nil {
+		return nil, err
 	}
 	p.metrics.CyclesSimulated.Add(pr.TracedCycles)
 
 	res := buildResult(pr, hit)
-	res.TraceKey = traceKey
-	res.TraceBytes = traceBytes
-	if j.Req.Speculate {
-		if sr == nil {
-			// A Record job's traced run fed the trace writer, not an
-			// event log: the recorder gets a recording run of its own.
-			if sr, err = jrpm.SpeculateContext(ctx, in, pr); err != nil {
-				return nil, err
-			}
+	if tw != nil {
+		sum := pr.TraceSummary()
+		if err := tw.Finish(sum); err != nil {
+			return nil, err
 		}
-		if sr.RecordRuns == 1 { // the recording run replayed the annotated program
+		res.TraceBytes = int64(buf.Len())
+		res.TraceKey = p.traces.Put(&TraceArtifact{Data: buf.Bytes(), Compiled: compiled, Summary: sum})
+	}
+	if sr != nil {
+		if sr.RecordRuns == 1 { // the event log went over its bound
 			p.metrics.CyclesSimulated.Add(pr.TracedCycles)
 		}
 		mergeSpeculation(res, sr)

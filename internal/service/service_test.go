@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -210,9 +211,9 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 // TestSpeculateCyclesSimulated pins jrpmd_cycles_simulated_total per
-// speculate job: a plain speculate job executes the annotated program
-// once (its event log feeds the TLS recorder), a job that also records
-// a trace executes it twice.
+// speculate job: a speculate job executes the annotated program once
+// (its event log feeds the TLS recorder), and so does one that also
+// records a trace (the trace writer listens to the same run).
 func TestSpeculateCyclesSimulated(t *testing.T) {
 	pool := NewPool(Config{Workers: 1})
 	defer pool.Stop()
@@ -221,7 +222,7 @@ func TestSpeculateCyclesSimulated(t *testing.T) {
 		runs int64
 	}{
 		{Request{Workload: "Huffman", Scale: 0.2, Speculate: true}, 1},
-		{Request{Workload: "Huffman", Scale: 0.2, Speculate: true, Record: true}, 2},
+		{Request{Workload: "Huffman", Scale: 0.2, Speculate: true, Record: true}, 1},
 		{Request{Workload: "Huffman", Scale: 0.2}, 1},
 	} {
 		before := pool.Metrics().CyclesSimulated.Load()
@@ -241,6 +242,60 @@ func TestSpeculateCyclesSimulated(t *testing.T) {
 			t.Errorf("%+v: cycles_simulated rose by %d, want %d (%d runs of %d cycles)",
 				tc.req, got, want, tc.runs, v.Result.TracedCycles)
 		}
+	}
+}
+
+// TestRecordSpeculateTrace: a job that records and speculates stores
+// the bytes Compiled.ProfileRecord writes for the same program and
+// input, with the summary the recording ends with, and reports the
+// speculation a speculate-only job reports.
+func TestRecordSpeculateTrace(t *testing.T) {
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	req := Request{Workload: "Huffman", Scale: 0.2, Speculate: true, Record: true}
+	var views []JobView
+	for _, r := range []Request{req, {Workload: "Huffman", Scale: 0.2, Speculate: true}} {
+		j, err := pool.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, mustWait(t, j))
+	}
+	both, spec := views[0], views[1]
+	if both.State != StateDone || spec.State != StateDone {
+		t.Fatalf("jobs %s %q and %s %q", both.State, both.Error, spec.State, spec.Error)
+	}
+	art, ok := pool.Traces().Get(both.Result.TraceKey)
+	if !ok {
+		t.Fatalf("no cached trace %q", both.Result.TraceKey)
+	}
+
+	src, in, err := req.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := jrpm.Compile(src, req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	pr, err := c.ProfileRecord(context.Background(), in, req.options(), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(art.Data, buf.Bytes()) {
+		t.Errorf("record+speculate trace (%d bytes) differs from ProfileRecord's (%d bytes)", len(art.Data), buf.Len())
+	}
+	if int64(len(art.Data)) != both.Result.TraceBytes {
+		t.Errorf("trace_bytes %d, stored %d", both.Result.TraceBytes, len(art.Data))
+	}
+	if want := pr.TraceSummary(); art.Summary != want {
+		t.Errorf("stored summary %+v, want %+v", art.Summary, want)
+	}
+	if both.Result.ActualSpeedup != spec.Result.ActualSpeedup ||
+		!reflect.DeepEqual(both.Result.Loops, spec.Result.Loops) {
+		t.Errorf("record+speculate speculation %v differs from speculate-only %v",
+			both.Result.ActualSpeedup, spec.Result.ActualSpeedup)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"jrpm"
@@ -42,6 +43,15 @@ type SessionRequest struct {
 	Thresholds *session.Thresholds `json:"thresholds,omitempty"`
 }
 
+// baseScale is the workload scale the session's inputs are built at:
+// Scale, or 1 when unset. Jittered traffic draws around it.
+func (r *SessionRequest) baseScale() float64 {
+	if r.Scale <= 0 {
+		return 1
+	}
+	return r.Scale
+}
+
 func (r *SessionRequest) validate() error {
 	if err := validateSamplePeriod(r.SamplePeriod); err != nil {
 		return err
@@ -51,6 +61,12 @@ func (r *SessionRequest) validate() error {
 	}
 	if r.Jitter && r.Workload == "" {
 		return fmt.Errorf("jitter requires a workload (inline sources have fixed inputs)")
+	}
+	// Every epoch builds its input at its own jittered scale, so the
+	// largest draw, not the base, must stay within MaxScale.
+	if hi := session.JitterMax(r.baseScale()); r.Jitter && hi > MaxScale {
+		return fmt.Errorf("scale %v with jitter draws epoch scales up to %.4g, over %d: use scale <= %.4g",
+			r.baseScale(), hi, MaxScale, MaxScale/session.JitterMax(1))
 	}
 	jr := Request{Source: r.Source, Workload: r.Workload, Scale: r.Scale, Ints: r.Ints, Floats: r.Floats}
 	_, _, err := jr.resolve()
@@ -94,17 +110,13 @@ func (p *Pool) StartSession(req SessionRequest) (*session.Session, error) {
 	if name == "" {
 		name = "inline"
 	}
-	scale := req.Scale
-	if scale <= 0 {
-		scale = 1
-	}
 	traffic := session.FixedTraffic(in)
 	if req.Jitter {
 		w, err := workloads.ByName(req.Workload)
 		if err != nil {
 			return nil, err
 		}
-		traffic = session.JitteredTraffic(w.NewInput, scale, req.Seed)
+		traffic = session.JitteredTraffic(w.NewInput, req.baseScale(), req.Seed)
 	}
 	cfg := session.Config{
 		Compiled:     compiled,
@@ -154,11 +166,19 @@ func summarize(v session.View) SessionSummary {
 	return s
 }
 
-func (s *Server) submitSession(w http.ResponseWriter, r *http.Request) {
+// decodeSessionRequest decodes a POST /v1/sessions body, refusing
+// unknown fields. Pool.StartSession validates what it returns.
+func decodeSessionRequest(body io.Reader) (SessionRequest, error) {
 	var req SessionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) submitSession(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSessionRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -323,6 +323,8 @@ func TestSamplePeriodValidation(t *testing.T) {
 		{"/v1/sessions", `{"workload":"BitOps","sample_period":-5}`, "negative"},
 		{"/v1/sessions", `{"workload":"BitOps","epochs":-1}`, "negative"},
 		{"/v1/sessions", `{"source":"func main() { ret 0 }","jitter":true}`, "jitter"},
+		// Epochs would draw scales up to 18.4, each building its input.
+		{"/v1/sessions", `{"workload":"Huffman","scale":16,"jitter":true}`, "up to 18.4, over 16"},
 	} {
 		code, msg := post(tc.path, tc.body)
 		if code != http.StatusBadRequest {

@@ -43,10 +43,10 @@ type Config struct {
 	// 0 with no budget means DefaultEpochs.
 	Epochs int
 	// CycleBudget bounds the simulated VM cycles the session may burn;
-	// 0 means unbounded. Each epoch is charged CleanCycles + TracedCycles
-	// although CleanCycles is derived, not run: the transition goldens
-	// depend on that charge. A cycle budget is deterministic where a
-	// wall-clock budget would not be.
+	// 0 means unbounded. Each epoch is charged CleanCycles + TracedCycles,
+	// and TracedCycles more when it speculates, although it runs the VM
+	// once: the transition goldens depend on that charge. A cycle budget
+	// is deterministic where a wall-clock budget would not be.
 	CycleBudget int64
 	// SamplePeriod is the sampling-profiler period in VM steps
 	// (DefaultSamplePeriod when 0).
@@ -216,9 +216,9 @@ func (s *Session) setReason(r string) {
 
 // runEpoch is one turn of the adaptive crank: profile under this epoch's
 // traffic, fold the evidence into the tier records, promote loops whose
-// selection streak cleared the hysteresis bar, re-execute the
-// speculative set under TLS, and demote loops whose observed behaviour
-// decayed below the thresholds.
+// selection streak cleared the hysteresis bar, execute the speculative
+// set under TLS from the same run, and demote loops whose observed
+// behaviour decayed below the thresholds.
 func (s *Session) runEpoch(ctx context.Context, epoch int) error {
 	ctx, sp := telemetry.StartSpan(ctx, "session.epoch")
 	sp.SetAttr("session", s.ID)
@@ -228,28 +228,29 @@ func (s *Session) runEpoch(ctx context.Context, epoch int) error {
 	in := s.cfg.Traffic(epoch)
 	opts := s.cfg.Opts
 	opts.SamplePeriod = s.cfg.SamplePeriod
-	pr, err := s.cfg.Compiled.Profile(ctx, in, opts)
+	// One traced run per epoch: the session picks the speculative set
+	// from its profile (absorbProfile), and the TLS recorder reads that
+	// same run's events.
+	var promoted []Transition
+	var specSet []int
+	sr, err := s.cfg.Compiled.Run(ctx, in, opts, func(pr *jrpm.ProfileResult) []int {
+		promoted, specSet = s.absorbProfile(epoch, pr)
+		for _, tr := range promoted {
+			s.noteTransition(ctx, tr)
+		}
+		sp.SetInt("loops", int64(len(pr.Analysis.Nodes)))
+		sp.SetInt("promotions", int64(len(promoted)))
+		sp.SetInt("speculative", int64(len(specSet)))
+		return specSet
+	})
 	if err != nil {
 		sp.Fail(err)
 		return err
 	}
 
-	promoted, specSet := s.absorbProfile(epoch, pr)
-	for _, tr := range promoted {
-		s.noteTransition(ctx, tr)
-	}
-	sp.SetInt("loops", int64(len(pr.Analysis.Nodes)))
-	sp.SetInt("promotions", int64(len(promoted)))
-	sp.SetInt("speculative", int64(len(specSet)))
-
 	var demoted []Transition
 	if len(specSet) > 0 {
-		sr, err := jrpm.SpeculateLoops(ctx, in, pr, specSet)
-		if err != nil {
-			sp.Fail(err)
-			return err
-		}
-		demoted = s.absorbSpeculation(epoch, pr, sr, specSet)
+		demoted = s.absorbSpeculation(epoch, sr, specSet)
 		for _, tr := range demoted {
 			s.noteTransition(ctx, tr)
 		}
@@ -350,14 +351,15 @@ func (s *Session) specRelatedLocked(an *profile.Analysis, id int) bool {
 	return walk(n)
 }
 
-// absorbSpeculation folds the TLS re-execution into the records and runs
+// absorbSpeculation folds the TLS execution into the records and runs
 // the decay pass, returning any demotion transitions.
-func (s *Session) absorbSpeculation(epoch int, pr *jrpm.ProfileResult, sr *jrpm.SpeculateResult, specSet []int) []Transition {
+func (s *Session) absorbSpeculation(epoch int, sr *jrpm.SpeculateResult, specSet []int) []Transition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The recording run replays the annotated program once more; charge
-	// it at the traced run's cost.
-	s.cyclesUsed += pr.TracedCycles
+	// The TLS pass reads the epoch's one traced run, but the budget
+	// still charges it one traced run's worth of cycles: the budget
+	// unit is fixed, not a count of VM executions.
+	s.cyclesUsed += sr.Profile.TracedCycles
 	s.lastActual = sr.ActualSpeedup
 
 	var demoted []Transition

@@ -39,6 +39,13 @@ func (r *rng) float() float64 {
 // epoch's workload scale is drawn from base*[1-JitterSpan/2, 1+JitterSpan/2).
 const JitterSpan = 0.3
 
+// JitterMax bounds the scale JitteredTraffic draws around base: the
+// draw's own expression at the top of its band, which no epoch's draw
+// exceeds.
+func JitterMax(base float64) float64 {
+	return base * (1 - JitterSpan/2 + JitterSpan)
+}
+
 // JitteredTraffic models sampled production traffic: each epoch the
 // workload is regenerated at a scale jittered around base, so loop trip
 // counts and data shift between epochs the way live traffic does. The

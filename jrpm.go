@@ -16,7 +16,8 @@
 //  5. Run the speculative code — here, a trace-driven TLS timing
 //     simulation of the 4-CPU Hydra CMP.
 //
-// Profile covers steps 1–3; Speculate covers steps 4–5.
+// Profile covers steps 1–3; Compiled.Run covers all five from one
+// execution of the program.
 //
 // The compile stage (step 1) and the run stages (steps 2–5) are split:
 // Compile produces a Compiled artifact that is immutable afterwards and
@@ -184,9 +185,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 
 // ProfileResult is the outcome of the profiling phase (steps 1-3).
 type ProfileResult struct {
-	// Clean is the compiled program without annotations; Annotated is the
-	// program that was traced.
-	Clean     *tir.Program
+	// Annotated is the program that was traced.
 	Annotated *tir.Program
 	// CleanCycles is the sequential execution time without tracing;
 	// TracedCycles the time with annotation overheads (Figure 6 compares
@@ -270,19 +269,14 @@ func Profile(src string, in Input, opts Options) (*ProfileResult, error) {
 // pre-compiled artifact: one traced run with the TEST model attached,
 // then tree building, Equation 1 estimation and Equation 2 selection.
 // The clean baseline cycle count is derived from that run (cleanCycles).
+// Each extra listener is attached to the traced run after the TEST
+// tracer, so it sees exactly the event stream the model consumed: a
+// trace writer records it (ProfileRecord), an analysis folds it.
 //
 // Only the run-stage fields of opts (Cfg, Tracer, Select) are consulted;
 // the compile-stage fields were fixed when c was built. Safe for
 // concurrent use on a shared c: every call builds its own VM and Tracer.
-func (c *Compiled) Profile(ctx context.Context, in Input, opts Options) (*ProfileResult, error) {
-	return c.profileWith(ctx, in, opts)
-}
-
-// profileWith is Profile with extra listeners attached to the traced run
-// after the TEST tracer. ProfileRecord passes the trace writer here, so
-// the recorded event stream is — by construction — the exact sequence the
-// live comparator-bank model consumed.
-func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extra ...vmsim.Listener) (*ProfileResult, error) {
+func (c *Compiled) Profile(ctx context.Context, in Input, opts Options, extra ...vmsim.Listener) (*ProfileResult, error) {
 	opts = Normalize(opts)
 	opts.Annot = c.Annot
 	opts.Optimize = c.Optimize
@@ -308,7 +302,6 @@ func (c *Compiled) profileWith(ctx context.Context, in Input, opts Options, extr
 	analysis.Select(opts.Select)
 
 	res := &ProfileResult{
-		Clean:           c.Clean,
 		Annotated:       c.Annotated,
 		CleanCycles:     clean,
 		TracedCycles:    vm.Cycles,

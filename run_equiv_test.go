@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"jrpm"
@@ -124,6 +125,77 @@ func TestRunMatchesProfileSpeculate(t *testing.T) {
 func TestRunFallbackMatchesProfileSpeculate(t *testing.T) {
 	if n := checkRunMatches(t, 10000); n < 10 {
 		t.Errorf("only %d cases went over the bound; the fallback is barely exercised", n)
+	}
+}
+
+// innermostLoops is a selection other than Equation 2's: every profiled
+// loop with no loop nested inside it, in ascending id order.
+func innermostLoops(pr *jrpm.ProfileResult) []int {
+	var ids []int
+	for id, n := range pr.Analysis.Nodes {
+		if len(n.Children) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestRunSelectionMatchesRecording: Compiled.Run with a selection of its
+// own — what an adaptive session passes — gives exactly what the
+// recording-run path gives over the same loops, and calls the selection
+// once, with the profile Run returns.
+func TestRunSelectionMatchesRecording(t *testing.T) {
+	ctx := context.Background()
+	opts := jrpm.DefaultOptions()
+	differ := 0
+	for _, tc := range runCases(t) {
+		c, err := jrpm.Compile(tc.src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var calls int
+		var seen *jrpm.ProfileResult
+		var sel []int
+		got, err := c.Run(ctx, tc.in, opts, func(pr *jrpm.ProfileResult) []int {
+			calls++
+			seen, sel = pr, innermostLoops(pr)
+			return sel
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if calls != 1 || seen != got.Profile {
+			t.Fatalf("%s: selection called %d times, with the returned profile: %v", tc.name, calls, seen == got.Profile)
+		}
+		if !slices.Equal(sel, got.Profile.Analysis.SelectedLoopIDs()) {
+			differ++
+		}
+		pr, err := c.Profile(ctx, tc.in, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := jrpm.SpeculateByRecording(ctx, tc.in, pr, sel)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		assertSameProfile(t, tc.name, got.Profile, want.Profile)
+		if !reflect.DeepEqual(got.Loops, want.Loops) {
+			t.Errorf("%s: per-loop TLS results differ", tc.name)
+		}
+		if !reflect.DeepEqual(got.Plan, want.Plan) {
+			t.Errorf("%s: recompilation plans differ", tc.name)
+		}
+		if got.ActualCycles != want.ActualCycles || got.ActualSpeedup != want.ActualSpeedup {
+			t.Errorf("%s: actual cycles/speedup %v/%v, want %v/%v", tc.name,
+				got.ActualCycles, got.ActualSpeedup, want.ActualCycles, want.ActualSpeedup)
+		}
+		if got.RecordRuns != 0 || want.RecordRuns != 1 {
+			t.Errorf("%s: RecordRuns %d and %d, want 0 and 1", tc.name, got.RecordRuns, want.RecordRuns)
+		}
+	}
+	if differ < 10 {
+		t.Errorf("the innermost loops differ from the Equation 2 selection in only %d cases", differ)
 	}
 }
 

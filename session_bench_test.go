@@ -15,15 +15,15 @@ import (
 	"jrpm/internal/workloads"
 )
 
-// BenchmarkSessionEpoch compares one bare pipeline round (profile +
-// speculate on the selected loops) against the same round driven by an
+// BenchmarkSessionEpoch compares one bare pipeline round (Compiled.Run
+// over the Equation 2 selection) against the same round driven by an
 // adaptive session epoch, on a prewarmed Compiled. PromoteStreak 1 makes
 // the single session epoch promote and speculate immediately, so both
-// sub-benchmarks execute the same VM work and the difference is the
-// session machinery itself. The epoch side fails unless it promoted a
-// loop to the speculative tier: a promotion there is what puts the loop
-// in the epoch's SpeculateLoops set, so without one the two sides would
-// silently compare unequal work.
+// sub-benchmarks make the same single VM run plus the same TLS work, and
+// the difference is the session machinery itself. The epoch side fails
+// unless it promoted a loop to the speculative tier: a promotion there
+// is what puts the loop in the set its Run selection returns, so
+// without one the two sides would silently compare unequal work.
 func BenchmarkSessionEpoch(b *testing.B) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
@@ -44,16 +44,12 @@ func BenchmarkSessionEpoch(b *testing.B) {
 
 	b.Run("bare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pr, err := compiled.Profile(ctx, in, opts)
+			sr, err := compiled.Run(ctx, in, opts, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sel := pr.Analysis.SelectedLoopIDs()
-			if len(sel) == 0 {
+			if len(sr.Profile.Analysis.Selected) == 0 {
 				b.Fatal("no loops selected")
-			}
-			if _, err := jrpm.SpeculateLoops(ctx, in, pr, sel); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

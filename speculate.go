@@ -6,6 +6,7 @@ import (
 
 	"jrpm/internal/jit"
 	"jrpm/internal/tls"
+	"jrpm/internal/vmsim"
 )
 
 // SpeculateResult is the outcome of steps 4-5 of the pipeline: running the
@@ -22,57 +23,57 @@ type SpeculateResult struct {
 	ActualSpeedup float64
 	// RecordRuns counts the VM executions spent recording the selected
 	// loops' iterations: 0 when Compiled.Run's event log fed the
-	// recorder, 1 when the annotated program ran again.
+	// recorder, 1 when the annotated program ran again (SpeculateContext,
+	// or a log over its bound).
 	RecordRuns int
 }
 
-// Speculate recompiles the loops selected by Profile and executes them
-// speculatively: it runs the annotated program once more to record
-// per-iteration traces of the selected loops, then runs the trace-driven
-// TLS timing simulation of the 4-CPU Hydra. Compiled.Run gives the same
-// result from one VM execution.
-func Speculate(in Input, pr *ProfileResult) (*SpeculateResult, error) {
-	return SpeculateContext(context.Background(), in, pr)
-}
-
-// SpeculateContext is Speculate under a context: canceling ctx interrupts
-// the recording run. Safe for concurrent use across jobs sharing pr's
+// SpeculateContext recompiles the loops Equation 2 selected in pr and
+// executes them speculatively: it runs the annotated program once more
+// to record per-iteration traces of the selected loops, then runs the
+// trace-driven TLS timing simulation of the 4-CPU Hydra. Compiled.Run
+// gives the same result from one VM execution; this recording-run path
+// is the reference it is held to. Canceling ctx interrupts the
+// recording run. Safe for concurrent use across jobs sharing pr's
 // programs — the recorder, VM and simulation state are all per-call
 // (pooled scratch belongs to one call at a time).
 func SpeculateContext(ctx context.Context, in Input, pr *ProfileResult) (*SpeculateResult, error) {
-	return SpeculateLoops(ctx, in, pr, pr.Analysis.SelectedLoopIDs())
-}
-
-// SpeculateLoops is SpeculateContext over an explicit decomposition set
-// instead of the Equation 2 selection: the given loops are recompiled and
-// executed speculatively regardless of what the estimator chose. Every
-// loop must have passed the scalar screen (jit.Build rejects the set
-// otherwise). This is the entry point for adaptive callers — a session
-// that promotes and demotes loops over time owns its own speculative set,
-// which drifts away from the per-epoch Equation 2 answer. It always runs
-// the VM to record the loops (RecordRuns is 1).
-func SpeculateLoops(ctx context.Context, in Input, pr *ProfileResult, selected []int) (*SpeculateResult, error) {
-	return speculateLogged(ctx, in, pr, selected, nil)
+	return speculateLogged(ctx, in, pr, pr.Analysis.SelectedLoopIDs(), nil)
 }
 
 // Run profiles and speculates with one VM execution: the traced run's
 // event stream is kept in a pooled, bounded in-memory log, and after
-// Equation 2 selection the log feeds the TLS recorder in place of a
-// recording run. The result is bit-identical to Profile followed by
-// SpeculateContext. A run whose stream outgrows the log's bound (about
-// 64 MB of events) falls back to a recording run, and RecordRuns says
-// which path was taken. Safe for concurrent use on a shared c.
-func (c *Compiled) Run(ctx context.Context, in Input, opts Options) (*SpeculateResult, error) {
-	return c.run(ctx, in, opts, newEventLog(maxLogEvents))
+// selection the log feeds the TLS recorder in place of a recording run.
+// The result is bit-identical to Profile followed by SpeculateContext. A
+// run whose stream outgrows the log's bound (about 64 MB of events)
+// falls back to a recording run, and RecordRuns says which path was
+// taken. Safe for concurrent use on a shared c.
+//
+// sel chooses the loops to recompile and execute speculatively. It is
+// called once, with the profile, after the traced run and before the
+// recorder reads the log; nil means the Equation 2 selection
+// (SelectedLoopIDs). Every loop it returns must have passed the scalar
+// screen (jit.Build rejects the set otherwise). An adaptive session,
+// which promotes and demotes loops over time, owns its speculative set
+// and supplies it here. Each extra listener is attached to the traced
+// run as in Profile.
+func (c *Compiled) Run(ctx context.Context, in Input, opts Options, sel func(*ProfileResult) []int, extra ...vmsim.Listener) (*SpeculateResult, error) {
+	return c.run(ctx, in, opts, sel, newEventLog(maxLogEvents), extra)
 }
 
-func (c *Compiled) run(ctx context.Context, in Input, opts Options, log *eventLog) (*SpeculateResult, error) {
+func (c *Compiled) run(ctx context.Context, in Input, opts Options, sel func(*ProfileResult) []int, log *eventLog, extra []vmsim.Listener) (*SpeculateResult, error) {
 	defer log.release()
-	pr, err := c.profileWith(ctx, in, opts, log)
+	pr, err := c.Profile(ctx, in, opts, append([]vmsim.Listener{log}, extra...)...)
 	if err != nil {
 		return nil, err
 	}
-	return speculateLogged(ctx, in, pr, pr.Analysis.SelectedLoopIDs(), log)
+	var selected []int
+	if sel == nil {
+		selected = pr.Analysis.SelectedLoopIDs()
+	} else {
+		selected = sel(pr)
+	}
+	return speculateLogged(ctx, in, pr, selected, log)
 }
 
 // speculateLogged is the one recording path: the selected loops' traces
@@ -161,5 +162,5 @@ func Run(src string, in Input, opts Options) (*SpeculateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Run(context.Background(), in, opts)
+	return c.Run(context.Background(), in, opts, nil)
 }

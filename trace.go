@@ -32,23 +32,29 @@ func (c *Compiled) ProfileRecord(ctx context.Context, in Input, opts Options, w 
 	if err != nil {
 		return nil, err
 	}
-	pr, err := c.profileWith(ctx, in, opts, tw)
+	pr, err := c.Profile(ctx, in, opts, tw)
 	if err != nil {
 		return nil, err
 	}
-	if err := tw.Finish(trace.Summary{
-		CleanCycles:  pr.CleanCycles,
-		TracedCycles: pr.TracedCycles,
-		HeapLoads:    pr.HeapLoads,
-		HeapStores:   pr.HeapStores,
-		LocalAnnots:  pr.LocalAnnots,
-		LoopAnnots:   pr.LoopAnnots,
-		ReadStats:    pr.ReadStats,
-		Annotations:  int64(pr.AnnotationCount),
-	}); err != nil {
+	if err := tw.Finish(pr.TraceSummary()); err != nil {
 		return nil, err
 	}
 	return pr, nil
+}
+
+// TraceSummary is the trailer a recording of r's traced run ends with:
+// pass it to the trace writer's Finish once the run is done.
+func (r *ProfileResult) TraceSummary() trace.Summary {
+	return trace.Summary{
+		CleanCycles:  r.CleanCycles,
+		TracedCycles: r.TracedCycles,
+		HeapLoads:    r.HeapLoads,
+		HeapStores:   r.HeapStores,
+		LocalAnnots:  r.LocalAnnots,
+		LoopAnnots:   r.LoopAnnots,
+		ReadStats:    r.ReadStats,
+		Annotations:  int64(r.AnnotationCount),
+	}
 }
 
 // ReplayProfile reconstructs a ProfileResult from a recorded trace
@@ -86,7 +92,6 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 	analysis.Select(opts.Select)
 
 	return &ProfileResult{
-		Clean:           c.Clean,
 		Annotated:       c.Annotated,
 		CleanCycles:     sum.CleanCycles,
 		TracedCycles:    sum.TracedCycles,

@@ -8,11 +8,17 @@ package jrpm_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/experiments"
 	"jrpm/internal/hydra"
+	"jrpm/internal/service"
+	"jrpm/internal/session"
 	"jrpm/internal/tls"
 	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
@@ -233,7 +239,12 @@ func TestSweepSingleExecution(t *testing.T) {
 // derived from that run), and SpeculateContext runs it once more to
 // record the selected loops' iterations. Compiled.Run records from the
 // traced run's event log instead, so it runs the program once, unless
-// the log goes over its bound and the recording run comes back.
+// the log goes over its bound and the recording run comes back. Every
+// pipeline caller that speculates or attaches an analysis goes through
+// that one run: a Record+Speculate service job, a session epoch that
+// speculates, the two-bin ablation and the call-return analysis (one run
+// per workload), and a suite benchmark (one run plus its six Figure 6
+// ladder runs, which execute other annotation variants).
 func TestProfileSpeculateRunCount(t *testing.T) {
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
@@ -268,7 +279,7 @@ func TestProfileSpeculateRunCount(t *testing.T) {
 		runs       int64
 		recordRuns int
 	}{
-		{"Compiled.Run", func() (*jrpm.SpeculateResult, error) { return c.Run(ctx, in, opts) }, 1, 0},
+		{"Compiled.Run", func() (*jrpm.SpeculateResult, error) { return c.Run(ctx, in, opts, nil) }, 1, 0},
 		{"Compiled.Run over the log bound", func() (*jrpm.SpeculateResult, error) {
 			return c.RunLogLimit(ctx, in, opts, 1000)
 		}, 2, 1},
@@ -283,6 +294,69 @@ func TestProfileSpeculateRunCount(t *testing.T) {
 		}
 		if sr.RecordRuns != tc.recordRuns {
 			t.Errorf("%s: RecordRuns %d, want %d", tc.name, sr.RecordRuns, tc.recordRuns)
+		}
+	}
+
+	perWorkload := int64(len(workloads.All()))
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		runs int64
+	}{
+		{"record+speculate service job", func() error {
+			pool := service.NewPool(service.Config{Workers: 1})
+			defer pool.Stop()
+			j, err := pool.Submit(service.Request{Workload: w.Meta.Name, Scale: equivScale, Record: true, Speculate: true})
+			if err != nil {
+				return err
+			}
+			v, err := j.Wait(ctx)
+			if err != nil {
+				return err
+			}
+			if v.State != service.StateDone || v.Result.TraceKey == "" || v.Result.ActualSpeedup == 0 {
+				return fmt.Errorf("job %s %q: no trace or no speculation", v.State, v.Error)
+			}
+			return nil
+		}, 1},
+		{"speculating session epoch", func() error {
+			th := session.DefaultThresholds()
+			th.PromoteStreak = 1
+			s, err := session.New(session.Config{
+				Compiled: c, Name: "count", Traffic: session.FixedTraffic(in), Epochs: 1, Thresholds: th,
+			})
+			if err != nil {
+				return err
+			}
+			if err := s.Run(ctx); err != nil {
+				return err
+			}
+			if !slices.ContainsFunc(s.View().Transitions, func(tr session.Transition) bool {
+				return tr.To == session.TierSpeculative.String()
+			}) {
+				return errors.New("the epoch promoted nothing, so it never speculated")
+			}
+			return nil
+		}, 1},
+		{"experiments.AblateBins", func() error {
+			_, _, err := experiments.AblateBins(equivScale)
+			return err
+		}, perWorkload},
+		{"experiments.MethodCallReturn", func() error {
+			_, _, err := experiments.MethodCallReturn(equivScale)
+			return err
+		}, perWorkload},
+		{"experiments Suite.Run", func() error {
+			_, err := experiments.NewSuite(equivScale).Run(w.Meta.Name)
+			return err
+		}, 1 + 6},
+	} {
+		before = vmsim.RunCount()
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := vmsim.RunCount() - before; n != tc.runs {
+			t.Errorf("%s used %d VM executions, want %d", tc.name, n, tc.runs)
 		}
 	}
 }

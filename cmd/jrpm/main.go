@@ -507,9 +507,7 @@ func sweepMain(args []string) {
 	histList := fs.String("history", "", "comma-separated heap-store history depths to sweep")
 	workerList := fs.String("workers", "", "comma-separated jrpmd worker addresses (empty = run locally)")
 	registryAddr := fs.String("registry", "", "fleet registry address: schedule over its live members (workers may join or die mid-sweep) instead of a static -workers list")
-	replicas := fs.Int("replicas", 1, "recording replicas placed across the fleet (worker-to-worker transfer)")
 	progress := fs.Bool("progress", false, "print per-row progress to stderr as shards land (default with -registry)")
-	shard := fs.Int("shard", 0, "configs per shard (0 = default)")
 	showMetrics := fs.Bool("metrics", false, "print coordinator scheduling metrics")
 	traceOut := fs.String("trace-out", "", "write the sweep's stitched span trace (coordinator + worker spans) to this JSON file")
 	logLevel := fs.String("log-level", "warn", "minimum scheduler log level: debug, info, warn, error")
@@ -567,10 +565,8 @@ func sweepMain(args []string) {
 		fatal(fmt.Errorf("sweep: %w", err))
 	}
 	copts := cluster.Options{
-		Workers:      addrs,
-		Replicas:     *replicas,
-		ShardConfigs: *shard,
-		Logger:       telemetry.NewLogger(os.Stderr, level),
+		Workers: addrs,
+		Logger:  telemetry.NewLogger(os.Stderr, level),
 	}
 	if *registryAddr != "" {
 		copts.Workers = nil

@@ -19,17 +19,18 @@
 // GET/DELETE /v1/sessions/{id}, GET /v1/metrics (?format=prom for
 // Prometheus text), GET /metrics, GET /v1/healthz, GET /v1/readyz,
 // GET /v1/version, GET /v1/traces/spans; with -worker additionally
-// POST /v1/shards, GET/PUT /v1/traces/{hash} and
-// POST /v1/traces/{hash}/pull. See the README sections "Running as a
-// service", "Observability", "Distributed sweeps", "Running a fleet"
-// and "Closing the loop" for request and response shapes.
+// POST /v1/shards and GET/PUT /v1/traces/{hash}. See the README
+// sections "Running as a service", "Observability", "Distributed
+// sweeps", "Running a fleet" and "Closing the loop" for request and
+// response shapes.
 //
 // Every jrpmd also hosts the fleet surface: a membership registry
 // (POST /v1/fleet/register, GET /v1/fleet/members,
 // DELETE /v1/fleet/members/{id}) and a streaming sweep API
 // (POST /v1/sweeps, GET /v1/sweeps/{id}[/rows], DELETE /v1/sweeps/{id})
-// whose coordinator schedules over the registry's live members with
-// -replicas way trace replication. Workers join a fleet with
+// whose coordinator schedules shards over the registry's live members,
+// pushing each recording to a worker the first time it runs a shard of
+// it. Workers join a fleet with
 //
 //	jrpmd -worker -addr :8078 -registry hub:8077 -advertise host:8078
 //
@@ -90,7 +91,6 @@ func main() {
 		spanCap  = flag.Int("span-cap", telemetry.DefaultCollectorCap, "span collector ring capacity")
 		registry = flag.String("registry", "", "fleet registry address to self-register with (requires -worker)")
 		adverts  = flag.String("advertise", "", "address advertised to the fleet (default derives from -addr)")
-		replicas = flag.Int("replicas", 1, "trace replicas placed across the fleet for sweeps served by this daemon")
 		fleetTTL = flag.Duration("fleet-ttl", fleet.DefaultTTL, "liveness TTL granted by this daemon's fleet registry")
 		maxTrace = flag.Int64("max-trace-mb", 0, "reject trace uploads larger than this many MiB (0 = default cap)")
 		version  = flag.Bool("version", false, "print module + trace-format version and exit")
@@ -145,7 +145,6 @@ func main() {
 	freg.RegisterProm(pool.Registry())
 	coord := cluster.New(cluster.Options{
 		Membership:           freg,
-		Replicas:             *replicas,
 		DisableLocalFallback: true, // a hub must not silently replay grids itself
 		Logger:               logger,
 	})

@@ -48,10 +48,8 @@ func BenchmarkClusterSweep(b *testing.B) {
 				addrs[i], workers[i] = srv.URL, w
 			}
 			coord := New(Options{
-				Workers:      addrs,
-				ShardConfigs: 4,
-				Sentinels:    -1, // measure raw sharding, not the verification tax
-				HedgeAfter:   -1,
+				Workers:   addrs,
+				Sentinels: -1, // measure raw sharding, not the verification tax
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

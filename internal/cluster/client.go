@@ -79,14 +79,28 @@ type apiError struct {
 	Code  string `json:"code"`
 }
 
+// rejectError is a worker's own JSON 4xx answer (other than
+// trace_missing, 408 and 429): a deterministic refusal that every
+// worker would repeat, so a shard answered with one is not retried.
+type rejectError struct {
+	status int
+	msg    string
+}
+
+func (e *rejectError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.msg) }
+
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var ae apiError
 	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		if ae.Code == "trace_missing" {
+		code := resp.StatusCode
+		switch {
+		case ae.Code == "trace_missing":
 			return errTraceMissing
+		case code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
+			return &rejectError{code, ae.Error}
 		}
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, ae.Error)
+		return fmt.Errorf("HTTP %d: %s", code, ae.Error)
 	}
 	return fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 }
@@ -204,41 +218,14 @@ func (wc *workerClient) ensureTrace(ctx context.Context, key string, data []byte
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("trace push: %w", decodeError(resp))
+		// %v, not %w: only a shard's own answer is a deterministic
+		// rejection; a refused push stays a retryable fault.
+		err = fmt.Errorf("trace push: %v", decodeError(resp))
 		sp.Fail(err)
 		return false, err
 	}
 	wc.markResident(key)
 	return true, nil
-}
-
-// pull instructs the worker to fetch the recording from a replica
-// holder (POST /v1/traces/{hash}/pull): the replication data path that
-// moves bytes worker-to-worker instead of through the coordinator.
-func (wc *workerClient) pull(ctx context.Context, key string, sources []string) error {
-	body, err := json.Marshal(struct {
-		Sources []string `json:"sources"`
-	}{Sources: sources})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wc.base+"/v1/traces/"+key+"/pull", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	telemetry.Inject(ctx, req.Header)
-	resp, err := wc.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace pull: %w", decodeError(resp))
-	}
-	wc.markResident(key)
-	return nil
 }
 
 // runShard executes POST /v1/shards.

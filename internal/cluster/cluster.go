@@ -1,26 +1,25 @@
 // Package cluster distributes trace-replay sweeps across a fleet of
 // jrpmd workers. A sweep grid — recorded traces × hydra configurations —
 // is embarrassingly parallel: every (trace, config) cell is a pure
-// replay of immutable recorded bytes. The coordinator partitions the
-// grid into shards, ships each recording to workers content-addressed
-// (a worker pulls a trace's bytes at most once; re-dispatches hit its
-// TraceCache), and merges shard results into exactly what trace.Sweep
-// would have produced locally — a property enforced at runtime by
-// re-executing sentinel shards on a second worker and comparing the
-// canonical encodings byte for byte.
+// replay of immutable recorded bytes. The coordinator cuts the grid
+// into shards of one trace × one store geometry (the unit one
+// comparator-bank pass serves), puts them on one shared queue, ships
+// each recording to a worker content-addressed the first time that
+// worker runs a shard of it, and merges shard results into exactly what
+// trace.Sweep would have produced locally — a property enforced at
+// runtime by re-executing sentinel shards on a second worker and
+// comparing the canonical encodings byte for byte.
 //
-// The scheduler is fault-tolerant: failed shards retry with exponential
-// backoff and jitter, a per-worker circuit breaker stops hammering a
-// dead worker, straggler shards are hedged onto a second worker, idle
-// workers steal queued shards from busy ones, and when no worker is
-// reachable at all the whole grid degrades gracefully to local
-// execution. The worker set itself may be dynamic: with a
-// fleet.Membership the scheduler re-snapshots the fleet during the
-// sweep, admitting workers that join mid-flight and stealing back the
-// shards of workers that die, while recordings replicate worker-to-
-// worker by rendezvous placement so the coordinator is not the
-// bandwidth bottleneck. See DESIGN.md "Distributed trace-replay
-// sweeps" and "Fleet".
+// The scheduler is fault-tolerant: failed shards retry on another
+// worker with exponential backoff and jitter, a per-worker circuit
+// breaker stops hammering a dead worker, a hung worker is cut off by
+// the shard timeout, a worker's 4xx answer becomes failed rows rather
+// than a retry, and when no worker is reachable the grid degrades
+// gracefully to local execution. The worker set itself may be dynamic:
+// with a fleet.Membership the scheduler re-snapshots the fleet during
+// the sweep, admitting workers that join mid-flight and retrying the
+// in-flight shards of workers that die. See DESIGN.md "Distributed
+// trace-replay sweeps" and "Fleet".
 package cluster
 
 import (
@@ -84,10 +83,6 @@ type ShardRequest struct {
 	Tracer   core.Options          `json:"tracer"`
 	Select   profile.SelectOptions `json:"select"`
 	Configs  []hydra.Config        `json:"configs"`
-	// Sources lists replica holders (worker base URLs) the executing
-	// worker may fetch the recording from on a cache miss, so the
-	// coordinator ships each trace's bytes at most once fleet-wide.
-	Sources []string `json:"sources,omitempty"`
 }
 
 // ShardResponse is the body of a successful POST /v1/shards.

@@ -66,16 +66,19 @@ func recordWorkload(t testing.TB, name string) (src string, data []byte) {
 	return w.Source, buf.Bytes()
 }
 
-// gridConfigs builds n distinct machine configurations (bank count and
-// store-history depth varied together).
+// gridConfigs builds n distinct machine configurations (bank count,
+// store-history depth and load-timestamp capacity varied together), so
+// a grid spans up to six store geometries and therefore six shards.
 func gridConfigs(n int) []hydra.Config {
 	banks := []int{1, 2, 4, 8}
 	hists := []int{8, 48, 192}
+	loads := []int{256, 512}
 	cfgs := make([]hydra.Config, n)
 	for i := range cfgs {
 		cfgs[i] = hydra.DefaultConfig()
 		cfgs[i].Tracer.Banks = banks[i%len(banks)]
 		cfgs[i].Tracer.HeapStoreLines = hists[i%len(hists)]
+		cfgs[i].Tracer.LoadLineTS = loads[i%len(loads)]
 	}
 	return cfgs
 }
@@ -157,10 +160,8 @@ func TestClusterEquivalence(t *testing.T) {
 				s1, _ := newTestWorker(t, nil)
 				s2, _ := newTestWorker(t, nil)
 				coord := New(Options{
-					Workers:      []string{s1.URL, s2.URL},
-					ShardConfigs: 2,
-					HedgeAfter:   -1,
-					Seed:         7,
+					Workers: []string{s1.URL, s2.URL},
+					Seed:    7,
 				})
 				res, err := coord.Sweep(context.Background(), grid)
 				if err != nil {
@@ -189,12 +190,10 @@ func TestClusterEquivalence(t *testing.T) {
 				healthy, _ := newTestWorker(t, holdShardsUntil(aborted, 10*time.Second))
 				coord := New(Options{
 					Workers:          []string{dying.URL, healthy.URL},
-					ShardConfigs:     2,
 					MaxAttempts:      4,
 					RetryBase:        time.Millisecond,
 					BreakerThreshold: 2,
 					BreakerCooldown:  50 * time.Millisecond,
-					HedgeAfter:       -1,
 					Seed:             7,
 				})
 				res, err := coord.Sweep(context.Background(), grid)
@@ -254,10 +253,8 @@ func TestClusterSentinelMismatch(t *testing.T) {
 	good, _ := newTestWorker(t, nil)
 	evil, _ := newTestWorker(t, tamperShards())
 	coord := New(Options{
-		Workers:      []string{good.URL, evil.URL},
-		ShardConfigs: 2,
-		HedgeAfter:   -1,
-		Seed:         3,
+		Workers: []string{good.URL, evil.URL},
+		Seed:    3,
 	})
 	_, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
@@ -327,35 +324,6 @@ func TestClusterLocalDegradation(t *testing.T) {
 	}
 }
 
-// TestClusterStealing: trace affinity parks every shard on worker 0; the
-// idle worker 1 must rebalance by stealing.
-func TestClusterStealing(t *testing.T) {
-	src, data := recordWorkload(t, "Huffman")
-	s1, _ := newTestWorker(t, nil)
-	s2, _ := newTestWorker(t, nil)
-	coord := New(Options{
-		Workers:      []string{s1.URL, s2.URL},
-		ShardConfigs: 1,
-		Sentinels:    -1,
-		HedgeAfter:   -1,
-	})
-	cfgs := gridConfigs(12)
-	res, err := coord.Sweep(context.Background(), Grid{
-		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
-		Configs: cfgs,
-		Opts:    jrpm.DefaultOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Stolen < 1 {
-		t.Errorf("stolen = %d, want >= 1", res.Metrics.Stolen)
-	}
-	if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, canonical(t, localRows(t, src, data, cfgs))) {
-		t.Error("stolen-shard sweep differs from local")
-	}
-}
-
 // slowShards delays every shard execution on a worker, making it a
 // straggler without making it wrong.
 func slowShards(d time.Duration) func(http.Handler) http.Handler {
@@ -364,7 +332,7 @@ func slowShards(d time.Duration) func(http.Handler) http.Handler {
 			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
 				// Drain the body before sleeping: the server only notices a
 				// client disconnect (canceling r.Context) once the request
-				// body is consumed, and a hedged winner cancels this request.
+				// body is consumed.
 				body, _ := io.ReadAll(r.Body)
 				r.Body = io.NopCloser(bytes.NewReader(body))
 				select {
@@ -375,43 +343,6 @@ func slowShards(d time.Duration) func(http.Handler) http.Handler {
 			}
 			next.ServeHTTP(w, r)
 		})
-	}
-}
-
-// TestClusterHedging: a straggling shard is re-dispatched to the idle
-// worker; the fast copy's result wins and the merge stays correct.
-func TestClusterHedging(t *testing.T) {
-	src, data := recordWorkload(t, "Huffman")
-	slow, _ := newTestWorker(t, slowShards(2*time.Second))
-	fast, _ := newTestWorker(t, nil)
-	coord := New(Options{
-		Workers:         []string{slow.URL, fast.URL}, // affinity: trace 0 -> slow worker
-		ShardConfigs:    4,
-		Sentinels:       -1,
-		HedgeAfter:      30 * time.Millisecond,
-		HedgeInterval:   5 * time.Millisecond,
-		DisableStealing: true, // the fast worker must hedge, not steal
-	})
-	cfgs := gridConfigs(4) // one shard total
-	sweepStart := time.Now()
-	res, err := coord.Sweep(context.Background(), Grid{
-		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
-		Configs: cfgs,
-		Opts:    jrpm.DefaultOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(sweepStart); d > time.Second {
-		t.Errorf("sweep took %v; the hedged result should win long before the straggler's 2s delay", d)
-	} else {
-		t.Logf("sweep: %v", d)
-	}
-	if res.Metrics.Hedged < 1 {
-		t.Errorf("hedged = %d, want >= 1", res.Metrics.Hedged)
-	}
-	if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, canonical(t, localRows(t, src, data, cfgs))) {
-		t.Error("hedged sweep differs from local")
 	}
 }
 
@@ -436,9 +367,7 @@ func TestClusterBreaker(t *testing.T) {
 	healthy, _ := newTestWorker(t, nil)
 	coord := New(Options{
 		Workers:          []string{broken.URL, healthy.URL},
-		ShardConfigs:     1,
 		Sentinels:        -1,
-		HedgeAfter:       -1,
 		RetryBase:        time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  100 * time.Millisecond,
@@ -469,10 +398,8 @@ func TestClusterMultiTraceTransfers(t *testing.T) {
 	s1, w1 := newTestWorker(t, nil)
 	s2, w2 := newTestWorker(t, nil)
 	coord := New(Options{
-		Workers:      []string{s1.URL, s2.URL},
-		ShardConfigs: 2,
-		Sentinels:    -1,
-		HedgeAfter:   -1,
+		Workers:   []string{s1.URL, s2.URL},
+		Sentinels: -1,
 	})
 	cfgs := gridConfigs(6)
 	grid := Grid{
@@ -500,6 +427,69 @@ func TestClusterMultiTraceTransfers(t *testing.T) {
 			if tr.Pushes > 1 {
 				t.Errorf("worker %d: trace %s pushed %d times, want <= 1", i, tr.Key[:12], tr.Pushes)
 			}
+		}
+	}
+}
+
+// TestClusterShardsFollowGeometry: shards are cut along store
+// geometries, so a healthy sweep dispatches Σ⌈configs per geometry / 64⌉
+// shards per trace plus the sentinels, and the rows of shards whose
+// configs interleave in the grid map back to grid order exactly as a
+// local sweep produces them.
+func TestClusterShardsFollowGeometry(t *testing.T) {
+	srcA, dataA := recordWorkload(t, "Huffman")
+	srcB, dataB := recordWorkload(t, "BitOps")
+	// 70 configs of the default geometry (the bank count varies, which
+	// the geometry ignores), with a deeper store history at configs 3,
+	// 30 and 60 and a smaller load-timestamp table at config 10.
+	cfgs := make([]hydra.Config, 74)
+	for i := range cfgs {
+		cfgs[i] = hydra.DefaultConfig()
+		cfgs[i].Tracer.Banks = []int{1, 2, 4, 8}[i%4]
+		switch i {
+		case 3, 30, 60:
+			cfgs[i].Tracer.HeapStoreLines = 48
+		case 10:
+			cfgs[i].Tracer.LoadLineTS = 256
+		}
+	}
+	grid := Grid{
+		Traces: []GridTrace{
+			{Name: "Huffman", Source: srcA, Data: dataA},
+			{Name: "BitOps", Source: srcB, Data: dataB},
+		},
+		Configs: cfgs,
+		Opts:    jrpm.DefaultOptions(),
+	}
+	perGeometry := map[core.Geometry]int{}
+	for _, cfg := range cfgs {
+		perGeometry[core.GeometryOf(cfg)]++
+	}
+	shards := 0
+	for _, n := range perGeometry {
+		shards += (n + core.GroupSize - 1) / core.GroupSize
+	}
+	if shards != 4 {
+		t.Fatalf("grid has %d shards per trace, want 4 (2 + 1 + 1)", shards)
+	}
+
+	s1, _ := newTestWorker(t, nil)
+	s2, _ := newTestWorker(t, nil)
+	res, err := New(Options{Workers: []string{s1.URL, s2.URL}}).Sweep(context.Background(), grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sentinels = 1
+	if want := int64(shards*len(grid.Traces) + sentinels); res.Metrics.Dispatched != want {
+		t.Errorf("dispatched = %d, want %d (%d shards x %d traces + %d sentinel)",
+			res.Metrics.Dispatched, want, shards, len(grid.Traces), sentinels)
+	}
+	if res.Metrics.SentinelChecks != sentinels {
+		t.Errorf("sentinel checks = %d, want %d", res.Metrics.SentinelChecks, sentinels)
+	}
+	for ti, gt := range grid.Traces {
+		if !bytes.Equal(canonical(t, res.Outcomes[ti]), canonical(t, localRows(t, gt.Source, gt.Data, cfgs))) {
+			t.Errorf("trace %s: distributed rows differ from local", gt.Name)
 		}
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"jrpm"
+	"jrpm/internal/core"
 	"jrpm/internal/fleet"
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
@@ -30,18 +31,13 @@ type Options struct {
 	// Membership supplies the worker set dynamically (a fleet
 	// registry). When set it replaces Workers and the scheduler
 	// re-snapshots it for the whole duration of a sweep: workers that
-	// join mid-sweep are admitted and pick up shards, workers that
-	// disappear are retired and their shards stolen back.
+	// join mid-sweep are admitted and take shards from the queue,
+	// workers that disappear are retired and their in-flight shards
+	// retried elsewhere.
 	Membership fleet.Membership
-	// MembershipInterval is the fleet re-snapshot (and replica
-	// reconcile) period; <= 0 means 250ms.
+	// MembershipInterval is the fleet re-snapshot period; <= 0 means
+	// 250ms.
 	MembershipInterval time.Duration
-	// Replicas is the desired number of fleet members holding each
-	// recording, placed by rendezvous hashing and transferred
-	// worker-to-worker; <= 1 keeps the single execution copy.
-	Replicas int
-	// ShardConfigs is the number of grid configs per shard; <= 0 means 4.
-	ShardConfigs int
 	// MaxAttempts bounds dispatch attempts per shard before giving up on
 	// the cluster (local fallback, unless disabled); <= 0 means 4.
 	MaxAttempts int
@@ -53,24 +49,17 @@ type Options struct {
 	// breaker for BreakerCooldown; defaults 3 / 2s.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HedgeAfter re-dispatches a still-running shard to a second worker
-	// after this long; <= 0 means 500ms, < 0 disables hedging.
-	HedgeAfter time.Duration
-	// HedgeInterval is the straggler scan period; <= 0 means 25ms.
-	HedgeInterval time.Duration
 	// Sentinels is the number of leading shards re-executed on a second
 	// worker for the determinism check; 0 means 1, < 0 disables.
 	Sentinels int
-	// ShardTimeout bounds one shard round trip; <= 0 means 60s.
+	// ShardTimeout bounds one shard round trip; <= 0 means 60s. A slow
+	// or hung worker is handled by this timeout plus a retry.
 	ShardTimeout time.Duration
 	// PingTimeout bounds the version preflight; <= 0 means 2s.
 	PingTimeout time.Duration
 	// DisableLocalFallback turns exhausted-shard and no-worker local
 	// execution into hard errors.
 	DisableLocalFallback bool
-	// DisableStealing pins every shard to its affinity worker (plus
-	// retries and hedges); idle workers wait instead of stealing.
-	DisableStealing bool
 	// Seed fixes the jitter RNG (tests); 0 means 1.
 	Seed int64
 	// Logger receives scheduling events (worker exclusions, shard
@@ -82,12 +71,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MembershipInterval <= 0 {
 		o.MembershipInterval = 250 * time.Millisecond
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
-	if o.ShardConfigs <= 0 {
-		o.ShardConfigs = 4
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 4
@@ -103,12 +86,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 500 * time.Millisecond
-	}
-	if o.HedgeInterval <= 0 {
-		o.HedgeInterval = 25 * time.Millisecond
 	}
 	if o.Sentinels == 0 {
 		o.Sentinels = 1
@@ -231,8 +208,8 @@ func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (he
 		}(i, c.client(m))
 	}
 	wg.Wait()
-	// Iterate in membership order so worker indices (and therefore trace
-	// affinity and shard placement) are deterministic.
+	// Iterate in membership order so the worker list (and with it the
+	// order worker loops start in) is deterministic.
 	for i, m := range members {
 		switch {
 		case errs[i] != nil:
@@ -255,9 +232,10 @@ func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (he
 	return healthy, refusals
 }
 
-// Sweep runs the grid: shard, dispatch, retry, hedge, steal, verify,
-// merge. The returned outcomes are byte-identical (under Canonical) to
-// EncodeOutcomes of a local trace.Sweep of every (trace, config) cell.
+// Sweep runs the grid: shard by store geometry, dispatch from one
+// queue, retry, verify, merge. The returned outcomes are byte-identical
+// (under Canonical) to EncodeOutcomes of a local trace.Sweep of every
+// (trace, config) cell.
 //
 // When ctx carries a telemetry tracer (telemetry.WithTracer), the whole
 // sweep is recorded as one distributed trace: a cluster.sweep root span
@@ -299,31 +277,41 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 			return nil, fmt.Errorf("cluster: trace %d (%s) has no recording bytes", i, gt.Name)
 		}
 	}
-	grid.Opts = jrpm.Normalize(grid.Opts)
-	keys := make([]string, len(grid.Traces))
-	for i := range grid.Traces {
-		keys[i] = service.TraceKeyOf(grid.Traces[i].Data)
+	// Every worker would refuse an oversized grid with the same 400;
+	// refuse it once, here, before anything is dispatched.
+	if err := core.CheckGrid(grid.Configs); err != nil {
+		return nil, err
 	}
+	grid.Opts = jrpm.Normalize(grid.Opts)
 
-	metrics := newMetrics()
+	// In-process, one task per trace: trace.Sweep deals the geometry
+	// groups to its own replay workers, each decoding the recording once,
+	// where one task per shard would decode it once per geometry.
+	runLocal := func(degraded bool) (*Result, error) {
+		all := make([]int, len(grid.Configs))
+		for i := range all {
+			all[i] = i
+		}
+		return newSched(c, &grid, [][]int{all}, onRow).runLocal(ctx, degraded)
+	}
 	members, merr := c.membership.Members(ctx)
 	if merr != nil {
 		if c.opts.DisableLocalFallback {
 			return nil, fmt.Errorf("%w: membership: %v", ErrNoWorkers, merr)
 		}
 		c.opts.Logger.WarnCtx(ctx, "cluster: membership unavailable, running grid locally", "err", merr)
-		return c.localGrid(ctx, &grid, metrics, true, onRow)
+		return runLocal(true)
 	}
 	if len(members) == 0 {
 		if !c.dynamic {
 			// No workers configured: plain local execution, not a
 			// degradation.
-			return c.localGrid(ctx, &grid, metrics, false, onRow)
+			return runLocal(false)
 		}
 		if c.opts.DisableLocalFallback {
 			return nil, fmt.Errorf("%w: fleet registry reports no live members", ErrNoWorkers)
 		}
-		return c.localGrid(ctx, &grid, metrics, true, onRow)
+		return runLocal(true)
 	}
 	healthy, refusals := c.preflight(ctx, members)
 	if len(healthy) == 0 {
@@ -333,7 +321,7 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 		if c.opts.DisableLocalFallback {
 			return nil, fmt.Errorf("%w: all %d workers unreachable", ErrNoWorkers, len(members))
 		}
-		return c.localGrid(ctx, &grid, metrics, true, onRow)
+		return runLocal(true)
 	}
 	if len(refusals) > 0 {
 		// Some workers are usable but others speak a different trace
@@ -342,49 +330,11 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 	}
 	telemetry.SpanFrom(ctx).SetInt("sweep.workers", int64(len(healthy)))
 
-	s := newSched(c, &grid, keys, healthy, metrics, onRow)
-	if err := s.run(ctx); err != nil {
+	s := newSched(c, &grid, shardConfigs(grid.Configs), onRow)
+	if err := s.run(ctx, healthy); err != nil {
 		return nil, err
 	}
-	_, msp := telemetry.StartSpan(ctx, "sweep.merge")
-	out, err := s.merge()
-	msp.Fail(err)
-	msp.End()
-	if err != nil {
-		return nil, err
-	}
-	snap := metrics.Snapshot()
-	snap.TraceReplicas = s.replicaCounts()
-	return &Result{Outcomes: out, Metrics: snap}, nil
-}
-
-// localGrid executes the whole grid in-process (no workers configured,
-// or none reachable).
-func (c *Coordinator) localGrid(ctx context.Context, grid *Grid, metrics *Metrics, degraded bool, onRow func(int, int, OutcomeRow)) (*Result, error) {
-	if degraded {
-		c.opts.Logger.WarnCtx(ctx, "cluster: no usable workers, running grid locally")
-	}
-	ctx, sp := telemetry.StartSpan(ctx, "sweep.local_grid")
-	defer sp.End()
-	out := make([][]OutcomeRow, len(grid.Traces))
-	for ti, gt := range grid.Traces {
-		compiled, err := jrpm.Compile(gt.Source, grid.Opts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: local compile %s: %w", gt.Name, err)
-		}
-		outs := compiled.SweepTrace(ctx, gt.Data, grid.Configs, grid.Opts, 0)
-		out[ti] = EncodeOutcomes(outs)
-		metrics.onLocalShard()
-		if onRow != nil && ctx.Err() == nil {
-			for ci, row := range out[ti] {
-				onRow(ti, ci, row)
-			}
-		}
-	}
-	if err := context.Cause(ctx); err != nil && ctx.Err() != nil {
-		return nil, err
-	}
-	return &Result{Outcomes: out, Degraded: degraded, Metrics: metrics.Snapshot()}, nil
+	return s.result(ctx, false)
 }
 
 // SweepRecording adapts Sweep to the one-recording signature used by the
@@ -423,57 +373,52 @@ func (l Local) SweepRecording(ctx context.Context, name, source string, data []b
 // ---------------------------------------------------------------------------
 // Scheduler
 
-// task is one dispatchable shard: a contiguous config range of one grid
-// trace. A sentinel task re-executes its target's range for the
-// determinism check and never merges.
+// task is one dispatchable shard: the configs of one grid trace that
+// share a store geometry, at most core.GroupSize of them, so a worker
+// replays it with one decode and one model pass. (A sweep with no
+// usable worker runs one task per trace instead.) A sentinel task
+// re-executes its primary's configs for the determinism check and never
+// merges.
 type task struct {
-	trace  int
-	lo, hi int
+	trace int
+	cfgs  []int // grid config indices, ascending
 
-	sentinelOf *task   // non-nil on sentinel copies
-	sentinels  []*task // on primaries: attached sentinel copies
+	sentinelOf *task // non-nil on sentinel copies
+	sentinel   *task // on a primary: its sentinel copy, queued once it completes
+
+	// avoid is the worker that must not run this copy while another
+	// live worker can: the one that just failed it, or for a sentinel
+	// the one that ran its primary.
+	avoid *schedWorker
 
 	attempts int // finished (failed) attempts
-	queued   int // copies sitting in worker queues
-	inflight int // active attempts
-	hedged   bool
 	done     bool
-	skipped  bool // sentinel abandoned (no worker could run it)
 	rows     []OutcomeRow
 	by       string // worker that produced rows
 }
 
-type flight struct {
-	t      *task
-	worker int
-	start  time.Time
-	cancel context.CancelFunc
+func (t *task) String() string {
+	return fmt.Sprintf("shard (trace %d, %d configs from config %d)", t.trace, len(t.cfgs), t.cfgs[0])
 }
 
 // schedWorker is one fleet member's scheduling state for the duration
-// of a sweep. Workers are appended as the fleet grows and flagged
-// retired (never removed, so indices stay stable) as it shrinks.
+// of a sweep. A member that leaves is flagged retired; if it comes
+// back it gets a fresh schedWorker, so a worker loop's own value never
+// changes under it.
 type schedWorker struct {
 	id           string
 	client       *workerClient
-	queue        []*task
 	retired      bool
 	consecFail   int
 	breakerUntil time.Time
+	cancel       context.CancelFunc // the attempt in flight, if any
 }
 
-// traceStore tracks where each recording's replicas live during a
-// sweep. All access is under sched.mu.
-type traceStore struct {
-	entries map[string]*storeEntry
-	total   int64 // sum of holder counts across entries
-}
-
-type storeEntry struct {
-	holders map[string]string // member ID -> base URL peers can fetch from
-	pending map[string]bool   // replica transfers in flight, by target ID
-	lost    bool              // a holder departed; next pull is a re-replication
-	seeding bool              // a coordinator push (first placement) is in flight
+// localProgram is a grid trace's program compiled for local shards.
+type localProgram struct {
+	once     sync.Once
+	compiled *jrpm.Compiled
+	err      error
 }
 
 type sched struct {
@@ -482,13 +427,14 @@ type sched struct {
 	keys    []string
 	metrics *Metrics
 	onRow   func(int, int, OutcomeRow)
+	local   []localProgram // per trace, compiled on first local shard
 
 	mu            sync.Mutex
 	cond          *sync.Cond
 	ctx           context.Context
-	workers       []*schedWorker
-	byID          map[string]int
-	flights       map[*flight]struct{}
+	workers       []*schedWorker // every worker admitted this sweep, retired ones included
+	byID          map[string]*schedWorker
+	queue         []*task // shards waiting for a worker, in dispatch order
 	primaries     []*task
 	remaining     int
 	sentinelsLeft int
@@ -498,78 +444,94 @@ type sched struct {
 	localInflight int             // asynchronous local-fallback executions
 	refused       map[string]bool // members refused this sweep (format mismatch)
 	timers        []*time.Timer
-	store         *traceStore
 
 	emitMu sync.Mutex // serializes onRow callbacks
-
-	compileOnce []sync.Once
-	compiled    []*jrpm.Compiled
-	compileErr  []error
 }
 
-func newSched(c *Coordinator, grid *Grid, keys []string, members []fleet.Member, metrics *Metrics, onRow func(int, int, OutcomeRow)) *sched {
+// shardConfigs cuts a grid's config indices into shards: one per store
+// geometry, in order of first appearance, chunked at core.GroupSize.
+// Splitting a geometry further would only multiply trace decodes and
+// model passes.
+func shardConfigs(cfgs []hydra.Config) [][]int {
+	var order []core.Geometry
+	byGeo := map[core.Geometry][]int{}
+	for i, cfg := range cfgs {
+		g := core.GeometryOf(cfg)
+		if _, ok := byGeo[g]; !ok {
+			order = append(order, g)
+		}
+		byGeo[g] = append(byGeo[g], i)
+	}
+	var shards [][]int
+	for _, g := range order {
+		idx := byGeo[g]
+		for len(idx) > core.GroupSize {
+			shards = append(shards, idx[:core.GroupSize])
+			idx = idx[core.GroupSize:]
+		}
+		shards = append(shards, idx)
+	}
+	return shards
+}
+
+// newSched builds a scheduler whose tasks cut every grid trace by the
+// same partition of config indices.
+func newSched(c *Coordinator, grid *Grid, parts [][]int, onRow func(int, int, OutcomeRow)) *sched {
 	s := &sched{
-		c:           c,
-		grid:        grid,
-		keys:        keys,
-		metrics:     metrics,
-		onRow:       onRow,
-		byID:        map[string]int{},
-		flights:     map[*flight]struct{}{},
-		refused:     map[string]bool{},
-		store:       &traceStore{entries: map[string]*storeEntry{}},
-		compileOnce: make([]sync.Once, len(grid.Traces)),
-		compiled:    make([]*jrpm.Compiled, len(grid.Traces)),
-		compileErr:  make([]error, len(grid.Traces)),
+		c:       c,
+		grid:    grid,
+		keys:    make([]string, len(grid.Traces)),
+		metrics: newMetrics(),
+		onRow:   onRow,
+		local:   make([]localProgram, len(grid.Traces)),
+		byID:    map[string]*schedWorker{},
+		refused: map[string]bool{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, m := range members {
-		s.byID[m.ID] = len(s.workers)
-		s.workers = append(s.workers, &schedWorker{id: m.ID, client: c.client(m)})
-	}
-	for _, key := range keys {
-		if s.store.entries[key] == nil {
-			s.store.entries[key] = &storeEntry{holders: map[string]string{}, pending: map[string]bool{}}
-		}
-	}
-
-	size := c.opts.ShardConfigs
-	w := len(s.workers)
 	for ti := range grid.Traces {
-		for lo := 0; lo < len(grid.Configs); lo += size {
-			hi := lo + size
-			if hi > len(grid.Configs) {
-				hi = len(grid.Configs)
-			}
-			t := &task{trace: ti, lo: lo, hi: hi}
-			s.primaries = append(s.primaries, t)
-			// Trace affinity: all of a trace's shards start on one worker,
-			// so each recording ships once; idle workers rebalance by
-			// stealing (and then pull the recording themselves, once).
-			s.enqueueLocked(ti%w, t)
+		s.keys[ti] = service.TraceKeyOf(grid.Traces[ti].Data)
+		for _, cfgs := range parts {
+			s.primaries = append(s.primaries, &task{trace: ti, cfgs: cfgs})
 		}
 	}
 	s.remaining = len(s.primaries)
-
-	if w >= 2 && c.opts.Sentinels > 0 {
-		n := c.opts.Sentinels
-		if n > len(s.primaries) {
-			n = len(s.primaries)
-		}
-		for i := 0; i < n; i++ {
-			p := s.primaries[i]
-			sent := &task{trace: p.trace, lo: p.lo, hi: p.hi, sentinelOf: p}
-			p.sentinels = append(p.sentinels, sent)
-			s.enqueueLocked((p.trace+1)%w, sent)
-			s.sentinelsLeft++
-		}
-	}
 	return s
 }
 
-func (s *sched) enqueueLocked(w int, t *task) {
-	t.queued++
-	s.workers[w].queue = append(s.workers[w].queue, t)
+// runLocal executes every task in-process: no workers configured, or
+// none usable.
+func (s *sched) runLocal(ctx context.Context, degraded bool) (*Result, error) {
+	if degraded {
+		s.c.opts.Logger.WarnCtx(ctx, "cluster: no usable workers, running grid locally")
+	}
+	ctx, sp := telemetry.StartSpan(ctx, "sweep.local_grid")
+	defer sp.End()
+	s.ctx = ctx
+	for _, t := range s.primaries {
+		if ctx.Err() != nil || s.err != nil {
+			break
+		}
+		s.localShard(t)
+	}
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.result(ctx, degraded)
+}
+
+// result merges the completed shards into the sweep's Result.
+func (s *sched) result(ctx context.Context, degraded bool) (*Result, error) {
+	_, msp := telemetry.StartSpan(ctx, "sweep.merge")
+	out, err := s.merge()
+	msp.Fail(err)
+	msp.End()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Outcomes: out, Degraded: degraded, Metrics: s.metrics.Snapshot()}, nil
 }
 
 // terminalLocked reports whether worker loops should exit.
@@ -577,95 +539,128 @@ func (s *sched) terminalLocked() bool {
 	return s.err != nil || s.ctx.Err() != nil || (s.remaining == 0 && s.sentinelsLeft == 0)
 }
 
-// leastLoadedLocked returns the live worker with the shortest queue,
-// preferring any worker over avoid but falling back to avoid when it is
-// the only one left; -1 when no live worker exists.
-func (s *sched) leastLoadedLocked(avoid int) int {
-	best := -1
-	for i, w := range s.workers {
-		if w.retired || i == avoid {
-			continue
-		}
-		if best < 0 || len(w.queue) < len(s.workers[best].queue) {
-			best = i
+// liveLocked counts the workers not retired, other than except.
+func (s *sched) liveLocked(except *schedWorker) int {
+	n := 0
+	for _, w := range s.workers {
+		if !w.retired && w != except {
+			n++
 		}
 	}
-	if best < 0 && avoid >= 0 && avoid < len(s.workers) && !s.workers[avoid].retired {
-		best = avoid
-	}
-	return best
+	return n
 }
 
-// next blocks until worker w has a shard to run (its own queue first,
-// then stealing from the longest other queue) or the sweep is over (or
-// the worker itself has been retired from the fleet).
-func (s *sched) next(w int) (*task, bool) {
+// enqueueLocked queues a shard for the next free worker or, when the
+// fleet has no live worker left, strands it. A sentinel goes to the
+// front, so the check overlaps the rest of the sweep instead of
+// trailing it.
+func (s *sched) enqueueLocked(t *task) {
+	switch {
+	case s.liveLocked(nil) == 0:
+		s.strandLocked(t, errors.New("no live workers remain"))
+		return
+	case t.sentinelOf != nil:
+		s.queue = slices.Insert(s.queue, 0, t)
+	default:
+		s.queue = append(s.queue, t)
+	}
+	s.cond.Broadcast()
+}
+
+// strandLocked settles a shard the fleet cannot run: a sentinel is a
+// skipped check, a primary runs locally unless the fallback is
+// disabled.
+func (s *sched) strandLocked(t *task, cause error) {
+	switch {
+	case t.sentinelOf != nil:
+		s.sentinelsLeft--
+	case s.c.opts.DisableLocalFallback:
+		if s.err == nil {
+			s.err = fmt.Errorf("cluster: %s: %w", t, cause)
+		}
+	default:
+		s.c.opts.Logger.WarnCtx(s.ctx, "cluster: shard cannot run on the fleet, running locally",
+			"trace", t.trace, "configs", len(t.cfgs), "cause", cause)
+		s.localInflight++
+		go func() {
+			s.localShard(t)
+			s.mu.Lock()
+			s.localInflight--
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		}()
+	}
+	s.cond.Broadcast()
+}
+
+// takeLocked removes and returns the first queued shard whose recording
+// sw already holds, or else the first shard sw may run; nil when there
+// is none. A shard that avoids sw is left for the other live workers.
+func (s *sched) takeLocked(sw *schedWorker) *task {
+	alone := s.liveLocked(sw) == 0
+	pick := -1
+	for i, t := range s.queue {
+		if t.avoid == sw && !alone {
+			continue
+		}
+		if sw.client.resident(s.keys[t.trace]) {
+			pick = i
+			break
+		}
+		if pick < 0 {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return nil
+	}
+	t := s.queue[pick]
+	s.queue = slices.Delete(s.queue, pick, pick+1)
+	return t
+}
+
+// next blocks until sw has a shard to run, or the sweep is over, or sw
+// has been retired from the fleet.
+func (s *sched) next(sw *schedWorker) *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.terminalLocked() || s.workers[w].retired {
-			return nil, false
+		if s.terminalLocked() || sw.retired {
+			return nil
 		}
 		// Circuit breaker: while open, this worker takes no new work. The
 		// sleep is chunked so a completed sweep never waits out a cooldown.
-		if wait := time.Until(s.workers[w].breakerUntil); wait > 0 {
-			if wait > 10*time.Millisecond {
-				wait = 10 * time.Millisecond
-			}
+		if wait := time.Until(sw.breakerUntil); wait > 0 {
 			s.mu.Unlock()
 			select {
-			case <-time.After(wait):
+			case <-time.After(min(wait, 10*time.Millisecond)):
 			case <-s.ctx.Done():
 			}
 			s.mu.Lock()
 			continue
 		}
-		if t := s.popLocked(w); t != nil {
-			return t, false
-		}
-		// Work stealing: this worker drained early; take the oldest
-		// queued shard from the most loaded live peer.
-		best, bestLen := -1, 0
-		if !s.c.opts.DisableStealing {
-			for i, pw := range s.workers {
-				if i != w && !pw.retired && len(pw.queue) > bestLen {
-					best, bestLen = i, len(pw.queue)
-				}
-			}
-		}
-		if best >= 0 {
-			if t := s.popLocked(best); t != nil {
-				return t, true
-			}
-			continue
-		}
-		s.cond.Wait()
-	}
-}
-
-// popLocked pops the front of worker w's queue, skipping tasks already
-// completed by another copy or abandoned.
-func (s *sched) popLocked(w int) *task {
-	q := s.workers[w].queue
-	for len(q) > 0 {
-		t := q[0]
-		q = q[1:]
-		s.workers[w].queue = q
-		t.queued--
-		if !t.done && !t.skipped {
+		t := s.takeLocked(sw)
+		switch {
+		case t == nil:
+			s.cond.Wait()
+		case t.sentinelOf != nil && t.avoid == sw:
+			// Only the primary's own worker is left: the check is skipped,
+			// not failed.
+			s.sentinelsLeft--
+			s.cond.Broadcast()
+		default:
 			return t
 		}
 	}
-	return nil
 }
 
-// spawnLocked starts worker w's dispatch loop.
-func (s *sched) spawnLocked(w int) {
+// spawnLocked starts sw's dispatch loop.
+func (s *sched) spawnLocked(sw *schedWorker) {
 	s.running++
-	go s.workerLoop(w)
+	go s.workerLoop(sw)
 }
 
-func (s *sched) workerLoop(w int) {
+func (s *sched) workerLoop(sw *schedWorker) {
 	defer func() {
 		s.mu.Lock()
 		s.running--
@@ -673,26 +668,35 @@ func (s *sched) workerLoop(w int) {
 		s.mu.Unlock()
 	}()
 	for {
-		t, stolen := s.next(w)
+		t := s.next(sw)
 		if t == nil {
 			return
 		}
-		s.metrics.onDispatch(s.workers[w].client.name, stolen)
-		s.attempt(w, t)
+		s.metrics.onDispatch(sw.client.name)
+		s.attempt(sw, t)
 	}
 }
 
-// run executes the scheduler until the grid is merged or failed. The
-// completion signal is the task ledger (remaining + sentinelsLeft), not
-// worker-goroutine exit: with a dynamic fleet, workers come and go
-// while the sweep runs.
-func (s *sched) run(ctx context.Context) error {
+// run executes the scheduler over the preflighted members until every
+// shard is merged or the sweep failed. The completion signal is the
+// task ledger (remaining + sentinelsLeft), not worker-goroutine exit:
+// with a dynamic fleet, workers come and go while the sweep runs.
+func (s *sched) run(ctx context.Context, members []fleet.Member) error {
 	s.mu.Lock()
 	s.ctx = ctx
-	for w := range s.workers {
-		s.spawnLocked(w)
+	s.queue = slices.Clone(s.primaries)
+	if len(members) >= 2 && s.c.opts.Sentinels > 0 {
+		for _, p := range s.primaries[:min(s.c.opts.Sentinels, len(s.primaries))] {
+			p.sentinel = &task{trace: p.trace, cfgs: p.cfgs, sentinelOf: p}
+			s.sentinelsLeft++
+		}
 	}
-	nWorkers := len(s.workers)
+	for _, m := range members {
+		sw := &schedWorker{id: m.ID, client: s.c.client(m)}
+		s.byID[m.ID] = sw
+		s.workers = append(s.workers, sw)
+		s.spawnLocked(sw)
+	}
 	s.mu.Unlock()
 
 	stop := make(chan struct{})
@@ -703,10 +707,7 @@ func (s *sched) run(ctx context.Context) error {
 		case <-stop:
 		}
 	}()
-	if s.c.opts.HedgeAfter > 0 && (s.c.dynamic || nWorkers >= 2) {
-		go s.hedgeMonitor(stop)
-	}
-	if s.c.dynamic || s.c.opts.Replicas > 1 {
+	if s.c.dynamic {
 		go s.fleetMonitor(stop)
 	}
 
@@ -738,43 +739,48 @@ func (s *sched) run(ctx context.Context) error {
 	return nil
 }
 
-// attempt runs one dispatch of t on worker w and routes the outcome
+// attempt runs one dispatch of t on worker sw and routes the outcome
 // through the completion / retry / breaker machinery.
-func (s *sched) attempt(w int, t *task) {
+func (s *sched) attempt(sw *schedWorker, t *task) {
 	s.mu.Lock()
-	if t.done || t.skipped || s.terminalLocked() {
+	if s.terminalLocked() {
 		s.mu.Unlock()
 		return
 	}
 	actx, cancel := context.WithTimeout(s.ctx, s.c.opts.ShardTimeout)
-	fl := &flight{t: t, worker: w, start: time.Now(), cancel: cancel}
-	t.inflight++
-	s.flights[fl] = struct{}{}
+	sw.cancel = cancel
 	s.mu.Unlock()
 
-	rows, err := s.execute(actx, w, t)
+	start := time.Now()
+	rows, err := s.execute(actx, sw, t)
 	cancel()
+	name := sw.client.name
+	var rej *rejectError
+	if errors.As(err, &rej) {
+		// A 4xx is the worker's deterministic answer for these configs:
+		// any worker would give it again, so it becomes the shard's rows
+		// instead of a retry.
+		s.c.opts.Logger.WarnCtx(s.ctx, "cluster: worker rejected shard",
+			"worker", name, "trace", t.trace, "configs", len(t.cfgs), "err", err)
+		rows, err = make([]OutcomeRow, len(t.cfgs)), nil
+		for i, ci := range t.cfgs {
+			rows[i] = OutcomeRow{Cfg: s.grid.Configs[ci], Err: rej.msg}
+		}
+	}
 
 	s.mu.Lock()
-	delete(s.flights, fl)
-	t.inflight--
-	if t.done || t.skipped { // hedge loser: a peer already completed this shard
-		s.mu.Unlock()
-		return
-	}
-	sw := s.workers[w]
-	name := sw.client.name
+	sw.cancel = nil
 	if err == nil {
 		sw.consecFail = 0
-		s.completeLocked(t, rows, name)
+		s.completeLocked(t, rows, sw)
 		s.mu.Unlock()
 		s.emit(t)
-		s.metrics.onComplete(name, time.Since(fl.start))
+		s.metrics.onComplete(name, time.Since(start))
 		return
 	}
 
 	// Failure path.
-	var breakerOpened, retried, localRun bool
+	var breakerOpened, retried bool
 	sw.consecFail++
 	if sw.consecFail >= s.c.opts.BreakerThreshold && time.Now().After(sw.breakerUntil) {
 		sw.breakerUntil = time.Now().Add(s.c.opts.BreakerCooldown)
@@ -788,37 +794,21 @@ func (s *sched) attempt(w int, t *task) {
 		return
 	}
 	t.attempts++
-	switch {
-	case t.inflight > 0 || t.queued > 0:
-		// Another copy of this shard is still in play; let it decide.
-	case t.attempts >= s.c.opts.MaxAttempts:
-		if t.sentinelOf != nil {
-			// A sentinel that cannot run is a skipped check, not a failure.
-			t.skipped = true
-			s.sentinelsLeft--
-			s.cond.Broadcast()
-		} else if !s.c.opts.DisableLocalFallback {
-			localRun = true
-		} else {
-			s.err = fmt.Errorf("cluster: shard (trace %d, configs [%d,%d)) failed %d attempts, last: %w",
-				t.trace, t.lo, t.hi, t.attempts, err)
-			s.cond.Broadcast()
-		}
-	default:
-		retried = true
-		t.queued++ // reserved until the timer requeues it
-		delay := s.c.backoff(t.attempts)
-		avoid := w
-		tm := time.AfterFunc(delay, func() { s.requeue(t, avoid) })
-		s.timers = append(s.timers, tm)
-	}
 	attempts := t.attempts
+	if attempts < s.c.opts.MaxAttempts {
+		retried = true
+		t.avoid = sw
+		tm := time.AfterFunc(s.c.backoff(attempts), func() { s.requeue(t) })
+		s.timers = append(s.timers, tm)
+	} else {
+		s.strandLocked(t, fmt.Errorf("failed %d attempts, last: %w", attempts, err))
+	}
 	sctx := s.ctx
 	s.mu.Unlock()
 
 	log := s.c.opts.Logger
 	log.WarnCtx(sctx, "cluster: shard attempt failed",
-		"worker", name, "trace", t.trace, "lo", t.lo, "hi", t.hi,
+		"worker", name, "trace", t.trace, "configs", len(t.cfgs),
 		"attempt", attempts, "err", err)
 	s.metrics.onFailure(name)
 	if breakerOpened {
@@ -829,11 +819,18 @@ func (s *sched) attempt(w int, t *task) {
 	if retried {
 		s.metrics.onRetry()
 	}
-	if localRun {
-		log.WarnCtx(sctx, "cluster: shard exhausted cluster attempts, running locally",
-			"trace", t.trace, "lo", t.lo, "hi", t.hi)
-		s.localShard(t)
+}
+
+// requeue puts a retried shard back on the queue once its backoff has
+// elapsed.
+func (s *sched) requeue(t *task) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.terminalLocked() {
+		s.cond.Broadcast()
+		return
 	}
+	s.enqueueLocked(t)
 }
 
 // emit streams a completed primary's rows to the SweepStream callback.
@@ -846,32 +843,28 @@ func (s *sched) emit(t *task) {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
 	for i, row := range t.rows {
-		s.onRow(t.trace, t.lo+i, row)
+		s.onRow(t.trace, t.cfgs[i], row)
 	}
 }
 
-// completeLocked records a shard's rows, cancels competing attempts, and
-// fires the sentinel comparison when both sides are in.
-func (s *sched) completeLocked(t *task, rows []OutcomeRow, by string) {
+// completeLocked records a shard's rows (sw is nil for a local run),
+// queues a primary's sentinel away from the worker that ran it, and
+// compares a sentinel against its primary.
+func (s *sched) completeLocked(t *task, rows []OutcomeRow, sw *schedWorker) {
 	t.done = true
 	t.rows = rows
-	t.by = by
-	for fl := range s.flights {
-		if fl.t == t {
-			fl.cancel()
-		}
+	t.by = "local"
+	if sw != nil {
+		t.by = sw.client.name
 	}
 	if t.sentinelOf != nil {
 		s.sentinelsLeft--
-		if t.sentinelOf.done {
-			s.checkSentinelLocked(t.sentinelOf, t)
-		}
+		s.checkSentinelLocked(t.sentinelOf, t)
 	} else {
 		s.remaining--
-		for _, sent := range t.sentinels {
-			if sent.done {
-				s.checkSentinelLocked(t, sent)
-			}
+		if t.sentinel != nil {
+			t.sentinel.avoid = sw
+			s.enqueueLocked(t.sentinel)
 		}
 	}
 	s.cond.Broadcast()
@@ -886,124 +879,16 @@ func (s *sched) checkSentinelLocked(primary, sent *task) {
 	if perr != nil || serr != nil {
 		s.err = fmt.Errorf("%w: encoding failed (%v, %v)", ErrDeterminism, perr, serr)
 	} else if !bytes.Equal(pb, sb) {
-		s.err = fmt.Errorf("%w: shard (trace %d, configs [%d,%d)) differs between %s and %s",
-			ErrDeterminism, primary.trace, primary.lo, primary.hi, primary.by, sent.by)
-	}
-	if s.err != nil {
-		s.cond.Broadcast()
-	}
-}
-
-// reassignLocked routes a dequeued task to a live worker, or — when the
-// fleet has none — to the local fallback (primaries) or a skipped check
-// (sentinels). Tasks with another copy still in play are dropped; that
-// copy decides.
-func (s *sched) reassignLocked(t *task, avoid int) {
-	if t.done || t.skipped {
-		return
-	}
-	if best := s.leastLoadedLocked(avoid); best >= 0 {
-		s.enqueueLocked(best, t)
-		return
-	}
-	if t.inflight > 0 || t.queued > 0 {
-		return
-	}
-	if t.sentinelOf != nil {
-		t.skipped = true
-		s.sentinelsLeft--
-		return
-	}
-	if s.c.opts.DisableLocalFallback {
-		if s.err == nil {
-			s.err = fmt.Errorf("cluster: shard (trace %d, configs [%d,%d)) stranded: no live workers remain",
-				t.trace, t.lo, t.hi)
-		}
-		return
-	}
-	s.goLocalLocked(t)
-}
-
-// goLocalLocked runs the local fallback for t on its own goroutine,
-// tracked so run() never merges while one is still writing.
-func (s *sched) goLocalLocked(t *task) {
-	s.localInflight++
-	go func() {
-		s.localShard(t)
-		s.mu.Lock()
-		s.localInflight--
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-}
-
-// requeue puts a retried shard back on the least-loaded live worker,
-// avoiding the one that just failed it when there is a choice.
-func (s *sched) requeue(t *task, avoid int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t.queued-- // drop the reservation taken when the timer was armed
-	if s.closed || t.done || s.terminalLocked() {
-		s.cond.Broadcast()
-		return
-	}
-	s.reassignLocked(t, avoid)
-	s.cond.Broadcast()
-}
-
-// hedgeMonitor scans in-flight shards and re-dispatches stragglers to a
-// second worker; the first result wins and the loser is canceled.
-func (s *sched) hedgeMonitor(stop <-chan struct{}) {
-	tick := time.NewTicker(s.c.opts.HedgeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		var hedges int
-		s.mu.Lock()
-		if s.terminalLocked() {
-			s.mu.Unlock()
-			return
-		}
-		for fl := range s.flights {
-			t := fl.t
-			if t.done || t.hedged || t.queued > 0 || time.Since(fl.start) < s.c.opts.HedgeAfter {
-				continue
-			}
-			best := -1
-			for i, pw := range s.workers {
-				if i == fl.worker || pw.retired {
-					continue
-				}
-				if best < 0 || len(pw.queue) < len(s.workers[best].queue) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			t.hedged = true
-			s.enqueueLocked(best, t)
-			hedges++
-		}
-		if hedges > 0 {
-			s.cond.Broadcast()
-		}
-		s.mu.Unlock()
-		for i := 0; i < hedges; i++ {
-			s.metrics.onHedge()
-		}
+		s.err = fmt.Errorf("%w: %s differs between %s and %s",
+			ErrDeterminism, primary, primary.by, sent.by)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Fleet dynamics
 
-// fleetMonitor periodically re-snapshots the membership (dynamic
-// fleets) and reconciles replica placement (Replicas > 1).
+// fleetMonitor periodically re-snapshots the membership of a dynamic
+// fleet.
 func (s *sched) fleetMonitor(stop <-chan struct{}) {
 	tick := time.NewTicker(s.c.opts.MembershipInterval)
 	defer tick.Stop()
@@ -1013,18 +898,13 @@ func (s *sched) fleetMonitor(stop <-chan struct{}) {
 			return
 		case <-tick.C:
 		}
-		if s.c.dynamic {
-			s.reconcile()
-		}
-		if s.c.opts.Replicas > 1 {
-			s.replicateTick()
-		}
+		s.reconcile()
 	}
 }
 
 // reconcile diffs the current membership snapshot against the
-// scheduler's worker set: departed members are retired (their shards
-// stolen back), new members are preflighted and admitted.
+// scheduler's worker set: departed members are retired, new members are
+// preflighted and admitted.
 func (s *sched) reconcile() {
 	mctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
 	members, err := s.c.membership.Members(mctx)
@@ -1055,7 +935,7 @@ func (s *sched) reconcile() {
 		if s.refused[m.ID] {
 			continue
 		}
-		if idx, ok := s.byID[m.ID]; ok && !s.workers[idx].retired {
+		if w := s.byID[m.ID]; w != nil && !w.retired {
 			continue
 		}
 		joins = append(joins, m)
@@ -1066,48 +946,31 @@ func (s *sched) reconcile() {
 	}
 }
 
-// retireLocked removes a departed worker from scheduling: its queued
-// shards move to live workers (or the local fallback), its in-flight
-// attempts are canceled so the retry machinery re-routes them, and its
-// residency memo and replica holdings are dropped.
+// retireLocked removes a departed worker from scheduling: its loop
+// exits, its in-flight attempt is canceled so the retry machinery
+// re-routes the shard, and its residency memo is dropped. When it was
+// the last live worker, the queued shards are stranded.
 func (s *sched) retireLocked(w *schedWorker) {
-	if w.retired {
-		return
-	}
 	w.retired = true
-	idx := s.byID[w.id]
 	w.client.forgetAll()
 	s.c.dropClient(w.id)
-	for _, e := range s.store.entries {
-		if e.holders[w.id] != "" {
-			delete(e.holders, w.id)
-			e.lost = true
-			s.store.total--
-		}
-		delete(e.pending, w.id)
-	}
-	s.metrics.setReplicaGauge(s.store.total)
-	for fl := range s.flights {
-		if fl.worker == idx {
-			fl.cancel()
-		}
-	}
-	q := w.queue
-	w.queue = nil
-	for _, t := range q {
-		t.queued--
-		s.reassignLocked(t, idx)
+	if w.cancel != nil {
+		w.cancel()
 	}
 	s.metrics.onMemberLeave()
-	s.c.opts.Logger.WarnCtx(s.ctx, "cluster: worker left the fleet, shards stolen back",
-		"worker", w.client.name, "requeued", len(q))
+	s.c.opts.Logger.WarnCtx(s.ctx, "cluster: worker left the fleet", "worker", w.client.name)
+	if s.liveLocked(nil) == 0 {
+		q := s.queue
+		s.queue = nil
+		for _, t := range q {
+			s.strandLocked(t, errors.New("no live workers remain"))
+		}
+	}
 	s.cond.Broadcast()
 }
 
-// admit preflights a joining member and, if healthy, adds it to the
-// worker set (or revives its retired slot) and starts its dispatch
-// loop. The new worker has an empty queue; it picks up work by
-// stealing, retries and hedges.
+// admit preflights a joining member and, if healthy, starts a dispatch
+// loop for it; the loop takes shards from the shared queue.
 func (s *sched) admit(m fleet.Member) {
 	wc := s.c.client(m)
 	pctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
@@ -1135,264 +998,64 @@ func (s *sched) admit(m fleet.Member) {
 	if s.closed || s.terminalLocked() {
 		return
 	}
-	if idx, ok := s.byID[m.ID]; ok {
-		w := s.workers[idx]
-		if !w.retired {
-			return
-		}
-		w.retired = false
-		w.client = wc
-		w.consecFail = 0
-		w.breakerUntil = time.Time{}
-		s.spawnLocked(idx)
-	} else {
-		s.byID[m.ID] = len(s.workers)
-		s.workers = append(s.workers, &schedWorker{id: m.ID, client: wc})
-		s.spawnLocked(len(s.workers) - 1)
+	if w := s.byID[m.ID]; w != nil && !w.retired {
+		return
 	}
+	sw := &schedWorker{id: m.ID, client: wc}
+	s.byID[m.ID] = sw
+	s.workers = append(s.workers, sw)
+	s.spawnLocked(sw)
 	s.metrics.onMemberJoin()
 	s.c.opts.Logger.InfoCtx(s.ctx, "cluster: worker joined the fleet mid-sweep", "worker", m.ID)
 	s.cond.Broadcast()
 }
 
-// replicateTick drives replica placement toward Replicas holders per
-// recording, choosing targets by rendezvous hashing over live workers
-// and instructing them to pull from existing holders (never the
-// coordinator).
-func (s *sched) replicateTick() {
-	type pullJob struct {
-		key     string
-		target  *schedWorker
-		sources []string
-		relost  bool
-	}
-	var jobs []pullJob
-	s.mu.Lock()
-	if s.closed || s.terminalLocked() {
-		s.mu.Unlock()
-		return
-	}
-	var live []fleet.Member
-	for _, w := range s.workers {
-		if !w.retired {
-			live = append(live, fleet.Member{ID: w.id, Addr: w.client.base})
-		}
-	}
-	if len(live) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	for key, e := range s.store.entries {
-		if len(e.holders) == 0 {
-			// Not placed anywhere yet; the first shard execution seeds it.
-			continue
-		}
-		want := s.c.opts.Replicas
-		if want > len(live) {
-			want = len(live)
-		}
-		if len(e.holders)+len(e.pending) >= want {
-			continue
-		}
-		for _, m := range fleet.Placement(key, live, want) {
-			if e.holders[m.ID] != "" || e.pending[m.ID] {
-				continue
-			}
-			sources := s.store.sourcesLocked(key, m.ID)
-			if len(sources) == 0 {
-				continue
-			}
-			e.pending[m.ID] = true
-			jobs = append(jobs, pullJob{key: key, target: s.workers[s.byID[m.ID]], sources: sources, relost: e.lost})
-			if len(e.holders)+len(e.pending) >= want {
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		go s.replicateOne(j.key, j.target, j.sources, j.relost)
-	}
-}
-
-// replicateOne moves one replica worker-to-worker: the target pulls the
-// recording from an existing holder.
-func (s *sched) replicateOne(key string, target *schedWorker, sources []string, relost bool) {
-	ctx, cancel := context.WithTimeout(s.ctx, s.c.opts.ShardTimeout)
-	defer cancel()
-	ctx, sp := telemetry.StartSpan(ctx, "trace.replicate")
-	sp.SetAttr("worker", target.client.name)
-	sp.SetAttr("trace.key", key)
-	err := target.client.pull(ctx, key, sources)
-	sp.Fail(err)
-	sp.End()
-
-	s.mu.Lock()
-	e := s.store.entries[key]
-	delete(e.pending, target.id)
-	placed := err == nil && !target.retired
-	if placed {
-		if e.holders[target.id] == "" {
-			e.holders[target.id] = target.client.base
-			s.store.total++
-			s.metrics.setReplicaGauge(s.store.total)
-		}
-		e.lost = false
-	}
-	s.mu.Unlock()
-	if placed {
-		s.metrics.onReplicaPull(relost)
-	} else if err != nil {
-		s.c.opts.Logger.DebugCtx(s.ctx, "cluster: replica pull failed",
-			"worker", target.client.name, "trace", key, "err", err)
-	}
-}
-
-// addHolder records that worker sw now holds key's recording.
-func (s *sched) addHolder(key string, sw *schedWorker) {
-	s.mu.Lock()
-	if e := s.store.entries[key]; e != nil && e.holders[sw.id] == "" {
-		e.holders[sw.id] = sw.client.base
-		s.store.total++
-		s.metrics.setReplicaGauge(s.store.total)
-	}
-	s.mu.Unlock()
-	sw.client.markResident(key)
-}
-
-// dropHolder forgets a (key, worker) placement after the worker denied
-// holding the recording.
-func (s *sched) dropHolder(key, id string) {
-	s.mu.Lock()
-	if e := s.store.entries[key]; e != nil && e.holders[id] != "" {
-		delete(e.holders, id)
-		e.lost = true
-		s.store.total--
-		s.metrics.setReplicaGauge(s.store.total)
-	}
-	s.mu.Unlock()
-}
-
-// sourcesLocked lists base URLs of key's holders, excluding one member,
-// in deterministic order.
-func (st *traceStore) sourcesLocked(key, exclude string) []string {
-	e := st.entries[key]
-	if e == nil {
-		return nil
-	}
-	ids := make([]string, 0, len(e.holders))
-	for id := range e.holders {
-		if id != exclude {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = e.holders[id]
-	}
-	return out
-}
-
-// replicaCounts snapshots holders-per-trace for the final metrics.
-func (s *sched) replicaCounts() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.store.entries))
-	for key, e := range s.store.entries {
-		out[key] = len(e.holders)
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Shard execution
 
-// execute is one network attempt: make the recording available on the
-// worker, then run the shard. The coordinator ships bytes only when no
-// fleet member holds the recording yet; otherwise the worker is handed
-// the holders' addresses and fetches peer-to-peer on a cache miss. A
-// worker that evicted the trace between placement and dispatch gets
-// exactly one coordinator re-push as the liveness backstop.
-func (s *sched) execute(ctx context.Context, w int, t *task) (rows []OutcomeRow, err error) {
-	sw := s.workers[w]
+// execute is one network attempt: make the recording resident on the
+// worker (pushed the first time the worker runs a shard of it), then
+// run the shard. A worker that evicted the trace between push and
+// dispatch gets exactly one re-push within the attempt.
+func (s *sched) execute(ctx context.Context, sw *schedWorker, t *task) (rows []OutcomeRow, err error) {
 	wc := sw.client
 	ctx, sp := telemetry.StartSpan(ctx, "shard.dispatch")
 	sp.SetAttr("worker", wc.name)
 	sp.SetInt("shard.trace", int64(t.trace))
-	sp.SetInt("shard.lo", int64(t.lo))
-	sp.SetInt("shard.hi", int64(t.hi))
+	sp.SetInt("shard.configs", int64(len(t.cfgs)))
 	defer func() { sp.Fail(err); sp.End() }()
 
 	key := s.keys[t.trace]
 	data := s.grid.Traces[t.trace].Data
-	// First placement of a recording is serialized through the seeding
-	// gate: exactly one worker receives the coordinator push, everyone
-	// else waits for a holder to exist and then fetches peer-to-peer.
-	// Without the gate, a worker stealing a shard at sweep start races
-	// the affinity worker's first push and the coordinator ships the
-	// bytes twice.
-	var sources []string
-	seeder := false
-	s.mu.Lock()
-	e := s.store.entries[key]
-	for {
-		if s.terminalLocked() {
-			s.mu.Unlock()
-			if cerr := s.ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, errors.New("cluster: sweep already terminal")
-		}
-		if e.holders[sw.id] != "" {
-			break
-		}
-		if srcs := s.store.sourcesLocked(key, sw.id); len(srcs) > 0 {
-			sources = srcs
-			break
-		}
-		if !e.seeding {
-			e.seeding, seeder = true, true
-			break
-		}
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-	if seeder {
-		pushed, perr := wc.ensureTrace(ctx, key, data)
+	push := func() error {
+		pushed, err := wc.ensureTrace(ctx, key, data)
 		if pushed {
 			s.metrics.onPush(wc.name)
 		}
-		s.mu.Lock()
-		e.seeding = false
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if perr != nil {
-			return nil, perr
-		}
-		s.addHolder(key, sw)
+		return err
+	}
+	if err := push(); err != nil {
+		return nil, err
 	}
 	req := s.shardReq(t)
-	req.Sources = sources
 	rows, err = wc.runShard(ctx, req)
 	if errors.Is(err, errTraceMissing) {
-		// Peer fetch failed or an eviction raced the dispatch: one
-		// coordinator re-push keeps the shard alive.
 		wc.forget(key)
-		s.dropHolder(key, sw.id)
-		pushed, perr := wc.ensureTrace(ctx, key, data)
-		if pushed {
-			s.metrics.onPush(wc.name)
-		}
-		if perr != nil {
-			return nil, perr
+		if err := push(); err != nil {
+			return nil, err
 		}
 		rows, err = wc.runShard(ctx, req)
 	}
-	if err == nil {
-		s.addHolder(key, sw)
-	}
 	return rows, err
+}
+
+// configs gathers t's machine configurations from the grid.
+func (s *sched) configs(t *task) []hydra.Config {
+	cfgs := make([]hydra.Config, len(t.cfgs))
+	for i, ci := range t.cfgs {
+		cfgs[i] = s.grid.Configs[ci]
+	}
+	return cfgs
 }
 
 func (s *sched) shardReq(t *task) ShardRequest {
@@ -1404,25 +1067,24 @@ func (s *sched) shardReq(t *task) ShardRequest {
 		Annot:    s.grid.Opts.Annot,
 		Tracer:   s.grid.Opts.Tracer,
 		Select:   s.grid.Opts.Select,
-		Configs:  s.grid.Configs[t.lo:t.hi],
+		Configs:  s.configs(t),
 	}
 }
 
-// localShard executes one exhausted shard in-process — the graceful
-// degradation path when the fleet cannot run it.
+// localShard executes one shard in-process: every shard when no worker
+// is usable, and the graceful-degradation path for a shard the fleet
+// cannot run.
 func (s *sched) localShard(t *task) {
 	ctx, sp := telemetry.StartSpan(s.ctx, "shard.local")
 	sp.SetInt("shard.trace", int64(t.trace))
-	sp.SetInt("shard.lo", int64(t.lo))
-	sp.SetInt("shard.hi", int64(t.hi))
+	sp.SetInt("shard.configs", int64(len(t.cfgs)))
 	ti := t.trace
-	s.compileOnce[ti].Do(func() {
-		s.compiled[ti], s.compileErr[ti] = jrpm.Compile(s.grid.Traces[ti].Source, s.grid.Opts)
-	})
+	lp := &s.local[ti]
+	lp.once.Do(func() { lp.compiled, lp.err = jrpm.Compile(s.grid.Traces[ti].Source, s.grid.Opts) })
+	err := lp.err
 	var rows []OutcomeRow
-	err := s.compileErr[ti]
 	if err == nil {
-		outs := s.compiled[ti].SweepTrace(ctx, s.grid.Traces[ti].Data, s.grid.Configs[t.lo:t.hi], s.grid.Opts, 0)
+		outs := lp.compiled.SweepTrace(ctx, s.grid.Traces[ti].Data, s.configs(t), s.grid.Opts, 0)
 		rows = EncodeOutcomes(outs)
 		for _, o := range outs {
 			if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {
@@ -1434,20 +1096,16 @@ func (s *sched) localShard(t *task) {
 	sp.Fail(err)
 	sp.End()
 	s.mu.Lock()
-	if t.done {
-		s.mu.Unlock()
-		return
-	}
 	if err != nil {
 		if s.err == nil && s.ctx.Err() == nil {
-			s.err = fmt.Errorf("cluster: local fallback for shard (trace %d, configs [%d,%d)): %w", t.trace, t.lo, t.hi, err)
+			s.err = fmt.Errorf("cluster: local fallback for %s: %w", t, err)
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		return
 	}
 	s.metrics.onLocalShard()
-	s.completeLocked(t, rows, "local")
+	s.completeLocked(t, rows, nil)
 	s.mu.Unlock()
 	s.emit(t)
 }
@@ -1458,22 +1116,20 @@ func (s *sched) merge() ([][]OutcomeRow, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([][]OutcomeRow, len(s.grid.Traces))
+	filled := make([][]bool, len(s.grid.Traces))
 	for ti := range out {
 		out[ti] = make([]OutcomeRow, len(s.grid.Configs))
-	}
-	filled := make([][]bool, len(s.grid.Traces))
-	for ti := range filled {
 		filled[ti] = make([]bool, len(s.grid.Configs))
 	}
 	for _, t := range s.primaries {
 		if !t.done {
-			return nil, fmt.Errorf("cluster: internal: shard (trace %d, configs [%d,%d)) never completed", t.trace, t.lo, t.hi)
+			return nil, fmt.Errorf("cluster: internal: %s never completed", t)
 		}
-		if len(t.rows) != t.hi-t.lo {
-			return nil, fmt.Errorf("cluster: internal: shard (trace %d, configs [%d,%d)) has %d rows", t.trace, t.lo, t.hi, len(t.rows))
+		if len(t.rows) != len(t.cfgs) {
+			return nil, fmt.Errorf("cluster: internal: %s has %d rows", t, len(t.rows))
 		}
 		for i, row := range t.rows {
-			ci := t.lo + i
+			ci := t.cfgs[i]
 			if filled[t.trace][ci] {
 				return nil, fmt.Errorf("cluster: internal: config (trace %d, config %d) merged twice", t.trace, ci)
 			}

@@ -1,12 +1,11 @@
 // Focused fault-machinery coverage: circuit-breaker half-open recovery
-// and hedged-dispatch loser cancellation, exercised deliberately rather
-// than incidentally by the churn integration tests.
+// and deterministic 4xx rejections, exercised deliberately rather than
+// incidentally by the churn integration tests.
 package cluster
 
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -45,13 +44,11 @@ func TestClusterBreakerHalfOpenRecovery(t *testing.T) {
 	srv, _ := newTestWorker(t, failFirst(2))
 	coord := New(Options{
 		Workers:              []string{srv.URL},
-		ShardConfigs:         2,
 		MaxAttempts:          10,
 		RetryBase:            5 * time.Millisecond,
 		RetryMax:             20 * time.Millisecond,
 		BreakerThreshold:     2,
 		BreakerCooldown:      40 * time.Millisecond,
-		HedgeAfter:           -1,
 		Sentinels:            -1,
 		DisableLocalFallback: true, // recovery must come from the worker itself
 	})
@@ -77,78 +74,64 @@ func TestClusterBreakerHalfOpenRecovery(t *testing.T) {
 	}
 }
 
-// slowUntilCanceled delays shard requests by d, but aborts immediately
-// (counting the cancellation) when the coordinator cancels the request
-// — the observable fate of a hedge loser. The body is drained before
-// sleeping: the server only detects a client abort once the request
-// body has been consumed.
-func slowUntilCanceled(d time.Duration, canceled *int32) func(http.Handler) http.Handler {
+// countShards counts the shard requests reaching a worker.
+func countShards(n *int32) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
-				body, err := io.ReadAll(r.Body)
-				if err != nil {
-					panic(http.ErrAbortHandler)
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
-				select {
-				case <-time.After(d):
-				case <-r.Context().Done():
-					atomic.AddInt32(canceled, 1)
-					panic(http.ErrAbortHandler)
-				}
+				atomic.AddInt32(n, 1)
 			}
 			next.ServeHTTP(w, r)
 		})
 	}
 }
 
-// TestClusterHedgeLoserCanceled: a straggling shard is hedged onto a
-// second worker; when the fast copy wins, the coordinator must cancel
-// the slow loser's in-flight request (observed server-side as a
-// canceled request context), and the winning rows must be the local
-// rows.
-func TestClusterHedgeLoserCanceled(t *testing.T) {
-	src, data := recordWorkload(t, "Huffman")
-	cfgs := gridConfigs(4)
-	want := localRows(t, src, data, cfgs)
-
-	var canceled int32
-	slowSrv, _ := newTestWorker(t, slowUntilCanceled(5*time.Second, &canceled))
-	fastSrv, _ := newTestWorker(t, nil)
-	coord := New(Options{
-		// Trace affinity puts the single trace's shards on the slow
-		// worker; the fast worker only sees the sentinel until hedging
-		// re-dispatches the stragglers.
-		Workers:          []string{slowSrv.URL, fastSrv.URL},
-		ShardConfigs:     4,
-		HedgeAfter:       30 * time.Millisecond,
-		HedgeInterval:    5 * time.Millisecond,
-		DisableStealing:  true, // force the hedge path, not the stealing path
-		ShardTimeout:     30 * time.Second,
-		BreakerThreshold: 100, // keep the loser's cancellation out of the breaker
-	})
-	res, err := coord.Sweep(context.Background(), Grid{
-		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
-		Configs: cfgs,
-		Opts:    jrpm.DefaultOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonical(t, res.Outcomes[0]), canonical(t, want)) {
-		t.Fatal("hedged sweep diverged from local sweep")
-	}
-	if res.Metrics.Hedged < 1 {
-		t.Errorf("hedges = %d, want >= 1", res.Metrics.Hedged)
-	}
-	// The server observes the aborted connection asynchronously, a few
-	// milliseconds after the coordinator's client-side cancel returns.
-	deadline := time.Now().Add(2 * time.Second)
-	for atomic.LoadInt32(&canceled) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := atomic.LoadInt32(&canceled); n < 1 {
-		t.Errorf("loser cancellations observed = %d, want >= 1 (winner must cancel the straggler)", n)
+// TestClusterRejectionNotRetried: a worker's 4xx answer to a shard (other
+// than trace_missing) is deterministic, so each shard is dispatched
+// exactly once, the answer never counts toward the breaker, and the
+// shard's configs come back as rows carrying the worker's message. The
+// 409 is a recording paired with another program's source (program-hash
+// mismatch); the 422 is a source that does not compile.
+func TestClusterRejectionNotRetried(t *testing.T) {
+	huffman, data := recordWorkload(t, "Huffman")
+	lu, _ := recordWorkload(t, "LuFactor")
+	cfgs := gridConfigs(6)
+	shards := len(shardConfigs(cfgs))
+	for _, tc := range []struct {
+		name, source, wantErr string
+	}{
+		{"409", lu, "trace was not recorded from the shard's program (hash mismatch)"},
+		{"422", huffman + "\nfunc broken(", "compile: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dispatched int32
+			srv, _ := newTestWorker(t, countShards(&dispatched))
+			coord := New(Options{
+				Workers:              []string{srv.URL},
+				RetryBase:            time.Millisecond,
+				BreakerThreshold:     1,
+				DisableLocalFallback: true, // a retried shard must not be rescued locally
+			})
+			res, err := coord.Sweep(context.Background(), Grid{
+				Traces:  []GridTrace{{Name: "Huffman", Source: tc.source, Data: data}},
+				Configs: cfgs,
+				Opts:    jrpm.DefaultOptions(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := atomic.LoadInt32(&dispatched); int(n) != shards {
+				t.Errorf("worker received %d shard requests, want %d (one per shard)", n, shards)
+			}
+			if m := res.Metrics; m.Failures != 0 || m.Retried != 0 || m.BreakerOpens != 0 || m.LocalShards != 0 {
+				t.Errorf("failures %d, retries %d, breaker opens %d, local shards %d; want all 0",
+					m.Failures, m.Retried, m.BreakerOpens, m.LocalShards)
+			}
+			for ci, row := range res.Outcomes[0] {
+				if !strings.HasPrefix(row.Err, tc.wantErr) {
+					t.Errorf("config %d: Err = %q, want the worker's message %q", ci, row.Err, tc.wantErr)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,6 @@
 // Fleet-dynamics acceptance: byte-identity must survive a registry-
-// backed worker set that churns mid-sweep — workers dying (shards
-// stolen back) and joining (shards picked up) — and the replicated
-// trace store must keep each recording on N members with worker-to-
-// worker transfer only.
+// backed worker set that churns mid-sweep — workers dying (in-flight
+// shards retried elsewhere) and joining (shards taken from the queue).
 package cluster
 
 import (
@@ -17,6 +15,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/corpus"
 	"jrpm/internal/fleet"
 	"jrpm/internal/workloads"
 )
@@ -84,7 +83,6 @@ func TestFleetChurnEquivalence(t *testing.T) {
 			coord := New(Options{
 				Membership:         fleet.NewRegistryMembership(regSrv.URL),
 				MembershipInterval: 5 * time.Millisecond,
-				ShardConfigs:       2,
 				MaxAttempts:        8,
 				RetryBase:          5 * time.Millisecond,
 				BreakerThreshold:   2,
@@ -141,95 +139,52 @@ func TestFleetChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestFleetReReplication: with -replicas 2 over three workers and
-// stealing disabled (so execution alone cannot spread copies), the
-// replicator must place a second copy of every recording worker-to-
-// worker, and losing a holder mid-sweep must re-converge each
-// recording back to two replicas.
-func TestFleetReReplication(t *testing.T) {
-	regSrv, _ := newTestRegistry(t, 5*time.Second)
-	ids := []string{"worker-a", "worker-b", "worker-c"}
-	for _, id := range ids {
-		srv, _ := newTestWorker(t, slowShards(10*time.Millisecond))
-		registerMember(t, regSrv.URL, id, srv.URL)
-	}
-
-	names := []string{"Huffman", "BitOps", "LuFactor"}
-	grid := Grid{Configs: gridConfigs(16), Opts: jrpm.DefaultOptions()}
-	for _, n := range names {
-		src, data := recordWorkload(t, n)
-		grid.Traces = append(grid.Traces, GridTrace{Name: n, Source: src, Data: data})
-	}
-	var want [][]OutcomeRow
-	for _, gt := range grid.Traces {
-		want = append(want, localRows(t, gt.Source, gt.Data, grid.Configs))
-	}
-
-	coord := New(Options{
-		Membership:         fleet.NewRegistryMembership(regSrv.URL),
-		MembershipInterval: 5 * time.Millisecond,
-		Replicas:           2,
-		DisableStealing:    true,
-		ShardConfigs:       2,
-		MaxAttempts:        8,
-		RetryBase:          5 * time.Millisecond,
-		Sentinels:          -1,
-		HedgeAfter:         -1,
-	})
-
-	var die sync.Once
-	res, err := coord.SweepStream(context.Background(), grid, func(ti, ci int, _ OutcomeRow) {
-		// Losing worker A mid-sweep drops every replica it held.
-		die.Do(func() { go deregisterMember(t, regSrv.URL, "worker-a") })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range grid.Traces {
-		if !bytes.Equal(canonical(t, res.Outcomes[ti]), canonical(t, want[ti])) {
-			t.Errorf("trace %d diverged from local sweep", ti)
-		}
-	}
-	if res.Metrics.ReplicaPulls < 1 {
-		t.Errorf("replica pulls = %d, want >= 1 (stealing disabled, second copies must move worker-to-worker)",
-			res.Metrics.ReplicaPulls)
-	}
-	if res.Metrics.MemberLeaves != 1 {
-		t.Errorf("member leaves = %d, want 1", res.Metrics.MemberLeaves)
-	}
-	for key, n := range res.Metrics.TraceReplicas {
-		if n < 2 {
-			t.Errorf("trace %s finished with %d replicas, want 2 (re-replication after holder loss)", key[:12], n)
-		}
-	}
-}
-
-// BenchmarkFleetSweep measures replicated sweeps and asserts the
-// coordinator's push bandwidth is flat in the replica count: each
-// recording leaves the coordinator at most once — every further copy
-// moves worker-to-worker.
+// BenchmarkFleetSweep measures the crossover on a corpus × config grid:
+// 8 smoke-corpus recordings × 16 configurations over 4 store
+// geometries, so 32 shards. "local" replays every recording in-process
+// with Local; workers=2 and workers=4 run the same grid through
+// in-process fleets over loopback HTTP. It reports cells/s and
+// coordinator pushes per sweep, and asserts that across all iterations
+// every worker receives each recording at most once.
 func BenchmarkFleetSweep(b *testing.B) {
-	grid := Grid{Configs: benchConfigs(16), Opts: jrpm.DefaultOptions()}
-	for _, n := range []string{"Huffman", "BitOps"} {
-		src, data := recordWorkload(b, n)
-		grid.Traces = append(grid.Traces, GridTrace{Name: n, Source: src, Data: data})
+	_, progs, err := corpus.Compile(corpus.SmokeSpec())
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, replicas := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			addrs := make([]string, 3)
-			workers := make([]*Worker, 3)
+	opts := jrpm.DefaultOptions()
+	grid := Grid{Configs: benchConfigs(16), Opts: opts}
+	for _, p := range progs[:8] {
+		c, err := jrpm.Compile(p.Source, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := c.ProfileRecord(context.Background(), p.Input(), opts, &buf); err != nil {
+			b.Fatal(err)
+		}
+		grid.Traces = append(grid.Traces, GridTrace{Name: p.SHA256[:12], Source: p.Source, Data: buf.Bytes()})
+	}
+	cells := float64(len(grid.Traces) * len(grid.Configs))
+
+	b.Run("local", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, gt := range grid.Traces {
+				if _, err := (Local{}).SweepRecording(context.Background(), gt.Name, gt.Source, gt.Data, grid.Configs, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+	})
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
+			addrs := make([]string, n)
+			workers := make([]*Worker, n)
 			for i := range addrs {
 				srv, w := newTestWorker(b, nil)
 				addrs[i], workers[i] = srv.URL, w
 			}
-			coord := New(Options{
-				Workers:            addrs,
-				Replicas:           replicas,
-				MembershipInterval: 5 * time.Millisecond,
-				ShardConfigs:       4,
-				Sentinels:          -1,
-				HedgeAfter:         -1,
-			})
+			coord := New(Options{Workers: addrs, Sentinels: -1})
 			var pushes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -240,28 +195,16 @@ func BenchmarkFleetSweep(b *testing.B) {
 				pushes += res.Metrics.TracePushes
 			}
 			b.StopTimer()
-			// Across every iteration the coordinator ships each recording at
-			// most once (the residency memo persists between sweeps).
-			if pushes > int64(len(grid.Traces)) {
-				b.Errorf("coordinator pushed %d times for %d traces at replicas=%d, want at most one push per trace",
-					pushes, len(grid.Traces), replicas)
-			}
-			perKey := map[string]int64{}
-			var peerFetches int64
-			for _, w := range workers {
-				snap := w.Snapshot()
-				for _, tt := range snap.Traces {
-					perKey[tt.Key] += tt.Pushes
-				}
-				peerFetches += snap.TracePeerFetches
-			}
-			for key, n := range perKey {
-				if n > 1 {
-					b.Errorf("trace %s received %d coordinator pushes fleet-wide, want at most 1 (replicas fetch peer-to-peer)",
-						key[:12], n)
+			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(float64(pushes)/float64(b.N), "pushes/op")
+			for i, w := range workers {
+				for _, tt := range w.Snapshot().Traces {
+					if tt.Pushes > 1 {
+						b.Errorf("worker %d: trace %s pushed %d times across %d sweeps, want at most once",
+							i, tt.Key[:12], tt.Pushes, b.N)
+					}
 				}
 			}
-			b.ReportMetric(float64(peerFetches)/float64(b.N), "peer-fetches/op")
 		})
 	}
 }

@@ -18,8 +18,6 @@ type Metrics struct {
 
 	dispatched *telemetry.Counter
 	retried    *telemetry.Counter
-	hedged     *telemetry.Counter
-	stolen     *telemetry.Counter
 	failures   *telemetry.Counter
 	breaker    *telemetry.Counter
 	local      *telemetry.Counter
@@ -27,9 +25,6 @@ type Metrics struct {
 	pushes     *telemetry.Counter
 	joins      *telemetry.Counter
 	leaves     *telemetry.Counter
-	replicated *telemetry.Counter
-	rerepl     *telemetry.Counter
-	replicaGa  *telemetry.Gauge
 
 	mu        sync.Mutex
 	latencies []time.Duration // completed shard round-trip times
@@ -40,7 +35,6 @@ type workerCounters struct {
 	dispatched int64
 	completed  int64
 	failures   int64
-	stolen     int64
 	pushes     int64
 	latencies  []time.Duration
 }
@@ -49,10 +43,8 @@ func newMetrics() *Metrics {
 	reg := telemetry.NewRegistry()
 	return &Metrics{
 		reg:        reg,
-		dispatched: reg.Counter("jrpm_sweep_shards_dispatched_total", "Shard dispatch attempts (including retries and hedges)."),
+		dispatched: reg.Counter("jrpm_sweep_shards_dispatched_total", "Shard dispatch attempts (including retries and sentinels)."),
 		retried:    reg.Counter("jrpm_sweep_shards_retried_total", "Shards requeued after a failed attempt."),
-		hedged:     reg.Counter("jrpm_sweep_shards_hedged_total", "Straggler shards re-dispatched to a second worker."),
-		stolen:     reg.Counter("jrpm_sweep_shards_stolen_total", "Shards taken off another worker's queue."),
 		failures:   reg.Counter("jrpm_sweep_shard_failures_total", "Failed shard attempts."),
 		breaker:    reg.Counter("jrpm_sweep_breaker_opens_total", "Circuit-breaker trips."),
 		local:      reg.Counter("jrpm_sweep_local_shards_total", "Shards executed in-process as graceful degradation."),
@@ -60,9 +52,6 @@ func newMetrics() *Metrics {
 		pushes:     reg.Counter("jrpm_sweep_trace_pushes_total", "Recordings shipped to workers (content-address misses)."),
 		joins:      reg.Counter("jrpm_sweep_member_joins_total", "Workers admitted mid-sweep from the fleet membership."),
 		leaves:     reg.Counter("jrpm_sweep_member_leaves_total", "Workers retired mid-sweep after leaving the fleet."),
-		replicated: reg.Counter("jrpm_sweep_replica_pulls_total", "Worker-to-worker replica transfers instructed by the scheduler."),
-		rerepl:     reg.Counter("jrpm_sweep_rereplications_total", "Replica transfers that restored a replica lost to membership churn."),
-		replicaGa:  reg.Gauge("jrpm_sweep_trace_replicas", "Recording replicas currently placed across the fleet (all traces)."),
 		perWorker:  map[string]*workerCounters{},
 	}
 }
@@ -80,18 +69,11 @@ func (m *Metrics) worker(name string) *workerCounters {
 	return w
 }
 
-func (m *Metrics) onDispatch(worker string, stolen bool) {
+func (m *Metrics) onDispatch(worker string) {
 	m.dispatched.Inc()
-	if stolen {
-		m.stolen.Inc()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.worker(worker)
-	w.dispatched++
-	if stolen {
-		w.stolen++
-	}
+	m.worker(worker).dispatched++
 }
 
 func (m *Metrics) onComplete(worker string, d time.Duration) {
@@ -111,24 +93,12 @@ func (m *Metrics) onFailure(worker string) {
 }
 
 func (m *Metrics) onRetry()       { m.retried.Inc() }
-func (m *Metrics) onHedge()       { m.hedged.Inc() }
 func (m *Metrics) onBreakerOpen() { m.breaker.Inc() }
 func (m *Metrics) onLocalShard()  { m.local.Inc() }
 func (m *Metrics) onSentinel()    { m.sentinels.Inc() }
 
 func (m *Metrics) onMemberJoin()  { m.joins.Inc() }
 func (m *Metrics) onMemberLeave() { m.leaves.Inc() }
-
-func (m *Metrics) onReplicaPull(rereplication bool) {
-	m.replicated.Inc()
-	if rereplication {
-		m.rerepl.Inc()
-	}
-}
-
-// setReplicaGauge tracks the fleet-wide replica population (the sum of
-// per-trace holder counts) as placement and churn move it.
-func (m *Metrics) setReplicaGauge(n int64) { m.replicaGa.Set(n) }
 
 func (m *Metrics) onPush(w string) {
 	m.pushes.Inc()
@@ -143,21 +113,18 @@ type WorkerStats struct {
 	Dispatched int64   `json:"dispatched"`
 	Completed  int64   `json:"completed"`
 	Failures   int64   `json:"failures"`
-	Stolen     int64   `json:"stolen"`
 	TracePush  int64   `json:"trace_pushes"`
 	P50Ms      float64 `json:"p50_ms"`
 	P99Ms      float64 `json:"p99_ms"`
 }
 
 // Snapshot is the JSON-ready summary of one sweep's scheduling: shard
-// dispatch/retry/hedge/steal counters, circuit-breaker trips, local
+// dispatch/retry counters, circuit-breaker trips, local
 // fallbacks, sentinel checks, content-address pushes, and shard latency
 // quantiles, overall and per worker.
 type Snapshot struct {
 	Dispatched     int64         `json:"dispatched"`
 	Retried        int64         `json:"retried"`
-	Hedged         int64         `json:"hedged"`
-	Stolen         int64         `json:"stolen"`
 	Failures       int64         `json:"failures"`
 	BreakerOpens   int64         `json:"breaker_opens"`
 	LocalShards    int64         `json:"local_shards"`
@@ -165,14 +132,9 @@ type Snapshot struct {
 	TracePushes    int64         `json:"trace_pushes"`
 	MemberJoins    int64         `json:"member_joins,omitempty"`
 	MemberLeaves   int64         `json:"member_leaves,omitempty"`
-	ReplicaPulls   int64         `json:"replica_pulls,omitempty"`
-	ReReplications int64         `json:"rereplications,omitempty"`
 	ShardP50Ms     float64       `json:"shard_p50_ms"`
 	ShardP99Ms     float64       `json:"shard_p99_ms"`
 	Workers        []WorkerStats `json:"workers"`
-	// TraceReplicas maps each grid trace's content address to how many
-	// fleet members held it when the sweep finished.
-	TraceReplicas map[string]int `json:"trace_replicas,omitempty"`
 }
 
 // quantile returns the q-th latency quantile in milliseconds; ds is
@@ -194,8 +156,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Dispatched:     m.dispatched.Load(),
 		Retried:        m.retried.Load(),
-		Hedged:         m.hedged.Load(),
-		Stolen:         m.stolen.Load(),
 		Failures:       m.failures.Load(),
 		BreakerOpens:   m.breaker.Load(),
 		LocalShards:    m.local.Load(),
@@ -203,8 +163,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		TracePushes:    m.pushes.Load(),
 		MemberJoins:    m.joins.Load(),
 		MemberLeaves:   m.leaves.Load(),
-		ReplicaPulls:   m.replicated.Load(),
-		ReReplications: m.rerepl.Load(),
 		ShardP50Ms:     quantile(m.latencies, 0.50),
 		ShardP99Ms:     quantile(m.latencies, 0.99),
 	}
@@ -220,7 +178,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			Dispatched: w.dispatched,
 			Completed:  w.completed,
 			Failures:   w.failures,
-			Stolen:     w.stolen,
 			TracePush:  w.pushes,
 			P50Ms:      quantile(w.latencies, 0.50),
 			P99Ms:      quantile(w.latencies, 0.99),

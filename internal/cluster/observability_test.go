@@ -67,9 +67,8 @@ func TestClusterStitchedTrace(t *testing.T) {
 	ctx, root := telemetry.StartSpan(ctx, "test.sweep")
 
 	c := New(Options{
-		Workers:      []string{addr1, addr2},
-		ShardConfigs: 2,
-		Sentinels:    1,
+		Workers:   []string{addr1, addr2},
+		Sentinels: 1,
 	})
 	res, err := c.Sweep(ctx, Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
@@ -160,10 +159,9 @@ func TestClusterReadyzPreflight(t *testing.T) {
 
 	var buf strings.Builder
 	c := New(Options{
-		Workers:      []string{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
-		ShardConfigs: 2,
-		Sentinels:    -1,
-		Logger:       telemetry.NewLogger(&buf, telemetry.LevelDebug),
+		Workers:   []string{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
+		Sentinels: -1,
+		Logger:    telemetry.NewLogger(&buf, telemetry.LevelDebug),
 	})
 	res, err := c.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "BitOps", Source: src, Data: data}},
@@ -191,8 +189,8 @@ func TestClusterReadyzPreflight(t *testing.T) {
 // RegisterProm families render as valid Prometheus text.
 func TestClusterMetricsProm(t *testing.T) {
 	m := newMetrics()
-	m.onDispatch("w1", false)
-	m.onDispatch("w2", true)
+	m.onDispatch("w1")
+	m.onDispatch("w2")
 	m.onRetry()
 	m.onPush("w1")
 	var buf strings.Builder
@@ -205,7 +203,6 @@ func TestClusterMetricsProm(t *testing.T) {
 	}
 	for _, family := range []string{
 		"jrpm_sweep_shards_dispatched_total 2",
-		"jrpm_sweep_shards_stolen_total 1",
 		"jrpm_sweep_shards_retried_total 1",
 		"jrpm_sweep_trace_pushes_total 1",
 	} {

@@ -10,9 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"jrpm"
 	"jrpm/internal/core"
@@ -27,10 +25,9 @@ const maxTraceBody = 512 << 20
 // Worker serves the cluster's worker-side endpoints on top of a service
 // pool, reusing its content-addressed caches:
 //
-//	POST /v1/shards              replay a cached recording under N configs
-//	GET  /v1/traces/{hash}       fetch cached trace bytes (?stat=1: presence only)
-//	PUT  /v1/traces/{hash}       store trace bytes under their content address
-//	POST /v1/traces/{hash}/pull  fetch the recording from a peer replica holder
+//	POST /v1/shards         replay a cached recording under N configs
+//	GET  /v1/traces/{hash}  fetch cached trace bytes (?stat=1: presence only)
+//	PUT  /v1/traces/{hash}  store trace bytes under their content address
 //
 // Shard execution is bounded by a semaphore independent of the pool's
 // job queue, so a busy profiling daemon still answers shard traffic
@@ -43,21 +40,16 @@ type Worker struct {
 	// replayWorkers bounds intra-shard replay parallelism (trace.Sweep's
 	// worker count); <= 0 means GOMAXPROCS.
 	replayWorkers int
-	// MaxTraceBytes caps PUT /v1/traces uploads and peer pulls; <= 0
-	// means the 512 MiB default. Set before Register.
+	// MaxTraceBytes caps PUT /v1/traces uploads; <= 0 means the 512 MiB
+	// default. Set before Register.
 	MaxTraceBytes int64
-
-	hc *http.Client // peer fetches
 
 	mu        sync.Mutex
 	shards    int64
 	configs   int64
 	pulls     map[string]int64 // trace key -> GET (bytes served) count
 	pushes    map[string]int64 // trace key -> PUT (bytes received) count
-	peerFetch map[string]int64 // trace key -> recordings fetched from peers
-	rejected  int64
 	shardErrs int64
-	fetching  map[string]chan struct{} // in-flight peer fetches, by key
 }
 
 // NewWorker wraps a pool. maxConcurrent bounds simultaneous shard
@@ -71,11 +63,8 @@ func NewWorker(pool *service.Pool, maxConcurrent, replayWorkers int) *Worker {
 		pool:          pool,
 		sem:           make(chan struct{}, maxConcurrent),
 		replayWorkers: replayWorkers,
-		hc:            &http.Client{Timeout: 60 * time.Second},
 		pulls:         map[string]int64{},
 		pushes:        map[string]int64{},
-		peerFetch:     map[string]int64{},
-		fetching:      map[string]chan struct{}{},
 	}
 }
 
@@ -99,7 +88,6 @@ func (w *Worker) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shards", w.runShard)
 	mux.HandleFunc("GET /v1/traces/{hash}", w.getTrace)
 	mux.HandleFunc("PUT /v1/traces/{hash}", w.putTrace)
-	mux.HandleFunc("POST /v1/traces/{hash}/pull", w.pullTrace)
 }
 
 func (w *Worker) getTrace(rw http.ResponseWriter, r *http.Request) {
@@ -116,8 +104,8 @@ func (w *Worker) getTrace(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	w.pulls[key]++
 	w.mu.Unlock()
-	// Stream with an explicit length so peers (and the coordinator) can
-	// size buffers and enforce their own caps without buffering twice.
+	// Stream with an explicit length so clients can size buffers and
+	// enforce their own caps without buffering twice.
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Header().Set("Content-Length", fmt.Sprint(len(art.Data)))
 	io.Copy(rw, bytes.NewReader(art.Data)) //nolint:errcheck // client gone; nothing to do
@@ -165,131 +153,6 @@ func (w *Worker) putTrace(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// pullTrace fetches a recording from a peer replica holder into this
-// worker's cache: the replication data path, so the coordinator pushes
-// each trace's bytes to the fleet at most once.
-func (w *Worker) pullTrace(rw http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	var req struct {
-		Sources []string `json:"sources"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "bad pull request: " + err.Error()})
-		return
-	}
-	if _, ok := w.pool.Traces().Get(key); ok {
-		rw.WriteHeader(http.StatusNoContent)
-		return
-	}
-	if len(req.Sources) == 0 {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "pull has no sources"})
-		return
-	}
-	if err := w.fetchFromPeers(r.Context(), key, req.Sources); err != nil {
-		writeJSON(rw, http.StatusBadGateway, map[string]string{"error": err.Error()})
-		return
-	}
-	rw.WriteHeader(http.StatusNoContent)
-}
-
-// fetchFromPeers downloads the recording from the first source that has
-// it, verifies the content address, and caches it. Concurrent fetches
-// of the same key collapse into one transfer.
-func (w *Worker) fetchFromPeers(ctx context.Context, key string, sources []string) error {
-	for {
-		w.mu.Lock()
-		ch, inflight := w.fetching[key]
-		if !inflight {
-			ch = make(chan struct{})
-			w.fetching[key] = ch
-		}
-		w.mu.Unlock()
-		if !inflight {
-			break
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if _, ok := w.pool.Traces().Get(key); ok {
-			return nil
-		}
-		// The other fetch failed; take our own turn.
-	}
-	defer func() {
-		w.mu.Lock()
-		close(w.fetching[key])
-		delete(w.fetching, key)
-		w.mu.Unlock()
-	}()
-
-	ctx, sp := telemetry.StartSpan(ctx, "trace.peer_fetch")
-	defer sp.End()
-	sp.SetAttr("trace.key", key)
-	var lastErr error
-	for _, src := range sources {
-		data, err := w.fetchOne(ctx, key, src)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if got := service.TraceKeyOf(data); got != key {
-			lastErr = fmt.Errorf("peer %s served bytes hashing to %s, want %s", src, got, key)
-			continue
-		}
-		if _, err := trace.NewBytesReader(data); err != nil {
-			lastErr = fmt.Errorf("peer %s served a corrupt trace: %w", src, err)
-			continue
-		}
-		w.pool.Traces().Put(&service.TraceArtifact{Key: key, Data: data})
-		w.mu.Lock()
-		w.peerFetch[key]++
-		w.mu.Unlock()
-		sp.SetAttr("trace.source", src)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no pull sources")
-	}
-	sp.Fail(lastErr)
-	return fmt.Errorf("pull %s: %w", key, lastErr)
-}
-
-func (w *Worker) fetchOne(ctx context.Context, key, src string) ([]byte, error) {
-	base := strings.TrimRight(src, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/traces/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-		return nil, fmt.Errorf("peer %s: HTTP %d", src, resp.StatusCode)
-	}
-	if resp.ContentLength > w.maxBytes() {
-		return nil, fmt.Errorf("peer %s: trace %d bytes exceeds the %d byte cap", src, resp.ContentLength, w.maxBytes())
-	}
-	var buf bytes.Buffer
-	if resp.ContentLength > 0 {
-		buf.Grow(int(resp.ContentLength))
-	}
-	if _, err := io.Copy(&buf, io.LimitReader(resp.Body, w.maxBytes()+1)); err != nil {
-		return nil, err
-	}
-	if int64(buf.Len()) > w.maxBytes() {
-		return nil, fmt.Errorf("peer %s: trace exceeds the %d byte cap", src, w.maxBytes())
-	}
-	return buf.Bytes(), nil
-}
-
 func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxTraceBody))
@@ -324,13 +187,6 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	art, ok := w.pool.Traces().Get(req.TraceKey)
-	if !ok && len(req.Sources) > 0 {
-		// The coordinator named replica holders instead of shipping
-		// bytes: fetch worker-to-worker, then proceed as a cache hit.
-		if err := w.fetchFromPeers(ctx, req.TraceKey, req.Sources); err == nil {
-			art, ok = w.pool.Traces().Get(req.TraceKey)
-		}
-	}
 	if !ok {
 		sp.SetAttr("error", "trace_missing")
 		writeJSON(rw, http.StatusNotFound, map[string]string{"error": "no cached trace " + req.TraceKey, "code": "trace_missing"})
@@ -420,7 +276,7 @@ func (w *Worker) RegisterProm(reg *telemetry.Registry) {
 		"Shard requests that failed (compile, trace header, hash mismatch).",
 		locked(func() int64 { return w.shardErrs }))
 	reg.CounterFunc("jrpmd_cluster_trace_pulls_total",
-		"Trace recordings served to peers (bytes-out transfers).",
+		"Trace recordings served over GET /v1/traces/{hash} (bytes-out transfers).",
 		locked(func() int64 {
 			var n int64
 			for _, c := range w.pulls {
@@ -437,34 +293,23 @@ func (w *Worker) RegisterProm(reg *telemetry.Registry) {
 			}
 			return n
 		}))
-	reg.CounterFunc("jrpmd_cluster_trace_peer_fetches_total",
-		"Trace recordings fetched from peer replica holders.",
-		locked(func() int64 {
-			var n int64
-			for _, c := range w.peerFetch {
-				n += c
-			}
-			return n
-		}))
 }
 
 // TraceTransfer is one content address's transfer counters on a worker.
 type TraceTransfer struct {
-	Key         string `json:"key"`
-	Pulls       int64  `json:"pulls"`
-	Pushes      int64  `json:"pushes"`
-	PeerFetches int64  `json:"peer_fetches,omitempty"`
+	Key    string `json:"key"`
+	Pulls  int64  `json:"pulls"`
+	Pushes int64  `json:"pushes"`
 }
 
 // WorkerSnapshot is the worker-side cluster section of GET /v1/metrics.
 type WorkerSnapshot struct {
-	ShardsExecuted   int64           `json:"shards_executed"`
-	ConfigsSwept     int64           `json:"configs_swept"`
-	ShardErrors      int64           `json:"shard_errors"`
-	TracePulls       int64           `json:"trace_pulls"`
-	TracePushes      int64           `json:"trace_pushes"`
-	TracePeerFetches int64           `json:"trace_peer_fetches"`
-	Traces           []TraceTransfer `json:"traces,omitempty"`
+	ShardsExecuted int64           `json:"shards_executed"`
+	ConfigsSwept   int64           `json:"configs_swept"`
+	ShardErrors    int64           `json:"shard_errors"`
+	TracePulls     int64           `json:"trace_pulls"`
+	TracePushes    int64           `json:"trace_pushes"`
+	Traces         []TraceTransfer `json:"traces,omitempty"`
 }
 
 // Snapshot reports shard and transfer counters, traces sorted by key.
@@ -483,9 +328,6 @@ func (w *Worker) Snapshot() WorkerSnapshot {
 	for k := range w.pushes {
 		keys[k] = true
 	}
-	for k := range w.peerFetch {
-		keys[k] = true
-	}
 	sorted := make([]string, 0, len(keys))
 	for k := range keys {
 		sorted = append(sorted, k)
@@ -494,9 +336,7 @@ func (w *Worker) Snapshot() WorkerSnapshot {
 	for _, k := range sorted {
 		s.TracePulls += w.pulls[k]
 		s.TracePushes += w.pushes[k]
-		s.TracePeerFetches += w.peerFetch[k]
-		s.Traces = append(s.Traces, TraceTransfer{
-			Key: k, Pulls: w.pulls[k], Pushes: w.pushes[k], PeerFetches: w.peerFetch[k]})
+		s.Traces = append(s.Traces, TraceTransfer{Key: k, Pulls: w.pulls[k], Pushes: w.pushes[k]})
 	}
 	return s
 }

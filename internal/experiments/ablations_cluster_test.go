@@ -31,8 +31,7 @@ func startWorker(t *testing.T) *httptest.Server {
 func TestAblationsThroughCluster(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	coord := cluster.New(cluster.Options{
-		Workers:      []string{w1.URL, w2.URL},
-		ShardConfigs: 2,
+		Workers: []string{w1.URL, w2.URL},
 	})
 	ctx := context.Background()
 

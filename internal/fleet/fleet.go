@@ -8,21 +8,12 @@
 //   - Agent: the worker-side loop that registers, heartbeats at a
 //     fraction of the TTL, and deregisters gracefully on drain.
 //   - Membership: the read side. The cluster scheduler re-snapshots a
-//     Membership throughout a sweep, so workers joining mid-sweep pick
-//     up shards and a dead worker's shards are stolen back.
-//
-// Placement ranks members for a content-addressed trace key by
-// rendezvous (highest-random-weight) hashing, which keeps replica
-// placement stable under churn: removing one member only moves the
-// keys that member held.
+//     Membership throughout a sweep, so workers joining mid-sweep take
+//     shards from its queue and a dead worker's in-flight shards are
+//     retried elsewhere.
 package fleet
 
-import (
-	"context"
-	"fmt"
-	"hash/fnv"
-	"sort"
-)
+import "context"
 
 // Member is one worker in the fleet.
 type Member struct {
@@ -53,7 +44,7 @@ type Membership interface {
 type Static []string
 
 // Members returns one member per address, in the configured order, so
-// worker indices stay deterministic for affinity and tests.
+// the scheduler's worker list stays deterministic.
 func (s Static) Members(context.Context) ([]Member, error) {
 	ms := make([]Member, 0, len(s))
 	for _, addr := range s {
@@ -63,51 +54,4 @@ func (s Static) Members(context.Context) ([]Member, error) {
 		ms = append(ms, Member{ID: addr, Addr: addr})
 	}
 	return ms, nil
-}
-
-// Placement ranks members for key by rendezvous hashing and returns the
-// top n (all members when n exceeds the fleet). Every caller that
-// agrees on the member set agrees on the ranking, with no coordination
-// and no reshuffling beyond the keys a departed member actually held.
-func Placement(key string, members []Member, n int) []Member {
-	if n <= 0 || len(members) == 0 {
-		return nil
-	}
-	type scored struct {
-		m     Member
-		score uint64
-	}
-	ranked := make([]scored, 0, len(members))
-	for _, m := range members {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s\x00%s", m.ID, key)
-		ranked = append(ranked, scored{m: m, score: mix64(h.Sum64())})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
-		}
-		return ranked[i].m.ID < ranked[j].m.ID
-	})
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	out := make([]Member, n)
-	for i := 0; i < n; i++ {
-		out[i] = ranked[i].m
-	}
-	return out
-}
-
-// mix64 is a 64-bit finalizer (murmur3 fmix64). FNV alone has weak
-// avalanche in the tail bytes — keys that differ only in their last
-// characters would barely reorder the ranking — so the raw sum gets a
-// full mixing pass before scores are compared.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -134,60 +133,5 @@ func TestStaticMembership(t *testing.T) {
 	ms := members(t, Static{"a:1", "", "b:2"})
 	if len(ms) != 2 || ms[0].ID != "a:1" || ms[1].Addr != "b:2" {
 		t.Fatalf("static members: %+v", ms)
-	}
-}
-
-func TestPlacementProperties(t *testing.T) {
-	fleet := make([]Member, 0, 8)
-	for i := 0; i < 8; i++ {
-		fleet = append(fleet, Member{ID: fmt.Sprintf("w%d", i), Addr: fmt.Sprintf("w%d:9090", i)})
-	}
-	keys := make([]string, 0, 200)
-	for i := 0; i < 200; i++ {
-		keys = append(keys, fmt.Sprintf("trace-%03d", i))
-	}
-
-	// Deterministic and independent of member order.
-	shuffled := append([]Member{}, fleet[4:]...)
-	shuffled = append(shuffled, fleet[:4]...)
-	for _, k := range keys {
-		a := Placement(k, fleet, 3)
-		b := Placement(k, shuffled, 3)
-		if len(a) != 3 || len(b) != 3 {
-			t.Fatalf("placement size: %d/%d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				t.Fatalf("placement order-dependent for %s: %v vs %v", k, a, b)
-			}
-		}
-	}
-
-	// Spread: every member should own some keys at n=1.
-	owners := map[string]int{}
-	for _, k := range keys {
-		owners[Placement(k, fleet, 1)[0].ID]++
-	}
-	if len(owners) != len(fleet) {
-		t.Fatalf("rendezvous spread covers %d/%d members: %v", len(owners), len(fleet), owners)
-	}
-
-	// Minimal movement: removing one member must not move keys it did
-	// not own.
-	without := append(append([]Member{}, fleet[:3]...), fleet[4:]...)
-	for _, k := range keys {
-		before := Placement(k, fleet, 1)[0]
-		after := Placement(k, without, 1)[0]
-		if before.ID != "w3" && after.ID != before.ID {
-			t.Fatalf("key %s moved from %s to %s though w3 left", k, before.ID, after.ID)
-		}
-	}
-
-	// n larger than the fleet returns everyone.
-	if got := Placement("k", fleet[:2], 5); len(got) != 2 {
-		t.Fatalf("overshoot placement: %v", got)
-	}
-	if got := Placement("k", nil, 2); got != nil {
-		t.Fatalf("empty fleet placement: %v", got)
 	}
 }

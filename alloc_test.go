@@ -9,6 +9,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/corpus"
+	"jrpm/internal/service"
 	"jrpm/internal/workloads"
 )
 
@@ -18,18 +19,20 @@ var raceEnabled bool
 
 // TestRunAllocsPerJob gates what one Compiled.Run of Huffman at scale 1
 // allocates once the job's scratch is warm: frames on the VM's one
-// stack, the recorder and simulator scratch from their free lists and
-// event-log chunks from their pool. Garbage collection is off while it
-// measures: a collection can empty the event-log pool, and the chunks
-// the next job then allocates would make the count depend on when the
-// collector ran. On a 2-vCPU x86-64 VM a job made 155 allocations
-// of 0.19 MB (0.31 MB before BindInputs sized the heap once); before
-// that scratch was reused, about 190 of 2.9 MB.
+// stack, the VM's heap, the model's tables, the recorder and simulator
+// scratch from their free lists, event-log chunks from their pool, and
+// a plan projected from the scalar screen's classes. Garbage collection
+// is off while it measures: a collection can empty the event-log pool,
+// and the chunks the next job then allocates would make the count
+// depend on when the collector ran. On a 2-vCPU x86-64 VM a job made
+// 62 allocations of 5.4 KB; with a fresh heap, fresh tables and a plan
+// re-analyzed per job, 155 of 0.19 MB; before any scratch was reused,
+// about 190 of 2.9 MB.
 func TestRunAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	const maxAllocs, maxBytes = 175, 1 << 20
+	const maxAllocs, maxBytes = 80, 64 << 10
 	w, err := workloads.ByName("Huffman")
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +66,58 @@ func TestRunAllocsPerJob(t *testing.T) {
 	}
 	if bytes > maxBytes {
 		t.Errorf("%d bytes allocated per job, want at most %d", bytes, maxBytes)
+	}
+}
+
+// TestPoolSpeculateAllocsPerJob gates what one warm cache-hit speculate
+// job through the service pool allocates, submit to result: the
+// workload's input comes from the pool's memo, the recompilation plan
+// is projected from the classes the scalar screen recorded at compile
+// time, and the VM's heap and the model's tables come from their free
+// lists. The budget is below what either kind of rebuilt work would
+// add: building Huffman's input at scale 1 allocates about 440 KB, and
+// re-analyzing its selected loops for the plan (cfg.Build, NaturalLoops,
+// scalar.Analyze) about 70 allocations of 9 KB. Garbage collection is
+// off while it measures, as in TestRunAllocsPerJob. On a 2-vCPU x86-64
+// VM a job made 95 allocations of 8.5 KB; before the memo, the projected
+// plans and the released VM heap and tables, 392 of 1.07 MB.
+func TestPoolSpeculateAllocsPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const maxAllocs, maxBytes = 130, 14 << 10
+	pool := service.NewPool(service.Config{Workers: 1})
+	defer pool.Stop()
+	req := service.Request{Workload: "Huffman", Scale: 1, Speculate: true}
+	job := func() {
+		j, err := pool.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := j.Wait(context.Background())
+		if err != nil || v.State != service.StateDone {
+			t.Fatalf("job %s: %v %s", v.State, err, v.Error)
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	job() // compile, build the input, fill the free lists
+	job()
+	allocs := testing.AllocsPerRun(10, job)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	perJob := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("pool speculate job (Huffman, scale 1, cache hit): %.0f allocations, %d bytes per job", allocs, perJob)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per job, want at most %d", allocs, maxAllocs)
+	}
+	if perJob > maxBytes {
+		t.Errorf("%d bytes allocated per job, want at most %d", perJob, maxBytes)
 	}
 }
 

@@ -105,6 +105,7 @@ func applyFunc(prog *tir.Program, fi int, f *tir.Function, opts Options) (int, e
 			NumLocals:   len(sc.Annotated),
 			Candidate:   sc.Reject == "",
 			Reject:      sc.Reject,
+			Scalars:     slotClasses(sc),
 		}
 		prog.Loops = append(prog.Loops, info)
 		rec := &loopRec{l: l, id: id, sc: sc, info: &prog.Loops[id]}
@@ -235,6 +236,16 @@ func applyFunc(prog *tir.Program, fi int, f *tir.Function, opts Options) (int, e
 		inserted += insertLocalAnnotations(f, recs, opts.OptimizedLocals)
 	}
 	return inserted, nil
+}
+
+// slotClasses lists sc's class for each slot the loop accesses, in
+// slot order: the table jit.Build projects a loop's plan from.
+func slotClasses(sc *scalar.LoopScalars) []tir.SlotClass {
+	out := make([]tir.SlotClass, len(sc.Accessed))
+	for i, slot := range sc.Accessed {
+		out[i] = tir.SlotClass{Slot: int32(slot), Class: uint8(sc.Classes[slot])}
+	}
+	return out
 }
 
 // insertLocalAnnotations inserts lwl/swl before LdLoc/StLoc of slots that

@@ -85,7 +85,12 @@ type apiError struct {
 type rejectError struct {
 	status int
 	msg    string
+	code   string
 }
+
+// codeCompile marks a shard rejected because its source does not
+// compile: every shard of the trace would be, so the sweep fails.
+const codeCompile = "compile"
 
 func (e *rejectError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.msg) }
 
@@ -98,7 +103,7 @@ func decodeError(resp *http.Response) error {
 		case ae.Code == "trace_missing":
 			return errTraceMissing
 		case code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
-			return &rejectError{code, ae.Error}
+			return &rejectError{code, ae.Error, ae.Code}
 		}
 		return fmt.Errorf("HTTP %d: %s", code, ae.Error)
 	}

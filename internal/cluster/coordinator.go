@@ -365,9 +365,15 @@ func (l Local) SweepRecording(ctx context.Context, name, source string, data []b
 	opts = jrpm.Normalize(opts)
 	compiled, err := jrpm.Compile(source, opts)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: compile %s: %w", name, err)
+		return nil, compileError(name, err)
 	}
 	return EncodeOutcomes(compiled.SweepTrace(ctx, data, cfgs, opts, l.Workers)), nil
+}
+
+// compileError is the error a sweep fails with when trace name's source
+// does not compile, locally or on a worker.
+func compileError(name string, err error) error {
+	return fmt.Errorf("cluster: compile %s: %w", name, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -757,6 +763,18 @@ func (s *sched) attempt(sw *schedWorker, t *task) {
 	name := sw.client.name
 	var rej *rejectError
 	if errors.As(err, &rej) {
+		if rej.code == codeCompile {
+			// The trace's source does not compile: fail the sweep as a
+			// local sweep fails, with the same error.
+			s.mu.Lock()
+			sw.cancel = nil
+			if s.err == nil {
+				s.err = compileError(s.grid.Traces[t.trace].Name, errors.New(rej.msg))
+			}
+			s.cond.Broadcast()
+			s.mu.Unlock()
+			return
+		}
 		// A 4xx is the worker's deterministic answer for these configs:
 		// any worker would give it again, so it becomes the shard's rows
 		// instead of a retry.
@@ -1081,14 +1099,16 @@ func (s *sched) localShard(t *task) {
 	ti := t.trace
 	lp := &s.local[ti]
 	lp.once.Do(func() { lp.compiled, lp.err = jrpm.Compile(s.grid.Traces[ti].Source, s.grid.Opts) })
-	err := lp.err
+	var err error
 	var rows []OutcomeRow
-	if err == nil {
+	if lp.err != nil {
+		err = compileError(s.grid.Traces[ti].Name, lp.err)
+	} else {
 		outs := lp.compiled.SweepTrace(ctx, s.grid.Traces[ti].Data, s.configs(t), s.grid.Opts, 0)
 		rows = EncodeOutcomes(outs)
 		for _, o := range outs {
 			if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {
-				err = o.Err
+				err = fmt.Errorf("cluster: local fallback for %s: %w", t, o.Err)
 				break
 			}
 		}
@@ -1098,7 +1118,7 @@ func (s *sched) localShard(t *task) {
 	s.mu.Lock()
 	if err != nil {
 		if s.err == nil && s.ctx.Err() == nil {
-			s.err = fmt.Errorf("cluster: local fallback for %s: %w", t, err)
+			s.err = err
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()

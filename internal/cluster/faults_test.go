@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/trace"
 )
 
 // failFirst rejects the first n shard requests with a 500, then serves
@@ -87,21 +88,23 @@ func countShards(n *int32) func(http.Handler) http.Handler {
 }
 
 // TestClusterRejectionNotRetried: a worker's 4xx answer to a shard (other
-// than trace_missing) is deterministic, so each shard is dispatched
-// exactly once, the answer never counts toward the breaker, and the
-// shard's configs come back as rows carrying the worker's message. The
-// 409 is a recording paired with another program's source (program-hash
-// mismatch); the 422 is a source that does not compile.
+// than trace_missing) is deterministic, so no shard is dispatched twice
+// and the answer never counts toward the breaker. The 409 is a recording
+// paired with another program's source (program-hash mismatch): each
+// shard is dispatched once and its configs come back as rows carrying
+// the worker's message, the error a local sweep's rows carry. The 422 is
+// a source that does not compile: the sweep fails with a local sweep's
+// error, at most one dispatch per shard.
 func TestClusterRejectionNotRetried(t *testing.T) {
 	huffman, data := recordWorkload(t, "Huffman")
 	lu, _ := recordWorkload(t, "LuFactor")
 	cfgs := gridConfigs(6)
 	shards := len(shardConfigs(cfgs))
 	for _, tc := range []struct {
-		name, source, wantErr string
+		name, source, wantRowErr, wantErr string
 	}{
-		{"409", lu, "trace was not recorded from the shard's program (hash mismatch)"},
-		{"422", huffman + "\nfunc broken(", "compile: "},
+		{"409", lu, trace.ErrHashMismatch.Error(), ""},
+		{"422", huffman + "\nfunc broken(", "", "cluster: compile Huffman: "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var dispatched int32
@@ -117,10 +120,20 @@ func TestClusterRejectionNotRetried(t *testing.T) {
 				Configs: cfgs,
 				Opts:    jrpm.DefaultOptions(),
 			})
+			n := int(atomic.LoadInt32(&dispatched))
+			if tc.wantErr != "" {
+				if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) {
+					t.Fatalf("sweep error %v, want one starting %q", err, tc.wantErr)
+				}
+				if n < 1 || n > shards {
+					t.Errorf("worker received %d shard requests, want 1 to %d (at most one per shard)", n, shards)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := atomic.LoadInt32(&dispatched); int(n) != shards {
+			if n != shards {
 				t.Errorf("worker received %d shard requests, want %d (one per shard)", n, shards)
 			}
 			if m := res.Metrics; m.Failures != 0 || m.Retried != 0 || m.BreakerOpens != 0 || m.LocalShards != 0 {
@@ -128,10 +141,62 @@ func TestClusterRejectionNotRetried(t *testing.T) {
 					m.Failures, m.Retried, m.BreakerOpens, m.LocalShards)
 			}
 			for ci, row := range res.Outcomes[0] {
-				if !strings.HasPrefix(row.Err, tc.wantErr) {
-					t.Errorf("config %d: Err = %q, want the worker's message %q", ci, row.Err, tc.wantErr)
+				if row.Err != tc.wantRowErr {
+					t.Errorf("config %d: Err = %q, want the worker's message %q", ci, row.Err, tc.wantRowErr)
 				}
 			}
 		})
 	}
+}
+
+// TestClusterErrorsMatchLocal: a sweep fails the same way locally and on
+// a two-worker fleet. A recording paired with another program's source
+// gives the same failed rows, byte for byte in Canonical form; a source
+// that does not compile fails the sweep with the same error.
+func TestClusterErrorsMatchLocal(t *testing.T) {
+	huffman, data := recordWorkload(t, "Huffman")
+	lu, _ := recordWorkload(t, "LuFactor")
+	cfgs := gridConfigs(6)
+	srv1, _ := newTestWorker(t, nil)
+	srv2, _ := newTestWorker(t, nil)
+	coord := New(Options{Workers: []string{srv1.URL, srv2.URL}, DisableLocalFallback: true})
+	ctx := context.Background()
+	opts := jrpm.DefaultOptions()
+
+	t.Run("hash mismatch", func(t *testing.T) {
+		local, err := Local{}.SweepRecording(ctx, "Huffman", lu, data, cfgs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet, err := coord.SweepRecording(ctx, "Huffman", lu, data, cfgs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := Canonical(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := Canonical(fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lb, fb) {
+			t.Fatalf("fleet rows differ from local rows:\nfleet %s\nlocal %s", fb, lb)
+		}
+		if local[0].Err == "" {
+			t.Fatal("local rows carry no error")
+		}
+	})
+
+	t.Run("compile", func(t *testing.T) {
+		broken := huffman + "\nfunc broken("
+		_, lerr := Local{}.SweepRecording(ctx, "Huffman", broken, data, cfgs, opts)
+		_, ferr := coord.SweepRecording(ctx, "Huffman", broken, data, cfgs, opts)
+		if lerr == nil || ferr == nil {
+			t.Fatalf("local error %v, fleet error %v; want both to fail", lerr, ferr)
+		}
+		if lerr.Error() != ferr.Error() {
+			t.Fatalf("fleet error %q, want the local error %q", ferr, lerr)
+		}
+	})
 }

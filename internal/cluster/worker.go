@@ -196,18 +196,20 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	compiled, err := w.compiled(req)
 	if err != nil {
 		sp.Fail(err)
-		w.fail(rw, http.StatusUnprocessableEntity, "compile: "+err.Error())
+		// The coordinator fails the whole sweep with this message, as a
+		// local sweep fails on a source that does not compile.
+		w.fail(rw, http.StatusUnprocessableEntity, err.Error(), codeCompile)
 		return
 	}
 	tr, err := trace.NewBytesReader(art.Data)
 	if err != nil {
 		sp.Fail(err)
-		w.fail(rw, http.StatusUnprocessableEntity, "trace header: "+err.Error())
+		w.fail(rw, http.StatusUnprocessableEntity, "trace header: "+err.Error(), "")
 		return
 	}
 	if tr.Header().ProgramHash != compiled.TraceHash() {
 		sp.SetAttr("error", "hash_mismatch")
-		w.fail(rw, http.StatusConflict, "trace was not recorded from the shard's program (hash mismatch)")
+		w.fail(rw, http.StatusConflict, trace.ErrHashMismatch.Error(), "") // a local sweep's row error
 		return
 	}
 
@@ -247,11 +249,17 @@ func (w *Worker) compiled(req ShardRequest) (*jrpm.Compiled, error) {
 	return c, nil
 }
 
-func (w *Worker) fail(rw http.ResponseWriter, code int, msg string) {
+// fail answers a shard request with a JSON error, and with code (a
+// machine-readable cause) when it is not empty.
+func (w *Worker) fail(rw http.ResponseWriter, status int, msg, code string) {
 	w.mu.Lock()
 	w.shardErrs++
 	w.mu.Unlock()
-	writeJSON(rw, code, map[string]string{"error": msg})
+	body := map[string]string{"error": msg}
+	if code != "" {
+		body["code"] = code
+	}
+	writeJSON(rw, status, body)
 }
 
 // RegisterProm exposes the worker's long-lived shard and transfer

@@ -66,7 +66,10 @@ func groupGrid(geo func(*hydra.Config)) ([]hydra.Config, []core.Options) {
 }
 
 // runGrouped feeds evs to one model per GroupSize configs, as trace.Sweep
-// cuts a geometry group, and returns every config's view.
+// cuts a geometry group, and returns every config's view. Each model
+// releases its tables once fed, as trace.Sweep's do, so later models
+// (of this geometry or another) run on reused tables and the views are
+// read after Release.
 func runGrouped(prog *tir.Program, evs []vmsim.Event, cfgs []hydra.Config, opts []core.Options) []*core.Tracer {
 	var out []*core.Tracer
 	for lo := 0; lo < len(cfgs); lo += core.GroupSize {
@@ -78,6 +81,7 @@ func runGrouped(prog *tir.Program, evs []vmsim.Event, cfgs []hydra.Config, opts 
 		for at := 0; at < len(evs); at += 512 {
 			g.ConsumeEvents(evs[at:min(at+512, len(evs))])
 		}
+		g.Release()
 		for i := range cfgs[lo:hi] {
 			out = append(out, g.Tracer(i))
 		}

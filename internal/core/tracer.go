@@ -35,6 +35,7 @@ import (
 	"math"
 	"math/bits"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
 	"jrpm/internal/vmsim"
@@ -165,6 +166,26 @@ func newStoreFIFO(capLines int) *storeFIFO {
 	return &storeFIFO{cap: capLines}
 }
 
+// adopt gives an empty FIFO the ring and index of an earlier one, so it
+// grows only past their sizes. How large the index is changes no
+// lookup's answer.
+func (f *storeFIFO) adopt(ring []fifoLine, index []int32) {
+	f.ring = ring[:0]
+	if len(index) > 0 {
+		clear(index)
+		f.setIndex(index)
+	}
+}
+
+// setIndex installs an empty index, its length a power of two.
+func (f *storeFIFO) setIndex(index []int32) {
+	f.index = index
+	f.shift = 32
+	for b := len(index); b > 1; b >>= 1 {
+		f.shift--
+	}
+}
+
 // bucket is the home bucket of a line: Fibonacci hashing on the line
 // number.
 func (f *storeFIFO) bucket(line uint32) int {
@@ -236,12 +257,7 @@ func (f *storeFIFO) grow() {
 	if 2*(n+1) <= len(f.index) {
 		return
 	}
-	size := max(2*len(f.index), fifoMinIndex)
-	f.index = make([]int32, size)
-	f.shift = 32
-	for b := size; b > 1; b >>= 1 {
-		f.shift--
-	}
+	f.setIndex(make([]int32, max(2*len(f.index), fifoMinIndex)))
 	for s := 0; s < n; s++ {
 		f.insert(s)
 	}
@@ -471,6 +487,71 @@ type Group struct {
 
 	cfgs     []Tracer
 	extended uint64 // mask of the configs with Options.Extended
+
+	scratch *tables // where Release returns the run-time tables
+}
+
+// tables is a group's run-time scratch: the store FIFO's ring and
+// index, both line caches and the idle banks. No statistic is read from
+// it after the run, so Release hands it to the next group.
+type tables struct {
+	ring           []fifoLine
+	index          []int32
+	ldLine, stLine []lineEntry
+	banks          []*bank
+}
+
+// idleTables holds the tables of released groups.
+var idleTables freelist.List[tables]
+
+// keepTableLines bounds each table an idle tables keeps, in entries, and
+// keepBanks the banks; a table grown past it by an unusual geometry is
+// left to the collector. The default geometry uses 192, 512 and 64
+// entries.
+const (
+	keepTableLines = 1 << 12
+	keepBanks      = 64
+)
+
+// lineTable returns n empty line-cache entries, in buf when it is large
+// enough.
+func lineTable(buf []lineEntry, n int) []lineEntry {
+	if cap(buf) < n {
+		return make([]lineEntry, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Release hands the group's run-time tables — the store FIFO, the line
+// caches and the idle banks — to the next group built. The statistics
+// tables and nesting edges (Results, ParentEdges) stay valid, so the
+// profile analysis may run after it; the group must consume no events
+// afterwards. Safe to repeat.
+func (g *Group) Release() {
+	sc := g.scratch
+	if sc == nil {
+		return
+	}
+	keep := func(n int) bool { return n <= keepTableLines }
+	*sc = tables{}
+	if f := g.heapTS; keep(cap(f.ring)) && keep(len(f.index)) {
+		sc.ring, sc.index = f.ring, f.index
+	}
+	if keep(cap(g.ldLine)) {
+		sc.ldLine = g.ldLine
+	}
+	if keep(cap(g.stLine)) {
+		sc.stLine = g.stLine
+	}
+	sc.banks = append(g.pool, g.stack...)
+	if len(sc.banks) > keepBanks {
+		clear(sc.banks[keepBanks:])
+		sc.banks = sc.banks[:keepBanks]
+	}
+	g.scratch, g.heapTS, g.ldLine, g.stLine, g.pool, g.stack = nil, nil, nil, nil, nil, nil
+	idleTables.Put(sc)
 }
 
 // Tracer is one machine config's view of a Group: its bank and local
@@ -541,16 +622,20 @@ func NewGroup(prog *tir.Program, cfgs []hydra.Config, opts []Options) (*Group, e
 			return nil, errors.New("core: the configs of a group differ in store geometry")
 		}
 	}
+	sc := idleTables.Get()
 	g := &Group{
 		prog:        prog,
 		geo:         geo,
 		heapTS:      newStoreFIFO(geo.HeapStoreLines),
-		ldLine:      make([]lineEntry, geo.LoadLineTS),
-		stLine:      make([]lineEntry, geo.StoreLineTS),
+		ldLine:      lineTable(sc.ldLine, geo.LoadLineTS),
+		stLine:      lineTable(sc.stLine, geo.StoreLineTS),
+		pool:        sc.banks,
 		loopRows:    make([]loopRow, len(prog.Loops)),
 		parentEdges: map[int]map[int]int64{},
 		cfgs:        make([]Tracer, len(cfgs)),
+		scratch:     sc,
 	}
+	g.heapTS.adopt(sc.ring, sc.index)
 	nl := len(prog.Loops)
 	states := make([]loopState, len(cfgs)*nl)
 	for i, cfg := range cfgs {

@@ -10,9 +10,11 @@
 // the TLS simulator rather than machine-code rewrites: inductors and
 // reductions carry no recorded dependencies (they are eliminated), and
 // globalized locals synchronize through store->load communication instead
-// of violating. Build derives, per selected loop, exactly which variables
-// fall in which class, so reports and the simulator agree with what a real
-// recompiler would have done.
+// of violating. Build reads, per selected loop, exactly which variables
+// fall in which class from the scalar screen's table (tir.LoopInfo.
+// Scalars, filled by annotate), so reports and the simulator agree with
+// what a real recompiler would have done; as in the paper, the
+// recompiler applies the classes the screen already computed.
 package jit
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"jrpm/internal/cfg"
 	"jrpm/internal/hydra"
 	"jrpm/internal/scalar"
 	"jrpm/internal/tir"
@@ -56,7 +57,8 @@ type Plan struct {
 }
 
 // Build computes the recompilation plan for the selected loops of an
-// annotated program.
+// annotated program. It analyzes nothing: each loop's plan is a
+// projection of the classes annotate recorded for it.
 func Build(prog *tir.Program, selected []int, cfg_ hydra.Config) (*Plan, error) {
 	p := &Plan{}
 	sorted := append([]int(nil), selected...)
@@ -70,34 +72,25 @@ func Build(prog *tir.Program, selected []int, cfg_ hydra.Config) (*Plan, error) 
 			return nil, fmt.Errorf("jit: loop L%d (%s) was rejected by the scalar screen: %s",
 				id, info.Name, info.Reject)
 		}
-		f := prog.Funcs[info.Func]
-		lp, err := planLoop(f, info, cfg_)
-		if err != nil {
-			return nil, err
-		}
-		p.Loops = append(p.Loops, *lp)
+		p.Loops = append(p.Loops, planLoop(prog.Funcs[info.Func], info, cfg_))
 	}
 	return p, nil
 }
 
-func planLoop(f *tir.Function, info *tir.LoopInfo, cfg_ hydra.Config) (*LoopPlan, error) {
-	g := cfg.Build(f)
-	forest := g.NaturalLoops()
-	l := forest.ByHeader[info.Header]
-	if l == nil {
-		return nil, fmt.Errorf("jit: loop L%d header b%d not found in %s", info.ID, info.Header, f.Name)
-	}
-	sc := scalar.Analyze(f, l, g, forest)
-	lp := &LoopPlan{
+// planLoop projects a loop's plan from the classes the scalar screen
+// recorded for it at annotation time (tir.LoopInfo.Scalars) and the
+// Table 2 control-routine costs of cfg_.
+func planLoop(f *tir.Function, info *tir.LoopInfo, cfg_ hydra.Config) LoopPlan {
+	lp := LoopPlan{
 		Loop:           info.ID,
 		Name:           info.Name,
 		StartupCycles:  cfg_.Overheads.LoopStartup,
 		ShutdownCycles: cfg_.Overheads.LoopShutdown,
 		IterCycles:     cfg_.Overheads.EndOfIter,
 	}
-	for _, slot := range sc.Accessed {
-		name := f.Locals[slot].Name
-		switch sc.Classes[slot] {
+	for _, sc := range info.Scalars {
+		name := f.Locals[sc.Slot].Name
+		switch scalar.Class(sc.Class) {
 		case scalar.ClassInductor:
 			lp.Inductors = append(lp.Inductors, name)
 		case scalar.ClassReduction:
@@ -110,7 +103,7 @@ func planLoop(f *tir.Function, info *tir.LoopInfo, cfg_ hydra.Config) (*LoopPlan
 			lp.Globalized = append(lp.Globalized, name)
 		}
 	}
-	return lp, nil
+	return lp
 }
 
 // ByLoop returns the plan for one loop id, or nil when the loop is not

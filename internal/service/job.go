@@ -139,38 +139,58 @@ func (r *Request) validate() error {
 	if len(r.Configs) > 0 {
 		return fmt.Errorf("configs requires analyze_trace")
 	}
-	_, _, err := r.resolve()
+	_, _, err := r.program()
 	return err
 }
 
 // MaxScale bounds Request.Scale. A workload's inputs grow with the
-// scale, some quadratically, and are built while the submit handler
-// validates the request; at MaxScale the largest takes about 80 MB.
+// scale, some quadratically; at MaxScale the largest takes about 57 MB.
 const MaxScale = 16
 
-// resolve turns a Request into runnable source + inputs.
-func (r *Request) resolve() (src string, in jrpm.Input, err error) {
+// program checks the request's program fields (the scale's range,
+// exactly one of source and workload, a known workload name) and returns
+// the source with the named workload, if any. It builds no input, so
+// the submit handler validates a request in constant memory.
+func (r *Request) program() (src string, w *workloads.Workload, err error) {
 	if math.IsNaN(r.Scale) || r.Scale < 0 || r.Scale > MaxScale {
-		return "", in, fmt.Errorf("scale %v outside [0, %d]", r.Scale, MaxScale)
+		return "", nil, fmt.Errorf("scale %v outside [0, %d]", r.Scale, MaxScale)
 	}
 	switch {
 	case r.Source != "" && r.Workload != "":
-		return "", in, fmt.Errorf("set either source or workload, not both")
+		return "", nil, fmt.Errorf("set either source or workload, not both")
 	case r.Source != "":
-		return r.Source, jrpm.Input{Ints: r.Ints, Floats: r.Floats}, nil
+		return r.Source, nil, nil
 	case r.Workload != "":
 		w, err := workloads.ByName(r.Workload)
 		if err != nil {
-			return "", in, err
+			return "", nil, err
 		}
-		scale := r.Scale
-		if scale <= 0 {
-			scale = 1
-		}
-		return w.Source, w.NewInput(scale), nil
+		return w.Source, w, nil
 	default:
-		return "", in, fmt.Errorf("empty job: set source or workload")
+		return "", nil, fmt.Errorf("empty job: set source or workload")
 	}
+}
+
+// inputScale is the scale a workload's input is built at: the
+// request's scale, or 1 when unset.
+func inputScale(scale float64) float64 {
+	if scale <= 0 {
+		return 1
+	}
+	return scale
+}
+
+// resolve turns a request into runnable source and inputs: a workload's
+// input comes from the pool's memo, an inline source's from the request.
+func (p *Pool) resolve(r *Request) (src string, in jrpm.Input, err error) {
+	src, w, err := r.program()
+	if err != nil {
+		return "", in, err
+	}
+	if w == nil {
+		return src, jrpm.Input{Ints: r.Ints, Floats: r.Floats}, nil
+	}
+	return src, p.inputs.get(w, inputScale(r.Scale)), nil
 }
 
 func (r *Request) options() jrpm.Options {

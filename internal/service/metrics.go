@@ -125,6 +125,12 @@ func (p *Pool) registerPoolGauges(reg *telemetry.Registry) {
 		func() float64 { return float64(p.traces.Snapshot().Count) })
 	reg.GaugeFunc("jrpmd_trace_cache_bytes", "Bytes of trace data resident in the trace cache.",
 		func() float64 { return float64(p.traces.Snapshot().Bytes) })
+	reg.CounterFunc("jrpmd_input_cache_hits_total", "Workload jobs and sessions whose input was already built.",
+		func() int64 { return p.inputs.snapshot().Hits })
+	reg.CounterFunc("jrpmd_input_cache_misses_total", "Workload jobs and sessions that built their input.",
+		func() int64 { return p.inputs.snapshot().Misses })
+	reg.GaugeFunc("jrpmd_input_cache_bytes", "Bytes of workload input held by the input memo.",
+		func() float64 { return float64(p.inputs.snapshot().Bytes) })
 	reg.GaugeFunc("jrpmd_sessions_active", "Adaptive sessions currently running.",
 		func() float64 { return float64(p.sessions.Counts().Active) })
 	reg.CounterFunc("jrpmd_sessions_started_total", "Adaptive sessions started over the daemon's lifetime.",
@@ -167,6 +173,10 @@ type MetricsSnapshot struct {
 	// TraceCache reports the recorded-trace cache: artifact count, resident
 	// bytes, and replay hit ratio.
 	TraceCache TraceCacheSnapshot `json:"trace_cache"`
+
+	// InputCache reports the memoized workload inputs: entries, bytes,
+	// and how many workload jobs and sessions found theirs built.
+	InputCache InputCacheSnapshot `json:"input_cache"`
 
 	// Sessions reports the adaptive-session subsystem: lifetime starts,
 	// currently running sessions, and the epoch/retier totals.

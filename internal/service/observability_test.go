@@ -27,7 +27,7 @@ func obsServer(t *testing.T) (*Pool, *httptest.Server, *telemetry.Tracer) {
 
 // TestPromEndpoint is the CI gate behind ".github/workflows/ci.yml":
 // the Prometheus exposition must parse and must cover the daemon's
-// queue, cache and VM metric families.
+// queue, cache, input-memo and VM metric families.
 func TestPromEndpoint(t *testing.T) {
 	_, ts, _ := obsServer(t)
 
@@ -63,9 +63,18 @@ func TestPromEndpoint(t *testing.T) {
 			"jrpmd_trace_cache_bytes",
 			"jrpmd_cycles_simulated_total",
 			"jrpmd_vm_runs_total",
+			"jrpmd_input_cache_hits_total",
+			"jrpmd_input_cache_misses_total",
+			"jrpmd_input_cache_bytes",
 		} {
 			if !strings.Contains(text, family) {
 				t.Errorf("%s missing family %s", path, family)
+			}
+		}
+		// The one workload job built its input: one miss, no hit.
+		for _, sample := range []string{"jrpmd_input_cache_misses_total 1\n", "jrpmd_input_cache_hits_total 0\n"} {
+			if !strings.Contains(text, sample) {
+				t.Errorf("%s has no sample %q", path, strings.TrimSpace(sample))
 			}
 		}
 	}

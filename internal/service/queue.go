@@ -132,6 +132,7 @@ type Pool struct {
 	metrics  *Metrics
 	cache    *Cache
 	traces   *TraceCache
+	inputs   *inputMemo
 	sessions *session.Manager
 	smetrics *session.Metrics
 	tracer   *telemetry.Tracer // nil = job spans disabled
@@ -164,6 +165,7 @@ func NewPool(cfg Config) *Pool {
 		metrics:  newMetrics(reg),
 		cache:    NewCache(cfg.CacheSize),
 		traces:   NewTraceCache(cfg.TraceCacheBytes),
+		inputs:   newInputMemo(inputMemoBytes),
 		sessions: session.NewManager(cfg.MaxSessions, smetrics, nil),
 		smetrics: smetrics,
 		queue:    newTenantQueue(cfg.QueueDepth, cfg.admitMark(), cfg.TenantRate, cfg.TenantBurst),
@@ -484,11 +486,12 @@ func (p *Pool) run(j *Job) {
 	j.finish(state, res, errMsg)
 }
 
-// execute runs one job. Pipeline jobs resolve, hit or fill the artifact
-// cache, then profile — or, with speculate, profile and speculate
-// (Compiled.Run) — in one VM execution, with the trace writer attached
-// when the job records; analyze_trace jobs replay a cached recording
-// under each requested machine configuration without touching the VM.
+// execute runs one job. Pipeline jobs resolve (a workload's input comes
+// from the pool's memo), hit or fill the artifact cache, then profile —
+// or, with speculate, profile and speculate (Compiled.Run) — in one VM
+// execution, with the trace writer attached when the job records;
+// analyze_trace jobs replay a cached recording under each requested
+// machine configuration without touching the VM.
 func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	if p.testHook != nil {
 		p.testHook(j)
@@ -496,7 +499,7 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	if j.Req.AnalyzeTrace != "" {
 		return p.analyzeTrace(ctx, j.Req)
 	}
-	src, in, err := j.Req.resolve()
+	src, in, err := p.resolve(&j.Req)
 	if err != nil {
 		return nil, err
 	}

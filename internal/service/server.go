@@ -200,6 +200,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	m.QueueDepth = s.pool.Config().QueueDepth
 	m.QueueLength = s.pool.QueueLength()
 	m.TraceCache = s.pool.Traces().Snapshot()
+	m.InputCache = s.pool.inputs.snapshot()
 	m.Sessions = s.pool.sessionsSnapshot()
 	m.Tenants = s.pool.Tenants()
 	if s.ExtraMetrics != nil {

@@ -270,11 +270,12 @@ func TestRecordSpeculateTrace(t *testing.T) {
 		t.Fatalf("no cached trace %q", both.Result.TraceKey)
 	}
 
-	src, in, err := req.resolve()
+	w, err := workloads.ByName(req.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := jrpm.Compile(src, req.options())
+	in := w.NewInput(req.Scale)
+	c, err := jrpm.Compile(w.Source, req.options())
 	if err != nil {
 		t.Fatal(err)
 	}

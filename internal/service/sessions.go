@@ -9,7 +9,6 @@ import (
 
 	"jrpm"
 	"jrpm/internal/session"
-	"jrpm/internal/workloads"
 )
 
 // SessionRequest is the body of POST /v1/sessions: the "session" job
@@ -45,12 +44,7 @@ type SessionRequest struct {
 
 // baseScale is the workload scale the session's inputs are built at:
 // Scale, or 1 when unset. Jittered traffic draws around it.
-func (r *SessionRequest) baseScale() float64 {
-	if r.Scale <= 0 {
-		return 1
-	}
-	return r.Scale
-}
+func (r *SessionRequest) baseScale() float64 { return inputScale(r.Scale) }
 
 func (r *SessionRequest) validate() error {
 	if err := validateSamplePeriod(r.SamplePeriod); err != nil {
@@ -68,8 +62,8 @@ func (r *SessionRequest) validate() error {
 		return fmt.Errorf("scale %v with jitter draws epoch scales up to %.4g, over %d: use scale <= %.4g",
 			r.baseScale(), hi, MaxScale, MaxScale/session.JitterMax(1))
 	}
-	jr := Request{Source: r.Source, Workload: r.Workload, Scale: r.Scale, Ints: r.Ints, Floats: r.Floats}
-	_, _, err := jr.resolve()
+	jr := Request{Source: r.Source, Workload: r.Workload, Scale: r.Scale}
+	_, _, err := jr.program()
 	return err
 }
 
@@ -84,7 +78,7 @@ func (p *Pool) StartSession(req SessionRequest) (*session.Session, error) {
 	}
 	jr := Request{Source: req.Source, Workload: req.Workload, Scale: req.Scale,
 		Ints: req.Ints, Floats: req.Floats, Optimize: req.Optimize}
-	src, in, err := jr.resolve()
+	src, w, err := jr.program()
 	if err != nil {
 		return nil, err
 	}
@@ -110,13 +104,16 @@ func (p *Pool) StartSession(req SessionRequest) (*session.Session, error) {
 	if name == "" {
 		name = "inline"
 	}
-	traffic := session.FixedTraffic(in)
-	if req.Jitter {
-		w, err := workloads.ByName(req.Workload)
-		if err != nil {
-			return nil, err
-		}
+	// A fixed workload session takes its input from the pool's memo; a
+	// jittered one builds each epoch's input at that epoch's scale.
+	var traffic session.Traffic
+	switch {
+	case req.Jitter:
 		traffic = session.JitteredTraffic(w.NewInput, req.baseScale(), req.Seed)
+	case w != nil:
+		traffic = session.FixedTraffic(p.inputs.get(w, req.baseScale()))
+	default:
+		traffic = session.FixedTraffic(jrpm.Input{Ints: req.Ints, Floats: req.Floats})
 	}
 	cfg := session.Config{
 		Compiled:     compiled,

@@ -227,6 +227,19 @@ type LoopInfo struct {
 	Hoisted     bool   // read-statistics call hoisted out of this loop
 	Candidate   bool   // passed the scalar screen of section 4.1
 	Reject      string // why the scalar screen rejected it, if it did
+	// Scalars is the scalar screen's verdict on every named local the
+	// loop accesses, ascending by slot. The recompiler (jit) plans a
+	// selected loop from it rather than analyzing the loop again. It
+	// follows from the hashed instructions, so trace.ProgramHash leaves
+	// it out.
+	Scalars []SlotClass
+}
+
+// SlotClass is the class the scalar screen gave one named local with
+// respect to one loop; Class holds a scalar.Class value.
+type SlotClass struct {
+	Slot  int32
+	Class uint8
 }
 
 // Program is a complete compiled JR program.
@@ -339,7 +352,7 @@ func (p *Program) HeapBytes() int64 {
 	n += int64(cap(p.Loops)) * int64(unsafe.Sizeof(LoopInfo{}))
 	for i := range p.Loops {
 		l := &p.Loops[i]
-		n += int64(len(l.Name)+len(l.Reject)) + int64(cap(l.Blocks)+cap(l.AnnLocals))*8
+		n += int64(len(l.Name)+len(l.Reject)) + int64(cap(l.Blocks)+cap(l.AnnLocals)+cap(l.Scalars))*8
 	}
 	return n + int64(len(p.FuncIndex)+len(p.GlobIndex))*mapEntry
 }
@@ -362,6 +375,7 @@ func (p *Program) Clone() *Program {
 	for i := range q.Loops {
 		q.Loops[i].Blocks = slices.Clone(q.Loops[i].Blocks)
 		q.Loops[i].AnnLocals = slices.Clone(q.Loops[i].AnnLocals)
+		q.Loops[i].Scalars = slices.Clone(q.Loops[i].Scalars)
 	}
 	return &q
 }

@@ -219,6 +219,7 @@ func sweepShare(ctx context.Context, prog *tir.Program, want [32]byte, data []by
 	}
 	sum, _ := r.Summary()
 	for _, m := range live {
+		m.g.Release()
 		for _, o := range m.outs {
 			o.Err = guard(func() error {
 				o.Analysis = profile.BuildTree(prog, o.Tracer, sum.TracedCycles, sum.CleanCycles, o.Job.Cfg)

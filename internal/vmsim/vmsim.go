@@ -27,6 +27,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
 	"jrpm/internal/tir"
 )
@@ -114,6 +115,10 @@ type VM struct {
 	// It grows by doubling and is reused by every call of the run.
 	stack []uint64
 	depth int // live calls below the entry function
+
+	// heap is the buffer BindInputs carved Mem out of, which Release
+	// hands to the next VM.
+	heap *heapBuf
 
 	// Instruction mix counters for reports.
 	NHeapLoads   int64
@@ -219,9 +224,7 @@ func (vm *VM) BindInputs(ints map[string][]int64, floats map[string][]float64) e
 		top += lineBytes(int64(len(vals)))
 	}
 	if need := int(top / hydra.WordSize); need > len(vm.Mem) {
-		grown := make([]uint64, need)
-		copy(grown, vm.Mem)
-		vm.Mem = grown
+		vm.growHeap(need)
 	}
 	for _, name := range sortedKeys(ints) {
 		if err := vm.BindGlobalInts(name, ints[name]); err != nil {
@@ -234,6 +237,42 @@ func (vm *VM) BindInputs(ints map[string][]int64, floats map[string][]float64) e
 		}
 	}
 	return nil
+}
+
+// heapBuf is a VM heap kept between runs.
+type heapBuf struct{ words []uint64 }
+
+// heaps holds the heaps of released VMs.
+var heaps freelist.List[heapBuf]
+
+// heapKeepWords bounds the heap an idle heapBuf may keep (4 MiB); a
+// larger one is left to the collector. A paper kernel at scale 1 binds
+// at most about 0.2 MB of input.
+const heapKeepWords = 1 << 19
+
+// growHeap makes Mem exactly need words, its contents kept and the rest
+// zero, in an idle heap when one is large enough. Mem's capacity is
+// clipped to need, so Alloc grows it exactly as it grows a fresh one.
+func (vm *VM) growHeap(need int) {
+	hb := vm.heap
+	if hb == nil {
+		hb = heaps.Get()
+	}
+	if cap(hb.words) < need {
+		hb.words = make([]uint64, need)
+	}
+	w := hb.words[:need:need]
+	clear(w[copy(w, vm.Mem):])
+	vm.Mem, vm.heap = w, hb
+}
+
+// Release hands the VM's heap to the next VM that binds inputs. Call it
+// once nothing reads Mem any more; the VM must not run or bind again.
+func (vm *VM) Release() {
+	if hb := vm.heap; hb != nil && cap(hb.words) <= heapKeepWords {
+		heaps.Put(hb)
+	}
+	vm.heap, vm.Mem = nil, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

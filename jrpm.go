@@ -282,10 +282,14 @@ func (c *Compiled) Profile(ctx context.Context, in Input, opts Options, extra ..
 	opts.Optimize = c.Optimize
 
 	vm, err := NewVM(c.Annotated, in, opts.Cfg)
+	defer vm.Release()
 	if err != nil {
 		return nil, err
 	}
+	// The model's run-time tables go back to their free list with the
+	// VM's heap once the run ends; the analysis reads only its statistics.
 	tracer := core.NewTracer(c.Annotated, opts.Cfg, opts.Tracer)
+	defer tracer.Release()
 	vm.Listeners = append(vm.Listeners, tracer)
 	vm.Listeners = append(vm.Listeners, extra...)
 	var sampler *vmsim.Sampler

@@ -98,6 +98,7 @@ func speculateLogged(ctx context.Context, in Input, pr *ProfileResult, selected 
 		log.replay(rec)
 	} else {
 		vm, err := NewVM(pr.Annotated, in, pr.Opts.Cfg)
+		defer vm.Release()
 		if err != nil {
 			return nil, err
 		}

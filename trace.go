@@ -84,6 +84,7 @@ func (c *Compiled) ReplayProfile(data []byte, opts Options) (*ProfileResult, err
 
 	tracer := core.NewTracer(c.Annotated, opts.Cfg, opts.Tracer)
 	sum, err := r.Replay(tracer)
+	tracer.Release()
 	if err != nil {
 		return nil, err
 	}

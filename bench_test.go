@@ -25,6 +25,7 @@ import (
 	"jrpm/internal/service"
 	"jrpm/internal/tir"
 	"jrpm/internal/tls"
+	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/vmsim/refvm"
 	"jrpm/internal/workloads"
@@ -544,6 +545,27 @@ func BenchmarkReplayVsLiveProfile(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		// ReadEvents alone, no listener: the decoder's own cost.
+		b.SetBytes(int64(len(data)))
+		evs := make([]vmsim.Event, 512)
+		var events int
+		for i := 0; i < b.N; i++ {
+			r, err := trace.NewBytesReader(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for err == nil {
+				var n int
+				n, err = r.ReadEvents(evs)
+				events += n
+			}
+			if err != io.EOF {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	})
 	b.Run("replay", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))

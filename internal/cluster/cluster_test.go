@@ -346,13 +346,43 @@ func slowShards(d time.Duration) func(http.Handler) http.Handler {
 	}
 }
 
-// failShards rejects every shard execution with a 500.
-func failShards() func(http.Handler) http.Handler {
+// failShards rejects every shard execution with a 500 and offers each
+// rejection to failed without blocking.
+func failShards(failed chan<- struct{}) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
 				http.Error(w, `{"error":"injected"}`, http.StatusInternalServerError)
+				select {
+				case failed <- struct{}{}:
+				default:
+				}
 				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+}
+
+// holdShards makes a worker's first shard request wait until n values
+// have arrived on failed, or 10 s have passed.
+func holdShards(failed <-chan struct{}, n int) func(http.Handler) http.Handler {
+	var once sync.Once
+	release := make(chan struct{})
+	go func() {
+		defer close(release)
+		for range n {
+			select {
+			case <-failed:
+			case <-time.After(10 * time.Second):
+				return
+			}
+		}
+	}()
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards") {
+				once.Do(func() { <-release })
 			}
 			next.ServeHTTP(w, r)
 		})
@@ -361,10 +391,14 @@ func failShards() func(http.Handler) http.Handler {
 
 // TestClusterBreaker: a worker failing every shard trips its circuit
 // breaker; the sweep completes on the healthy worker, byte-identical.
+// The healthy worker holds its first shard until the broken one has
+// failed twice, so it cannot drain the queue first and leave the broken
+// worker a single failure, below the threshold.
 func TestClusterBreaker(t *testing.T) {
 	src, data := recordWorkload(t, "Huffman")
-	broken, _ := newTestWorker(t, failShards())
-	healthy, _ := newTestWorker(t, nil)
+	failed := make(chan struct{}, 2) // the two failures holdShards waits for
+	broken, _ := newTestWorker(t, failShards(failed))
+	healthy, _ := newTestWorker(t, holdShards(failed, 2))
 	coord := New(Options{
 		Workers:          []string{broken.URL, healthy.URL},
 		Sentinels:        -1,

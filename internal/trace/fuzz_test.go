@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -19,7 +18,7 @@ import (
 // format's caps and the reader's zero-per-record-allocation design
 // guarantee structurally. Every batch size, in place or streamed, must
 // agree with one-event batches event for event and in the class of error
-// that ends the stream.
+// that ends the stream, and so must the reference decoder (refReader).
 func FuzzReader(f *testing.F) {
 	// Seed with a well-formed trace and targeted corruptions of it so the
 	// fuzzer starts inside the interesting part of the input space.
@@ -58,6 +57,15 @@ func FuzzReader(f *testing.F) {
 			// stream can never yield more records than input bytes.
 			t.Fatalf("decoded %d records from %d bytes", len(want), len(data))
 		}
+		// The one-loop decode agrees with the per-field decoder it
+		// replaced, event for event and in the class of error.
+		ref := decodeAll(data, 4, decodeBatch, true, nil)
+		if errClass(ref.Err) != errClass(wantErr) {
+			t.Fatalf("error %v, reference decoder gave %v", wantErr, ref.Err)
+		}
+		if !reflect.DeepEqual(ref.Events, want) {
+			t.Fatalf("%d events differ from the reference decoder's %d", len(want), len(ref.Events))
+		}
 		// Batch decoding — in place, and through a refilled window fed
 		// one byte per read — yields the same events and error class.
 		for _, batch := range []int{1, 3, decodeBatch} {
@@ -82,29 +90,12 @@ func FuzzReader(f *testing.F) {
 // returning the events and the error that ended the stream (io.EOF after
 // a complete trace, when the summary must also be available).
 func decodeBatches(data []byte, n int, stream bool) ([]vmsim.Event, error) {
-	var r *Reader
-	var err error
+	var src func(io.Reader) io.Reader
 	if stream {
-		r, err = NewReader(iotest.OneByteReader(bytes.NewReader(data)))
-	} else {
-		r, err = NewBytesReader(data)
+		src = iotest.OneByteReader
 	}
-	if err != nil {
-		return nil, err
-	}
-	r.NumLoops = 4
-	var evs []vmsim.Event
-	buf := make([]vmsim.Event, n)
-	for {
-		k, err := r.ReadEvents(buf)
-		evs = append(evs, buf[:k]...)
-		if err != nil {
-			if _, ok := r.Summary(); ok != errors.Is(err, io.EOF) {
-				return evs, fmt.Errorf("summary ok=%v at %v", ok, err)
-			}
-			return evs, err
-		}
-	}
+	d := decodeAll(data, 4, n, false, src)
+	return d.Events, d.Err
 }
 
 // errClass names the class of a decode error.

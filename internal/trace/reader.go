@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/vmsim"
 )
 
@@ -26,10 +27,10 @@ var (
 // byte stream errors out instead of panicking or allocating unboundedly —
 // the Reader itself performs no per-record allocation at all.
 //
-// One decoder serves every caller. It works on a byte window: the whole
-// recording for NewBytesReader, a refilled 64 KiB buffer for NewReader.
-// ReadEvents decodes records in batches of vmsim.Events; Replay is built
-// on it.
+// One decode loop serves every caller: ReadEvents, over a byte window
+// (the whole recording for NewBytesReader, a refilled 64 KiB buffer for
+// NewReader) with the delta state in locals for the batch and a branch
+// per record kind. Replay and Sweep are built on it.
 type Reader struct {
 	src io.Reader // nil for in-memory input
 	buf []byte    // decode window; buf[pos:] is not yet decoded
@@ -140,173 +141,166 @@ func (r *Reader) Header() Header { return r.hdr }
 // succeeded).
 func (r *Reader) Summary() (Summary, bool) { return r.sum, r.err == io.EOF }
 
-// uvarint decodes one varint from the window.
-func (r *Reader) uvarint() (uint64, error) {
-	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
-		u := uint64(r.buf[r.pos])
-		r.pos++
-		return u, nil
-	}
-	u, n := binary.Uvarint(r.buf[r.pos:])
-	switch {
-	case n > 0:
-		r.pos += n
-		return u, nil
-	case n == 0:
-		// The window holds a whole record unless the stream ended.
-		return 0, io.ErrUnexpectedEOF
-	}
-	return 0, fmt.Errorf("%w: varint overflows a 64-bit integer", ErrCorrupt)
-}
-
-// svarint decodes one zigzag-encoded signed delta.
-func (r *Reader) svarint() (int64, error) {
-	u, err := r.uvarint()
-	return unzigzag(u), err
-}
-
 // ReadEvents decodes up to len(evs) records into evs and returns how
 // many it decoded. It returns io.EOF once the summary trailer has been
 // consumed (Summary then reports the totals), and any decode error
 // together with the events before the bad record. Both are sticky: every
 // later call returns them again.
-func (r *Reader) ReadEvents(evs []vmsim.Event) (int, error) {
+func (r *Reader) ReadEvents(evs []vmsim.Event) (n int, err error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	for i := range evs {
-		if len(r.buf)-r.pos < maxRecordLen && !r.eof {
-			if err := r.fill(); err != nil {
-				r.err = err
-				return i, err
+	buf, pos, records := r.buf, r.pos, r.records
+	now, addr, pc, frame := r.prevTime, r.prevAddr, r.prevPC, r.prevFrame
+	loops := uint64(maxLoopID)
+	if r.NumLoops > 0 {
+		loops = uint64(r.NumLoops)
+	}
+decode:
+	for ; n < len(evs); n++ {
+		if len(buf)-pos < maxRecordLen && !r.eof {
+			r.pos = pos
+			err = r.fill()
+			if buf, pos = r.buf, r.pos; err != nil {
+				break
 			}
 		}
-		if err := r.decode(&evs[i]); err != nil {
-			r.err = err
-			return i, err
+		if pos == len(buf) {
+			// No trailer: the recording was cut off.
+			err = io.ErrUnexpectedEOF
+			break
 		}
-	}
-	return len(evs), nil
-}
-
-// decode decodes the next record into ev.
-func (r *Reader) decode(ev *vmsim.Event) error {
-	if r.pos == len(r.buf) {
-		// No trailer: the recording was cut off.
-		return io.ErrUnexpectedEOF
-	}
-	kind := Kind(r.buf[r.pos])
-	r.pos++
-	if kind == KindSummary {
-		if err := r.readSummary(); err != nil {
-			return err
+		kind := Kind(buf[pos])
+		pos++
+		if kind == KindSummary {
+			r.pos, r.records = pos, records
+			err = r.readSummary()
+			pos = r.pos
+			break
 		}
-		return io.EOF
-	}
-	if kind < KindHeapLoad || kind > KindReadStats {
-		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
-	}
+		if kind < KindHeapLoad || kind > KindReadStats {
+			err = fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
+			break
+		}
 
-	dt, err := r.uvarint()
+		var dt uint64
+		if pos < len(buf) && buf[pos] < 0x80 {
+			dt, pos = uint64(buf[pos]), pos+1
+		} else if dt, pos, err = varint(buf, pos); err != nil {
+			break
+		}
+		if dt >= maxTime || now >= maxTime-int64(dt) {
+			err = fmt.Errorf("%w: time delta out of range", ErrCorrupt)
+			break
+		}
+		now += int64(dt)
+		ek := vmsim.EventKind(kind - KindHeapLoad)
+
+		var u uint64
+		switch kind {
+		case KindHeapLoad, KindHeapStore:
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			a := int64(addr) + unzigzag(u)
+			if a < 0 || a > 0xffffffff {
+				err = fmt.Errorf("%w: address out of range", ErrCorrupt)
+				break decode
+			}
+			addr = uint32(a)
+			evs[n] = vmsim.Event{Kind: ek, Now: now, Addr: addr}
+		case KindLocalLoad, KindLocalStore:
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			frame += uint64(unzigzag(u))
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			if u >= maxSlot {
+				err = fmt.Errorf("%w: slot out of range", ErrCorrupt)
+				break decode
+			}
+			evs[n] = vmsim.Event{Kind: ek, Now: now, Frame: frame, Slot: int32(u)}
+		default: // loop-start, loop-iter, loop-end, read-stats
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			if u >= loops {
+				err = fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
+				break decode
+			}
+			evs[n] = vmsim.Event{Kind: ek, Now: now, Loop: int32(u)}
+			if kind != KindLoopStart { // only loop-start has more fields
+				break
+			}
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			if u >= maxNumLocals {
+				err = fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
+				break decode
+			}
+			evs[n].NumLocals = int32(u)
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			frame += uint64(unzigzag(u))
+			evs[n].Frame = frame
+		}
+		if kind <= KindLocalStore {
+			// Heap and local records end in a Δpc.
+			if pos < len(buf) && buf[pos] < 0x80 {
+				u, pos = uint64(buf[pos]), pos+1
+			} else if u, pos, err = varint(buf, pos); err != nil {
+				break decode
+			}
+			p := pc + unzigzag(u)
+			if p < 0 || p >= maxPC {
+				err = fmt.Errorf("%w: pc out of range", ErrCorrupt)
+				break decode
+			}
+			pc = p
+			evs[n].PC = int32(pc)
+		}
+		records++
+	}
+	r.pos, r.records = pos, records
+	r.prevTime, r.prevAddr, r.prevPC, r.prevFrame = now, addr, pc, frame
 	if err != nil {
-		return err
+		r.err = err
 	}
-	if dt >= maxTime || r.prevTime >= maxTime-int64(dt) {
-		return fmt.Errorf("%w: time delta out of range", ErrCorrupt)
-	}
-	r.prevTime += int64(dt)
-	*ev = vmsim.Event{Kind: vmsim.EventKind(kind - KindHeapLoad), Now: r.prevTime}
-
-	switch kind {
-	case KindHeapLoad, KindHeapStore:
-		ad, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		addr := int64(r.prevAddr) + ad
-		if addr < 0 || addr > 0xffffffff {
-			return fmt.Errorf("%w: address out of range", ErrCorrupt)
-		}
-		r.prevAddr = uint32(addr)
-		ev.Addr = r.prevAddr
-		if err := r.pc(ev); err != nil {
-			return err
-		}
-	case KindLocalLoad, KindLocalStore:
-		fd, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		r.prevFrame += uint64(fd)
-		ev.Frame = r.prevFrame
-		slot, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if slot >= maxSlot {
-			return fmt.Errorf("%w: slot out of range", ErrCorrupt)
-		}
-		ev.Slot = int32(slot)
-		if err := r.pc(ev); err != nil {
-			return err
-		}
-	case KindLoopStart:
-		if err := r.loop(ev); err != nil {
-			return err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if n >= maxNumLocals {
-			return fmt.Errorf("%w: numLocals out of range", ErrCorrupt)
-		}
-		ev.NumLocals = int32(n)
-		fd, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		r.prevFrame += uint64(fd)
-		ev.Frame = r.prevFrame
-	default: // loop-iter, loop-end, read-stats
-		if err := r.loop(ev); err != nil {
-			return err
-		}
-	}
-	r.records++
-	return nil
+	return n, err
 }
 
-func (r *Reader) pc(ev *vmsim.Event) error {
-	pd, err := r.svarint()
-	if err != nil {
-		return err
+// varint decodes the varint at buf[pos:] and returns the position after
+// it: ReadEvents' multi-byte fallback, and the summary trailer's reader.
+func varint(buf []byte, pos int) (uint64, int, error) {
+	u, n := binary.Uvarint(buf[pos:])
+	switch {
+	case n > 0:
+		return u, pos + n, nil
+	case n == 0:
+		// The window holds a whole record unless the stream ended.
+		return 0, pos, io.ErrUnexpectedEOF
 	}
-	pc := r.prevPC + pd
-	if pc < 0 || pc >= maxPC {
-		return fmt.Errorf("%w: pc out of range", ErrCorrupt)
-	}
-	r.prevPC = pc
-	ev.PC = int32(pc)
-	return nil
+	return 0, pos, fmt.Errorf("%w: varint overflows a 64-bit integer", ErrCorrupt)
 }
 
-func (r *Reader) loop(ev *vmsim.Event) error {
-	u, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	limit := uint64(maxLoopID)
-	if r.NumLoops > 0 {
-		limit = uint64(r.NumLoops)
-	}
-	if u >= limit {
-		return fmt.Errorf("%w: loop id %d out of range", ErrCorrupt, u)
-	}
-	ev.Loop = int32(u)
-	return nil
-}
-
+// readSummary reads the trailer; it returns io.EOF when the trailer is
+// valid and ends the stream.
 func (r *Reader) readSummary() error {
 	fields := [...]*int64{
 		&r.sum.CleanCycles, &r.sum.TracedCycles,
@@ -314,7 +308,7 @@ func (r *Reader) readSummary() error {
 		&r.sum.LocalAnnots, &r.sum.LoopAnnots,
 		&r.sum.ReadStats, &r.sum.Annotations,
 	}
-	n, err := r.uvarint()
+	n, pos, err := varint(r.buf, r.pos)
 	if err != nil {
 		return err
 	}
@@ -323,8 +317,8 @@ func (r *Reader) readSummary() error {
 	}
 	r.sum.Records = n
 	for _, f := range fields {
-		u, err := r.uvarint()
-		if err != nil {
+		var u uint64
+		if u, pos, err = varint(r.buf, pos); err != nil {
 			return err
 		}
 		if u >= maxTime {
@@ -332,6 +326,7 @@ func (r *Reader) readSummary() error {
 		}
 		*f = int64(u)
 	}
+	r.pos = pos
 	// Nothing may follow the trailer.
 	if r.pos == len(r.buf) {
 		if err := r.fill(); err != nil {
@@ -341,7 +336,7 @@ func (r *Reader) readSummary() error {
 	if r.pos < len(r.buf) {
 		return fmt.Errorf("%w: trailing data after summary", ErrCorrupt)
 	}
-	return nil
+	return io.EOF
 }
 
 // decodeBatch is the number of events Replay and Sweep decode per step:
@@ -349,14 +344,19 @@ func (r *Reader) readSummary() error {
 // batch stays cache-resident while every consumer processes it.
 const decodeBatch = 512
 
+// batches holds idle decode batches, so a replay reuses an earlier
+// replay's 20 KiB of events.
+var batches freelist.List[[decodeBatch]vmsim.Event]
+
 // Replay streams every event into the listeners, batch by batch in
 // recorded order, and returns the trace summary. The listeners see
 // exactly the sequence the recorded run produced, less its call events,
 // which a recording never stores.
 func (r *Reader) Replay(listeners ...vmsim.Listener) (Summary, error) {
-	evs := make([]vmsim.Event, decodeBatch)
+	evs := batches.Get()
+	defer batches.Put(evs)
 	for {
-		n, err := r.ReadEvents(evs)
+		n, err := r.ReadEvents(evs[:])
 		for _, l := range listeners {
 			l.ConsumeEvents(evs[:n])
 		}

@@ -12,7 +12,6 @@ import (
 	"jrpm/internal/hydra"
 	"jrpm/internal/profile"
 	"jrpm/internal/tir"
-	"jrpm/internal/vmsim"
 )
 
 // SweepJob is one offline analysis configuration: replay the recorded
@@ -193,13 +192,14 @@ func sweepShare(ctx context.Context, prog *tir.Program, want [32]byte, data []by
 		}
 		live = append(live, m)
 	}
-	evs := make([]vmsim.Event, decodeBatch)
+	evs := batches.Get()
+	defer batches.Put(evs)
 	for len(live) > 0 {
 		if ctx.Err() != nil {
 			fail(context.Cause(ctx), live...)
 			return
 		}
-		n, err := r.ReadEvents(evs)
+		n, err := r.ReadEvents(evs[:])
 		next := live[:0]
 		for _, m := range live {
 			if err := guard(func() error { m.g.ConsumeEvents(evs[:n]); return nil }); err != nil {

@@ -26,13 +26,19 @@ func recordWorkload(t *testing.T, name string) (*jrpm.Compiled, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recordSource(t, w.Source, w.NewInput(0.2))
+}
+
+// recordSource compiles src and captures one recording of its run on in.
+func recordSource(t *testing.T, src string, in jrpm.Input) (*jrpm.Compiled, []byte) {
+	t.Helper()
 	opts := jrpm.DefaultOptions()
-	c, err := jrpm.Compile(w.Source, opts)
+	c, err := jrpm.Compile(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := c.ProfileRecord(context.Background(), w.NewInput(0.2), opts, &buf); err != nil {
+	if _, err := c.ProfileRecord(context.Background(), in, opts, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return c, buf.Bytes()

@@ -18,13 +18,16 @@ import (
 // Predecode lowers a tir.Program once into a cache-friendly internal
 // form: one flat []dinstr per function, compact 48-byte instructions
 // whose branch targets are resolved to instruction indices, call
-// arguments flattened into a per-function pool, and two common pairs
+// arguments flattened into a per-function pool, and common sequences
 // fused into single decoded instructions (integer const feeding an add,
-// and an integer compare feeding the block's conditional branch). Fused
-// instructions retain the cycle, step and register semantics of the two
-// original instructions exactly — including per-micro-op step-limit and
-// interrupt checks — so the fast engine stays bit-identical to the
-// reference interpreter in internal/vmsim/refvm.
+// an integer compare feeding the block's conditional branch, the
+// array-address, local-increment and loop-header chains, and each loop
+// annotation trampoline together with the Br, and the increment, of the
+// latch that enters it). Fused instructions retain the cycle, step and
+// register semantics of the original instructions exactly — including
+// per-micro-op step-limit and interrupt checks — so the fast engine
+// stays bit-identical to the reference interpreter in
+// internal/vmsim/refvm.
 //
 // Decoding relies on the tir invariants checked by tir.Validate: blocks
 // are non-empty, end in exactly one terminator, and branch targets are
@@ -113,6 +116,18 @@ const (
 	dFusedAddrLoad // the same chain ending in a Load
 	dFusedIncLoc   // LdLoc; ConstI; Add; StLoc — i++ and friends
 	dFusedLenBr    // [LdLoc] LdGlob; ArrLen; cmp; BrIf — `i < len(a)` loop headers
+
+	// Annotation trampolines (tir.Block.Trampoline: SLoop, ELoop, EOI
+	// and ReadStats ops, then a Br). Such a block decodes as a dTramp
+	// header followed by its own instructions, decoded one to one; the
+	// header and the branches folded into it run the whole block in one
+	// dispatch when no micro-op of it can hit the step limit or cross a
+	// poll boundary, and otherwise leave it to those one-to-one
+	// instructions. x1 is the micro-ops after the first (pre-paid by the
+	// batched path) and t0 the header's index.
+	dTramp         // the header; stands for the first annotation op
+	dBrTramp       // Br into a trampoline
+	dFusedIncLocBr // dFusedIncLoc, then the block's Br into a trampoline: the loop latch
 )
 
 // Write-back flags. Registers are only observable through later reads
@@ -188,10 +203,13 @@ type fusedIncMeta struct {
 //	dst, a, b  register operands
 //	imm        ConstI value, ConstF bits, fused constant
 //	t0, t1     branch targets as instruction indices; t0 is the callee
-//	           function index for dCall
+//	           function index for dCall and the trampoline header for
+//	           dTramp, dBrTramp and dFusedIncLocBr
 //	x0         slot (locals), loop id (annotations), global index
-//	           (dLdGlob), arg-pool offset (dCall)
-//	x1         numLocals (dSLoop), arg count (dCall)
+//	           (dLdGlob), arg-pool offset (dCall), side-table index
+//	           (variable-length superinstructions)
+//	x1         numLocals (dSLoop), arg count (dCall), pre-paid micro-ops
+//	           (trampoline superinstructions)
 //	pc, line   program-wide PC for events, source line for faults
 type dinstr struct {
 	imm  int64
@@ -555,12 +573,15 @@ func decodeFunc(f *tir.Function) dfunc {
 	// Pass 1: choose fusions and compute each block's start index in the
 	// flat stream. Fusion never crosses a block boundary and branch
 	// targets are always block starts, so fusing inside a block cannot
-	// invalidate a target.
+	// invalidate a target. A trampoline starts at its header.
 	starts := make([]int, len(f.Blocks))
 	n := 0
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
 		starts[bi] = n
+		if trampLen(f.Blocks, bi) > 0 {
+			n++
+		}
 		for ii := 0; ii < len(b.Instrs); {
 			_, consumed := fuseAt(b, ii)
 			ii += consumed
@@ -577,12 +598,18 @@ func decodeFunc(f *tir.Function) dfunc {
 	// Pass 2: emit.
 	for bi := range f.Blocks {
 		b := &f.Blocks[bi]
+		if tl := trampLen(f.Blocks, bi); tl > 0 {
+			df.instrs = append(df.instrs, dinstr{
+				op: dTramp, t0: int32(starts[bi]), x1: int32(tl - 1),
+				pc: int32(b.Instrs[0].PC), line: int32(b.Instrs[0].Line),
+			})
+		}
 		for ii := 0; ii < len(b.Instrs); {
 			in := &b.Instrs[ii]
 			fk, consumed := fuseAt(b, ii)
 			switch fk {
 			case dNop:
-				df.instrs = append(df.instrs, decodeInstr(&df, b, starts, in))
+				df.instrs = append(df.instrs, decodeInstr(&df, f.Blocks, b, starts, in))
 			case dFusedAddr, dFusedAddrLoad:
 				m, _, _, _ := matchAddrChain(b.Instrs, ii)
 				m.rest = int32(consumed - 1)
@@ -645,10 +672,21 @@ func decodeFunc(f *tir.Function) dfunc {
 				if live(m.addDst) {
 					m.flags |= wfAdd
 				}
-				df.instrs = append(df.instrs, dinstr{
+				d := dinstr{
 					op: dFusedIncLoc, x0: int32(len(df.incMeta)),
 					pc: int32(in.PC), line: int32(in.Line),
-				})
+				}
+				// The loop latch: the increment is all that precedes the
+				// block's Br into a trampoline. The Br still decodes in the
+				// next slot, where the fallback falls through to it.
+				if ii+consumed == len(b.Instrs)-1 && b.Instrs[ii+consumed].Op == tir.OpBr && !b.Trampoline {
+					if tl := trampLen(f.Blocks, b.Targets[0]); tl > 0 {
+						d.op = dFusedIncLocBr
+						d.t0 = int32(starts[b.Targets[0]])
+						d.x1 = int32(4 + tl) // three increment micro-ops, the Br, the trampoline
+					}
+				}
+				df.instrs = append(df.instrs, d)
 				df.incMeta = append(df.incMeta, m)
 			case dFusedConstAdd:
 				next := &b.Instrs[ii+1]
@@ -681,8 +719,27 @@ func decodeFunc(f *tir.Function) dfunc {
 	return df
 }
 
-// decodeInstr lowers one unfused instruction.
-func decodeInstr(df *dfunc, b *tir.Block, starts []int, in *tir.Instr) dinstr {
+// trampLen returns the instruction count of block bi if it is an
+// annotation trampoline the engine runs as one superinstruction (only
+// loop annotations, then a Br), and 0 otherwise.
+func trampLen(blocks []tir.Block, bi int) int {
+	b := &blocks[bi]
+	n := len(b.Instrs)
+	if !b.Trampoline || n < 2 || b.Instrs[n-1].Op != tir.OpBr {
+		return 0
+	}
+	for _, in := range b.Instrs[:n-1] {
+		switch in.Op {
+		case tir.OpSLoop, tir.OpELoop, tir.OpEOI, tir.OpReadStats:
+		default:
+			return 0
+		}
+	}
+	return n
+}
+
+// decodeInstr lowers one unfused instruction of block b.
+func decodeInstr(df *dfunc, blocks []tir.Block, b *tir.Block, starts []int, in *tir.Instr) dinstr {
 	d := dinstr{
 		dst:  int32(in.Dst),
 		a:    int32(in.A),
@@ -779,6 +836,8 @@ func decodeInstr(df *dfunc, b *tir.Block, starts []int, in *tir.Instr) dinstr {
 		d.op, d.t0 = dBr, int32(starts[b.Targets[0]])
 		if b.Trampoline {
 			d.op = dTrampBr
+		} else if tl := trampLen(blocks, b.Targets[0]); tl > 0 {
+			d.op, d.x1 = dBrTramp, int32(tl)
 		}
 	case tir.OpBrIf:
 		d.op = dBrIf

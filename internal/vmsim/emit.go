@@ -3,9 +3,10 @@ package vmsim
 // Batched event emission: the producer side of the one consumer contract.
 //
 // Every trace event reaches its listeners as part of an []Event batch
-// through Listener.ConsumeEvents. The fast engine appends events to a
-// small fixed-capacity buffer through concrete (inlinable) *batchEmitter
-// methods and flushes the buffer when it fills and when the run ends: one
+// through Listener.ConsumeEvents. The fast engine writes each event in
+// place into a small fixed-capacity buffer (`*em.slot() = Event{...}` at
+// the emission site; slot inlines, so an emission is a few stores and no
+// call) and flushes the buffer when it fills and when the run ends: one
 // interface dispatch per listener per batch, with the per-kind
 // demultiplexing done by each listener on its own concrete type. Call
 // boundaries join the batch as EvCallEnter and EvCallExit, so every event
@@ -60,9 +61,9 @@ type Event struct {
 // per-batch interface dispatch, small enough to stay in L1.
 const batchCap = 256
 
-// batchEmitter buffers events for the fast engine. All methods are on
-// the concrete type, so calls from the interpreter loop are direct (and
-// the append paths inline); no interface dispatch happens until flush.
+// batchEmitter buffers events for the fast engine. The interpreter loop
+// fills slots directly; the only call an emission can make is flush, once
+// per batchCap events, and no interface dispatch happens until then.
 type batchEmitter struct {
 	n         int
 	listeners []Listener
@@ -106,6 +107,10 @@ func (em *batchEmitter) flush() {
 	em.n = 0
 }
 
+// slot returns the next free event in the batch, flushing a full batch
+// first. It must stay within the inlining budget: every emission site in
+// the interpreter loop calls it, and a real call there spills the loop's
+// register-resident state.
 func (em *batchEmitter) slot() *Event {
 	if em.n == batchCap {
 		em.flush()
@@ -113,54 +118,4 @@ func (em *batchEmitter) slot() *Event {
 	ev := &em.buf[em.n]
 	em.n++
 	return ev
-}
-
-func (em *batchEmitter) heapLoad(now int64, addr uint32, pc int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvHeapLoad, Now: now, Addr: addr, PC: pc}
-}
-
-func (em *batchEmitter) heapStore(now int64, addr uint32, pc int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvHeapStore, Now: now, Addr: addr, PC: pc}
-}
-
-func (em *batchEmitter) localLoad(now int64, frame uint64, slot, pc int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvLocalLoad, Now: now, Frame: frame, Slot: slot, PC: pc}
-}
-
-func (em *batchEmitter) localStore(now int64, frame uint64, slot, pc int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvLocalStore, Now: now, Frame: frame, Slot: slot, PC: pc}
-}
-
-func (em *batchEmitter) loopStart(now int64, loop, numLocals int32, frame uint64) {
-	ev := em.slot()
-	*ev = Event{Kind: EvLoopStart, Now: now, Loop: loop, NumLocals: numLocals, Frame: frame}
-}
-
-func (em *batchEmitter) loopIter(now int64, loop int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvLoopIter, Now: now, Loop: loop}
-}
-
-func (em *batchEmitter) loopEnd(now int64, loop int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvLoopEnd, Now: now, Loop: loop}
-}
-
-func (em *batchEmitter) readStats(now int64, loop int32) {
-	ev := em.slot()
-	*ev = Event{Kind: EvReadStats, Now: now, Loop: loop}
-}
-
-func (em *batchEmitter) callEnter(now int64, fn, pc int32, frame uint64) {
-	ev := em.slot()
-	*ev = Event{Kind: EvCallEnter, Now: now, Loop: fn, PC: pc, Frame: frame}
-}
-
-func (em *batchEmitter) callExit(now int64, fn, pc int32, frame uint64) {
-	ev := em.slot()
-	*ev = Event{Kind: EvCallExit, Now: now, Loop: fn, PC: pc, Frame: frame}
 }

@@ -18,8 +18,9 @@ import (
 //
 // Event emission goes through the concrete *batchEmitter (emit.go): when
 // em is nil (no listeners) every emission site is a single predictable
-// branch; when non-nil the appends are direct method calls — no
-// interface dispatch inside this loop.
+// branch; when non-nil the site writes the event in place through the
+// inlined slot, and only a full batch makes a call (flush) — no call per
+// event and no interface dispatch inside this loop.
 //
 // The step budget and cycle clock live in locals (steps, cycles) for the
 // duration of the loop so the compiler can keep them in registers; they
@@ -30,6 +31,14 @@ import (
 // dfault builds a RuntimeError identical to the reference engine's.
 func dfault(fn string, line int32, format string, args ...any) error {
 	return &RuntimeError{Msg: fmt.Sprintf(format, args...), Func: fn, Line: int(line)}
+}
+
+// fits reports whether a fused chain's rest micro-ops after step steps
+// stay within maxSteps and cross no interrupt-poll boundary. Then none
+// of them can stop the run, and the chain may pay their steps and cycles
+// in one add (its batched path).
+func fits(steps, rest, maxSteps int64) bool {
+	return steps+rest <= maxSteps && steps>>interruptShift == (steps+rest)>>interruptShift
 }
 
 // sync publishes the loop-local step and cycle counters back to the VM.
@@ -69,11 +78,12 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 
 	// Register-resident mirrors of the per-instruction VM state. Any
 	// path that leaves this frame must vm.sync(steps, cycles) first.
+	// The heap (vm.Mem, vm.heapTop) is read from the VM where it is
+	// used: as locals they would be two more values carried around the
+	// loop, which the compiler spills and reloads on every dispatch.
 	steps := vm.steps
 	cycles := vm.Cycles
 	maxSteps := vm.MaxSteps
-	mem := vm.Mem
-	heapTop := vm.heapTop
 	globals := vm.globals
 	annotCost := vm.AnnotCost
 	readStatsCost := vm.ReadStatsCost
@@ -208,26 +218,26 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 		case dLoad:
 			addr := uint32(regs[ins.a])
 			w := addr / hydra.WordSize
-			if addr%hydra.WordSize != 0 || int(w) >= len(mem) || addr >= heapTop {
+			if addr%hydra.WordSize != 0 || int(w) >= len(vm.Mem) || addr >= vm.heapTop {
 				vm.sync(steps, cycles)
 				return 0, dfault(f.name, ins.line, "bad load address 0x%x", addr)
 			}
-			regs[ins.dst] = mem[w]
+			regs[ins.dst] = vm.Mem[w]
 			vm.NHeapLoads++
 			if em != nil {
-				em.heapLoad(now, addr, ins.pc)
+				*em.slot() = Event{Kind: EvHeapLoad, Now: now, Addr: addr, PC: ins.pc}
 			}
 		case dStore:
 			addr := uint32(regs[ins.a])
 			w := addr / hydra.WordSize
-			if addr%hydra.WordSize != 0 || int(w) >= len(mem) || addr >= heapTop {
+			if addr%hydra.WordSize != 0 || int(w) >= len(vm.Mem) || addr >= vm.heapTop {
 				vm.sync(steps, cycles)
 				return 0, dfault(f.name, ins.line, "bad store address 0x%x", addr)
 			}
-			mem[w] = regs[ins.b]
+			vm.Mem[w] = regs[ins.b]
 			vm.NHeapStores++
 			if em != nil {
-				em.heapStore(now, addr, ins.pc)
+				*em.slot() = Event{Kind: EvHeapStore, Now: now, Addr: addr, PC: ins.pc}
 			}
 		case dArrLen:
 			base := uint32(regs[ins.a])
@@ -244,8 +254,6 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				return 0, dfault(f.name, ins.line, "%v", err)
 			}
 			regs[ins.dst] = uint64(base)
-			mem = vm.Mem
-			heapTop = vm.heapTop
 		case dBr:
 			ip = int(ins.t0)
 		case dTrampBr:
@@ -288,7 +296,7 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				return 0, dfault(f.name, ins.line, "call depth exceeds %d", MaxCallDepth)
 			}
 			if em != nil {
-				em.callEnter(now, ins.t0, ins.pc, frame)
+				*em.slot() = Event{Kind: EvCallEnter, Now: now, Loop: ins.t0, PC: ins.pc, Frame: frame}
 			}
 			loopBase := 0
 			if sm := vm.sampler; sm != nil {
@@ -300,8 +308,6 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			vm.depth--
 			steps = vm.steps
 			cycles = vm.Cycles
-			mem = vm.Mem
-			heapTop = vm.heapTop
 			if err != nil {
 				return 0, err
 			}
@@ -315,7 +321,7 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				regs[ins.dst] = v
 			}
 			if em != nil {
-				em.callExit(cycles, ins.t0, ins.pc, frame)
+				*em.slot() = Event{Kind: EvCallExit, Now: cycles, Loop: ins.t0, PC: ins.pc, Frame: frame}
 			}
 		case dPrintI:
 			fmt.Fprintf(vm.Out, "%d\n", int64(regs[ins.a]))
@@ -325,7 +331,7 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopStart(now, ins.x0, ins.x1, frame)
+				*em.slot() = Event{Kind: EvLoopStart, Now: now, Loop: ins.x0, NumLocals: ins.x1, Frame: frame}
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.push(ins.x0)
@@ -334,7 +340,7 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopEnd(now, ins.x0)
+				*em.slot() = Event{Kind: EvLoopEnd, Now: now, Loop: ins.x0}
 			}
 			if sm := vm.sampler; sm != nil {
 				sm.pop(ins.x0)
@@ -343,25 +349,25 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			cycles += annotCost - 1
 			vm.NLoopAnnot++
 			if em != nil {
-				em.loopIter(now, ins.x0)
+				*em.slot() = Event{Kind: EvLoopIter, Now: now, Loop: ins.x0}
 			}
 		case dLWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.localLoad(now, frame, ins.x0, ins.pc)
+				*em.slot() = Event{Kind: EvLocalLoad, Now: now, Frame: frame, Slot: ins.x0, PC: ins.pc}
 			}
 		case dSWL:
 			cycles += annotCost - 1
 			vm.NLocalAnnot++
 			if em != nil {
-				em.localStore(now, frame, ins.x0, ins.pc)
+				*em.slot() = Event{Kind: EvLocalStore, Now: now, Frame: frame, Slot: ins.x0, PC: ins.pc}
 			}
 		case dReadStats:
 			cycles += readStatsCost - 1
 			vm.NReadStats++
 			if em != nil {
-				em.readStats(now, ins.x0)
+				*em.slot() = Event{Kind: EvReadStats, Now: now, Loop: ins.x0}
 			}
 
 		case dFusedConstAdd:
@@ -428,8 +434,7 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			// order, so a step limit or interrupt landing mid-chain
 			// stops at the identical instruction.
 			m := &addrMeta[ins.x0]
-			if rest := int64(m.rest); steps+rest <= maxSteps &&
-				steps>>interruptShift == (steps+rest)>>interruptShift {
+			if rest := int64(m.rest); fits(steps, rest, maxSteps) {
 				// Batched path: none of the absorbed micro-ops can hit
 				// the step limit or cross an interrupt-poll boundary, so
 				// their steps and cycles are paid up front in one add.
@@ -471,14 +476,14 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				if ins.op == dFusedAddrLoad {
 					addr := uint32(addrv)
 					w := addr / hydra.WordSize
-					if addr%hydra.WordSize != 0 || int(w) >= len(mem) || addr >= heapTop {
+					if addr%hydra.WordSize != 0 || int(w) >= len(vm.Mem) || addr >= vm.heapTop {
 						vm.sync(steps, cycles)
 						return 0, dfault(f.name, ins.line, "bad load address 0x%x", addr)
 					}
-					regs[m.valReg] = mem[w]
+					regs[m.valReg] = vm.Mem[w]
 					vm.NHeapLoads++
 					if em != nil {
-						em.heapLoad(cycles-1, addr, ins.pc)
+						*em.slot() = Event{Kind: EvHeapLoad, Now: cycles - 1, Addr: addr, PC: ins.pc}
 					}
 				}
 				break
@@ -570,22 +575,21 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				cycles++
 				addr := uint32(addrv)
 				w := addr / hydra.WordSize
-				if addr%hydra.WordSize != 0 || int(w) >= len(mem) || addr >= heapTop {
+				if addr%hydra.WordSize != 0 || int(w) >= len(vm.Mem) || addr >= vm.heapTop {
 					vm.sync(steps, cycles)
 					return 0, dfault(f.name, ins.line, "bad load address 0x%x", addr)
 				}
-				regs[m.valReg] = mem[w]
+				regs[m.valReg] = vm.Mem[w]
 				vm.NHeapLoads++
 				if em != nil {
-					em.heapLoad(now, addr, ins.pc)
+					*em.slot() = Event{Kind: EvHeapLoad, Now: now, Addr: addr, PC: ins.pc}
 				}
 			}
 
 		case dFusedLenBr:
 			// The loop-header test: [LdLoc] LdGlob; ArrLen; cmp; BrIf.
 			m := &lenMeta[ins.x0]
-			if rest := int64(m.rest); steps+rest <= maxSteps &&
-				steps>>interruptShift == (steps+rest)>>interruptShift {
+			if rest := int64(m.rest); fits(steps, rest, maxSteps) {
 				// Batched path (see dFusedAddr). The ArrLen fault lands
 				// two micro-ops (compare, branch) before the end of the
 				// chain, so the pre-paid counters are unwound by two.
@@ -728,9 +732,40 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				ip = int(ins.t1)
 			}
 
-		case dFusedIncLoc:
+		case dTramp:
+			// A trampoline entered by a branch that did not fold it (a
+			// conditional edge). The header's dispatch paid the first
+			// annotation op's step and cycle.
+			if rest := int64(ins.x1); fits(steps, rest, maxSteps) {
+				steps += rest
+				cycles = now
+				goto tramp
+			}
+			// Near a limit or poll boundary: give the step and cycle back
+			// and run the instructions after the header one dispatch
+			// each, which is the reference engine's order by construction.
+			// The first of them repeats this step's poll, so a sampler
+			// tick can repeat, only when this step is a poll boundary and
+			// the step limit stops the run inside the trampoline.
+			steps--
+			cycles = now
+		case dBrTramp:
+			// A Br into a trampoline: the branch and the whole trampoline
+			// in one dispatch when the chain batches.
+			if rest := int64(ins.x1); fits(steps, rest, maxSteps) {
+				steps += rest
+				ip = int(ins.t0) + 1
+				goto tramp
+			}
+			ip = int(ins.t0) // the plain Br, into the header
+		case dFusedIncLoc, dFusedIncLocBr:
 			m := &incMeta[ins.x0]
-			if steps+3 <= maxSteps && steps>>interruptShift == (steps+3)>>interruptShift {
+			// The loop latch (dFusedIncLocBr) runs the increment, the Br
+			// and the trampoline in one dispatch when the whole chain
+			// batches; otherwise it is the plain increment, and the next
+			// slot holds the Br.
+			latch := ins.op == dFusedIncLocBr && fits(steps, int64(ins.x1), maxSteps)
+			if latch || fits(steps, 3, maxSteps) {
 				// Batched path (see dFusedAddr); no micro-op can fault.
 				steps += 3
 				cycles += 3
@@ -748,6 +783,12 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 				}
 				slots[m.dslot] = sum
 				vm.NLocalStores++
+				if latch {
+					steps += int64(ins.x1) - 3
+					cycles++ // the Br
+					ip = int(ins.t0) + 1
+					goto tramp
+				}
 				break
 			}
 			oldv := slots[m.slot]
@@ -799,5 +840,53 @@ func (vm *VM) exec(c *Code, fi, fp, nargs int, em *batchEmitter) (uint64, error)
 			vm.sync(steps, cycles)
 			return 0, dfault(f.name, ins.line, "unknown opcode %d", uint8(ins.x0))
 		}
+		continue
+
+	tramp:
+		// The batched body of an annotation trampoline, reached from
+		// dTramp, dBrTramp and dFusedIncLocBr after they pre-paid every
+		// step of it: ip is the first annotation op, cycles the cycle it
+		// starts at. No op here can fault, and the pre-paid steps cross
+		// no limit or poll boundary, so only cycles, counters, events
+		// and the sampler's loop stack remain, in program order.
+		for ; code[ip].op != dTrampBr; ip++ {
+			a := &code[ip]
+			now = cycles
+			switch a.op {
+			case dSLoop:
+				cycles += annotCost
+				vm.NLoopAnnot++
+				if em != nil {
+					*em.slot() = Event{Kind: EvLoopStart, Now: now, Loop: a.x0, NumLocals: a.x1, Frame: frame}
+				}
+				if sm := vm.sampler; sm != nil {
+					sm.push(a.x0)
+				}
+			case dELoop:
+				cycles += annotCost
+				vm.NLoopAnnot++
+				if em != nil {
+					*em.slot() = Event{Kind: EvLoopEnd, Now: now, Loop: a.x0}
+				}
+				if sm := vm.sampler; sm != nil {
+					sm.pop(a.x0)
+				}
+			case dEOI:
+				cycles += annotCost
+				vm.NLoopAnnot++
+				if em != nil {
+					*em.slot() = Event{Kind: EvLoopIter, Now: now, Loop: a.x0}
+				}
+			default: // dReadStats
+				cycles += readStatsCost
+				vm.NReadStats++
+				if em != nil {
+					*em.slot() = Event{Kind: EvReadStats, Now: now, Loop: a.x0}
+				}
+			}
+		}
+		cycles++
+		vm.NTrampolines++
+		ip = int(code[ip].t0)
 	}
 }

@@ -465,27 +465,66 @@ func TestVMStepLimitSweep(t *testing.T) {
 	}
 
 	// Interrupt observed at the throttled poll boundary: both engines
-	// must take the same number of cycles to notice it.
-	fvm := vmsim.New(clean)
-	fvm.Out = &bytes.Buffer{}
-	bindInput(t, fvm.BindGlobalInts, fvm.BindGlobalFloats, in)
-	fvm.Interrupt()
-	fErr := fvm.Run("main")
+	// must take the same number of cycles to notice it. The annotated
+	// program runs its loop latches and trampolines as fused
+	// superinstructions, so it is checked as well as the clean one.
+	for _, p := range []struct {
+		name string
+		prog *tir.Program
+	}{{"clean", clean}, {"annotated", ann}} {
+		fvm := vmsim.New(p.prog)
+		fvm.Out = &bytes.Buffer{}
+		bindInput(t, fvm.BindGlobalInts, fvm.BindGlobalFloats, in)
+		fvm.Interrupt()
+		fErr := fvm.Run("main")
 
-	rvm := refvm.New(clean)
-	rvm.Out = &bytes.Buffer{}
-	bindInput(t, rvm.BindGlobalInts, rvm.BindGlobalFloats, in)
-	rvm.Interrupt()
-	rErr := rvm.Run("main")
+		rvm := refvm.New(p.prog)
+		rvm.Out = &bytes.Buffer{}
+		bindInput(t, rvm.BindGlobalInts, rvm.BindGlobalFloats, in)
+		rvm.Interrupt()
+		rErr := rvm.Run("main")
 
-	if fErr == nil {
-		t.Fatal("program finished before crossing the poll boundary; interrupt never observed")
+		if fErr == nil {
+			t.Fatalf("%s: program finished before crossing the poll boundary; interrupt never observed", p.name)
+		}
+		if fmt.Sprint(fErr) != fmt.Sprint(rErr) {
+			t.Errorf("%s: interrupt error: fast %q, ref %q", p.name, fmt.Sprint(fErr), fmt.Sprint(rErr))
+		}
+		if fvm.Cycles != rvm.Cycles {
+			t.Errorf("%s: interrupt cycles: fast %d, ref %d", p.name, fvm.Cycles, rvm.Cycles)
+		}
 	}
-	if fmt.Sprint(fErr) != fmt.Sprint(rErr) {
-		t.Errorf("interrupt error: fast %q, ref %q", fmt.Sprint(fErr), fmt.Sprint(rErr))
+}
+
+// TestLatchFusionCoversKernels keeps TestVMStepLimitSweep and
+// TestVMDifferential from passing without exercising the fused loop
+// latch: in every annotated paper kernel, no branch may reach an
+// annotation trampoline unfused, and the kernels together must contain
+// fused latches, folded branches and trampoline headers.
+func TestLatchFusionCoversKernels(t *testing.T) {
+	var latches, brs, headers int
+	kernels := workloads.All()
+	for _, w := range kernels {
+		_, ann, err := compilePair(w.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Meta.Name, err)
+		}
+		l, b, h, unfused := vmsim.LatchFusion(vmsim.Predecode(ann))
+		for _, u := range unfused {
+			t.Errorf("%s: %s", w.Meta.Name, u)
+		}
+		latches, brs, headers = latches+l, brs+b, headers+h
 	}
-	if fvm.Cycles != rvm.Cycles {
-		t.Errorf("interrupt cycles: fast %d, ref %d", fvm.Cycles, rvm.Cycles)
+	if len(kernels) != 26 || latches == 0 || brs == 0 || headers == 0 {
+		t.Errorf("%d kernels: %d fused latches, %d folded branches, %d trampoline headers; want 26 kernels and each count > 0",
+			len(kernels), latches, brs, headers)
+	}
+	_, ann, err := compilePair(sweepSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, _, _, _ := vmsim.LatchFusion(vmsim.Predecode(ann)); l == 0 {
+		t.Error("sweepSrc has no fused loop latch; TestVMStepLimitSweep would not sweep one")
 	}
 }
 

@@ -180,7 +180,7 @@ func runRemote(addr, wname string, scale float64, src string) {
 	if err != nil {
 		fatal(err)
 	}
-	base := "http://" + addr
+	base := fleet.BaseURL(addr)
 	client := &http.Client{Timeout: 15 * time.Minute}
 
 	resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -564,13 +564,12 @@ func sweepMain(args []string) {
 	if err != nil {
 		fatal(fmt.Errorf("sweep: %w", err))
 	}
-	copts := cluster.Options{
-		Workers: addrs,
-		Logger:  telemetry.NewLogger(os.Stderr, level),
-	}
-	if *registryAddr != "" {
-		copts.Workers = nil
+	copts := cluster.Options{Logger: telemetry.NewLogger(os.Stderr, level)}
+	switch {
+	case *registryAddr != "":
 		copts.Membership = fleet.NewRegistryMembership(*registryAddr)
+	case len(addrs) > 0:
+		copts.Membership = fleet.Static(addrs)
 	}
 	coord := cluster.New(copts)
 
@@ -654,11 +653,7 @@ func writeStitchedTrace(path, traceID string, col *telemetry.Collector, addrs []
 	out := dump{TraceID: traceID, Spans: col.Snapshot(traceID), Dropped: col.Dropped()}
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, addr := range addrs {
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		resp, err := client.Get(strings.TrimRight(base, "/") + "/v1/traces/spans?trace_id=" + traceID)
+		resp, err := client.Get(fleet.BaseURL(addr) + "/v1/traces/spans?trace_id=" + traceID)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: spans from %s: %v (skipped)\n", addr, err)
 			continue

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 	"jrpm/internal/session"
 	"jrpm/internal/telemetry"
@@ -124,7 +125,7 @@ func remoteSession(addr, wname, srcPath string, scale float64, epochs int, budge
 	if err != nil {
 		fatal(err)
 	}
-	base := "http://" + addr
+	base := fleet.BaseURL(addr)
 	client := &http.Client{Timeout: time.Minute}
 
 	resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))

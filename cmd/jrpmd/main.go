@@ -19,7 +19,7 @@
 // GET/DELETE /v1/sessions/{id}, GET /v1/metrics (?format=prom for
 // Prometheus text), GET /metrics, GET /v1/healthz, GET /v1/readyz,
 // GET /v1/version, GET /v1/traces/spans; with -worker additionally
-// POST /v1/shards and GET/PUT /v1/traces/{hash}. See the README
+// POST /v1/shards and PUT /v1/traces/{hash}. See the README
 // sections "Running as a service", "Observability", "Distributed
 // sweeps", "Running a fleet" and "Closing the loop" for request and
 // response shapes.
@@ -29,8 +29,8 @@
 // DELETE /v1/fleet/members/{id}) and a streaming sweep API
 // (POST /v1/sweeps, GET /v1/sweeps/{id}[/rows], DELETE /v1/sweeps/{id})
 // whose coordinator schedules shards over the registry's live members,
-// pushing each recording to a worker the first time it runs a shard of
-// it. Workers join a fleet with
+// pushing each recording to a worker the first time the worker answers
+// one of its shards with trace_missing. Workers join a fleet with
 //
 //	jrpmd -worker -addr :8078 -registry hub:8077 -advertise host:8078
 //
@@ -81,7 +81,7 @@ func main() {
 		maxTO    = flag.Duration("max-timeout", 10*time.Minute, "hard cap on per-job timeout")
 		longPoll = flag.Duration("longpoll", 30*time.Second, "max ?wait=1 long-poll before 202 + retry hint")
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
-		worker   = flag.Bool("worker", false, "serve cluster worker endpoints (POST /v1/shards, GET/PUT /v1/traces)")
+		worker   = flag.Bool("worker", false, "serve cluster worker endpoints (POST /v1/shards, PUT /v1/traces)")
 		sessions = flag.Int("sessions", 0, "max concurrently running adaptive sessions (0 = default)")
 		admitHWM = flag.Float64("admit-hwm", 0, "admission high-water mark as a fraction of -queue in (0,1]; past it submissions get 429 + Retry-After (0 = shed only when full)")
 		tenRate  = flag.Float64("tenant-rate", 0, "per-tenant quota in jobs/second, keyed on the X-JRPM-Tenant header (0 = no quotas)")
@@ -129,7 +129,7 @@ func main() {
 	mux := http.NewServeMux()
 	api.Register(mux)
 	if *worker {
-		cw := cluster.NewWorker(pool, 0, 0)
+		cw := cluster.NewWorker(pool)
 		cw.MaxTraceBytes = *maxTrace << 20
 		cw.Register(mux)
 		cw.RegisterProm(pool.Registry())

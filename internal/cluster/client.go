@@ -8,47 +8,34 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
-	"time"
 
 	"jrpm/internal/telemetry"
 )
 
-// errTraceMissing marks a shard rejection because the worker no longer
-// holds the recording (LRU eviction between push and dispatch); the
-// dispatcher re-pushes and retries once within the same attempt.
+// errTraceMissing marks a shard rejection because the worker does not
+// hold the recording (never pushed, or evicted from its LRU cache); the
+// dispatcher pushes it and dispatches once more within the same attempt.
 var errTraceMissing = errors.New("cluster: worker does not hold the trace")
 
 // maxResidency bounds the per-worker trace-residency memo. Against a
 // churning fleet the coordinator outlives many worker generations; the
-// memo is only a stat-probe saver, so an LRU bound keeps it from
-// growing without limit while a false eviction costs one extra stat.
+// memo only steers placement, so an LRU bound keeps it from growing
+// without limit while a false eviction costs at most a worse placement.
 const maxResidency = 4096
 
 // workerClient is the coordinator's HTTP face of one worker.
 type workerClient struct {
-	name string // as configured (display + metrics key)
+	name string // member ID (display + metrics key)
 	base string // http://host:port
-	hc   *http.Client
 
 	mu       sync.Mutex
-	hasTrace map[string]bool // content addresses known to be worker-resident
+	hasTrace map[string]bool // content addresses the worker was last seen holding
 	order    []string        // LRU order, oldest first
 }
 
-func newWorkerClient(addr string, timeout time.Duration) *workerClient {
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
-	return &workerClient{
-		name:     addr,
-		base:     base,
-		hc:       &http.Client{Timeout: timeout},
-		hasTrace: map[string]bool{},
-	}
+func newWorkerClient(name, base string) *workerClient {
+	return &workerClient{name: name, base: base, hasTrace: map[string]bool{}}
 }
 
 // markResident records key in the bounded residency memo.
@@ -117,7 +104,7 @@ func (wc *workerClient) version(ctx context.Context) (VersionInfo, error) {
 	if err != nil {
 		return vi, err
 	}
-	resp, err := wc.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return vi, err
 	}
@@ -131,27 +118,30 @@ func (wc *workerClient) version(ctx context.Context) (VersionInfo, error) {
 	return vi, nil
 }
 
+// errDraining is a worker's 503 from GET /v1/readyz: it is draining
+// and must not receive shards.
+var errDraining = errors.New("worker draining")
+
 // ready probes GET /v1/readyz. Workers predating the endpoint answer
-// 404 and are treated as ready (the version preflight already vetted
-// them); 503 means the worker is draining and must not receive shards.
-func (wc *workerClient) ready(ctx context.Context) (bool, error) {
+// 404 and are treated as ready (the version probe already vetted them).
+func (wc *workerClient) ready(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+"/v1/readyz", nil)
 	if err != nil {
-		return false, err
+		return err
 	}
-	resp, err := wc.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return false, err
+		return err
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusNotFound:
-		return true, nil
+		return nil
 	case http.StatusServiceUnavailable:
-		return false, nil
+		return errDraining
 	default:
-		return false, fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
 	}
 }
 
@@ -163,74 +153,33 @@ func (wc *workerClient) forget(key string) {
 	wc.mu.Unlock()
 }
 
-// forgetAll empties the residency memo — called when the worker leaves
-// the fleet, so a later reincarnation at the same address starts from
-// honest stat probes.
-func (wc *workerClient) forgetAll() {
-	wc.mu.Lock()
-	wc.hasTrace = map[string]bool{}
-	wc.order = nil
-	wc.mu.Unlock()
-}
-
-// ensureTrace makes the recording resident on the worker, shipping bytes
-// only when the worker's content-addressed cache misses. It reports
-// whether a push happened.
-func (wc *workerClient) ensureTrace(ctx context.Context, key string, data []byte) (bool, error) {
-	if wc.resident(key) {
-		return false, nil
-	}
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+"/v1/traces/"+key+"?stat=1", nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := wc.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		wc.markResident(key)
-		return false, nil
-	case http.StatusNotFound:
-		// fall through to push
-	default:
-		return false, fmt.Errorf("trace stat: HTTP %d", resp.StatusCode)
-	}
-
-	// The span covers the actual byte transfer only — the stat probe
-	// above is a cache hit, not a push.
+// push stores the recording on the worker under its content address
+// and marks it resident.
+func (wc *workerClient) push(ctx context.Context, key string, data []byte) (err error) {
 	ctx, sp := telemetry.StartSpan(ctx, "trace.push")
 	sp.SetAttr("worker", wc.name)
 	sp.SetAttr("trace.key", key)
 	sp.SetInt("trace.bytes", int64(len(data)))
-	defer sp.End()
+	defer func() { sp.Fail(err); sp.End() }()
 	put, err := http.NewRequestWithContext(ctx, http.MethodPut, wc.base+"/v1/traces/"+key, bytes.NewReader(data))
 	if err != nil {
-		sp.Fail(err)
-		return false, err
+		return err
 	}
 	put.Header.Set("Content-Type", "application/octet-stream")
 	put.ContentLength = int64(len(data))
 	telemetry.Inject(ctx, put.Header)
-	resp, err = wc.hc.Do(put)
+	resp, err := http.DefaultClient.Do(put)
 	if err != nil {
-		sp.Fail(err)
-		return false, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 		// %v, not %w: only a shard's own answer is a deterministic
 		// rejection; a refused push stays a retryable fault.
-		err = fmt.Errorf("trace push: %v", decodeError(resp))
-		sp.Fail(err)
-		return false, err
+		return fmt.Errorf("trace push: %v", decodeError(resp))
 	}
 	wc.markResident(key)
-	return true, nil
+	return nil
 }
 
 // runShard executes POST /v1/shards.
@@ -245,7 +194,7 @@ func (wc *workerClient) runShard(ctx context.Context, sr ShardRequest) ([]Outcom
 	}
 	req.Header.Set("Content-Type", "application/json")
 	telemetry.Inject(ctx, req.Header)
-	resp, err := wc.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -5,21 +5,21 @@
 // into shards of one trace × one store geometry (the unit one
 // comparator-bank pass serves), puts them on one shared queue, ships
 // each recording to a worker content-addressed the first time that
-// worker runs a shard of it, and merges shard results into exactly what
-// trace.Sweep would have produced locally — a property enforced at
-// runtime by re-executing sentinel shards on a second worker and
-// comparing the canonical encodings byte for byte.
+// worker answers a shard of it with trace_missing, and merges shard
+// results into exactly what trace.Sweep would have produced locally — a
+// property enforced at runtime by re-executing sentinel shards on a
+// second worker and comparing the canonical encodings byte for byte.
 //
 // The scheduler is fault-tolerant: failed shards retry on another
 // worker with exponential backoff and jitter, a per-worker circuit
 // breaker stops hammering a dead worker, a hung worker is cut off by
 // the shard timeout, a worker's 4xx answer becomes failed rows rather
 // than a retry, and when no worker is reachable the grid degrades
-// gracefully to local execution. The worker set itself may be dynamic:
-// with a fleet.Membership the scheduler re-snapshots the fleet during
-// the sweep, admitting workers that join mid-flight and retrying the
-// in-flight shards of workers that die. See DESIGN.md "Distributed
-// trace-replay sweeps" and "Fleet".
+// gracefully to local execution. The worker set comes from a
+// fleet.Membership, a fixed list or a registry, which the scheduler
+// re-snapshots during the sweep, admitting workers that join mid-flight
+// and retrying the in-flight shards of workers that die. See DESIGN.md
+// "Distributed trace-replay sweeps" and "Fleet".
 package cluster
 
 import (

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/core"
+	"jrpm/internal/fleet"
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/workloads"
@@ -35,7 +37,7 @@ func newTestWorker(t testing.TB, mw func(http.Handler) http.Handler) (*httptest.
 	t.Helper()
 	pool := service.NewPool(service.Config{Workers: 2})
 	t.Cleanup(pool.Stop)
-	w := NewWorker(pool, 0, 2)
+	w := NewWorker(pool)
 	mux := http.NewServeMux()
 	w.Register(mux)
 	service.NewServer(pool).Register(mux)
@@ -159,10 +161,7 @@ func TestClusterEquivalence(t *testing.T) {
 			t.Run("healthy", func(t *testing.T) {
 				s1, _ := newTestWorker(t, nil)
 				s2, _ := newTestWorker(t, nil)
-				coord := New(Options{
-					Workers: []string{s1.URL, s2.URL},
-					Seed:    7,
-				})
+				coord := New(Options{Membership: fleet.Static{s1.URL, s2.URL}})
 				res, err := coord.Sweep(context.Background(), grid)
 				if err != nil {
 					t.Fatal(err)
@@ -184,18 +183,18 @@ func TestClusterEquivalence(t *testing.T) {
 			t.Run("worker-killed", func(t *testing.T) {
 				// The healthy worker holds its shards until the dying one
 				// has aborted, so it cannot drain the grid before the dying
-				// worker receives its second (fatal) shard.
+				// worker receives its second (fatal) shard. The dying worker
+				// holds the recording beforehand, so its first shard request
+				// is a real replay whose rows are merged, not a trace_missing
+				// answer.
 				aborted := make(chan struct{})
 				dying, _ := newTestWorker(t, killAfter(1, aborted))
+				pushTrace(t, dying.URL, data)
 				healthy, _ := newTestWorker(t, holdShardsUntil(aborted, 10*time.Second))
-				coord := New(Options{
-					Workers:          []string{dying.URL, healthy.URL},
-					MaxAttempts:      4,
-					RetryBase:        time.Millisecond,
-					BreakerThreshold: 2,
-					BreakerCooldown:  50 * time.Millisecond,
-					Seed:             7,
-				})
+				coord := New(Options{Membership: fleet.Static{dying.URL, healthy.URL}})
+				coord.retryBase = time.Millisecond
+				coord.breakerThreshold = 2
+				coord.breakerCooldown = 50 * time.Millisecond
 				res, err := coord.Sweep(context.Background(), grid)
 				if err != nil {
 					t.Fatal(err)
@@ -252,10 +251,7 @@ func TestClusterSentinelMismatch(t *testing.T) {
 	src, data := recordWorkload(t, "Huffman")
 	good, _ := newTestWorker(t, nil)
 	evil, _ := newTestWorker(t, tamperShards())
-	coord := New(Options{
-		Workers: []string{good.URL, evil.URL},
-		Seed:    3,
-	})
+	coord := New(Options{Membership: fleet.Static{good.URL, evil.URL}})
 	_, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
 		Configs: gridConfigs(6),
@@ -278,7 +274,7 @@ func TestClusterVersionRefusal(t *testing.T) {
 	defer alien.Close()
 
 	src, data := recordWorkload(t, "Huffman")
-	coord := New(Options{Workers: []string{healthy.URL, alien.URL}})
+	coord := New(Options{Membership: fleet.Static{healthy.URL, alien.URL}})
 	_, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
 		Configs: gridConfigs(2),
@@ -306,7 +302,7 @@ func TestClusterLocalDegradation(t *testing.T) {
 	addr := dead.URL
 	dead.Close()
 
-	coord := New(Options{Workers: []string{addr}, PingTimeout: 500 * time.Millisecond})
+	coord := New(Options{Membership: fleet.Static{addr}})
 	res, err := coord.Sweep(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +314,7 @@ func TestClusterLocalDegradation(t *testing.T) {
 		t.Error("degraded local sweep differs from trace.Sweep")
 	}
 
-	strict := New(Options{Workers: []string{addr}, PingTimeout: 500 * time.Millisecond, DisableLocalFallback: true})
+	strict := New(Options{Membership: fleet.Static{addr}, DisableLocalFallback: true})
 	if _, err := strict.Sweep(context.Background(), grid); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -399,13 +395,11 @@ func TestClusterBreaker(t *testing.T) {
 	failed := make(chan struct{}, 2) // the two failures holdShards waits for
 	broken, _ := newTestWorker(t, failShards(failed))
 	healthy, _ := newTestWorker(t, holdShards(failed, 2))
-	coord := New(Options{
-		Workers:          []string{broken.URL, healthy.URL},
-		Sentinels:        -1,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-	})
+	coord := New(Options{Membership: fleet.Static{broken.URL, healthy.URL}})
+	coord.sentinels = 0
+	coord.retryBase = time.Millisecond
+	coord.breakerThreshold = 2
+	coord.breakerCooldown = 100 * time.Millisecond
 	cfgs := gridConfigs(8)
 	res, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
@@ -431,10 +425,8 @@ func TestClusterMultiTraceTransfers(t *testing.T) {
 	srcB, dataB := recordWorkload(t, "LuFactor")
 	s1, w1 := newTestWorker(t, nil)
 	s2, w2 := newTestWorker(t, nil)
-	coord := New(Options{
-		Workers:   []string{s1.URL, s2.URL},
-		Sentinels: -1,
-	})
+	coord := New(Options{Membership: fleet.Static{s1.URL, s2.URL}})
+	coord.sentinels = 0
 	cfgs := gridConfigs(6)
 	grid := Grid{
 		Traces: []GridTrace{
@@ -509,7 +501,7 @@ func TestClusterShardsFollowGeometry(t *testing.T) {
 
 	s1, _ := newTestWorker(t, nil)
 	s2, _ := newTestWorker(t, nil)
-	res, err := New(Options{Workers: []string{s1.URL, s2.URL}}).Sweep(context.Background(), grid)
+	res, err := New(Options{Membership: fleet.Static{s1.URL, s2.URL}}).Sweep(context.Background(), grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,11 +521,11 @@ func TestClusterShardsFollowGeometry(t *testing.T) {
 }
 
 // TestWorkerEndpoints exercises the worker HTTP surface directly:
-// content-address verification, garbage rejection, presence stats, and
-// trace-missing shard rejection.
+// content-address verification, garbage rejection, a shard served from
+// a pushed recording, and trace-missing shard rejection.
 func TestWorkerEndpoints(t *testing.T) {
 	srv, _ := newTestWorker(t, nil)
-	_, data := recordWorkload(t, "Huffman")
+	src, data := recordWorkload(t, "Huffman")
 	key := service.TraceKeyOf(data)
 	client := srv.Client()
 
@@ -555,30 +547,27 @@ func TestWorkerEndpoints(t *testing.T) {
 	if resp := put("/v1/traces/"+key, data); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("valid push: HTTP %d, want 204", resp.StatusCode)
 	}
-	resp, err := client.Get(srv.URL + "/v1/traces/" + key + "?stat=1")
-	if err != nil {
-		t.Fatal(err)
+	shard := func(key string) (int, string) {
+		body, _ := json.Marshal(ShardRequest{TraceKey: key, Source: src, Configs: gridConfigs(1)})
+		resp, err := client.Post(srv.URL+"/v1/shards", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ae struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(resp.Body).Decode(&ae) //nolint:errcheck // a 200 body has no code
+		return resp.StatusCode, ae.Code
 	}
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("stat after push: HTTP %d, want 204", resp.StatusCode)
+	if status, code := shard(key); status != http.StatusOK || code == "trace_missing" {
+		t.Errorf("shard after push: HTTP %d code %q, want 200", status, code)
 	}
 
 	// A shard against a key the worker does not hold must come back as
-	// the typed trace_missing rejection the dispatcher re-pushes on.
-	sr := ShardRequest{TraceKey: strings.Repeat("0", 64), Source: "func main() {}", Configs: gridConfigs(1)}
-	body, _ := json.Marshal(sr)
-	resp, err = client.Post(srv.URL+"/v1/shards", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing trace shard: HTTP %d, want 404", resp.StatusCode)
-	}
-	var ae struct {
-		Code string `json:"code"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil || ae.Code != "trace_missing" {
-		t.Errorf("missing trace shard: code=%q err=%v, want trace_missing", ae.Code, err)
+	// the typed trace_missing rejection the dispatcher pushes on.
+	if status, code := shard(strings.Repeat("0", 64)); status != http.StatusNotFound || code != "trace_missing" {
+		t.Errorf("missing trace shard: HTTP %d code %q, want 404 trace_missing", status, code)
 	}
 }
 
@@ -610,5 +599,91 @@ func TestShardGeometryBound(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("1,000-geometry shard: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// pushTrace stores a recording on a worker, as the coordinator does on
+// trace_missing.
+func pushTrace(t testing.TB, url string, data []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut, url+"/v1/traces/"+service.TraceKeyOf(data), bytes.NewReader(data))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("push: HTTP %d, want 204", resp.StatusCode)
+	}
+}
+
+// routeLog records the method and route of every shard and trace
+// request reaching a worker, in arrival order.
+type routeLog struct {
+	mu     sync.Mutex
+	routes []string
+}
+
+func (l *routeLog) middleware(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		route := r.URL.Path
+		if strings.HasPrefix(route, "/v1/traces/") {
+			route = "/v1/traces/{hash}"
+		}
+		if route == "/v1/shards" || route == "/v1/traces/{hash}" {
+			l.mu.Lock()
+			l.routes = append(l.routes, r.Method+" "+route)
+			l.mu.Unlock()
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+func (l *routeLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	routes := l.routes
+	l.routes = nil
+	return routes
+}
+
+// TestWorkerResidencyProtocol: the trace_missing answer to a shard is
+// the only residency check. A fresh worker sees shard, push, shard for
+// the first shard of a recording and one request for each later shard;
+// a worker that already holds the recording sees exactly one request
+// per shard and no push.
+func TestWorkerResidencyProtocol(t *testing.T) {
+	src, data := recordWorkload(t, "Huffman")
+	grid := Grid{
+		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
+		Configs: gridConfigs(3), // three store geometries, three shards
+		Opts:    jrpm.DefaultOptions(),
+	}
+	const shard, push = "POST /v1/shards", "PUT /v1/traces/{hash}"
+	sweep := func(addr string) {
+		t.Helper()
+		res, err := New(Options{Membership: fleet.Static{addr}, DisableLocalFallback: true}).Sweep(context.Background(), grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(canonical(t, res.Outcomes[0]), canonical(t, localRows(t, src, data, grid.Configs))) {
+			t.Error("sweep differs from local")
+		}
+	}
+
+	var fresh routeLog
+	srv, _ := newTestWorker(t, fresh.middleware)
+	sweep(srv.URL)
+	if got, want := fresh.take(), []string{shard, push, shard, shard, shard}; !slices.Equal(got, want) {
+		t.Errorf("fresh worker saw %q, want %q", got, want)
+	}
+
+	var holder routeLog
+	srv, _ = newTestWorker(t, holder.middleware)
+	pushTrace(t, srv.URL, data)
+	holder.take()
+	sweep(srv.URL)
+	if got, want := holder.take(), []string{shard, shard, shard}; !slices.Equal(got, want) {
+		t.Errorf("worker holding the recording saw %q, want %q", got, want)
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,87 +19,50 @@ import (
 	"jrpm/internal/trace"
 )
 
-// Options tunes the coordinator. The zero value of every field is
-// replaced by a sane default; fields documented as "< 0 disables" use
-// the negative range as the explicit off switch.
+// Options configures a coordinator with what a deployment sets.
 type Options struct {
-	// Workers lists jrpmd worker addresses (host:port or full URLs).
-	// Empty means every sweep runs locally. Ignored when Membership is
-	// set.
-	Workers []string
-	// Membership supplies the worker set dynamically (a fleet
-	// registry). When set it replaces Workers and the scheduler
+	// Membership supplies the worker set: fleet.Static for a fixed
+	// list, a fleet registry for a living fleet. The scheduler
 	// re-snapshots it for the whole duration of a sweep: workers that
 	// join mid-sweep are admitted and take shards from the queue,
 	// workers that disappear are retired and their in-flight shards
-	// retried elsewhere.
+	// retried elsewhere. Nil means every sweep runs locally.
 	Membership fleet.Membership
-	// MembershipInterval is the fleet re-snapshot period; <= 0 means
-	// 250ms.
-	MembershipInterval time.Duration
-	// MaxAttempts bounds dispatch attempts per shard before giving up on
-	// the cluster (local fallback, unless disabled); <= 0 means 4.
-	MaxAttempts int
-	// RetryBase/RetryMax shape the exponential backoff between attempts
-	// (base*2^n with ±50% jitter, capped); defaults 50ms / 2s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// BreakerThreshold consecutive failures open a worker's circuit
-	// breaker for BreakerCooldown; defaults 3 / 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Sentinels is the number of leading shards re-executed on a second
-	// worker for the determinism check; 0 means 1, < 0 disables.
-	Sentinels int
-	// ShardTimeout bounds one shard round trip; <= 0 means 60s. A slow
-	// or hung worker is handled by this timeout plus a retry.
-	ShardTimeout time.Duration
-	// PingTimeout bounds the version preflight; <= 0 means 2s.
-	PingTimeout time.Duration
 	// DisableLocalFallback turns exhausted-shard and no-worker local
 	// execution into hard errors.
 	DisableLocalFallback bool
-	// Seed fixes the jitter RNG (tests); 0 means 1.
-	Seed int64
 	// Logger receives scheduling events (worker exclusions, shard
 	// failures, breaker trips, fallbacks); nil is silent. All methods of
 	// a nil *telemetry.Logger are no-ops, so call sites don't guard.
 	Logger *telemetry.Logger
 }
 
-func (o Options) withDefaults() Options {
-	if o.MembershipInterval <= 0 {
-		o.MembershipInterval = 250 * time.Millisecond
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Sentinels == 0 {
-		o.Sentinels = 1
-	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 60 * time.Second
-	}
-	if o.PingTimeout <= 0 {
-		o.PingTimeout = 2 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The scheduler's timing and fault policy. New copies all but the two
+// timeouts into the coordinator's fields, which in-package tests lower
+// to make faults cheap to provoke.
+const (
+	// membershipInterval is the fleet re-snapshot period.
+	membershipInterval = 250 * time.Millisecond
+	// maxAttempts bounds dispatch attempts per shard before giving up
+	// on the fleet (local fallback, unless disabled).
+	maxAttempts = 4
+	// retryBase and retryMax shape the exponential backoff between
+	// attempts: base*2^n with ±50% jitter, capped.
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+	// breakerThreshold consecutive failures open a worker's circuit
+	// breaker for breakerCooldown.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+	// sentinels is the number of leading shards re-executed on a second
+	// worker for the determinism check.
+	sentinels = 1
+	// shardTimeout bounds one shard round trip; a slow or hung worker
+	// is handled by this timeout plus a retry.
+	shardTimeout = 60 * time.Second
+	// pingTimeout bounds one version-and-readiness probe.
+	pingTimeout = 2 * time.Second
+)
 
 // Coordinator drives distributed sweeps. It is stateless between Sweep
 // calls except for the per-worker trace-residency bookkeeping (bounded,
@@ -108,50 +70,48 @@ func (o Options) withDefaults() Options {
 // run many grids against the same fleet and ship each recording to each
 // worker at most once.
 type Coordinator struct {
-	opts       Options
-	membership fleet.Membership
-	dynamic    bool
+	opts Options
+
+	// The policy constants above, bar the timeouts; tests lower them on
+	// the coordinator they built. A sentinel count of 0 disables the
+	// check.
+	membershipInterval time.Duration
+	maxAttempts        int
+	retryBase          time.Duration
+	retryMax           time.Duration
+	breakerThreshold   int
+	breakerCooldown    time.Duration
+	sentinels          int
 
 	clientMu sync.Mutex
 	clients  map[string]*workerClient // by member ID, persistent across sweeps
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
-// New builds a coordinator for a worker fleet: dynamic when
-// opts.Membership is set, otherwise the static opts.Workers list.
+// New builds a coordinator over opts.Membership.
 func New(opts Options) *Coordinator {
-	opts = opts.withDefaults()
-	c := &Coordinator{
-		opts:    opts,
-		clients: map[string]*workerClient{},
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+	return &Coordinator{
+		opts:               opts,
+		membershipInterval: membershipInterval,
+		maxAttempts:        maxAttempts,
+		retryBase:          retryBase,
+		retryMax:           retryMax,
+		breakerThreshold:   breakerThreshold,
+		breakerCooldown:    breakerCooldown,
+		sentinels:          sentinels,
+		clients:            map[string]*workerClient{},
 	}
-	if opts.Membership != nil {
-		c.membership = opts.Membership
-		c.dynamic = true
-	} else {
-		c.membership = fleet.Static(opts.Workers)
-	}
-	return c
 }
 
 // client resolves (and caches) the HTTP client for a fleet member. A
 // member that re-registers under the same ID with a new address gets a
 // fresh client, dropping the stale residency memo with it.
 func (c *Coordinator) client(m fleet.Member) *workerClient {
-	base := m.Addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
+	base := fleet.BaseURL(m.Addr)
 	c.clientMu.Lock()
 	defer c.clientMu.Unlock()
 	wc := c.clients[m.ID]
 	if wc == nil || wc.base != base {
-		wc = newWorkerClient(m.Addr, 0)
-		wc.name = m.ID
+		wc = newWorkerClient(m.ID, base)
 		c.clients[m.ID] = wc
 	}
 	return wc
@@ -167,44 +127,46 @@ func (c *Coordinator) dropClient(id string) {
 	c.clientMu.Unlock()
 }
 
-func (c *Coordinator) jitter(d time.Duration) time.Duration {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d)))
-}
-
 func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.opts.RetryBase
-	for i := 1; i < attempt && d < c.opts.RetryMax; i++ {
+	d := c.retryBase
+	for i := 1; i < attempt && d < c.retryMax; i++ {
 		d *= 2
 	}
-	if d > c.opts.RetryMax {
-		d = c.opts.RetryMax
+	if d > c.retryMax {
+		d = c.retryMax
 	}
-	return c.jitter(d)
+	return d/2 + rand.N(d)
 }
 
-// preflight version- and readiness-checks every member. Unreachable or
-// draining workers are excluded (they may come back; the breaker would
-// exclude them anyway); reachable workers with a different trace-format
-// version are refusals — mixing formats corrupts results, so they are
-// reported as hard errors.
-func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (healthy []fleet.Member, refusals []error) {
-	pctx, cancel := context.WithTimeout(ctx, c.opts.PingTimeout)
+// probe asks a worker for its trace-format version and, when the
+// format matches the coordinator's, its readiness: a nil error with a
+// matching format means the worker may take shards. A draining worker
+// answers errDraining. Startup preflight and mid-sweep admission both
+// probe through here and differ only in what they make of a mismatch.
+func (c *Coordinator) probe(ctx context.Context, wc *workerClient) (VersionInfo, error) {
+	ctx, cancel := context.WithTimeout(ctx, pingTimeout)
 	defer cancel()
+	vi, err := wc.version(ctx)
+	if err != nil || vi.TraceFormat != trace.Version {
+		return vi, err
+	}
+	return vi, wc.ready(ctx)
+}
+
+// preflight probes every member. Unreachable or draining workers are
+// excluded (they may come back; the breaker would exclude them
+// anyway); reachable workers with a different trace-format version are
+// refusals — mixing formats corrupts results, so they are reported as
+// hard errors.
+func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (healthy []fleet.Member, refusals []error) {
 	vis := make([]VersionInfo, len(members))
 	errs := make([]error, len(members))
-	ready := make([]bool, len(members))
-	readyErrs := make([]error, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
 		wg.Add(1)
 		go func(i int, wc *workerClient) {
 			defer wg.Done()
-			vis[i], errs[i] = wc.version(pctx)
-			if errs[i] == nil {
-				ready[i], readyErrs[i] = wc.ready(pctx)
-			}
+			vis[i], errs[i] = c.probe(ctx, wc)
 		}(i, c.client(m))
 	}
 	wg.Wait()
@@ -212,6 +174,8 @@ func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (he
 	// order worker loops start in) is deterministic.
 	for i, m := range members {
 		switch {
+		case errors.Is(errs[i], errDraining):
+			c.opts.Logger.WarnCtx(ctx, "cluster: worker draining, excluded", "worker", m.ID)
 		case errs[i] != nil:
 			c.opts.Logger.WarnCtx(ctx, "cluster: worker unreachable, excluded",
 				"worker", m.ID, "err", errs[i])
@@ -219,12 +183,6 @@ func (c *Coordinator) preflight(ctx context.Context, members []fleet.Member) (he
 			refusals = append(refusals, fmt.Errorf(
 				"worker %s: trace format v%d, coordinator speaks v%d (module %q) — refusing mixed-format worker",
 				m.ID, vis[i].TraceFormat, trace.Version, vis[i].Module))
-		case readyErrs[i] != nil:
-			c.opts.Logger.WarnCtx(ctx, "cluster: worker readiness probe failed, excluded",
-				"worker", m.ID, "err", readyErrs[i])
-		case !ready[i]:
-			c.opts.Logger.WarnCtx(ctx, "cluster: worker draining, excluded",
-				"worker", m.ID)
 		default:
 			healthy = append(healthy, m)
 		}
@@ -294,7 +252,10 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 		}
 		return newSched(c, &grid, [][]int{all}, onRow).runLocal(ctx, degraded)
 	}
-	members, merr := c.membership.Members(ctx)
+	if c.opts.Membership == nil {
+		return runLocal(false)
+	}
+	members, merr := c.opts.Membership.Members(ctx)
 	if merr != nil {
 		if c.opts.DisableLocalFallback {
 			return nil, fmt.Errorf("%w: membership: %v", ErrNoWorkers, merr)
@@ -303,13 +264,8 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 		return runLocal(true)
 	}
 	if len(members) == 0 {
-		if !c.dynamic {
-			// No workers configured: plain local execution, not a
-			// degradation.
-			return runLocal(false)
-		}
 		if c.opts.DisableLocalFallback {
-			return nil, fmt.Errorf("%w: fleet registry reports no live members", ErrNoWorkers)
+			return nil, fmt.Errorf("%w: the fleet has no live members", ErrNoWorkers)
 		}
 		return runLocal(true)
 	}
@@ -686,13 +642,13 @@ func (s *sched) workerLoop(sw *schedWorker) {
 // run executes the scheduler over the preflighted members until every
 // shard is merged or the sweep failed. The completion signal is the
 // task ledger (remaining + sentinelsLeft), not worker-goroutine exit:
-// with a dynamic fleet, workers come and go while the sweep runs.
+// workers come and go while the sweep runs.
 func (s *sched) run(ctx context.Context, members []fleet.Member) error {
 	s.mu.Lock()
 	s.ctx = ctx
 	s.queue = slices.Clone(s.primaries)
-	if len(members) >= 2 && s.c.opts.Sentinels > 0 {
-		for _, p := range s.primaries[:min(s.c.opts.Sentinels, len(s.primaries))] {
+	if len(members) >= 2 && s.c.sentinels > 0 {
+		for _, p := range s.primaries[:min(s.c.sentinels, len(s.primaries))] {
 			p.sentinel = &task{trace: p.trace, cfgs: p.cfgs, sentinelOf: p}
 			s.sentinelsLeft++
 		}
@@ -713,9 +669,7 @@ func (s *sched) run(ctx context.Context, members []fleet.Member) error {
 		case <-stop:
 		}
 	}()
-	if s.c.dynamic {
-		go s.fleetMonitor(stop)
-	}
+	go s.fleetMonitor(stop)
 
 	s.mu.Lock()
 	for !s.terminalLocked() {
@@ -753,7 +707,7 @@ func (s *sched) attempt(sw *schedWorker, t *task) {
 		s.mu.Unlock()
 		return
 	}
-	actx, cancel := context.WithTimeout(s.ctx, s.c.opts.ShardTimeout)
+	actx, cancel := context.WithTimeout(s.ctx, shardTimeout)
 	sw.cancel = cancel
 	s.mu.Unlock()
 
@@ -800,8 +754,8 @@ func (s *sched) attempt(sw *schedWorker, t *task) {
 	// Failure path.
 	var breakerOpened, retried bool
 	sw.consecFail++
-	if sw.consecFail >= s.c.opts.BreakerThreshold && time.Now().After(sw.breakerUntil) {
-		sw.breakerUntil = time.Now().Add(s.c.opts.BreakerCooldown)
+	if sw.consecFail >= s.c.breakerThreshold && time.Now().After(sw.breakerUntil) {
+		sw.breakerUntil = time.Now().Add(s.c.breakerCooldown)
 		sw.consecFail = 0 // half-open after cooldown: one probe re-trips it after Threshold more
 		breakerOpened = true
 	}
@@ -813,7 +767,7 @@ func (s *sched) attempt(sw *schedWorker, t *task) {
 	}
 	t.attempts++
 	attempts := t.attempts
-	if attempts < s.c.opts.MaxAttempts {
+	if attempts < s.c.maxAttempts {
 		retried = true
 		t.avoid = sw
 		tm := time.AfterFunc(s.c.backoff(attempts), func() { s.requeue(t) })
@@ -832,7 +786,7 @@ func (s *sched) attempt(sw *schedWorker, t *task) {
 	if breakerOpened {
 		s.metrics.onBreakerOpen()
 		log.WarnCtx(sctx, "cluster: circuit breaker opened",
-			"worker", name, "cooldown", s.c.opts.BreakerCooldown)
+			"worker", name, "cooldown", s.c.breakerCooldown)
 	}
 	if retried {
 		s.metrics.onRetry()
@@ -905,10 +859,9 @@ func (s *sched) checkSentinelLocked(primary, sent *task) {
 // ---------------------------------------------------------------------------
 // Fleet dynamics
 
-// fleetMonitor periodically re-snapshots the membership of a dynamic
-// fleet.
+// fleetMonitor periodically re-snapshots the fleet's membership.
 func (s *sched) fleetMonitor(stop <-chan struct{}) {
-	tick := time.NewTicker(s.c.opts.MembershipInterval)
+	tick := time.NewTicker(s.c.membershipInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -924,8 +877,8 @@ func (s *sched) fleetMonitor(stop <-chan struct{}) {
 // scheduler's worker set: departed members are retired, new members are
 // preflighted and admitted.
 func (s *sched) reconcile() {
-	mctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
-	members, err := s.c.membership.Members(mctx)
+	mctx, cancel := context.WithTimeout(s.ctx, pingTimeout)
+	members, err := s.c.opts.Membership.Members(mctx)
 	cancel()
 	if err != nil {
 		// A registry blip must not retire live workers; try again next
@@ -970,7 +923,6 @@ func (s *sched) reconcile() {
 // the last live worker, the queued shards are stranded.
 func (s *sched) retireLocked(w *schedWorker) {
 	w.retired = true
-	w.client.forgetAll()
 	s.c.dropClient(w.id)
 	if w.cancel != nil {
 		w.cancel()
@@ -987,19 +939,14 @@ func (s *sched) retireLocked(w *schedWorker) {
 	s.cond.Broadcast()
 }
 
-// admit preflights a joining member and, if healthy, starts a dispatch
-// loop for it; the loop takes shards from the shared queue.
+// admit probes a joining member and, if healthy, starts a dispatch loop
+// for it; the loop takes shards from the shared queue. A joiner
+// speaking another trace format is refused for the rest of the sweep.
 func (s *sched) admit(m fleet.Member) {
 	wc := s.c.client(m)
-	pctx, cancel := context.WithTimeout(s.ctx, s.c.opts.PingTimeout)
-	vi, err := wc.version(pctx)
-	var ready bool
-	if err == nil {
-		ready, err = wc.ready(pctx)
-	}
-	cancel()
-	if err != nil || !ready {
-		// Not reachable/ready yet; the next reconcile retries.
+	vi, err := s.c.probe(s.ctx, wc)
+	if err != nil {
+		// Not reachable or ready yet; the next reconcile retries.
 		return
 	}
 	if vi.TraceFormat != trace.Version {
@@ -1031,10 +978,11 @@ func (s *sched) admit(m fleet.Member) {
 // ---------------------------------------------------------------------------
 // Shard execution
 
-// execute is one network attempt: make the recording resident on the
-// worker (pushed the first time the worker runs a shard of it), then
-// run the shard. A worker that evicted the trace between push and
-// dispatch gets exactly one re-push within the attempt.
+// execute is one network attempt: dispatch the shard and, when the
+// worker answers trace_missing (it has never held the recording, or
+// evicted it), push the recording and dispatch again within the same
+// attempt. A push or a successful shard marks the recording resident
+// for placement.
 func (s *sched) execute(ctx context.Context, sw *schedWorker, t *task) (rows []OutcomeRow, err error) {
 	wc := sw.client
 	ctx, sp := telemetry.StartSpan(ctx, "shard.dispatch")
@@ -1044,25 +992,18 @@ func (s *sched) execute(ctx context.Context, sw *schedWorker, t *task) (rows []O
 	defer func() { sp.Fail(err); sp.End() }()
 
 	key := s.keys[t.trace]
-	data := s.grid.Traces[t.trace].Data
-	push := func() error {
-		pushed, err := wc.ensureTrace(ctx, key, data)
-		if pushed {
-			s.metrics.onPush(wc.name)
-		}
-		return err
-	}
-	if err := push(); err != nil {
-		return nil, err
-	}
 	req := s.shardReq(t)
 	rows, err = wc.runShard(ctx, req)
 	if errors.Is(err, errTraceMissing) {
 		wc.forget(key)
-		if err := push(); err != nil {
+		if err := wc.push(ctx, key, s.grid.Traces[t.trace].Data); err != nil {
 			return nil, err
 		}
+		s.metrics.onPush(wc.name)
 		rows, err = wc.runShard(ctx, req)
+	}
+	if err == nil {
+		wc.markResident(key)
 	}
 	return rows, err
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/trace"
 )
 
@@ -44,15 +45,15 @@ func TestClusterBreakerHalfOpenRecovery(t *testing.T) {
 
 	srv, _ := newTestWorker(t, failFirst(2))
 	coord := New(Options{
-		Workers:              []string{srv.URL},
-		MaxAttempts:          10,
-		RetryBase:            5 * time.Millisecond,
-		RetryMax:             20 * time.Millisecond,
-		BreakerThreshold:     2,
-		BreakerCooldown:      40 * time.Millisecond,
-		Sentinels:            -1,
+		Membership:           fleet.Static{srv.URL},
 		DisableLocalFallback: true, // recovery must come from the worker itself
 	})
+	coord.maxAttempts = 10
+	coord.retryBase = 5 * time.Millisecond
+	coord.retryMax = 20 * time.Millisecond
+	coord.breakerThreshold = 2
+	coord.breakerCooldown = 40 * time.Millisecond
+	coord.sentinels = 0
 	res, err := coord.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
 		Configs: cfgs,
@@ -109,12 +110,15 @@ func TestClusterRejectionNotRetried(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var dispatched int32
 			srv, _ := newTestWorker(t, countShards(&dispatched))
+			// The worker holds the recording up front, so no shard
+			// request is a trace_missing round trip.
+			pushTrace(t, srv.URL, data)
 			coord := New(Options{
-				Workers:              []string{srv.URL},
-				RetryBase:            time.Millisecond,
-				BreakerThreshold:     1,
+				Membership:           fleet.Static{srv.URL},
 				DisableLocalFallback: true, // a retried shard must not be rescued locally
 			})
+			coord.retryBase = time.Millisecond
+			coord.breakerThreshold = 1
 			res, err := coord.Sweep(context.Background(), Grid{
 				Traces:  []GridTrace{{Name: "Huffman", Source: tc.source, Data: data}},
 				Configs: cfgs,
@@ -159,7 +163,7 @@ func TestClusterErrorsMatchLocal(t *testing.T) {
 	cfgs := gridConfigs(6)
 	srv1, _ := newTestWorker(t, nil)
 	srv2, _ := newTestWorker(t, nil)
-	coord := New(Options{Workers: []string{srv1.URL, srv2.URL}, DisableLocalFallback: true})
+	coord := New(Options{Membership: fleet.Static{srv1.URL, srv2.URL}, DisableLocalFallback: true})
 	ctx := context.Background()
 	opts := jrpm.DefaultOptions()
 

@@ -75,20 +75,20 @@ func TestFleetChurnEquivalence(t *testing.T) {
 
 			regSrv, _ := newTestRegistry(t, 5*time.Second)
 			srvA, _ := newTestWorker(t, killAfter(1, nil))
+			// Worker A holds the recording beforehand, so the one shard it
+			// completes before dying is a real replay, not trace_missing.
+			pushTrace(t, srvA.URL, data)
 			srvB, _ := newTestWorker(t, slowShards(10*time.Millisecond))
 			srvC, _ := newTestWorker(t, nil) // created idle; joins mid-sweep
 			registerMember(t, regSrv.URL, "worker-a", srvA.URL)
 			registerMember(t, regSrv.URL, "worker-b", srvB.URL)
 
-			coord := New(Options{
-				Membership:         fleet.NewRegistryMembership(regSrv.URL),
-				MembershipInterval: 5 * time.Millisecond,
-				MaxAttempts:        8,
-				RetryBase:          5 * time.Millisecond,
-				BreakerThreshold:   2,
-				BreakerCooldown:    100 * time.Millisecond,
-				ShardTimeout:       30 * time.Second,
-			})
+			coord := New(Options{Membership: fleet.NewRegistryMembership(regSrv.URL)})
+			coord.membershipInterval = 5 * time.Millisecond
+			coord.maxAttempts = 8
+			coord.retryBase = 5 * time.Millisecond
+			coord.breakerThreshold = 2
+			coord.breakerCooldown = 100 * time.Millisecond
 
 			var mu sync.Mutex
 			var churn sync.Once
@@ -139,6 +139,73 @@ func TestFleetChurnEquivalence(t *testing.T) {
 	}
 }
 
+// TestStaticFleetAdmitsLateWorker: a static worker list is re-probed
+// throughout a sweep, so a listed worker that is unreachable at startup
+// is excluded, then admitted once it answers and given shards from the
+// queue; the merged rows stay byte-identical to a local sweep.
+func TestStaticFleetAdmitsLateWorker(t *testing.T) {
+	src, data := recordWorkload(t, "Huffman")
+	cfgs := gridConfigs(8) // six store geometries, so six shards
+	want := canonical(t, localRows(t, src, data, cfgs))
+
+	up := make(chan struct{})     // the late worker starts answering
+	served := make(chan struct{}) // the late worker received a shard
+	var upOnce, servedOnce sync.Once
+	isShard := func(r *http.Request) bool {
+		return r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/shards")
+	}
+	late, _ := newTestWorker(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-up:
+			default:
+				panic(http.ErrAbortHandler) // not up yet: a torn connection
+			}
+			if isShard(r) {
+				servedOnce.Do(func() { close(served) })
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	// The early worker brings the late one up at its first shard request
+	// (so after preflight), then holds its shards until the late worker
+	// has received one, so the grid cannot drain without it.
+	early, _ := newTestWorker(t, func(next http.Handler) http.Handler {
+		held := holdShardsUntil(served, 5*time.Second)(next)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if isShard(r) {
+				upOnce.Do(func() { close(up) })
+			}
+			held.ServeHTTP(w, r)
+		})
+	})
+
+	coord := New(Options{Membership: fleet.Static{early.URL, late.URL}})
+	coord.membershipInterval = 5 * time.Millisecond
+	res, err := coord.Sweep(context.Background(), Grid{
+		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
+		Configs: cfgs,
+		Opts:    jrpm.DefaultOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded {
+		t.Error("sweep with one live worker reported Degraded")
+	}
+	if res.Metrics.MemberJoins != 1 {
+		t.Errorf("member joins = %d, want 1 (the late worker)", res.Metrics.MemberJoins)
+	}
+	select {
+	case <-served:
+	default:
+		t.Error("late worker was never sent a shard")
+	}
+	if got := canonical(t, res.Outcomes[0]); !bytes.Equal(got, want) {
+		t.Error("sweep with a late static worker differs from local trace.Sweep")
+	}
+}
+
 // BenchmarkFleetSweep measures the crossover on a corpus × config grid:
 // 8 smoke-corpus recordings × 16 configurations over 4 store
 // geometries, so 32 shards. "local" replays every recording in-process
@@ -184,7 +251,8 @@ func BenchmarkFleetSweep(b *testing.B) {
 				srv, w := newTestWorker(b, nil)
 				addrs[i], workers[i] = srv.URL, w
 			}
-			coord := New(Options{Workers: addrs, Sentinels: -1})
+			coord := New(Options{Membership: fleet.Static(addrs)})
+			coord.sentinels = 0
 			var pushes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

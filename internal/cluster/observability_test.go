@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
 )
@@ -19,7 +20,7 @@ func newTestWorkerPool(t *testing.T) (*httptest.Server, *service.Pool) {
 	t.Helper()
 	pool := service.NewPool(service.Config{Workers: 2})
 	t.Cleanup(pool.Stop)
-	w := NewWorker(pool, 0, 2)
+	w := NewWorker(pool)
 	mux := http.NewServeMux()
 	w.Register(mux)
 	service.NewServer(pool).Register(mux)
@@ -30,8 +31,8 @@ func newTestWorkerPool(t *testing.T) (*httptest.Server, *service.Pool) {
 
 // tracedWorker assembles the full jrpmd -worker observability stack: a
 // pool with a tracer, the service API and cluster worker routes on one
-// mux (so GET /v1/traces/spans wins over GET /v1/traces/{hash}), all
-// under telemetry.Middleware.
+// mux (GET /v1/traces/spans next to the worker's PUT /v1/traces/{hash}),
+// all under telemetry.Middleware.
 func tracedWorker(t *testing.T) (addr string, col *telemetry.Collector) {
 	t.Helper()
 	pool := service.NewPool(service.Config{Workers: 2})
@@ -41,7 +42,7 @@ func tracedWorker(t *testing.T) (addr string, col *telemetry.Collector) {
 	pool.SetTracer(tr)
 	api := service.NewServer(pool)
 	api.Tracer = tr
-	w := NewWorker(pool, 0, 2)
+	w := NewWorker(pool)
 	mux := http.NewServeMux()
 	w.Register(mux)
 	api.Register(mux)
@@ -66,10 +67,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 	ctx := telemetry.WithTracer(context.Background(), telemetry.NewTracer(coordCol))
 	ctx, root := telemetry.StartSpan(ctx, "test.sweep")
 
-	c := New(Options{
-		Workers:   []string{addr1, addr2},
-		Sentinels: 1,
-	})
+	c := New(Options{Membership: fleet.Static{addr1, addr2}})
 	res, err := c.Sweep(ctx, Grid{
 		Traces:  []GridTrace{{Name: "Huffman", Source: src, Data: data}},
 		Configs: cfgs,
@@ -122,10 +120,9 @@ func TestClusterStitchedTrace(t *testing.T) {
 	}
 	t.Logf("stitched %d coordinator + %d worker spans under one trace", len(coordSpans), stitched)
 
-	// The spans must also be reachable over HTTP — the literal
-	// /v1/traces/spans route has to win over the worker's
-	// /v1/traces/{hash} wildcard (this is what jrpm sweep -trace-out
-	// fetches to stitch the trace file).
+	// The spans must also be reachable over HTTP on a worker, next to
+	// its PUT /v1/traces/{hash} route (this is what jrpm sweep
+	// -trace-out fetches to stitch the trace file).
 	resp, err := http.Get("http://" + addr1 + "/v1/traces/spans?trace_id=" + trace)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +136,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 		t.Fatalf("GET /v1/traces/spans = HTTP %d, decode err %v", resp.StatusCode, derr)
 	}
 	if len(dump.Spans) == 0 {
-		t.Error("HTTP span fetch returned no spans (route shadowed by /v1/traces/{hash}?)")
+		t.Error("HTTP span fetch returned no spans")
 	}
 }
 
@@ -159,10 +156,10 @@ func TestClusterReadyzPreflight(t *testing.T) {
 
 	var buf strings.Builder
 	c := New(Options{
-		Workers:   []string{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
-		Sentinels: -1,
-		Logger:    telemetry.NewLogger(&buf, telemetry.LevelDebug),
+		Membership: fleet.Static{srv1.Listener.Addr().String(), srv2.Listener.Addr().String()},
+		Logger:     telemetry.NewLogger(&buf, telemetry.LevelDebug),
 	})
+	c.sentinels = 0
 	res, err := c.Sweep(context.Background(), Grid{
 		Traces:  []GridTrace{{Name: "BitOps", Source: src, Data: data}},
 		Configs: cfgs,
@@ -225,7 +222,6 @@ func TestClusterMetricsProm(t *testing.T) {
 	for _, family := range []string{
 		"jrpmd_cluster_shards_executed_total",
 		"jrpmd_cluster_configs_swept_total",
-		"jrpmd_cluster_trace_pulls_total",
 		"jrpmd_cluster_trace_pushes_total",
 	} {
 		if !strings.Contains(text, family) {

@@ -26,20 +26,18 @@ const maxTraceBody = 512 << 20
 // pool, reusing its content-addressed caches:
 //
 //	POST /v1/shards         replay a cached recording under N configs
-//	GET  /v1/traces/{hash}  fetch cached trace bytes (?stat=1: presence only)
 //	PUT  /v1/traces/{hash}  store trace bytes under their content address
 //
-// Shard execution is bounded by a semaphore independent of the pool's
-// job queue, so a busy profiling daemon still answers shard traffic
-// predictably (and vice versa). Every trace transfer is counted per
-// content address; BenchmarkClusterSweep asserts each recording reaches
-// a worker at most once.
+// A shard naming a recording the worker does not hold is answered
+// trace_missing, and the coordinator pushes it. Shard execution is
+// bounded by a semaphore independent of the pool's job queue, so a busy
+// profiling daemon still answers shard traffic predictably (and vice
+// versa). Every push is counted per content address;
+// BenchmarkClusterSweep asserts each recording reaches a worker at most
+// once.
 type Worker struct {
 	pool *service.Pool
 	sem  chan struct{}
-	// replayWorkers bounds intra-shard replay parallelism (trace.Sweep's
-	// worker count); <= 0 means GOMAXPROCS.
-	replayWorkers int
 	// MaxTraceBytes caps PUT /v1/traces uploads; <= 0 means the 512 MiB
 	// default. Set before Register.
 	MaxTraceBytes int64
@@ -47,24 +45,23 @@ type Worker struct {
 	mu        sync.Mutex
 	shards    int64
 	configs   int64
-	pulls     map[string]int64 // trace key -> GET (bytes served) count
 	pushes    map[string]int64 // trace key -> PUT (bytes received) count
 	shardErrs int64
 }
 
-// NewWorker wraps a pool. maxConcurrent bounds simultaneous shard
-// executions (<= 0 means GOMAXPROCS); replayWorkers bounds each shard's
-// internal replay fan-out (<= 0 means GOMAXPROCS).
-func NewWorker(pool *service.Pool, maxConcurrent, replayWorkers int) *Worker {
-	if maxConcurrent <= 0 {
-		maxConcurrent = runtime.GOMAXPROCS(0)
-	}
+// shardReplayWorkers is the replay fan-out of one shard. A shard is one
+// geometry group, which trace.Sweep serves with one decode and one
+// model pass; a larger count would split the group and pay both once
+// per part.
+const shardReplayWorkers = 1
+
+// NewWorker wraps a pool. A shard replays on one core, so up to
+// GOMAXPROCS shards run at once.
+func NewWorker(pool *service.Pool) *Worker {
 	return &Worker{
-		pool:          pool,
-		sem:           make(chan struct{}, maxConcurrent),
-		replayWorkers: replayWorkers,
-		pulls:         map[string]int64{},
-		pushes:        map[string]int64{},
+		pool:   pool,
+		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
+		pushes: map[string]int64{},
 	}
 }
 
@@ -86,29 +83,7 @@ func (w *Worker) Handler() http.Handler {
 // them next to the service API).
 func (w *Worker) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/shards", w.runShard)
-	mux.HandleFunc("GET /v1/traces/{hash}", w.getTrace)
 	mux.HandleFunc("PUT /v1/traces/{hash}", w.putTrace)
-}
-
-func (w *Worker) getTrace(rw http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("hash")
-	art, ok := w.pool.Traces().Get(key)
-	if !ok {
-		writeJSON(rw, http.StatusNotFound, map[string]string{"error": "no cached trace", "code": "trace_missing"})
-		return
-	}
-	if r.URL.Query().Get("stat") != "" {
-		rw.WriteHeader(http.StatusNoContent)
-		return
-	}
-	w.mu.Lock()
-	w.pulls[key]++
-	w.mu.Unlock()
-	// Stream with an explicit length so clients can size buffers and
-	// enforce their own caps without buffering twice.
-	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set("Content-Length", fmt.Sprint(len(art.Data)))
-	io.Copy(rw, bytes.NewReader(art.Data)) //nolint:errcheck // client gone; nothing to do
 }
 
 func (w *Worker) putTrace(rw http.ResponseWriter, r *http.Request) {
@@ -179,17 +154,19 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 	sp.SetAttr("trace.key", req.TraceKey)
 	sp.SetInt("shard.configs", int64(len(req.Configs)))
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	case <-ctx.Done():
-		return
-	}
-
+	// Answer trace_missing before taking a replay slot: the coordinator
+	// pushes and dispatches again, and must not queue behind replays to
+	// learn that.
 	art, ok := w.pool.Traces().Get(req.TraceKey)
 	if !ok {
 		sp.SetAttr("error", "trace_missing")
 		writeJSON(rw, http.StatusNotFound, map[string]string{"error": "no cached trace " + req.TraceKey, "code": "trace_missing"})
+		return
+	}
+	select {
+	case w.sem <- struct{}{}:
+		defer func() { <-w.sem }()
+	case <-ctx.Done():
 		return
 	}
 
@@ -214,7 +191,7 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := jrpm.Options{Annot: req.Annot, Tracer: req.Tracer, Select: req.Select, Optimize: req.Optimize}
-	outs := compiled.SweepTrace(ctx, art.Data, req.Configs, opts, w.replayWorkers)
+	outs := compiled.SweepTrace(ctx, art.Data, req.Configs, opts, shardReplayWorkers)
 	for _, o := range outs {
 		// A cancellation mid-replay is an infrastructure failure, not an
 		// analysis result: the coordinator must re-dispatch, not merge it.
@@ -283,15 +260,6 @@ func (w *Worker) RegisterProm(reg *telemetry.Registry) {
 	reg.CounterFunc("jrpmd_cluster_shard_errors_total",
 		"Shard requests that failed (compile, trace header, hash mismatch).",
 		locked(func() int64 { return w.shardErrs }))
-	reg.CounterFunc("jrpmd_cluster_trace_pulls_total",
-		"Trace recordings served over GET /v1/traces/{hash} (bytes-out transfers).",
-		locked(func() int64 {
-			var n int64
-			for _, c := range w.pulls {
-				n += c
-			}
-			return n
-		}))
 	reg.CounterFunc("jrpmd_cluster_trace_pushes_total",
 		"Trace recordings received from coordinators (bytes-in transfers).",
 		locked(func() int64 {
@@ -303,10 +271,9 @@ func (w *Worker) RegisterProm(reg *telemetry.Registry) {
 		}))
 }
 
-// TraceTransfer is one content address's transfer counters on a worker.
+// TraceTransfer is one content address's push count on a worker.
 type TraceTransfer struct {
 	Key    string `json:"key"`
-	Pulls  int64  `json:"pulls"`
 	Pushes int64  `json:"pushes"`
 }
 
@@ -315,12 +282,11 @@ type WorkerSnapshot struct {
 	ShardsExecuted int64           `json:"shards_executed"`
 	ConfigsSwept   int64           `json:"configs_swept"`
 	ShardErrors    int64           `json:"shard_errors"`
-	TracePulls     int64           `json:"trace_pulls"`
 	TracePushes    int64           `json:"trace_pushes"`
 	Traces         []TraceTransfer `json:"traces,omitempty"`
 }
 
-// Snapshot reports shard and transfer counters, traces sorted by key.
+// Snapshot reports shard and push counters, traces sorted by key.
 func (w *Worker) Snapshot() WorkerSnapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -329,22 +295,14 @@ func (w *Worker) Snapshot() WorkerSnapshot {
 		ConfigsSwept:   w.configs,
 		ShardErrors:    w.shardErrs,
 	}
-	keys := map[string]bool{}
-	for k := range w.pulls {
-		keys[k] = true
-	}
+	keys := make([]string, 0, len(w.pushes))
 	for k := range w.pushes {
-		keys[k] = true
+		keys = append(keys, k)
 	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		s.TracePulls += w.pulls[k]
+	sort.Strings(keys)
+	for _, k := range keys {
 		s.TracePushes += w.pushes[k]
-		s.Traces = append(s.Traces, TraceTransfer{Key: k, Pulls: w.pulls[k], Pushes: w.pushes[k]})
+		s.Traces = append(s.Traces, TraceTransfer{Key: k, Pushes: w.pushes[k]})
 	}
 	return s
 }

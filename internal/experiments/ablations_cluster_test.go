@@ -9,6 +9,7 @@ import (
 
 	"jrpm/internal/cluster"
 	"jrpm/internal/experiments"
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 )
 
@@ -19,7 +20,7 @@ func startWorker(t *testing.T) *httptest.Server {
 	t.Cleanup(pool.Stop)
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewServer(pool).Handler())
-	cluster.NewWorker(pool, 0, 2).Register(mux)
+	cluster.NewWorker(pool).Register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -30,9 +31,7 @@ func startWorker(t *testing.T) *httptest.Server {
 // sweeper produces — the distributed path is an invisible substitution.
 func TestAblationsThroughCluster(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
-	coord := cluster.New(cluster.Options{
-		Workers: []string{w1.URL, w2.URL},
-	})
+	coord := cluster.New(cluster.Options{Membership: fleet.Static{w1.URL, w2.URL}})
 	ctx := context.Background()
 
 	banks := []int{1, 8}

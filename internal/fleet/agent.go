@@ -82,7 +82,7 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 		return 0, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		normalizeBase(a.Registry)+"/v1/fleet/register", bytes.NewReader(body))
+		BaseURL(a.Registry)+"/v1/fleet/register", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -113,7 +113,7 @@ func (a *Agent) deregister() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		normalizeBase(a.Registry)+"/v1/fleet/members/"+a.Self.ID, nil)
+		BaseURL(a.Registry)+"/v1/fleet/members/"+a.Self.ID, nil)
 	if err != nil {
 		return
 	}
@@ -137,7 +137,7 @@ type RegistryMembership struct {
 // NewRegistryMembership points a membership view at a registry address.
 func NewRegistryMembership(addr string) *RegistryMembership {
 	return &RegistryMembership{
-		base: normalizeBase(addr),
+		base: BaseURL(addr),
 		hc:   &http.Client{Timeout: 5 * time.Second},
 	}
 }

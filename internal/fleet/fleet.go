@@ -37,10 +37,11 @@ type Membership interface {
 	Members(ctx context.Context) ([]Member, error)
 }
 
-// Static adapts a fixed address list into a Membership. It is the
-// compatibility shim for the pre-fleet -workers flag: the snapshot
-// never changes, so the scheduler behaves exactly as it did with a
-// static list.
+// Static adapts a fixed address list into a Membership; jrpm sweep
+// -workers passes one. The list never changes, but the scheduler
+// re-probes it like any membership: a listed worker that is unreachable
+// or draining at startup is excluded, and admitted mid-sweep once it
+// answers the probe.
 type Static []string
 
 // Members returns one member per address, in the configured order, so

@@ -6,10 +6,11 @@ import (
 	"strings"
 )
 
-// normalizeBase turns a host:port or URL into a scheme-qualified base
-// with no trailing slash, matching what the cluster client does with
-// worker addresses.
-func normalizeBase(addr string) string {
+// BaseURL turns a host:port or URL into a scheme-qualified base with no
+// trailing slash. Every client of a jrpmd (the CLI, the load harness,
+// the coordinator and the fleet agent) resolves addresses through it,
+// so each accepts both forms.
+func BaseURL(addr string) string {
 	base := strings.TrimRight(addr, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base

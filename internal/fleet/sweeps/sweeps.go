@@ -32,23 +32,22 @@ type Runner interface {
 	SweepStream(ctx context.Context, grid cluster.Grid, onRow func(trace, config int, row cluster.OutcomeRow)) (*cluster.Result, error)
 }
 
-// DefaultMaxSweeps bounds retained sweep runs (running + finished).
+// DefaultMaxSweeps bounds retained sweep runs (running + finished):
+// terminal runs are evicted FIFO to make room, and submissions are
+// rejected with 429 when every retained run is still executing.
 const DefaultMaxSweeps = 16
 
-// Options tunes the sweep server.
+// Options configures the sweep server.
 type Options struct {
-	// MaxSweeps caps retained runs; terminal runs are evicted FIFO to
-	// make room, and submissions are rejected with 429 when every
-	// retained run is still executing. <= 0 means DefaultMaxSweeps.
-	MaxSweeps int
-	Logger    *telemetry.Logger
+	Logger *telemetry.Logger
 }
 
 // Server owns the sweep runs. Create with NewServer, mount with
 // Register.
 type Server struct {
-	runner Runner
-	opts   Options
+	runner    Runner
+	opts      Options
+	maxSweeps int // DefaultMaxSweeps; tests lower it
 
 	mu    sync.Mutex
 	runs  map[string]*run
@@ -127,10 +126,7 @@ type Status struct {
 
 // NewServer builds a sweep server over a Runner.
 func NewServer(r Runner, opts Options) *Server {
-	if opts.MaxSweeps <= 0 {
-		opts.MaxSweeps = DefaultMaxSweeps
-	}
-	return &Server{runner: r, opts: opts, runs: map[string]*run{}}
+	return &Server{runner: r, opts: opts, maxSweeps: DefaultMaxSweeps, runs: map[string]*run{}}
 }
 
 // Register mounts the sweep API on mux.
@@ -245,7 +241,7 @@ func decodeSweepRequest(body io.Reader) (cluster.Grid, error) {
 // makeRoomLocked evicts terminal runs FIFO until a slot is free; false
 // when every retained run is still executing.
 func (s *Server) makeRoomLocked() bool {
-	for len(s.runs) >= s.opts.MaxSweeps {
+	for len(s.runs) >= s.maxSweeps {
 		evicted := false
 		for i, id := range s.order {
 			if r := s.runs[id]; r != nil && r.state != StateRunning {

@@ -52,10 +52,10 @@ func gridConfigs(n int) []hydra.Config {
 	return cfgs
 }
 
-func newSweepServer(t testing.TB, r Runner, opts Options) *httptest.Server {
+func newSweepServer(t testing.TB, s *Server) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	NewServer(r, opts).Register(mux)
+	s.Register(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -151,7 +151,7 @@ func TestSweepsStreamEquivalence(t *testing.T) {
 
 	// A coordinator with no workers runs the grid in-process — the
 	// streaming layer is what is under test here.
-	srv := newSweepServer(t, cluster.New(cluster.Options{}), Options{})
+	srv := newSweepServer(t, NewServer(cluster.New(cluster.Options{}), Options{}))
 	id := submitSweep(t, srv.URL, req)
 	rows, tr := readStream(t, srv.URL, id, 0)
 
@@ -256,7 +256,7 @@ func dummyRequest() SweepRequest {
 // seen — no loss, no duplication.
 func TestSweepsCursorResume(t *testing.T) {
 	runner := &gatedRunner{cells: 6, gate: make(chan struct{}, 6)}
-	srv := newSweepServer(t, runner, Options{})
+	srv := newSweepServer(t, NewServer(runner, Options{}))
 	id := submitSweep(t, srv.URL, dummyRequest())
 
 	// First three rows arrive; the first client reads them and drops.
@@ -321,7 +321,7 @@ func (b *blockingRunner) SweepStream(ctx context.Context, grid cluster.Grid, onR
 // canceled trailer, a second DELETE conflicts, unknown ids are 404.
 func TestSweepsCancel(t *testing.T) {
 	runner := &blockingRunner{started: make(chan struct{})}
-	srv := newSweepServer(t, runner, Options{})
+	srv := newSweepServer(t, NewServer(runner, Options{}))
 	id := submitSweep(t, srv.URL, dummyRequest())
 	select {
 	case <-runner.started:
@@ -361,7 +361,9 @@ func TestSweepsCancel(t *testing.T) {
 // terminal (the slot is evicted FIFO).
 func TestSweepsCapacity(t *testing.T) {
 	runner := &blockingRunner{started: make(chan struct{})}
-	srv := newSweepServer(t, runner, Options{MaxSweeps: 1})
+	s := NewServer(runner, Options{})
+	s.maxSweeps = 1
+	srv := newSweepServer(t, s)
 	id := submitSweep(t, srv.URL, dummyRequest())
 	select {
 	case <-runner.started:
@@ -395,7 +397,7 @@ func TestSweepsCapacity(t *testing.T) {
 // TestSweepsValidation: malformed submissions and unknown ids are
 // rejected with the right statuses.
 func TestSweepsValidation(t *testing.T) {
-	srv := newSweepServer(t, cluster.New(cluster.Options{}), Options{})
+	srv := newSweepServer(t, NewServer(cluster.New(cluster.Options{}), Options{}))
 	post := func(body string) int {
 		resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -8,9 +8,9 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"strings"
 	"time"
 
+	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 )
 
@@ -24,11 +24,7 @@ type Remote struct {
 
 // NewRemote targets addr ("host:port" or a full http URL).
 func NewRemote(addr string) *Remote {
-	base := addr
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	return &Remote{base: strings.TrimSuffix(base, "/"), client: &http.Client{Timeout: 5 * time.Minute}}
+	return &Remote{base: fleet.BaseURL(addr), client: &http.Client{Timeout: 5 * time.Minute}}
 }
 
 func (a *Remote) Name() string { return "remote" }

@@ -27,14 +27,16 @@ func FuzzReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.LoopStart(1, 0, 2, 64)
-	w.HeapLoad(2, 0x1000, 3)
-	w.HeapStore(3, 0x1004, 4)
-	w.LocalLoad(4, vmsim.SlotID{Frame: 64, Slot: 1}, 5)
-	w.LocalStore(5, vmsim.SlotID{Frame: 64, Slot: 0}, 6)
-	w.LoopIter(6, 0)
-	w.LoopEnd(7, 0)
-	w.ReadStats(7, 0)
+	w.ConsumeEvents([]vmsim.Event{
+		{Kind: vmsim.EvLoopStart, Now: 1, Loop: 0, NumLocals: 2, Frame: 64},
+		{Kind: vmsim.EvHeapLoad, Now: 2, Addr: 0x1000, PC: 3},
+		{Kind: vmsim.EvHeapStore, Now: 3, Addr: 0x1004, PC: 4},
+		{Kind: vmsim.EvLocalLoad, Now: 4, Frame: 64, Slot: 1, PC: 5},
+		{Kind: vmsim.EvLocalStore, Now: 5, Frame: 64, Slot: 0, PC: 6},
+		{Kind: vmsim.EvLoopIter, Now: 6, Loop: 0},
+		{Kind: vmsim.EvLoopEnd, Now: 7, Loop: 0},
+		{Kind: vmsim.EvReadStats, Now: 7, Loop: 0},
+	})
 	if err := w.Finish(Summary{CleanCycles: 5, TracedCycles: 7}); err != nil {
 		f.Fatal(err)
 	}

@@ -213,14 +213,15 @@ func TestCorruptStreams(t *testing.T) {
 		t.Errorf("out-of-range loop id: %v", err)
 	}
 
-	// PCs must stay below 2^31 so they fit vmsim.Event's int32.
+	// PCs must stay below 2^31 so they fit vmsim.Event's int32. An Event
+	// cannot carry a larger one, so the record is appended directly.
 	pcTrace := func(pc int) []byte {
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, [32]byte{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.HeapLoad(1, 0x1000, pc)
+		w.st.b = w.appendHeap(w.st.b, KindHeapLoad, 1, 0x1000, pc)
 		if err := w.Finish(Summary{}); err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +256,11 @@ func TestWriterErrorLatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		w.HeapLoad(int64(i), uint32(i), i)
+	evs := make([]vmsim.Event, 10000)
+	for i := range evs {
+		evs[i] = vmsim.Event{Kind: vmsim.EvHeapLoad, Now: int64(i), Addr: uint32(i), PC: int32(i)}
 	}
+	w.ConsumeEvents(evs)
 	if err := w.Finish(Summary{}); err == nil {
 		t.Fatal("Finish succeeded despite write failure")
 	}
@@ -311,10 +314,12 @@ func TestReaderWindowRefill(t *testing.T) {
 	}
 	for i := 0; i < 20000; i++ {
 		now := int64(i) * 3
-		w.LoopStart(now, i%4, 2, uint64(i))
-		w.HeapStore(now+1, uint32(i*12345), i%1000)
-		w.LocalLoad(now+2, vmsim.SlotID{Frame: uint64(i), Slot: i % 7}, i%999)
-		w.LoopEnd(now+2, i%4)
+		w.ConsumeEvents([]vmsim.Event{
+			{Kind: vmsim.EvLoopStart, Now: now, Loop: int32(i % 4), NumLocals: 2, Frame: uint64(i)},
+			{Kind: vmsim.EvHeapStore, Now: now + 1, Addr: uint32(i * 12345), PC: int32(i % 1000)},
+			{Kind: vmsim.EvLocalLoad, Now: now + 2, Frame: uint64(i), Slot: int32(i % 7), PC: int32(i % 999)},
+			{Kind: vmsim.EvLoopEnd, Now: now + 2, Loop: int32(i % 4)},
+		})
 	}
 	if err := w.Finish(Summary{TracedCycles: 60000}); err != nil {
 		t.Fatal(err)
@@ -367,50 +372,35 @@ func (l *writeLog) Write(p []byte) (int, error) {
 
 // TestWriterStagesWrites: records reach the destination through the
 // staging buffer — a short trace in one Write at Finish, a long one in
-// writes of nearly stagingSize bytes and never more — and a batch fed
-// through ConsumeEvents writes the bytes the per-record methods write.
+// writes of nearly stagingSize bytes and never more.
 func TestWriterStagesWrites(t *testing.T) {
 	for _, n := range []int{100, 100_000} {
 		evs := make([]vmsim.Event, n)
 		for i := range evs {
 			evs[i] = vmsim.Event{Kind: vmsim.EvHeapStore, Now: int64(3 * i), Addr: uint32(i * 4096), PC: int32(i % 977)}
 		}
-		var batched, single writeLog
-		wb, err := NewWriter(&batched, [32]byte{1})
+		var l writeLog
+		w, err := NewWriter(&l, [32]byte{1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i += 256 {
-			wb.ConsumeEvents(evs[i:min(i+256, n)])
+			w.ConsumeEvents(evs[i:min(i+256, n)])
 		}
-		ws, err := NewWriter(&single, [32]byte{1})
-		if err != nil {
+		if err := w.Finish(Summary{}); err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range evs {
-			ws.HeapStore(ev.Now, ev.Addr, int(ev.PC))
-		}
-		for _, w := range []*Writer{wb, ws} {
-			if err := w.Finish(Summary{}); err != nil {
-				t.Fatal(err)
+		if l.Len() < stagingSize-maxRecordLen {
+			if len(l.sizes) != 1 {
+				t.Errorf("%d-byte trace reached the destination in %d writes, want 1", l.Len(), len(l.sizes))
 			}
+			continue
 		}
-		if !bytes.Equal(batched.Bytes(), single.Bytes()) {
-			t.Fatalf("%d records: ConsumeEvents and HeapStore wrote different bytes", n)
-		}
-		for _, l := range []*writeLog{&batched, &single} {
-			if l.Len() < stagingSize-maxRecordLen {
-				if len(l.sizes) != 1 {
-					t.Errorf("%d-byte trace reached the destination in %d writes, want 1", l.Len(), len(l.sizes))
-				}
-				continue
-			}
-			for i, size := range l.sizes {
-				last := i == len(l.sizes)-1
-				if size > stagingSize || (!last && size < stagingSize-maxRecordLen) {
-					t.Errorf("%d-byte trace: write %d of %d is %d bytes, want at most %d and, before the last, at least %d",
-						l.Len(), i, len(l.sizes), size, stagingSize, stagingSize-maxRecordLen)
-				}
+		for i, size := range l.sizes {
+			last := i == len(l.sizes)-1
+			if size > stagingSize || (!last && size < stagingSize-maxRecordLen) {
+				t.Errorf("%d-byte trace: write %d of %d is %d bytes, want at most %d and, before the last, at least %d",
+					l.Len(), i, len(l.sizes), size, stagingSize, stagingSize-maxRecordLen)
 			}
 		}
 	}

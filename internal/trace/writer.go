@@ -120,8 +120,11 @@ func (w *Writer) Finish(sum Summary) error {
 		return fmt.Errorf("trace: Finish called twice")
 	}
 	sum.Records = w.records
-	if b, ok := w.room(); ok {
-		b = append(b, byte(KindSummary))
+	if cap(w.st.b)-len(w.st.b) < maxRecordLen {
+		w.flush()
+	}
+	if w.err == nil {
+		b := append(w.st.b, byte(KindSummary))
 		b = binary.AppendUvarint(b, sum.Records)
 		b = binary.AppendUvarint(b, uint64(sum.CleanCycles))
 		b = binary.AppendUvarint(b, uint64(sum.TracedCycles))
@@ -155,24 +158,9 @@ func (w *Writer) release() {
 	}
 }
 
-// room returns the staging buffer with space for one more record,
-// flushing it first if need be; ok is false once the writer has failed
-// or finished, and the record is then dropped.
-func (w *Writer) room() (b []byte, ok bool) {
-	if w.err != nil || w.finished {
-		return nil, false
-	}
-	if cap(w.st.b)-len(w.st.b) < maxRecordLen {
-		if w.flush(); w.err != nil {
-			return nil, false
-		}
-	}
-	return w.st.b, true
-}
-
 // appendHead appends a record's kind tag and time delta and counts the
 // record. The append methods below each add one record kind's payload;
-// b must have room for a whole record (see room).
+// b must have room for a whole record (maxRecordLen bytes).
 func (w *Writer) appendHead(b []byte, kind Kind, now int64) []byte {
 	b = append(b, byte(kind))
 	b = binary.AppendUvarint(b, uint64(now-w.prevTime))
@@ -210,60 +198,4 @@ func (w *Writer) appendLoopStart(b []byte, now int64, loop, numLocals int, frame
 func (w *Writer) appendLoopMark(b []byte, kind Kind, now int64, loop int) []byte {
 	b = w.appendHead(b, kind, now)
 	return binary.AppendUvarint(b, uint64(loop))
-}
-
-// HeapLoad records an lw event.
-func (w *Writer) HeapLoad(now int64, addr uint32, pc int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendHeap(b, KindHeapLoad, now, addr, pc)
-	}
-}
-
-// HeapStore records an sw event.
-func (w *Writer) HeapStore(now int64, addr uint32, pc int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendHeap(b, KindHeapStore, now, addr, pc)
-	}
-}
-
-// LocalLoad records an lwl event.
-func (w *Writer) LocalLoad(now int64, id vmsim.SlotID, pc int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLocal(b, KindLocalLoad, now, id.Frame, id.Slot, pc)
-	}
-}
-
-// LocalStore records an swl event.
-func (w *Writer) LocalStore(now int64, id vmsim.SlotID, pc int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLocal(b, KindLocalStore, now, id.Frame, id.Slot, pc)
-	}
-}
-
-// LoopStart records an sloop event.
-func (w *Writer) LoopStart(now int64, loop, numLocals int, frame uint64) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLoopStart(b, now, loop, numLocals, frame)
-	}
-}
-
-// LoopIter records an eoi event.
-func (w *Writer) LoopIter(now int64, loop int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLoopMark(b, KindLoopIter, now, loop)
-	}
-}
-
-// LoopEnd records an eloop event.
-func (w *Writer) LoopEnd(now int64, loop int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLoopMark(b, KindLoopEnd, now, loop)
-	}
-}
-
-// ReadStats records a read-statistics event.
-func (w *Writer) ReadStats(now int64, loop int) {
-	if b, ok := w.room(); ok {
-		w.st.b = w.appendLoopMark(b, KindReadStats, now, loop)
-	}
 }

@@ -14,17 +14,18 @@
 //
 //	jrpm trace record -w Huffman -o huffman.jrt    # profile once, capture the event stream
 //	jrpm trace info huffman.jrt                    # inspect a recording
-//	jrpm trace analyze -w Huffman -trace huffman.jrt -banks 1,2,4,8
 //
-// Sampling profiler (see README "Observability"):
+// Profiling report (per-loop statistics, Equation 1 estimates and the
+// sampling profiler; see README "Observability"):
 //
-//	jrpm profile -w Huffman -sample              # hot functions and loops
-//	jrpm profile -w Huffman -sample -period 65536
+//	jrpm profile -w Huffman                      # loop table + hot functions and loops
+//	jrpm profile -w Huffman -extended -disasm    # per-load-PC bins, annotated TIR
+//	jrpm profile -w Huffman -period 65536
 //
-// Distributed sweeps (see README "Distributed sweeps"):
+// Sweeps, local or distributed (see README "Distributed sweeps"):
 //
-//	jrpm sweep -w Huffman -trace huffman.jrt -banks 1,2,4,8 -history 2,4,8 \
-//	    -workers host1:8077,host2:8077
+//	jrpm sweep -w Huffman -trace huffman.jrt -banks 1,2,4,8 -history 2,4,8
+//	jrpm sweep ... -workers host1:8077,host2:8077
 //	jrpm sweep ... -registry hub:8077      # dynamic fleet (see README "Running a fleet")
 //	jrpm sweep ... -trace-out spans.json   # stitched distributed trace
 //
@@ -43,7 +44,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"os"
 	"sort"
@@ -61,10 +60,14 @@ import (
 
 	"jrpm"
 	"jrpm/internal/cluster"
+	"jrpm/internal/core"
 	"jrpm/internal/fleet"
+	"jrpm/internal/httpjson"
 	"jrpm/internal/hydra"
+	"jrpm/internal/profile"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
+	"jrpm/internal/tir"
 	"jrpm/internal/trace"
 	"jrpm/internal/vmsim"
 	"jrpm/internal/workloads"
@@ -102,7 +105,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		printVersion("jrpm")
+		service.PrintVersion(os.Stdout, "jrpm")
 		return
 	}
 
@@ -113,26 +116,7 @@ func main() {
 		return
 	}
 
-	var src string
-	var in jrpm.Input
-	switch {
-	case *wname != "":
-		w, err := workloads.ByName(*wname)
-		if err != nil {
-			fatal(err)
-		}
-		src = w.Source
-		in = w.NewInput(*scale)
-	case *srcPath != "":
-		b, err := os.ReadFile(*srcPath)
-		if err != nil {
-			fatal(err)
-		}
-		src = string(b)
-	default:
-		fmt.Fprintln(os.Stderr, "usage: jrpm -w <workload> | -src <file.jr> [-daemon addr]")
-		os.Exit(2)
-	}
+	src, in := resolveProgram(flag.CommandLine, *wname, *srcPath, *scale)
 
 	if *daemon != "" {
 		runRemote(*daemon, *wname, *scale, src)
@@ -176,32 +160,16 @@ func runRemote(addr, wname string, scale float64, src string) {
 	} else {
 		req.Source = src
 	}
-	body, err := json.Marshal(req)
+	api := service.NewClient(addr, &http.Client{Timeout: 15 * time.Minute})
+	ctx := context.Background()
+	id, err := api.Submit(ctx, req, "")
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("submit to %s: %w", addr, err))
 	}
-	base := fleet.BaseURL(addr)
-	client := &http.Client{Timeout: 15 * time.Minute}
-
-	resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	view, err := api.Wait(ctx, id)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("job %s: %w", id, err))
 	}
-	var sub struct {
-		ID    string `json:"id"`
-		Error string `json:"error"`
-	}
-	decodeBody(resp, &sub)
-	if sub.Error != "" {
-		fatal(fmt.Errorf("daemon rejected job: %s", sub.Error))
-	}
-
-	resp, err = client.Get(base + "/v1/jobs/" + sub.ID + "?wait=1")
-	if err != nil {
-		fatal(err)
-	}
-	var view service.JobView
-	decodeBody(resp, &view)
 	if view.State != service.StateDone {
 		fatal(fmt.Errorf("job %s %s: %s", view.ID, view.State, view.Error))
 	}
@@ -227,44 +195,25 @@ func runRemote(addr, wname string, scale float64, src string) {
 	fmt.Printf("actual program speedup:    %.2fx (TLS simulation)\n", r.ActualSpeedup)
 }
 
-func decodeBody(resp *http.Response, v any) {
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatal(err)
-	}
-	// A proxy or load balancer answering for a dead daemon sends HTML;
-	// surface that as what it is instead of a JSON parse error.
-	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != "application/json" {
-		fatal(fmt.Errorf("daemon answered %q, not JSON (HTTP %d): %.200s",
-			resp.Header.Get("Content-Type"), resp.StatusCode, b))
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		fatal(fmt.Errorf("bad daemon response (HTTP %d): %s", resp.StatusCode, b))
-	}
-}
-
 // traceMain dispatches the `jrpm trace <verb>` subcommands.
 func traceMain(args []string) {
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: jrpm trace record|analyze|info ...")
+		fmt.Fprintln(os.Stderr, "usage: jrpm trace record|info ...")
 		os.Exit(2)
 	}
 	switch args[0] {
 	case "record":
 		traceRecord(args[1:])
-	case "analyze":
-		traceAnalyze(args[1:])
 	case "info":
 		traceInfo(args[1:])
 	default:
-		fmt.Fprintf(os.Stderr, "jrpm trace: unknown verb %q (want record, analyze or info)\n", args[0])
+		fmt.Fprintf(os.Stderr, "jrpm trace: unknown verb %q (want record or info)\n", args[0])
 		os.Exit(2)
 	}
 }
 
-// resolveProgram is the shared -w / -src / -scale resolution for trace
-// verbs.
+// resolveProgram is the shared -w / -src / -scale resolution of every
+// verb that runs or names one program.
 func resolveProgram(fs *flag.FlagSet, wname, srcPath string, scale float64) (string, jrpm.Input) {
 	switch {
 	case wname != "":
@@ -375,71 +324,12 @@ func traceInfo(args []string) {
 	fmt.Printf("annotations:     %d\n", sum.Annotations)
 }
 
-// traceAnalyze replays one recording under the cross product of the
-// -banks and -history lists, concurrently, with zero VM executions.
-func traceAnalyze(args []string) {
-	fs := flag.NewFlagSet("jrpm trace analyze", flag.ExitOnError)
-	wname := fs.String("w", "", "built-in workload name (must match the recording)")
-	srcPath := fs.String("src", "", "path to the recorded program's .jr source")
-	scale := fs.Float64("scale", 1, "input scale factor for -w (unused during replay)")
-	tracePath := fs.String("trace", "", "recorded trace file (required)")
-	banksList := fs.String("banks", "", "comma-separated comparator bank counts to sweep")
-	histList := fs.String("history", "", "comma-separated heap-store history depths to sweep")
-	fs.Parse(args)
-	if *tracePath == "" {
-		fatal(errors.New("trace analyze: -trace <file> is required"))
-	}
-	src, _ := resolveProgram(fs, *wname, *srcPath, *scale)
-
-	c, err := jrpm.Compile(src, jrpm.DefaultOptions())
-	if err != nil {
-		fatal(err)
-	}
-	data, err := os.ReadFile(*tracePath)
-	if err != nil {
-		fatal(err)
-	}
-
-	base := hydra.DefaultConfig()
-	banks, err := intList(*banksList, base.Tracer.Banks)
-	if err != nil {
-		fatal(fmt.Errorf("trace analyze: -banks: %w", err))
-	}
-	hists, err := intList(*histList, base.Tracer.HeapStoreLines)
-	if err != nil {
-		fatal(fmt.Errorf("trace analyze: -history: %w", err))
-	}
-	var cfgs []hydra.Config
-	for _, b := range banks {
-		for _, h := range hists {
-			cfg := base
-			cfg.Tracer.Banks = b
-			cfg.Tracer.HeapStoreLines = h
-			cfgs = append(cfgs, cfg)
-		}
-	}
-
-	outs := c.SweepTrace(context.Background(), data, cfgs, jrpm.DefaultOptions(), 0)
-	fmt.Printf("%-6s %-8s %-10s %s\n", "banks", "history", "predicted", "selected STLs")
-	for i, o := range outs {
-		if o.Err != nil {
-			fatal(fmt.Errorf("config %d (banks=%d history=%d): %w",
-				i, cfgs[i].Tracer.Banks, cfgs[i].Tracer.HeapStoreLines, o.Err))
-		}
-		names := make([]string, 0, len(o.Analysis.Selected))
-		for _, id := range o.Analysis.SelectedLoopIDs() {
-			names = append(names, o.Analysis.LoopName(id))
-		}
-		fmt.Printf("%-6d %-8d %-10.2f %s\n",
-			cfgs[i].Tracer.Banks, cfgs[i].Tracer.HeapStoreLines,
-			o.Analysis.PredictedSpeedup(), strings.Join(names, " "))
-	}
-}
-
-// profileMain runs `jrpm profile`: one profiling pass with the VM
-// sampling profiler attached, printing hot functions and annotated
-// loops (flat = samples with the frame on top, cum = samples anywhere
-// on the annotated-loop stack).
+// profileMain runs `jrpm profile`: one profiling pass, printing the
+// per-loop statistics table, the Equation 1 estimates and the Equation
+// 2 selection (the raw material of Table 6 for one program), then, with
+// the VM sampling profiler attached, hot functions and annotated loops
+// (flat = samples with the frame on top, cum = samples anywhere on the
+// annotated-loop stack).
 func profileMain(args []string) {
 	fs := flag.NewFlagSet("jrpm profile", flag.ExitOnError)
 	wname := fs.String("w", "", "built-in workload name")
@@ -448,10 +338,13 @@ func profileMain(args []string) {
 	sample := fs.Bool("sample", true, "attach the VM sampling profiler")
 	period := fs.Int64("period", 8192, "sampling period in VM steps (rounded up to the interpreter's poll window)")
 	topN := fs.Int("top", 10, "rows to print per table")
+	extended := fs.Bool("extended", false, "enable per-load-PC dependency binning (§6.3)")
+	disasm := fs.Bool("disasm", false, "dump the annotated TIR disassembly")
 	fs.Parse(args)
 	src, in := resolveProgram(fs, *wname, *srcPath, *scale)
 
 	opts := jrpm.DefaultOptions()
+	opts.Tracer.Extended = *extended
 	if *sample {
 		opts.SamplePeriod = *period
 	}
@@ -459,10 +352,12 @@ func profileMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("sequential cycles:  %d\n", pr.CleanCycles)
-	fmt.Printf("traced cycles:      %d (slowdown %.2fx)\n", pr.TracedCycles, pr.Slowdown())
-	fmt.Printf("selected STLs:      %v (predicted %.2fx)\n",
-		pr.Analysis.SelectedLoopIDs(), pr.Analysis.PredictedSpeedup())
+	if *disasm {
+		fmt.Printf("// %d loops, %d annotation instructions inserted\n\n",
+			len(pr.Annotated.Loops), pr.AnnotationCount)
+		fmt.Println(tir.DisasmProgram(pr.Annotated))
+	}
+	report(pr)
 	sp := pr.Samples
 	if sp == nil {
 		return
@@ -486,6 +381,70 @@ func profileMain(args []string) {
 				break
 			}
 			fmt.Printf("%-24s %8d %8d %5.1f%%\n", l.Name, l.Flat, l.Cum, 100*float64(l.Cum)/float64(sp.Samples))
+		}
+	}
+}
+
+// report prints the per-loop profiling report of one program: cycle
+// and event counts, the loop tree with each loop's statistics, Equation
+// 1 estimate and selection, the predicted program speedup, and, when
+// the extended tracer ran, the selected loops' critical arcs by load PC.
+func report(res *jrpm.ProfileResult) {
+	an := res.Analysis
+	fmt.Printf("sequential cycles: %d   traced cycles: %d   slowdown: %.2fx\n",
+		res.CleanCycles, res.TracedCycles, res.Slowdown())
+	fmt.Printf("heap loads/stores: %d/%d   local annots: %d   loop annots: %d   readstats: %d\n\n",
+		res.HeapLoads, res.HeapStores, res.LocalAnnots, res.LoopAnnots, res.ReadStats)
+
+	fmt.Printf("%-18s %5s %9s %8s %8s %7s %7s %7s %7s %7s %6s %s\n",
+		"loop", "depth", "cycles", "entries", "threads", "thrSz", "arcF1", "arcL1", "arcF<", "ovfF", "est", "flags")
+	var walk func(n *profile.Node)
+	walk = func(n *profile.Node) {
+		s := n.Stats
+		info := &an.Prog.Loops[n.Loop]
+		flags := ""
+		if n.Selected {
+			flags += "SELECTED "
+		}
+		if !info.Candidate {
+			flags += "rejected(" + info.Reject + ") "
+		}
+		if s != nil {
+			d := profile.Derive(s)
+			fmt.Printf("%-18s %5d %9d %8d %8d %7.1f %7.2f %7.1f %7.2f %7.2f %6.2f %s\n",
+				an.LoopName(n.Loop), n.Depth, s.Cycles, s.Entries, s.Threads,
+				d.AvgThreadSize, d.ArcFreq[core.BinPrev], d.AvgArcLen[core.BinPrev],
+				d.ArcFreq[core.BinEarlier], d.OverflowFreq, n.Est.Speedup, flags)
+		} else {
+			fmt.Printf("%-18s %5d %9s untraced %s\n", an.LoopName(n.Loop), n.Depth, "-", flags)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, r := range an.Roots {
+		walk(r)
+	}
+
+	fmt.Printf("\npredicted program cycles with selected STLs: %.0f (%.2fx speedup over sequential)\n",
+		an.PredictedCycles, an.PredictedSpeedup())
+
+	for _, n := range an.Selected {
+		if n.Stats == nil || len(n.Stats.PCArcs) == 0 {
+			continue
+		}
+		fmt.Printf("\ncritical arcs by load PC for %s:\n", an.LoopName(n.Loop))
+		pcs := make([]int, 0, len(n.Stats.PCArcs))
+		for pc := range n.Stats.PCArcs {
+			pcs = append(pcs, pc)
+		}
+		sort.Slice(pcs, func(i, j int) bool {
+			return n.Stats.PCArcs[pcs[i]].Count > n.Stats.PCArcs[pcs[j]].Count
+		})
+		for _, pc := range pcs {
+			pa := n.Stats.PCArcs[pc]
+			fmt.Printf("  pc %-6d count %-8d avg len %-8.1f min len %d\n",
+				pc, pa.Count, float64(pa.LenSum)/float64(pa.Count), pa.MinLen)
 		}
 	}
 }
@@ -620,15 +579,26 @@ func sweepMain(args []string) {
 		if len(traces) > 1 {
 			fmt.Printf("%s:\n", traces[ti].Name)
 		}
+		// Rows carry loop ids; the program names them, as the analysis
+		// does.
+		c, err := jrpm.Compile(traces[ti].Source, jrpm.DefaultOptions())
+		if err != nil {
+			fatal(err)
+		}
+		an := profile.Analysis{Prog: c.Annotated}
 		fmt.Printf("%-6s %-8s %-10s %s\n", "banks", "history", "predicted", "selected STLs")
 		for i, row := range rows {
 			if row.Err != "" {
 				fatal(fmt.Errorf("%s config %d (banks=%d history=%d): %s",
 					traces[ti].Name, i, cfgs[i].Tracer.Banks, cfgs[i].Tracer.HeapStoreLines, row.Err))
 			}
-			fmt.Printf("%-6d %-8d %-10.2f %v\n",
+			names := make([]string, len(row.Selected))
+			for k, id := range row.Selected {
+				names[k] = an.LoopName(id)
+			}
+			fmt.Printf("%-6d %-8d %-10.2f %s\n",
 				cfgs[i].Tracer.Banks, cfgs[i].Tracer.HeapStoreLines,
-				row.PredictedSpeedup(), row.Selected)
+				row.PredictedSpeedup(), strings.Join(names, " "))
 		}
 	}
 	if *showMetrics {
@@ -653,19 +623,13 @@ func writeStitchedTrace(path, traceID string, col *telemetry.Collector, addrs []
 	out := dump{TraceID: traceID, Spans: col.Snapshot(traceID), Dropped: col.Dropped()}
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, addr := range addrs {
-		resp, err := client.Get(fleet.BaseURL(addr) + "/v1/traces/spans?trace_id=" + traceID)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: spans from %s: %v (skipped)\n", addr, err)
-			continue
-		}
 		var wd struct {
 			Spans   []telemetry.SpanData `json:"spans"`
 			Dropped int64                `json:"dropped"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&wd)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "sweep: spans from %s: HTTP %d (skipped)\n", addr, resp.StatusCode)
+		url := httpjson.BaseURL(addr) + "/v1/traces/spans?trace_id=" + traceID
+		if _, err := httpjson.Do(context.Background(), client, http.MethodGet, url, nil, nil, &wd); err != nil {
+			fmt.Fprintf(os.Stderr, "sweep: spans from %s: %v (skipped)\n", addr, err)
 			continue
 		}
 		out.Spans = append(out.Spans, wd.Spans...)
@@ -706,20 +670,4 @@ func intList(s string, fallback int) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "jrpm:", err)
 	os.Exit(1)
-}
-
-// printVersion prints the GET /v1/version payload for the -version
-// flag, keyed deterministically.
-func printVersion(cmd string) {
-	p := service.VersionPayload()
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("%s", cmd)
-	for _, k := range keys {
-		fmt.Printf(" %s=%v", k, p[k])
-	}
-	fmt.Println()
 }

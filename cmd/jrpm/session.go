@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"jrpm"
-	"jrpm/internal/fleet"
 	"jrpm/internal/service"
 	"jrpm/internal/session"
 	"jrpm/internal/telemetry"
@@ -86,20 +84,7 @@ func sessionMain(args []string) {
 	}
 	s.ID = "local"
 	s.Run(context.Background()) //nolint:errcheck // the view carries the error
-
-	v := s.View()
-	if *asJSON {
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(b))
-		return
-	}
-	fmt.Print(v.Report())
-	if v.State == "failed" {
-		os.Exit(1)
-	}
+	printSession(s.View(), *asJSON)
 }
 
 // remoteSession starts the session on a jrpmd daemon and polls it to a
@@ -121,43 +106,23 @@ func remoteSession(addr, wname, srcPath string, scale float64, epochs int, budge
 		}
 		req.Source = string(b)
 	}
-	body, err := json.Marshal(req)
+	api := service.NewClient(addr, &http.Client{Timeout: time.Minute})
+	ctx := context.Background()
+	id, err := api.StartSession(ctx, req, "")
+	if err != nil {
+		fatal(fmt.Errorf("start session on %s: %w", addr, err))
+	}
+	fmt.Fprintf(os.Stderr, "session %s started on %s\n", id, addr)
+	v, err := api.WaitSession(ctx, id)
 	if err != nil {
 		fatal(err)
 	}
-	base := fleet.BaseURL(addr)
-	client := &http.Client{Timeout: time.Minute}
+	printSession(v, asJSON)
+}
 
-	resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
-	if err != nil {
-		fatal(err)
-	}
-	var sub struct {
-		ID    string `json:"id"`
-		Error string `json:"error"`
-	}
-	decodeBody(resp, &sub)
-	if sub.Error != "" {
-		fatal(fmt.Errorf("daemon rejected session: %s", sub.Error))
-	}
-	fmt.Fprintf(os.Stderr, "session %s started on %s\n", sub.ID, addr)
-
-	var v session.View
-	for {
-		resp, err := client.Get(base + "/v1/sessions/" + sub.ID)
-		if err != nil {
-			fatal(err)
-		}
-		v = session.View{}
-		decodeBody(resp, &v)
-		switch v.State {
-		case "done", "stopped", "failed":
-		default:
-			time.Sleep(250 * time.Millisecond)
-			continue
-		}
-		break
-	}
+// printSession prints a finished session's view as JSON or as the text
+// report, exiting 1 when the session failed.
+func printSession(v session.View, asJSON bool) {
 	if asJSON {
 		b, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {

@@ -61,17 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *version {
-		p := service.VersionPayload()
-		keys := make([]string, 0, len(p))
-		for k := range p {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("%s", "jrpmbench")
-		for _, k := range keys {
-			fmt.Printf(" %s=%v", k, p[k])
-		}
-		fmt.Println()
+		service.PrintVersion(os.Stdout, "jrpmbench")
 		return
 	}
 

@@ -56,7 +56,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -97,7 +96,7 @@ func main() {
 	)
 	flag.Parse()
 	if *version {
-		printVersion("jrpmd")
+		service.PrintVersion(os.Stdout, "jrpmd")
 		return
 	}
 
@@ -231,22 +230,6 @@ func main() {
 		}
 		flushMetrics(pool, logger)
 	}
-}
-
-// printVersion prints the GET /v1/version payload for -version flags,
-// keyed deterministically.
-func printVersion(cmd string) {
-	p := service.VersionPayload()
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Printf("%s", cmd)
-	for _, k := range keys {
-		fmt.Printf(" %s=%v", k, p[k])
-	}
-	fmt.Println()
 }
 
 // servePprof runs net/http/pprof on its own listener so profiling

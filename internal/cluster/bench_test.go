@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jrpm"
+	"jrpm/internal/core"
 	"jrpm/internal/fleet"
 	"jrpm/internal/hydra"
 	"jrpm/internal/trace"
@@ -113,7 +114,7 @@ var shardCostSink []trace.SweepOutcome
 func BenchmarkShardCost(b *testing.B) {
 	opts := jrpm.Normalize(jrpm.DefaultOptions())
 	cfgs := shardCostConfigs()
-	if len(shardConfigs(cfgs)) != 1 {
+	if len(core.Groups(cfgs)) != 1 {
 		b.Fatal("the configs span more than one shard")
 	}
 	type recording struct {

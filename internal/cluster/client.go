@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
+	"jrpm/internal/httpjson"
 	"jrpm/internal/telemetry"
 )
 
@@ -60,15 +58,10 @@ func (wc *workerClient) resident(key string) bool {
 	return wc.hasTrace[key]
 }
 
-// apiError decodes a worker's JSON error body.
-type apiError struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// rejectError is a worker's own JSON 4xx answer (other than
-// trace_missing, 408 and 429): a deterministic refusal that every
-// worker would repeat, so a shard answered with one is not retried.
+// rejectError is a worker's refusal of a shard (400 malformed, 409
+// hash mismatch, 422 compile or trace header): a deterministic answer
+// that every worker would repeat, so a shard answered with one is not
+// retried.
 type rejectError struct {
 	status int
 	msg    string
@@ -81,41 +74,28 @@ const codeCompile = "compile"
 
 func (e *rejectError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.status, e.msg) }
 
-func decodeError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var ae apiError
-	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		code := resp.StatusCode
-		switch {
-		case ae.Code == "trace_missing":
-			return errTraceMissing
-		case code >= 400 && code < 500 && code != http.StatusRequestTimeout && code != http.StatusTooManyRequests:
-			return &rejectError{code, ae.Error, ae.Code}
-		}
-		return fmt.Errorf("HTTP %d: %s", code, ae.Error)
+// classify maps a worker's error answer to errTraceMissing or a
+// *rejectError. Any other error, an intermediary's or a mux's 4xx among
+// them, is returned as it is and retried.
+func classify(err error) error {
+	var se *httpjson.StatusError
+	if !errors.As(err, &se) {
+		return err
 	}
-	return fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	switch s := se.Status; {
+	case se.Code == "trace_missing":
+		return errTraceMissing
+	case s == http.StatusBadRequest || s == http.StatusConflict || s == http.StatusUnprocessableEntity:
+		return &rejectError{s, se.Msg, se.Code}
+	}
+	return err
 }
 
 // version fetches GET /v1/version.
 func (wc *workerClient) version(ctx context.Context) (VersionInfo, error) {
 	var vi VersionInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+"/v1/version", nil)
-	if err != nil {
-		return vi, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return vi, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return vi, decodeError(resp)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&vi); err != nil {
-		return vi, fmt.Errorf("bad version body: %w", err)
-	}
-	return vi, nil
+	_, err := httpjson.Do(ctx, http.DefaultClient, http.MethodGet, wc.base+"/v1/version", nil, nil, &vi)
+	return vi, classify(err)
 }
 
 // errDraining is a worker's 503 from GET /v1/readyz: it is draining
@@ -125,23 +105,17 @@ var errDraining = errors.New("worker draining")
 // ready probes GET /v1/readyz. Workers predating the endpoint answer
 // 404 and are treated as ready (the version probe already vetted them).
 func (wc *workerClient) ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, wc.base+"/v1/readyz", nil)
-	if err != nil {
+	_, err := httpjson.Do(ctx, http.DefaultClient, http.MethodGet, wc.base+"/v1/readyz", nil, nil, nil)
+	var se *httpjson.StatusError
+	switch {
+	case !errors.As(err, &se):
 		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusNotFound:
+	case se.Status == http.StatusNotFound:
 		return nil
-	case http.StatusServiceUnavailable:
+	case se.Status == http.StatusServiceUnavailable:
 		return errDraining
 	default:
-		return fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("readyz: HTTP %d", se.Status)
 	}
 }
 
@@ -161,22 +135,16 @@ func (wc *workerClient) push(ctx context.Context, key string, data []byte) (err 
 	sp.SetAttr("trace.key", key)
 	sp.SetInt("trace.bytes", int64(len(data)))
 	defer func() { sp.Fail(err); sp.End() }()
-	put, err := http.NewRequestWithContext(ctx, http.MethodPut, wc.base+"/v1/traces/"+key, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	put.Header.Set("Content-Type", "application/octet-stream")
-	put.ContentLength = int64(len(data))
-	telemetry.Inject(ctx, put.Header)
-	resp, err := http.DefaultClient.Do(put)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		// %v, not %w: only a shard's own answer is a deterministic
+	_, err = httpjson.Do(ctx, http.DefaultClient, http.MethodPut, wc.base+"/v1/traces/"+key, nil,
+		httpjson.Raw{Type: "application/octet-stream", Data: data}, nil)
+	var se *httpjson.StatusError
+	if errors.As(err, &se) {
+		// Not classified: only a shard's own answer is a deterministic
 		// rejection; a refused push stays a retryable fault.
-		return fmt.Errorf("trace push: %v", decodeError(resp))
+		return fmt.Errorf("trace push: %w", err)
+	}
+	if err != nil {
+		return err
 	}
 	wc.markResident(key)
 	return nil
@@ -184,27 +152,9 @@ func (wc *workerClient) push(ctx context.Context, key string, data []byte) (err 
 
 // runShard executes POST /v1/shards.
 func (wc *workerClient) runShard(ctx context.Context, sr ShardRequest) ([]OutcomeRow, error) {
-	body, err := json.Marshal(sr)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wc.base+"/v1/shards", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	telemetry.Inject(ctx, req.Header)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
 	var out ShardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("bad shard response: %w", err)
+	if _, err := httpjson.Do(ctx, http.DefaultClient, http.MethodPost, wc.base+"/v1/shards", nil, sr, &out); err != nil {
+		return nil, classify(err)
 	}
 	if len(out.Outcomes) != len(sr.Configs) {
 		return nil, fmt.Errorf("shard returned %d outcomes for %d configs", len(out.Outcomes), len(sr.Configs))

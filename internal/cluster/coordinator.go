@@ -13,6 +13,7 @@ import (
 	"jrpm"
 	"jrpm/internal/core"
 	"jrpm/internal/fleet"
+	"jrpm/internal/httpjson"
 	"jrpm/internal/hydra"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
@@ -106,7 +107,7 @@ func New(opts Options) *Coordinator {
 // member that re-registers under the same ID with a new address gets a
 // fresh client, dropping the stale residency memo with it.
 func (c *Coordinator) client(m fleet.Member) *workerClient {
-	base := fleet.BaseURL(m.Addr)
+	base := httpjson.BaseURL(m.Addr)
 	c.clientMu.Lock()
 	defer c.clientMu.Unlock()
 	wc := c.clients[m.ID]
@@ -286,7 +287,7 @@ func (c *Coordinator) sweep(ctx context.Context, grid Grid, onRow func(int, int,
 	}
 	telemetry.SpanFrom(ctx).SetInt("sweep.workers", int64(len(healthy)))
 
-	s := newSched(c, &grid, shardConfigs(grid.Configs), onRow)
+	s := newSched(c, &grid, core.Groups(grid.Configs), onRow)
 	if err := s.run(ctx, healthy); err != nil {
 		return nil, err
 	}
@@ -408,32 +409,6 @@ type sched struct {
 	timers        []*time.Timer
 
 	emitMu sync.Mutex // serializes onRow callbacks
-}
-
-// shardConfigs cuts a grid's config indices into shards: one per store
-// geometry, in order of first appearance, chunked at core.GroupSize.
-// Splitting a geometry further would only multiply trace decodes and
-// model passes.
-func shardConfigs(cfgs []hydra.Config) [][]int {
-	var order []core.Geometry
-	byGeo := map[core.Geometry][]int{}
-	for i, cfg := range cfgs {
-		g := core.GeometryOf(cfg)
-		if _, ok := byGeo[g]; !ok {
-			order = append(order, g)
-		}
-		byGeo[g] = append(byGeo[g], i)
-	}
-	var shards [][]int
-	for _, g := range order {
-		idx := byGeo[g]
-		for len(idx) > core.GroupSize {
-			shards = append(shards, idx[:core.GroupSize])
-			idx = idx[core.GroupSize:]
-		}
-		shards = append(shards, idx)
-	}
-	return shards
 }
 
 // newSched builds a scheduler whose tasks cut every grid trace by the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/core"
 	"jrpm/internal/fleet"
 	"jrpm/internal/trace"
 )
@@ -100,7 +101,7 @@ func TestClusterRejectionNotRetried(t *testing.T) {
 	huffman, data := recordWorkload(t, "Huffman")
 	lu, _ := recordWorkload(t, "LuFactor")
 	cfgs := gridConfigs(6)
-	shards := len(shardConfigs(cfgs))
+	shards := len(core.Groups(cfgs))
 	for _, tc := range []struct {
 		name, source, wantRowErr, wantErr string
 	}{

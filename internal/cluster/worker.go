@@ -14,6 +14,7 @@ import (
 
 	"jrpm"
 	"jrpm/internal/core"
+	"jrpm/internal/httpjson"
 	"jrpm/internal/service"
 	"jrpm/internal/telemetry"
 	"jrpm/internal/trace"
@@ -91,8 +92,8 @@ func (w *Worker) putTrace(rw http.ResponseWriter, r *http.Request) {
 	// Reject oversized uploads before reading a byte when the sender
 	// declares a length; MaxBytesReader still guards chunked senders.
 	if r.ContentLength > w.maxBytes() {
-		writeJSON(rw, http.StatusRequestEntityTooLarge, map[string]string{
-			"error": fmt.Sprintf("trace body %d bytes exceeds the %d byte cap", r.ContentLength, w.maxBytes())})
+		httpjson.Error(rw, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("trace body %d bytes exceeds the %d byte cap", r.ContentLength, w.maxBytes()), "")
 		return
 	}
 	var buf bytes.Buffer
@@ -102,23 +103,22 @@ func (w *Worker) putTrace(rw http.ResponseWriter, r *http.Request) {
 	if _, err := io.Copy(&buf, http.MaxBytesReader(rw, r.Body, w.maxBytes())); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			writeJSON(rw, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": fmt.Sprintf("trace body exceeds the %d byte cap", w.maxBytes())})
+			httpjson.Error(rw, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("trace body exceeds the %d byte cap", w.maxBytes()), "")
 			return
 		}
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
+		httpjson.Error(rw, http.StatusBadRequest, "read body: "+err.Error(), "")
 		return
 	}
 	data := buf.Bytes()
 	if got := service.TraceKeyOf(data); got != key {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("content address mismatch: body hashes to %s", got)})
+		httpjson.Error(rw, http.StatusBadRequest, fmt.Sprintf("content address mismatch: body hashes to %s", got), "")
 		return
 	}
 	// Reject bytes that do not even parse as a trace header; a corrupt
 	// recording would otherwise poison every shard dispatched against it.
 	if _, err := trace.NewBytesReader(data); err != nil {
-		writeJSON(rw, http.StatusUnprocessableEntity, map[string]string{"error": "not a trace: " + err.Error()})
+		httpjson.Error(rw, http.StatusUnprocessableEntity, "not a trace: "+err.Error(), "")
 		return
 	}
 	w.mu.Lock()
@@ -132,18 +132,18 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	var req ShardRequest
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxTraceBody))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "bad shard request: " + err.Error()})
+		httpjson.Error(rw, http.StatusBadRequest, "bad shard request: "+err.Error(), "")
 		return
 	}
 	if len(req.Configs) == 0 {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "shard has no configs"})
+		httpjson.Error(rw, http.StatusBadRequest, "shard has no configs", "")
 		return
 	}
 	// Coordinators cut shards from grids POST /v1/sweeps has checked,
 	// but this endpoint faces the network too: bound the store tables
 	// the replay would allocate.
 	if err := core.CheckGrid(req.Configs); err != nil {
-		writeJSON(rw, http.StatusBadRequest, map[string]string{"error": "bad shard request: " + err.Error()})
+		httpjson.Error(rw, http.StatusBadRequest, "bad shard request: "+err.Error(), "")
 		return
 	}
 	// When jrpmd wraps the worker routes in telemetry.Middleware, the
@@ -160,7 +160,7 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	art, ok := w.pool.Traces().Get(req.TraceKey)
 	if !ok {
 		sp.SetAttr("error", "trace_missing")
-		writeJSON(rw, http.StatusNotFound, map[string]string{"error": "no cached trace " + req.TraceKey, "code": "trace_missing"})
+		httpjson.Error(rw, http.StatusNotFound, "no cached trace "+req.TraceKey, "trace_missing")
 		return
 	}
 	select {
@@ -197,7 +197,7 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 		// analysis result: the coordinator must re-dispatch, not merge it.
 		if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {
 			sp.Fail(o.Err)
-			writeJSON(rw, http.StatusServiceUnavailable, map[string]string{"error": "shard interrupted: " + o.Err.Error()})
+			httpjson.Error(rw, http.StatusServiceUnavailable, "shard interrupted: "+o.Err.Error(), "")
 			return
 		}
 	}
@@ -206,7 +206,7 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	w.shards++
 	w.configs += int64(len(req.Configs))
 	w.mu.Unlock()
-	writeJSON(rw, http.StatusOK, ShardResponse{Outcomes: EncodeOutcomes(outs)})
+	httpjson.Reply(rw, http.StatusOK, ShardResponse{Outcomes: EncodeOutcomes(outs)})
 }
 
 // compiled resolves the shard's program through the pool's artifact
@@ -232,11 +232,7 @@ func (w *Worker) fail(rw http.ResponseWriter, status int, msg, code string) {
 	w.mu.Lock()
 	w.shardErrs++
 	w.mu.Unlock()
-	body := map[string]string{"error": msg}
-	if code != "" {
-		body["code"] = code
-	}
-	writeJSON(rw, status, body)
+	httpjson.Error(rw, status, msg, code)
 }
 
 // RegisterProm exposes the worker's long-lived shard and transfer
@@ -305,11 +301,4 @@ func (w *Worker) Snapshot() WorkerSnapshot {
 		s.Traces = append(s.Traces, TraceTransfer{Key: k, Pushes: w.pushes[k]})
 	}
 	return s
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
 }

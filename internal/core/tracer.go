@@ -366,25 +366,48 @@ func CheckGeometry(cfg hydra.Config) error {
 }
 
 // CheckGrid returns a *GeometryError when one of cfgs fails
-// CheckGeometry, or when the groups a sweep of cfgs builds — one per
-// GroupSize configs of each geometry — would hold more than
+// CheckGeometry, or when the Groups of cfgs would hold more than
 // MaxGridTableLines store-table lines between them.
 func CheckGrid(cfgs []hydra.Config) error {
-	seen := map[Geometry]int{}
-	total := 0
 	for _, cfg := range cfgs {
 		if err := CheckGeometry(cfg); err != nil {
 			return err
 		}
-		g := GeometryOf(cfg)
-		if seen[g]%GroupSize == 0 {
-			if total += g.tableLines(); total > MaxGridTableLines {
-				return &GeometryError{"the grid's store tables", total, MaxGridTableLines}
-			}
+	}
+	total := 0
+	for _, g := range Groups(cfgs) {
+		if total += GeometryOf(cfgs[g[0]]).tableLines(); total > MaxGridTableLines {
+			return &GeometryError{"the grid's store tables", total, MaxGridTableLines}
 		}
-		seen[g]++
 	}
 	return nil
+}
+
+// Groups cuts cfgs into the groups a sweep builds one model for and
+// returns each group's config indices: the configs of one store
+// geometry, in order, cut every GroupSize, with the geometries in order
+// of first appearance. Splitting a geometry further would only multiply
+// trace decodes and model passes.
+func Groups(cfgs []hydra.Config) [][]int {
+	var order []Geometry
+	byGeo := map[Geometry][]int{}
+	for i, cfg := range cfgs {
+		g := GeometryOf(cfg)
+		if _, ok := byGeo[g]; !ok {
+			order = append(order, g)
+		}
+		byGeo[g] = append(byGeo[g], i)
+	}
+	var groups [][]int
+	for _, g := range order {
+		idx := byGeo[g]
+		for len(idx) > GroupSize {
+			groups = append(groups, idx[:GroupSize:GroupSize])
+			idx = idx[GroupSize:]
+		}
+		groups = append(groups, idx)
+	}
+	return groups
 }
 
 // bank is one comparator bank (Figure 7) bound to a dynamic loop entry.

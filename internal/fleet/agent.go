@@ -1,13 +1,12 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
+	"jrpm/internal/httpjson"
 	"jrpm/internal/telemetry"
 )
 
@@ -77,27 +76,9 @@ func (a *Agent) Run(ctx context.Context) {
 }
 
 func (a *Agent) register(ctx context.Context) (time.Duration, error) {
-	body, err := json.Marshal(a.Self)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		BaseURL(a.Registry)+"/v1/fleet/register", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("fleet: register: %s", resp.Status)
-	}
 	var rr registerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return 0, fmt.Errorf("fleet: register response: %w", err)
+	if _, err := httpjson.Do(ctx, a.hc, http.MethodPost, httpjson.BaseURL(a.Registry)+"/v1/fleet/register", nil, a.Self, &rr); err != nil {
+		return 0, fmt.Errorf("fleet: register: %w", err)
 	}
 	if rr.ID != "" {
 		// Adopt the registry's idea of our ID so deregister targets
@@ -112,17 +93,10 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 func (a *Agent) deregister() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		BaseURL(a.Registry)+"/v1/fleet/members/"+a.Self.ID, nil)
-	if err != nil {
-		return
-	}
-	resp, err := a.hc.Do(req)
-	if err != nil {
+	if _, err := httpjson.Do(ctx, a.hc, http.MethodDelete, httpjson.BaseURL(a.Registry)+"/v1/fleet/members/"+a.Self.ID, nil, nil, nil); err != nil {
 		a.Logger.Warn("fleet deregister failed", "registry", a.Registry, "err", err)
 		return
 	}
-	resp.Body.Close()
 	a.Logger.Info("fleet deregistered", "id", a.Self.ID)
 }
 
@@ -137,30 +111,18 @@ type RegistryMembership struct {
 // NewRegistryMembership points a membership view at a registry address.
 func NewRegistryMembership(addr string) *RegistryMembership {
 	return &RegistryMembership{
-		base: BaseURL(addr),
+		base: httpjson.BaseURL(addr),
 		hc:   &http.Client{Timeout: 5 * time.Second},
 	}
 }
 
 // Members fetches the registry's live member list.
 func (m *RegistryMembership) Members(ctx context.Context) ([]Member, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.base+"/v1/fleet/members", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: registry %s unreachable: %w", m.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: registry %s: %s", m.base, resp.Status)
-	}
 	var body struct {
 		Members []Member `json:"members"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, fmt.Errorf("fleet: registry member list: %w", err)
+	if _, err := httpjson.Do(ctx, m.hc, http.MethodGet, m.base+"/v1/fleet/members", nil, nil, &body); err != nil {
+		return nil, fmt.Errorf("fleet: registry %s: %w", m.base, err)
 	}
 	return body.Members, nil
 }

@@ -135,18 +135,3 @@ func TestStaticMembership(t *testing.T) {
 		t.Fatalf("static members: %+v", ms)
 	}
 }
-
-// TestBaseURL: a bare host:port gains http://, a URL keeps its scheme,
-// and trailing slashes go.
-func TestBaseURL(t *testing.T) {
-	for _, tc := range []struct{ addr, want string }{
-		{"host:8077", "http://host:8077"},
-		{"http://host:8077/", "http://host:8077"},
-		{"https://host", "https://host"},
-		{"http://localhost:8077", "http://localhost:8077"},
-	} {
-		if got := BaseURL(tc.addr); got != tc.want {
-			t.Errorf("BaseURL(%q) = %q, want %q", tc.addr, got, tc.want)
-		}
-	}
-}

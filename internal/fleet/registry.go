@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"jrpm/internal/httpjson"
 	"jrpm/internal/telemetry"
 )
 
@@ -81,11 +82,11 @@ type registerResponse struct {
 func (r *Registry) handleRegister(rw http.ResponseWriter, req *http.Request) {
 	var m Member
 	if err := json.NewDecoder(http.MaxBytesReader(rw, req.Body, 1<<20)).Decode(&m); err != nil {
-		httpError(rw, http.StatusBadRequest, "malformed register body: "+err.Error())
+		httpjson.Error(rw, http.StatusBadRequest, "malformed register body: "+err.Error(), "")
 		return
 	}
 	if m.Addr == "" {
-		httpError(rw, http.StatusBadRequest, "register requires addr")
+		httpjson.Error(rw, http.StatusBadRequest, "register requires addr", "")
 		return
 	}
 	if m.ID == "" {
@@ -106,16 +107,16 @@ func (r *Registry) handleRegister(rw http.ResponseWriter, req *http.Request) {
 	if !known {
 		r.opts.Logger.Info("fleet member registered", "id", m.ID, "addr", m.Addr)
 	}
-	writeJSON(rw, http.StatusOK, registerResponse{ID: m.ID, TTLMs: r.opts.TTL.Milliseconds()})
+	httpjson.Reply(rw, http.StatusOK, registerResponse{ID: m.ID, TTLMs: r.opts.TTL.Milliseconds()})
 }
 
 func (r *Registry) handleMembers(rw http.ResponseWriter, req *http.Request) {
 	ms, err := r.Members(req.Context())
 	if err != nil {
-		httpError(rw, http.StatusInternalServerError, err.Error())
+		httpjson.Error(rw, http.StatusInternalServerError, err.Error(), "")
 		return
 	}
-	writeJSON(rw, http.StatusOK, struct {
+	httpjson.Reply(rw, http.StatusOK, struct {
 		Members []Member `json:"members"`
 	}{Members: ms})
 }

@@ -22,6 +22,7 @@ import (
 	"jrpm"
 	"jrpm/internal/cluster"
 	"jrpm/internal/core"
+	"jrpm/internal/httpjson"
 	"jrpm/internal/hydra"
 	"jrpm/internal/telemetry"
 )
@@ -183,7 +184,7 @@ func newID() string {
 func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
 	grid, err := decodeSweepRequest(http.MaxBytesReader(rw, req.Body, 1<<30))
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, err.Error())
+		httpjson.Error(rw, http.StatusBadRequest, err.Error(), "")
 		return
 	}
 
@@ -196,7 +197,7 @@ func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
 	if !s.makeRoomLocked() {
 		s.mu.Unlock()
 		cancel()
-		httpError(rw, http.StatusTooManyRequests, "all retained sweep slots are still running")
+		httpjson.Error(rw, http.StatusTooManyRequests, "all retained sweep slots are still running", "")
 		return
 	}
 	r.cond = sync.NewCond(&s.mu)
@@ -207,9 +208,7 @@ func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
 
 	go s.execute(ctx, r, grid)
 
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(rw).Encode(map[string]string{"id": r.id}) //nolint:errcheck
+	httpjson.Reply(rw, http.StatusAccepted, map[string]string{"id": r.id})
 }
 
 // decodeSweepRequest decodes and validates a POST /v1/sweeps body into
@@ -291,7 +290,7 @@ func (s *Server) status(rw http.ResponseWriter, req *http.Request) {
 	r := s.runs[req.PathValue("id")]
 	if r == nil {
 		s.mu.Unlock()
-		httpError(rw, http.StatusNotFound, "no such sweep")
+		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}
 	st := Status{ID: r.id, State: r.state, Rows: len(r.rows), Error: r.errMsg}
@@ -300,8 +299,7 @@ func (s *Server) status(rw http.ResponseWriter, req *http.Request) {
 		st.Degraded = r.result.Degraded
 	}
 	s.mu.Unlock()
-	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(st) //nolint:errcheck
+	httpjson.Reply(rw, http.StatusOK, st)
 }
 
 func (s *Server) cancelRun(rw http.ResponseWriter, req *http.Request) {
@@ -309,12 +307,12 @@ func (s *Server) cancelRun(rw http.ResponseWriter, req *http.Request) {
 	r := s.runs[req.PathValue("id")]
 	if r == nil {
 		s.mu.Unlock()
-		httpError(rw, http.StatusNotFound, "no such sweep")
+		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}
 	if r.state != StateRunning {
 		s.mu.Unlock()
-		httpError(rw, http.StatusConflict, "sweep already "+r.state)
+		httpjson.Error(rw, http.StatusConflict, "sweep already "+r.state, "")
 		return
 	}
 	r.state = StateCanceled
@@ -334,7 +332,7 @@ func (s *Server) streamRows(rw http.ResponseWriter, req *http.Request) {
 	if cs := req.URL.Query().Get("cursor"); cs != "" {
 		n, err := strconv.Atoi(cs)
 		if err != nil || n < 0 {
-			httpError(rw, http.StatusBadRequest, "bad cursor")
+			httpjson.Error(rw, http.StatusBadRequest, "bad cursor", "")
 			return
 		}
 		cursor = n
@@ -343,7 +341,7 @@ func (s *Server) streamRows(rw http.ResponseWriter, req *http.Request) {
 	r := s.runs[req.PathValue("id")]
 	s.mu.Unlock()
 	if r == nil {
-		httpError(rw, http.StatusNotFound, "no such sweep")
+		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}
 
@@ -393,10 +391,4 @@ func (s *Server) streamRows(rw http.ResponseWriter, req *http.Request) {
 			flusher.Flush()
 		}
 	}
-}
-
-func httpError(rw http.ResponseWriter, code int, msg string) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	json.NewEncoder(rw).Encode(map[string]string{"error": msg}) //nolint:errcheck
 }

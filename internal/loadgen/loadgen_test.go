@@ -322,8 +322,7 @@ func TestRemoteRejectsNonJSON(t *testing.T) {
 
 	plat := NewRemote(srv.URL)
 	defer plat.Close()
-	var out any
-	if _, err := plat.getJSON(context.Background(), "/v1/metrics", &out); err == nil {
+	if _, err := plat.api.Wait(context.Background(), "j00000001"); err == nil {
 		t.Fatal("HTML response decoded without error")
 	}
 }

@@ -1,112 +1,51 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"mime"
 	"net/http"
 	"time"
 
-	"jrpm/internal/fleet"
+	"jrpm/internal/httpjson"
 	"jrpm/internal/service"
+	"jrpm/internal/session"
 )
 
 // Remote drives a jrpmd (or anything serving its API — a worker, a
 // coordinator front) over HTTP: the harness measures the full serving
 // path including transport and JSON.
 type Remote struct {
-	base   string
-	client *http.Client
+	hc  *http.Client
+	api *service.Client
 }
 
 // NewRemote targets addr ("host:port" or a full http URL).
 func NewRemote(addr string) *Remote {
-	return &Remote{base: fleet.BaseURL(addr), client: &http.Client{Timeout: 5 * time.Minute}}
+	hc := &http.Client{Timeout: 5 * time.Minute}
+	return &Remote{hc: hc, api: service.NewClient(addr, hc)}
 }
 
 func (a *Remote) Name() string { return "remote" }
 
 func (a *Remote) Close() error {
-	a.client.CloseIdleConnections()
+	a.hc.CloseIdleConnections()
 	return nil
 }
 
-// postJSON posts v and decodes the response body (after verifying the
-// daemon actually answered JSON), returning the HTTP status.
-func (a *Remote) postJSON(ctx context.Context, path, tenant string, v, out any) (int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", a.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(service.TenantHeader, tenant)
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	return resp.StatusCode, decodeJSON(resp, out)
-}
-
-func (a *Remote) getJSON(ctx context.Context, path string, out any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", a.base+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	return resp.StatusCode, decodeJSON(resp, out)
-}
-
-// decodeJSON enforces the JSON content type before unmarshalling: a
-// proxy error page must fail loudly as transport breakage, not as a
-// confusing unmarshal error.
-func decodeJSON(resp *http.Response, out any) error {
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if mt != "application/json" {
-		return fmt.Errorf("non-JSON response (HTTP %d, Content-Type %q): %.200s",
-			resp.StatusCode, resp.Header.Get("Content-Type"), b)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(b, out)
-}
-
-// submitView is the {"id": ..., "error": ...} union of the daemon's
-// submit responses.
-type submitView struct {
-	ID    string `json:"id"`
-	Error string `json:"error"`
-}
-
-func classifyStatus(code int) (ErrClass, bool) {
+// classifyStatus sorts a failed submission: the daemon's refusals by
+// status, anything else (transport, a non-JSON answer) as internal.
+func classifyStatus(err error) ErrClass {
+	var se *httpjson.StatusError
 	switch {
-	case code == http.StatusAccepted:
-		return ErrOK, true
-	case code == http.StatusTooManyRequests:
-		return ErrShed, false
-	case code >= 500:
-		return ErrInternal, false
-	case code >= 400:
-		return ErrReject, false
+	case !errors.As(err, &se):
+		return ErrInternal
+	case se.Status == http.StatusTooManyRequests:
+		return ErrShed
+	case se.Status >= 400 && se.Status < 500:
+		return ErrReject
 	default:
-		return ErrInternal, false
+		return ErrInternal
 	}
 }
 
@@ -115,28 +54,25 @@ func (a *Remote) Prepare(ctx context.Context, sched *Schedule) (map[string]strin
 	keys := make(map[string]string, len(sched.Kernels))
 	for _, kernel := range sched.Kernels {
 		req := sched.PrepareRequest(kernel)
-		var v service.JobView
+		var id string
+		var err error
 		for attempt := 0; ; attempt++ {
-			var sub submitView
-			code, err := a.postJSON(ctx, "/v1/jobs", "", req, &sub)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: prepare %s: %w", kernel, err)
+			id, err = a.api.Submit(ctx, req, "")
+			if classifyStatus(err) != ErrShed || attempt >= prepareAttempts {
+				break
 			}
-			if code == http.StatusTooManyRequests && attempt < prepareAttempts {
-				select {
-				case <-time.After(prepareBackoff):
-					continue
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
+			select {
+			case <-time.After(prepareBackoff):
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			if code != http.StatusAccepted {
-				return nil, fmt.Errorf("loadgen: prepare %s: HTTP %d: %s", kernel, code, sub.Error)
-			}
-			if v, err = a.waitJob(ctx, sub.ID); err != nil {
-				return nil, fmt.Errorf("loadgen: prepare %s: %w", kernel, err)
-			}
-			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: prepare %s: %w", kernel, err)
+		}
+		v, err := a.api.Wait(ctx, id)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: prepare %s: %w", kernel, err)
 		}
 		if v.State != service.StateDone || v.Result == nil || v.Result.TraceKey == "" {
 			return nil, fmt.Errorf("loadgen: prepare %s: state=%s error=%q", kernel, v.State, v.Error)
@@ -144,26 +80,6 @@ func (a *Remote) Prepare(ctx context.Context, sched *Schedule) (map[string]strin
 		keys[kernel] = v.Result.TraceKey
 	}
 	return keys, nil
-}
-
-// waitJob long-polls the job until a terminal state; a 202 answer is
-// the server's bounded long-poll expiring, so poll again.
-func (a *Remote) waitJob(ctx context.Context, id string) (service.JobView, error) {
-	var v service.JobView
-	for {
-		code, err := a.getJSON(ctx, "/v1/jobs/"+id+"?wait=1", &v)
-		if err != nil {
-			return v, err
-		}
-		switch code {
-		case http.StatusOK:
-			return v, nil
-		case http.StatusAccepted:
-			continue
-		default:
-			return v, fmt.Errorf("poll job %s: HTTP %d", id, code)
-		}
-	}
 }
 
 func (a *Remote) Do(ctx context.Context, sched *Schedule, op Op, traceKey string) Outcome {
@@ -174,15 +90,11 @@ func (a *Remote) Do(ctx context.Context, sched *Schedule, op Op, traceKey string
 	if err != nil {
 		return Outcome{Class: ErrReject, Err: err}
 	}
-	var sub submitView
-	code, err := a.postJSON(ctx, "/v1/jobs", op.Tenant, req, &sub)
+	id, err := a.api.Submit(ctx, req, op.Tenant)
 	if err != nil {
-		return Outcome{Class: ErrInternal, Err: err}
+		return Outcome{Class: classifyStatus(err), Err: err}
 	}
-	if ec, ok := classifyStatus(code); !ok {
-		return Outcome{Class: ec, Err: fmt.Errorf("HTTP %d: %s", code, sub.Error)}
-	}
-	v, err := a.waitJob(ctx, sub.ID)
+	v, err := a.api.Wait(ctx, id)
 	if err != nil {
 		return Outcome{Class: ErrInternal, Err: err}
 	}
@@ -197,36 +109,16 @@ func (a *Remote) Do(ctx context.Context, sched *Schedule, op Op, traceKey string
 }
 
 func (a *Remote) doSession(ctx context.Context, sched *Schedule, op Op) Outcome {
-	var sub submitView
-	code, err := a.postJSON(ctx, "/v1/sessions", op.Tenant, sched.SessionRequest(op), &sub)
+	id, err := a.api.StartSession(ctx, sched.SessionRequest(op), op.Tenant)
+	if err != nil {
+		return Outcome{Class: classifyStatus(err), Err: err}
+	}
+	v, err := a.api.WaitSession(ctx, id)
 	if err != nil {
 		return Outcome{Class: ErrInternal, Err: err}
 	}
-	if ec, ok := classifyStatus(code); !ok {
-		return Outcome{Class: ec, Err: fmt.Errorf("HTTP %d: %s", code, sub.Error)}
+	if v.State != string(session.StateDone) {
+		return Outcome{Class: ErrInternal, Err: fmt.Errorf("session %s", v.State)}
 	}
-	// Sessions have no bounded long-poll endpoint; poll the view.
-	var view struct {
-		State string `json:"state"`
-	}
-	for {
-		code, err := a.getJSON(ctx, "/v1/sessions/"+sub.ID, &view)
-		if err != nil {
-			return Outcome{Class: ErrInternal, Err: err}
-		}
-		if code != http.StatusOK {
-			return Outcome{Class: ErrInternal, Err: fmt.Errorf("poll session %s: HTTP %d", sub.ID, code)}
-		}
-		switch view.State {
-		case "done":
-			return Outcome{Class: ErrOK}
-		case "failed", "stopped":
-			return Outcome{Class: ErrInternal, Err: fmt.Errorf("session %s", view.State)}
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-ctx.Done():
-			return Outcome{Class: ErrInternal, Err: ctx.Err()}
-		}
-	}
+	return Outcome{Class: ErrOK}
 }

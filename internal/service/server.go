@@ -3,9 +3,11 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"time"
 
@@ -219,6 +221,22 @@ func VersionPayload() map[string]any {
 		"trace_format": trace.Version,
 		"go":           runtime.Version(),
 	}
+}
+
+// PrintVersion writes the -version line of the command named cmd: the
+// VersionPayload keys in order.
+func PrintVersion(w io.Writer, cmd string) {
+	p := VersionPayload()
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprint(w, cmd)
+	for _, k := range keys {
+		fmt.Fprintf(w, " %s=%v", k, p[k])
+	}
+	fmt.Fprintln(w)
 }
 
 func (s *Server) version(w http.ResponseWriter, _ *http.Request) {

@@ -342,3 +342,44 @@ func TestSamplePeriodValidation(t *testing.T) {
 		t.Fatalf("POST at the floor: HTTP %d (%s), want 202", code, msg)
 	}
 }
+
+// TestSessionRetention: a pool keeps at most sixteen times its running
+// limit of finished sessions; past that the oldest is forgotten and
+// answers 404 on GET and DELETE, like an unknown id.
+func TestSessionRetention(t *testing.T) {
+	pool := NewPool(Config{Workers: 1, MaxSessions: 1})
+	defer pool.Stop()
+	srv := httptest.NewServer(NewServer(pool).Handler())
+	defer srv.Close()
+
+	const bound = 16
+	var ids []string
+	for i := 0; i < bound+2; i++ {
+		s, err := pool.StartSession(SessionRequest{Workload: "BitOps", Scale: 0.05, Epochs: 1})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		<-s.Done()
+		ids = append(ids, s.ID)
+	}
+	if n := len(pool.Sessions().List()); n != bound {
+		t.Errorf("manager holds %d sessions, want %d", n, bound)
+	}
+	for _, id := range ids[:2] {
+		if _, code := getSessionView(t, srv.URL, id); code != http.StatusNotFound {
+			t.Errorf("GET forgotten session %s: HTTP %d, want 404", id, code)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sessions/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("DELETE forgotten session %s: HTTP %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if v, code := getSessionView(t, srv.URL, ids[2]); code != http.StatusOK || v.State != "done" {
+		t.Errorf("GET retained session %s: HTTP %d state %q, want 200 done", ids[2], code, v.State)
+	}
+}

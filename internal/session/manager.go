@@ -30,9 +30,15 @@ type Manager struct {
 	logger   *telemetry.Logger
 	tracer   *telemetry.Tracer
 	sessions map[string]*Session
-	order    []string
+	finished []string // ids of terminal sessions still in sessions, oldest first
 	seq      int
 }
+
+// retainFinished bounds the terminal sessions a manager keeps for GET
+// /v1/sessions/{id}, as the job pool bounds finished jobs: sixteen times
+// the running limit. Past it the oldest finished sessions are forgotten
+// and answer 404 like an unknown id; running sessions are always kept.
+func (m *Manager) retainFinished() int { return 16 * m.limit }
 
 // NewManager builds a manager allowing up to limit concurrently running
 // sessions (DefaultMaxSessions when limit <= 0). metrics and logger may
@@ -97,13 +103,25 @@ func (m *Manager) Start(cfg Config) (*Session, error) {
 	m.seq++
 	s.ID = fmt.Sprintf("s%08d", m.seq)
 	m.sessions[s.ID] = s
-	m.order = append(m.order, s.ID)
+	s.onFinish = func() { m.retire(s.ID) }
 	m.mu.Unlock()
 
 	logger.Info("session started", "session", s.ID, "name", cfg.Name,
 		"epochs", cfg.Epochs, "cycle_budget", cfg.CycleBudget)
 	go s.Run(context.Background())
 	return s, nil
+}
+
+// retire records a session's end and forgets the oldest finished
+// session past retainFinished.
+func (m *Manager) retire(id string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finished = append(m.finished, id)
+	if len(m.finished) > m.retainFinished() {
+		delete(m.sessions, m.finished[0])
+		m.finished = m.finished[1:]
+	}
 }
 
 // Get returns a session by id.
@@ -114,13 +132,12 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// List snapshots all sessions in start order.
+// List snapshots the sessions the manager holds, in start order.
 func (m *Manager) List() []View {
 	m.mu.Lock()
-	order := append([]string(nil), m.order...)
-	sessions := make([]*Session, 0, len(order))
-	for _, id := range order {
-		sessions = append(sessions, m.sessions[id])
+	sessions := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		sessions = append(sessions, s)
 	}
 	m.mu.Unlock()
 	views := make([]View, len(sessions))

@@ -72,6 +72,9 @@ type Session struct {
 	th  Thresholds
 
 	done chan struct{}
+	// onFinish, set by a Manager before Run, runs once the terminal
+	// state is recorded and before done closes.
+	onFinish func()
 
 	mu            sync.Mutex
 	state         State
@@ -133,6 +136,9 @@ func (s *Session) Run(ctx context.Context) error {
 	stopped := s.stopRequested // Stop may have won the race before Run
 	s.mu.Unlock()
 	defer close(s.done)
+	if s.onFinish != nil {
+		defer s.onFinish()
+	}
 
 	var err error
 	if !stopped {

@@ -87,25 +87,17 @@ func sweep(ctx context.Context, prog *tir.Program, data []byte, jobs []SweepJob,
 	return out
 }
 
-// plan groups the jobs and deals the groups to the workers:
-// result[w][m] lists the job indices that worker w runs through its
-// m-th group. A group is the jobs of one store geometry, in order,
-// cut every core.GroupSize jobs. Whole groups are dealt in contiguous
-// runs; only when workers asks for more workers than there are groups
-// is the largest group halved until each worker has one.
+// plan groups the jobs (core.Groups) and deals the groups to the
+// workers: result[w][m] lists the job indices that worker w runs
+// through its m-th group. Whole groups are dealt in contiguous runs;
+// only when workers asks for more workers than there are groups is the
+// largest group halved until each worker has one.
 func plan(jobs []SweepJob, workers int) [][][]int {
-	var groups [][]int
-	last := map[core.Geometry]int{} // geometry -> its latest group
+	cfgs := make([]hydra.Config, len(jobs))
 	for i, j := range jobs {
-		g := core.GeometryOf(j.Cfg)
-		m, ok := last[g]
-		if !ok || len(groups[m]) == core.GroupSize {
-			m = len(groups)
-			last[g] = m
-			groups = append(groups, nil)
-		}
-		groups[m] = append(groups[m], i)
+		cfgs[i] = j.Cfg
 	}
+	groups := core.Groups(cfgs)
 	if workers <= 0 {
 		workers = min(runtime.GOMAXPROCS(0), len(groups))
 	}

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	jrpmbench -spec specs/load_smoke.json                # in-process pool
-//	jrpmbench -spec specs/load_saturation.json -workers 2
-//	jrpmbench -spec spec.json -daemon localhost:8077     # remote jrpmd
+//	jrpmbench -spec specs/load_smoke.json                # loopback jrpmd
+//	jrpmbench -spec spec.json -daemon localhost:8077     # running jrpmd
 //	jrpmbench -spec spec.json -out BENCH_load.json       # trajectory point
 //	jrpmbench -spec spec.json -plan                      # print schedule only
 //
@@ -22,11 +21,12 @@
 // of the registered benchmarks; requests then carry the regenerated
 // sources inline.
 //
-// In-process runs build a service.Pool from the -workers/-queue/
-// -admit-hwm/-tenant-rate/-tenant-burst flags, so saturation and
-// shedding scenarios are self-contained; -daemon drives a live jrpmd
-// over HTTP instead, including the X-JRPM-Tenant header and 429
-// Retry-After handling.
+// Every run drives jrpmd's HTTP API, so a latency includes the
+// transport and JSON stages every client pays, the X-JRPM-Tenant header
+// and 429 handling. -daemon names a running jrpmd, which sets the
+// workers, queue bound and quotas a saturation or shedding scenario
+// needs; without it jrpmbench serves a default-configured pool on a
+// loopback listener for the length of the run.
 package main
 
 import (
@@ -34,11 +34,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"sort"
 	"syscall"
 	"text/tabwriter"
+	"time"
 
 	"jrpm/internal/loadgen"
 	"jrpm/internal/service"
@@ -46,15 +49,10 @@ import (
 
 func main() {
 	var (
-		daemon      = flag.String("daemon", "", "drive a remote jrpmd at this address; empty = in-process pool")
-		out         = flag.String("out", "", "write BENCH_load.json-style results to this file")
-		plan        = flag.Bool("plan", false, "print the schedule summary and fingerprint without running")
-		workers     = flag.Int("workers", 0, "in-process pool: worker goroutines (0 = GOMAXPROCS)")
-		queue       = flag.Int("queue", 64, "in-process pool: max queued jobs before 429")
-		admitHWM    = flag.Float64("admit-hwm", 0, "in-process pool: admission high-water mark as a fraction of queue depth (0 = off)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "in-process pool: per-tenant quota, jobs/second (0 = off)")
-		tenantBurst = flag.Float64("tenant-burst", 0, "in-process pool: per-tenant quota burst (0 = max(1, rate))")
-		version     = flag.Bool("version", false, "print module + trace-format version and exit")
+		daemon  = flag.String("daemon", "", "drive the jrpmd at this address; empty = serve a default pool on loopback")
+		out     = flag.String("out", "", "write BENCH_load.json-style results to this file")
+		plan    = flag.Bool("plan", false, "print the schedule summary and fingerprint without running")
+		version = flag.Bool("version", false, "print module + trace-format version and exit")
 	)
 	var specs specList
 	flag.Var(&specs, "spec", "load spec JSON file (repeatable)")
@@ -71,6 +69,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := run(specs, *daemon, *out, *plan); err != nil {
+		fmt.Fprintln(os.Stderr, "jrpmbench:", err)
+		os.Exit(1)
+	}
+}
+
+func run(specs []string, daemon, out string, plan bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -78,33 +83,32 @@ func main() {
 	for _, path := range specs {
 		spec, err := loadgen.LoadSpec(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sched, err := loadgen.Build(spec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("spec %s: %d requests over %s, fingerprint %s\n",
 			spec.Name, len(sched.Ops), spec.Duration(), sched.Fingerprint())
-		if *plan {
+		if plan {
 			printPlan(sched)
 			continue
 		}
 
-		platform := newPlatform(*daemon, service.Config{
-			Workers:        *workers,
-			QueueDepth:     *queue,
-			AdmitHighWater: *admitHWM,
-			TenantRate:     *tenantRate,
-			TenantBurst:    *tenantBurst,
-		})
-		res, err := loadgen.Run(ctx, sched, platform)
-		cerr := platform.Close()
-		if err != nil {
-			fatal(err)
+		if daemon == "" { // the first run starts the loopback server
+			addr, shutdown, err := serveLoopback()
+			if err != nil {
+				return err
+			}
+			defer shutdown()
+			daemon = addr
 		}
-		if cerr != nil {
-			fatal(cerr)
+		remote := loadgen.NewRemote(daemon)
+		res, err := loadgen.Run(ctx, sched, remote)
+		remote.Close()
+		if err != nil {
+			return err
 		}
 		printResult(res)
 		for k, v := range res.BenchRows() {
@@ -112,21 +116,36 @@ func main() {
 		}
 	}
 
-	if *out != "" && len(rows) > 0 {
+	if out != "" && len(rows) > 0 {
 		b, err := json.MarshalIndent(rows, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("wrote %d rows to %s\n", len(rows), *out)
+		fmt.Printf("wrote %d rows to %s\n", len(rows), out)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "jrpmbench:", err)
-	os.Exit(1)
+// serveLoopback serves a default-configured pool's API on a loopback
+// port, returning its address and a function that shuts the server and
+// the pool down.
+func serveLoopback() (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	pool := service.NewPool(service.Config{})
+	srv := &http.Server{Handler: service.NewServer(pool).Handler()}
+	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed at shutdown
+	return ln.Addr().String(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck // exiting either way
+		pool.Stop()
+	}, nil
 }
 
 // specList lets -spec repeat.
@@ -136,13 +155,6 @@ func (s *specList) String() string { return fmt.Sprint([]string(*s)) }
 func (s *specList) Set(v string) error {
 	*s = append(*s, v)
 	return nil
-}
-
-func newPlatform(daemon string, cfg service.Config) loadgen.Platform {
-	if daemon != "" {
-		return loadgen.NewRemote(daemon)
-	}
-	return loadgen.NewInProcessPool(cfg)
 }
 
 // printPlan summarizes the schedule's class/tenant composition without
@@ -174,8 +186,8 @@ func printPlan(sched *loadgen.Schedule) {
 }
 
 func printResult(res *loadgen.Result) {
-	fmt.Printf("platform %s: offered %.1f rps, achieved %.1f rps, peak in-flight %d, wall %.2fs (+%.2fs prepare)\n",
-		res.Platform, res.OfferedRPS, res.AchievedRPS, res.PeakInFlight,
+	fmt.Printf("%s: offered %.1f rps, achieved %.1f rps, peak in-flight %d, wall %.2fs (+%.2fs prepare)\n",
+		res.Spec, res.OfferedRPS, res.AchievedRPS, res.PeakInFlight,
 		res.WallSeconds, res.PrepareSeconds)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "class\ttotal\tok\tshed\tdeadline\treject\tinternal\tdropped\tp50ms\tp90ms\tp99ms\tp99.9ms\tmaxms\tmeanms")

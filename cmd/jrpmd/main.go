@@ -9,7 +9,6 @@
 //	jrpmd -addr :9000 -workers 8 -queue 256 -cache 512 -timeout 30s
 //	jrpmd -worker                  # also serve cluster shard endpoints
 //	jrpmd -sessions 8              # allow 8 concurrent adaptive sessions
-//	jrpmd -admit-hwm 0.75          # shed with 429 at 75% queue depth
 //	jrpmd -tenant-rate 50 -tenant-burst 100  # per-tenant quotas (X-JRPM-Tenant)
 //	jrpmd -pprof localhost:6060    # expose Go pprof on a second listener
 //	jrpmd -log-level debug         # structured key=value logs, debug up
@@ -82,7 +81,6 @@ func main() {
 		drain    = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline for in-flight jobs")
 		worker   = flag.Bool("worker", false, "serve cluster worker endpoints (POST /v1/shards, PUT /v1/traces)")
 		sessions = flag.Int("sessions", 0, "max concurrently running adaptive sessions (0 = default)")
-		admitHWM = flag.Float64("admit-hwm", 0, "admission high-water mark as a fraction of -queue in (0,1]; past it submissions get 429 + Retry-After (0 = shed only when full)")
 		tenRate  = flag.Float64("tenant-rate", 0, "per-tenant quota in jobs/second, keyed on the X-JRPM-Tenant header (0 = no quotas)")
 		tenBurst = flag.Float64("tenant-burst", 0, "per-tenant quota burst capacity (0 = max(1, -tenant-rate))")
 		pprofAt  = flag.String("pprof", "", "serve Go pprof on this extra address (e.g. localhost:6060); empty = off")
@@ -116,7 +114,6 @@ func main() {
 		MaxTimeout:      *maxTO,
 		LongPoll:        *longPoll,
 		MaxSessions:     *sessions,
-		AdmitHighWater:  *admitHWM,
 		TenantRate:      *tenRate,
 		TenantBurst:     *tenBurst,
 	})

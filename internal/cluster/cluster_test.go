@@ -571,6 +571,30 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 }
 
+// TestWorkerShardsCountCompiles: a shard compiles its source through
+// the pool's artifact cache and counts there, so two shards of one
+// source make one miss (a compile) and then one hit.
+func TestWorkerShardsCountCompiles(t *testing.T) {
+	srv, w := newTestWorker(t, nil)
+	src, data := recordWorkload(t, "Huffman")
+	pushTrace(t, srv.URL, data)
+	m := w.pool.Metrics()
+	for i, want := range [][2]int64{{0, 1}, {1, 1}} {
+		body, _ := json.Marshal(ShardRequest{TraceKey: service.TraceKeyOf(data), Source: src, Configs: gridConfigs(1)})
+		resp, err := http.Post(srv.URL+"/v1/shards", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %d: HTTP %d, want 200", i, resp.StatusCode)
+		}
+		if hits, misses := m.CacheHits.Load(), m.CacheMisses.Load(); hits != want[0] || misses != want[1] {
+			t.Errorf("after shard %d: artifact cache hits=%d misses=%d, want %d/%d", i, hits, misses, want[0], want[1])
+		}
+	}
+}
+
 // TestShardGeometryBound: POST /v1/shards applies core.CheckGrid before
 // anything else, so a direct request with many distinct geometries, each
 // within the per-table bound, is refused with 400 instead of allocating

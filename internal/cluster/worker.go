@@ -170,7 +170,9 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	compiled, err := w.compiled(req)
+	// Compilation is deterministic, so every worker's artifact cache
+	// converges on the same program.
+	compiled, _, err := w.pool.Compile(req.Source, jrpm.Options{Annot: req.Annot, Optimize: req.Optimize})
 	if err != nil {
 		sp.Fail(err)
 		// The coordinator fails the whole sweep with this message, as a
@@ -207,23 +209,6 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	w.configs += int64(len(req.Configs))
 	w.mu.Unlock()
 	httpjson.Reply(rw, http.StatusOK, ShardResponse{Outcomes: EncodeOutcomes(outs)})
-}
-
-// compiled resolves the shard's program through the pool's artifact
-// cache; compilation is deterministic so every worker converges on the
-// same artifact.
-func (w *Worker) compiled(req ShardRequest) (*jrpm.Compiled, error) {
-	opts := jrpm.Options{Annot: req.Annot, Optimize: req.Optimize}
-	key := service.CacheKey(req.Source, opts)
-	if c, ok := w.pool.Cache().Get(key); ok {
-		return c, nil
-	}
-	c, err := jrpm.Compile(req.Source, opts)
-	if err != nil {
-		return nil, err
-	}
-	w.pool.Cache().Put(key, c)
-	return c, nil
 }
 
 // fail answers a shard request with a JSON error, and with code (a

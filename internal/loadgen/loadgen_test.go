@@ -220,17 +220,30 @@ func TestHdrHistExtremes(t *testing.T) {
 	}
 }
 
+// serve starts a daemon API over a pool built from cfg for the test's
+// length and returns a Remote driving it.
+func serve(t *testing.T, cfg service.Config) *Remote {
+	pool := service.NewPool(cfg)
+	srv := httptest.NewServer(service.NewServer(pool).Handler())
+	plat := NewRemote(srv.URL)
+	t.Cleanup(func() {
+		plat.Close()
+		srv.Close()
+		pool.Stop()
+	})
+	return plat
+}
+
 // TestRunInProcess is the end-to-end smoke: a short mixed-class run
-// against an in-process pool must complete with zero internal errors
-// and every scheduled request accounted for.
+// against a pool in this process, behind its HTTP API, must complete
+// with zero internal errors and every scheduled request accounted for.
 func TestRunInProcess(t *testing.T) {
 	spec := smokeSpec()
 	sched, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := NewInProcessPool(service.Config{Workers: 4, QueueDepth: 256})
-	defer plat.Close()
+	plat := serve(t, service.Config{Workers: 4, QueueDepth: 256})
 
 	res, err := Run(context.Background(), sched, plat)
 	if err != nil {
@@ -253,7 +266,7 @@ func TestRunInProcess(t *testing.T) {
 		t.Fatal("no successful requests")
 	}
 	rows := res.BenchRows()
-	if _, ok := rows["Load/test-smoke/inproc/all"]; !ok {
+	if _, ok := rows["Load/test-smoke/all"]; !ok {
 		t.Fatalf("bench rows missing the overall key: %v", rows)
 	}
 }
@@ -261,19 +274,13 @@ func TestRunInProcess(t *testing.T) {
 // TestRunRemote drives the real HTTP server end to end, including the
 // tenant header and the long-poll wait path.
 func TestRunRemote(t *testing.T) {
-	pool := service.NewPool(service.Config{Workers: 4, QueueDepth: 256, LongPoll: 2 * time.Second})
-	defer pool.Stop()
-	srv := httptest.NewServer(service.NewServer(pool).Handler())
-	defer srv.Close()
-
 	spec := smokeSpec()
 	spec.Arrival.DurationMs = 300
 	sched, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := NewRemote(srv.URL)
-	defer plat.Close()
+	plat := serve(t, service.Config{Workers: 4, QueueDepth: 256, LongPoll: 2 * time.Second})
 
 	res, err := Run(context.Background(), sched, plat)
 	if err != nil {
@@ -407,9 +414,9 @@ func TestCorpusBackedSchedule(t *testing.T) {
 	}
 }
 
-// TestRunCorpusInProcess is the corpus end-to-end smoke: generated
-// programs driven through the real pool across all four op classes.
-func TestRunCorpusInProcess(t *testing.T) {
+// TestRunCorpusRemote is the corpus end-to-end smoke: generated
+// programs driven through the real server across all four op classes.
+func TestRunCorpusRemote(t *testing.T) {
 	spec := &Spec{
 		Name:    "corpus-smoke",
 		Seed:    11,
@@ -421,8 +428,7 @@ func TestRunCorpusInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := NewInProcessPool(service.Config{Workers: 4, QueueDepth: 256})
-	defer plat.Close()
+	plat := serve(t, service.Config{Workers: 4, QueueDepth: 256})
 
 	res, err := Run(context.Background(), sched, plat)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"jrpm/internal/httpjson"
@@ -14,7 +15,7 @@ import (
 
 // Remote drives a jrpmd (or anything serving its API — a worker, a
 // coordinator front) over HTTP: the harness measures the full serving
-// path including transport and JSON.
+// path including transport and JSON, the stages every client pays.
 type Remote struct {
 	hc  *http.Client
 	api *service.Client
@@ -26,12 +27,34 @@ func NewRemote(addr string) *Remote {
 	return &Remote{hc: hc, api: service.NewClient(addr, hc)}
 }
 
-func (a *Remote) Name() string { return "remote" }
-
-func (a *Remote) Close() error {
+// Close releases the client's idle connections.
+func (a *Remote) Close() {
 	a.hc.CloseIdleConnections()
-	return nil
 }
+
+// Outcome is one request's classified result.
+type Outcome struct {
+	Class ErrClass
+	Err   error // detail when Class != ErrOK
+}
+
+// classifyMsg maps a terminal job error message to an error class.
+func classifyMsg(msg string) ErrClass {
+	switch {
+	case strings.Contains(msg, "deadline") || strings.Contains(msg, "timeout"):
+		return ErrDeadline
+	default:
+		return ErrInternal
+	}
+}
+
+// prepareBackoff paces Prepare's retry loop when setup submissions are
+// shed (e.g. tenant quotas configured on the daemon under test).
+const prepareBackoff = 50 * time.Millisecond
+
+// prepareAttempts bounds how long Prepare keeps retrying one shed
+// kernel before giving up on the run.
+const prepareAttempts = 100
 
 // classifyStatus sorts a failed submission: the daemon's refusals by
 // status, anything else (transport, a non-JSON answer) as internal.
@@ -49,7 +72,10 @@ func classifyStatus(err error) ErrClass {
 	}
 }
 
-// Prepare records one trace per kernel over the wire, retrying sheds.
+// Prepare runs once before the open-loop phase: it records one replay
+// trace for each kernel the schedule touches, which also fills the
+// artifact cache, and returns kernel -> trace key. It retries sheds: it
+// is setup, not measurement.
 func (a *Remote) Prepare(ctx context.Context, sched *Schedule) (map[string]string, error) {
 	keys := make(map[string]string, len(sched.Kernels))
 	for _, kernel := range sched.Kernels {
@@ -82,6 +108,8 @@ func (a *Remote) Prepare(ctx context.Context, sched *Schedule) (map[string]strin
 	return keys, nil
 }
 
+// Do synchronously executes one op, classifying the result. traceKey
+// is the kernel's setup recording (replay ops).
 func (a *Remote) Do(ctx context.Context, sched *Schedule, op Op, traceKey string) Outcome {
 	if op.Class == OpSession {
 		return a.doSession(ctx, sched, op)

@@ -11,7 +11,6 @@ import (
 // Result is one load run's full outcome.
 type Result struct {
 	Spec        string  `json:"spec"`
-	Platform    string  `json:"platform"`
 	Seed        uint64  `json:"seed"`
 	Fingerprint string  `json:"schedule_fingerprint"`
 	Requests    int     `json:"requests"`
@@ -27,15 +26,15 @@ type Result struct {
 	PrepareSeconds float64 `json:"prepare_seconds"`
 }
 
-// Run executes the schedule open-loop against the platform: every op
+// Run executes the schedule open-loop against the daemon: every op
 // launches at its scheduled offset whether or not earlier ops have
 // finished, and each op's latency is measured from its *intended*
 // launch instant — late launches (runner scheduling delay) and slow
 // completions both land in the recorded latency, never silently in the
 // generator.
-func Run(ctx context.Context, sched *Schedule, platform Platform) (*Result, error) {
+func Run(ctx context.Context, sched *Schedule, daemon *Remote) (*Result, error) {
 	prepStart := time.Now()
-	traceKeys, err := platform.Prepare(ctx, sched)
+	traceKeys, err := daemon.Prepare(ctx, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func Run(ctx context.Context, sched *Schedule, platform Platform) (*Result, erro
 		go func(op Op, intended time.Time) {
 			defer wg.Done()
 			defer inFlight.Add(-1)
-			out := platform.Do(ctx, sched, op, traceKeys[op.Kernel])
+			out := daemon.Do(ctx, sched, op, traceKeys[op.Kernel])
 			lat := time.Since(intended)
 			rec.Record(op.Class, out.Class, lat)
 			if out.Class == ErrOK {
@@ -91,7 +90,6 @@ func Run(ctx context.Context, sched *Schedule, platform Platform) (*Result, erro
 
 	res := &Result{
 		Spec:           sched.Spec.Name,
-		Platform:       platform.Name(),
 		Seed:           sched.Spec.Seed,
 		Fingerprint:    sched.Fingerprint(),
 		Requests:       len(sched.Ops),
@@ -111,12 +109,11 @@ func Run(ctx context.Context, sched *Schedule, platform Platform) (*Result, erro
 
 // BenchRows flattens the result into the committed BENCH_load.json
 // shape: a flat name -> figures map in the same spirit as the other
-// BENCH_*.json trajectory files, keyed
-// "Load/<spec>/<platform>/<class>".
+// BENCH_*.json trajectory files, keyed "Load/<spec>/<class>".
 func (r *Result) BenchRows() map[string]BenchRow {
 	rows := map[string]BenchRow{}
 	add := func(cr ClassReport) {
-		key := fmt.Sprintf("Load/%s/%s/%s", r.Spec, r.Platform, cr.Class)
+		key := fmt.Sprintf("Load/%s/%s", r.Spec, cr.Class)
 		rows[key] = BenchRow{
 			Requests: cr.Total,
 			OK:       cr.OKCount,

@@ -13,14 +13,15 @@
 // clock), so the same spec + seed reproduces the identical request
 // sequence byte-for-byte — Schedule.Fingerprint pins that.
 //
-// A Platform adapter seam lets one spec drive an in-process
-// service.Pool, a remote jrpmd over HTTP, or anything else that can
-// execute the four operation classes. See cmd/jrpmbench.
+// Every run drives a jrpmd's HTTP API through Remote, so a latency
+// includes the transport and JSON stages every client pays. See
+// cmd/jrpmbench.
 package loadgen
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -121,31 +122,53 @@ func LoadSpec(path string) (*Spec, error) {
 	return &s, nil
 }
 
+// maxOps bounds the requests one schedule holds: rate_per_sec times
+// duration, summed over ramp steps. Build materializes every request
+// before the run starts.
+const maxOps = 1 << 20
+
+// maxDurationMs is the longest schedule a time.Duration can span.
+const maxDurationMs = math.MaxInt64 / int64(time.Millisecond)
+
 // Validate checks the spec for the mistakes that would otherwise
-// surface as a confusing empty run.
+// surface as a confusing empty run, and bounds the schedule Build makes.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("spec needs a name")
 	}
+	steps := s.Arrival.Steps
 	switch s.Arrival.Process {
 	case "constant", "poisson":
-		if s.Arrival.RatePerSec <= 0 {
+		if !(s.Arrival.RatePerSec > 0) {
 			return fmt.Errorf("arrival.rate_per_sec must be > 0")
 		}
 		if s.Arrival.DurationMs <= 0 {
 			return fmt.Errorf("arrival.duration_ms must be > 0")
 		}
+		steps = []RampStep{{RatePerSec: s.Arrival.RatePerSec, DurationMs: s.Arrival.DurationMs}}
 	case "ramp":
-		if len(s.Arrival.Steps) == 0 {
+		if len(steps) == 0 {
 			return fmt.Errorf("ramp arrival needs steps")
 		}
-		for i, st := range s.Arrival.Steps {
-			if st.RatePerSec <= 0 || st.DurationMs <= 0 {
+		for i, st := range steps {
+			if !(st.RatePerSec > 0) || st.DurationMs <= 0 {
 				return fmt.Errorf("ramp step %d: rate_per_sec and duration_ms must be > 0", i)
 			}
 		}
 	default:
 		return fmt.Errorf("arrival.process %q: want constant, poisson, or ramp", s.Arrival.Process)
+	}
+	var ms int64
+	var ops float64
+	for _, st := range steps {
+		if st.DurationMs > maxDurationMs-ms {
+			return fmt.Errorf("arrival: duration_ms adds up past %d", maxDurationMs)
+		}
+		ms += st.DurationMs
+		ops += st.RatePerSec * float64(st.DurationMs) / 1e3
+	}
+	if !(ops <= maxOps) {
+		return fmt.Errorf("arrival: rate_per_sec x duration_ms schedules %.4g requests, over %d", ops, maxOps)
 	}
 	m := s.Mix
 	if m.Cold < 0 || m.Warm < 0 || m.Replay < 0 || m.Session < 0 {

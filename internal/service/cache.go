@@ -1,12 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 
 	"jrpm"
 )
@@ -30,60 +28,57 @@ func CacheKey(src string, opts jrpm.Options) string {
 // CacheKey. Values are *jrpm.Compiled, which are read-only after
 // construction (see tir.Program), so a cached artifact is handed out to
 // concurrent workers without copying.
-type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
+type Cache struct{ c *lru[string, *cacheEntry] }
 
 type cacheEntry struct {
 	key string
 	val *jrpm.Compiled
 }
 
+func (e *cacheEntry) cacheKey() string { return e.key }
+
 // NewCache creates a cache holding at most max artifacts; max <= 0
 // disables caching (every Get misses).
-func NewCache(max int) *Cache {
-	return &Cache{max: max, ll: list.New(), items: map[string]*list.Element{}}
-}
+func NewCache(max int) *Cache { return &Cache{newLRU[string, *cacheEntry](int64(max))} }
 
 // Get returns the artifact for key and refreshes its recency.
 func (c *Cache) Get(key string) (*jrpm.Compiled, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.c.get(key)
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return e.val, true
 }
 
-// Put inserts or refreshes an artifact, evicting the least recently used
-// entry when over capacity.
+// Put inserts an artifact, evicting the least recently used entry when
+// over capacity. An artifact already cached under key stays and is
+// refreshed: compilation is deterministic, so both are the same program.
 func (c *Cache) Put(key string, val *jrpm.Compiled) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+	if _, ok := c.c.get(key); !ok {
+		c.c.put(&cacheEntry{key: key, val: val}, 1, keepStored)
 	}
 }
 
 // Len returns the number of cached artifacts.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	n, _ := c.c.size()
+	return n
+}
+
+// Compile returns src compiled under opts through the artifact cache,
+// compiling and storing it on a miss; hit reports a cache hit. Jobs,
+// sessions and the cluster worker's shards all compile here, so every
+// compile counts in the artifact-cache hit and miss counters.
+func (p *Pool) Compile(src string, opts jrpm.Options) (c *jrpm.Compiled, hit bool, err error) {
+	key := CacheKey(src, opts)
+	if c, ok := p.cache.Get(key); ok {
+		p.metrics.CacheHits.Add(1)
+		return c, true, nil
+	}
+	p.metrics.CacheMisses.Add(1)
+	if c, err = jrpm.Compile(src, opts); err != nil {
+		return nil, false, err
+	}
+	p.cache.Put(key, c)
+	return c, false, nil
 }

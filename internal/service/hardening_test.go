@@ -98,53 +98,81 @@ func TestTenantFairness(t *testing.T) {
 	}
 }
 
-// TestAdmissionHighWater: once the backlog crosses the high-water mark
-// the pool sheds fast with ErrAdmission (HTTP 429 + Retry-After)
-// instead of queueing to the hard capacity.
-func TestAdmissionHighWater(t *testing.T) {
-	pool := NewPool(Config{Workers: 1, QueueDepth: 10, AdmitHighWater: 0.5})
-	defer pool.Stop()
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	pool.testHook = func(*Job) {
-		started <- struct{}{}
-		<-release
-	}
-	defer close(release)
-
-	if _, err := pool.Submit(Request{Workload: "Huffman", Scale: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	// Mark is 5 jobs: five queue, the sixth sheds.
-	for i := 0; i < 5; i++ {
-		if _, err := pool.Submit(Request{Workload: "Huffman", Scale: 0.2}); err != nil {
-			t.Fatalf("submit %d below the mark: %v", i, err)
+// TestCancelKeepsOneTokenPerJob: canceling a queued job while workers
+// hold every ready token leaves the token owed, so the queue never holds
+// more tokens than jobs (admit's send cannot block) and every queued
+// job is still popped.
+func TestCancelKeepsOneTokenPerJob(t *testing.T) {
+	q := newTenantQueue(2, 0, 0)
+	check := func(step string) {
+		t.Helper()
+		if len(q.ready) > q.size {
+			t.Fatalf("%s: %d tokens for %d queued jobs", step, len(q.ready), q.size)
 		}
 	}
-	if _, err := pool.Submit(Request{Workload: "Huffman", Scale: 0.2}); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("submit past the mark: err=%v, want ErrAdmission", err)
+	j1, j2 := &Job{ID: "j1", Tenant: "a"}, &Job{ID: "j2", Tenant: "b"}
+	for _, j := range []*Job{j1, j2} {
+		if err := q.admit(j, time.Now()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := pool.Metrics().AdmissionShed.Load(); n != 1 {
-		t.Errorf("admission_shed=%d, want 1", n)
-	}
-	if n := pool.Metrics().JobsRejected.Load(); n != 1 {
-		t.Errorf("jobs_rejected=%d, want 1 (admission sheds count as rejections)", n)
-	}
-
-	srv := httptest.NewServer(NewServer(pool).Handler())
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"Huffman","scale":0.2}`))
-	if err != nil {
+	<-q.ready // two workers take both tokens
+	<-q.ready
+	q.remove(j1)
+	check("cancel with every token held")
+	j3 := &Job{ID: "j3", Tenant: "a"}
+	if err := q.admit(j3, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed submission: HTTP %d, want 429", resp.StatusCode)
+	check("admit after the cancel")
+	got := map[*Job]bool{q.pop(): true, q.pop(): true}
+	if !got[j2] || !got[j3] {
+		t.Fatalf("the two token holders popped %v, want j2 and j3", got)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 response missing Retry-After")
+	for i := 0; i < 2; i++ {
+		if err := q.admit(&Job{Tenant: "c"}, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		check("refill")
+	}
+}
+
+// TestCancelQueuedConcurrent: submits and cancels racing the workers
+// leave no job queued, none live and no token over the queued jobs.
+// CI runs it under the race detector.
+func TestCancelQueuedConcurrent(t *testing.T) {
+	pool := NewPool(Config{Workers: 2, QueueDepth: 4})
+	defer pool.Stop()
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var jobs []*Job
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				j, err := pool.Submit(Request{Workload: "BitOps", Scale: 0.05})
+				if err != nil {
+					continue // queue full
+				}
+				if i%2 == 0 {
+					pool.Cancel(j.ID) //nolint:errcheck // the job may have finished
+				}
+				mu.Lock()
+				jobs = append(jobs, j)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, j := range jobs {
+		mustWait(t, j)
+	}
+	q := pool.queue
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.size != 0 || len(q.ready) > q.size || pool.Active() != 0 {
+		t.Fatalf("after every job ended: %d queued, %d tokens, %d live", q.size, len(q.ready), pool.Active())
 	}
 }
 

@@ -148,13 +148,13 @@ func TestInputMemoBound(t *testing.T) {
 	m.get(huff, 0.2) // most recently used: 0.2, then 0.21
 	m.get(huff, 0.19)
 	s := m.snapshot()
-	if s.Count != 2 || s.Bytes > m.maxBytes {
-		t.Fatalf("after three inputs: %+v, want 2 entries within %d bytes", s, m.maxBytes)
+	if s.Count != 2 || s.Bytes > m.c.max {
+		t.Fatalf("after three inputs: %+v, want 2 entries within %d bytes", s, m.c.max)
 	}
-	if _, ok := m.items[inputKey{huff.Meta.Name, 0.21}]; ok {
+	if _, ok := m.c.items[inputKey{huff.Meta.Name, 0.21}]; ok {
 		t.Error("the least recently used input was kept, want it evicted")
 	}
-	if _, ok := m.items[inputKey{huff.Meta.Name, 0.2}]; !ok {
+	if _, ok := m.c.items[inputKey{huff.Meta.Name, 0.2}]; !ok {
 		t.Error("the recently used input was evicted")
 	}
 
@@ -162,8 +162,8 @@ func TestInputMemoBound(t *testing.T) {
 	if !reflect.DeepEqual(big, lu.NewInput(4)) {
 		t.Fatal("an input over the bound differs from a fresh one")
 	}
-	if inputBytes(big) <= m.maxBytes {
-		t.Fatalf("LuFactor at scale 4 takes %d bytes, within the %d-byte bound", inputBytes(big), m.maxBytes)
+	if inputBytes(big) <= m.c.max {
+		t.Fatalf("LuFactor at scale 4 takes %d bytes, within the %d-byte bound", inputBytes(big), m.c.max)
 	}
 	if after := m.snapshot(); after.Count != s.Count || after.Bytes != s.Bytes {
 		t.Errorf("memo after an input over its bound: %+v, want it unchanged from %+v", after, s)

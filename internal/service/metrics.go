@@ -66,10 +66,9 @@ type Metrics struct {
 	JobsCanceled  *telemetry.Counter
 
 	// Load-shed and saturation counters. JobsRejected is the umbrella
-	// (every 429); AdmissionShed and QuotaShed classify the cause, and
+	// (every 429); QuotaShed counts the ones a tenant's quota caused, and
 	// DeadlineExpired / DrainFailed count jobs that were accepted but
 	// failed before (or instead of) doing useful work.
-	AdmissionShed   *telemetry.Counter // shed at the admission high-water mark
 	QuotaShed       *telemetry.Counter // shed by a tenant token bucket
 	DeadlineExpired *telemetry.Counter // request deadline passed (queued or running)
 	DrainFailed     *telemetry.Counter // queued jobs failed by shutdown (ErrServerDraining)
@@ -93,7 +92,6 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		JobsFailed:      reg.Counter("jrpmd_jobs_failed_total", "Jobs that ended in error."),
 		JobsRejected:    reg.Counter("jrpmd_jobs_rejected_total", "Submissions refused because the queue was full."),
 		JobsCanceled:    reg.Counter("jrpmd_jobs_canceled_total", "Jobs canceled before or during execution."),
-		AdmissionShed:   reg.Counter("jrpmd_admission_shed_total", "Submissions shed at the queue's admission high-water mark."),
 		QuotaShed:       reg.Counter("jrpmd_quota_shed_total", "Submissions shed by per-tenant token-bucket quotas."),
 		DeadlineExpired: reg.Counter("jrpmd_deadline_expired_total", "Jobs failed because their request deadline passed."),
 		DrainFailed:     reg.Counter("jrpmd_drain_failed_total", "Queued jobs failed by shutdown before starting (ErrServerDraining)."),
@@ -191,7 +189,6 @@ type MetricsSnapshot struct {
 // SheddingSnapshot is the "shedding" section of GET /v1/metrics: how
 // the daemon degraded under load instead of queueing without bound.
 type SheddingSnapshot struct {
-	AdmissionShed   int64 `json:"admission_shed"`
 	QuotaShed       int64 `json:"quota_shed"`
 	DeadlineExpired int64 `json:"deadline_expired"`
 	DrainFailed     int64 `json:"drain_failed"`
@@ -232,7 +229,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		QueueWait:       m.QueueWait.Snapshot(),
 		RunTime:         m.RunTime.Snapshot(),
 		Shedding: SheddingSnapshot{
-			AdmissionShed:   m.AdmissionShed.Load(),
 			QuotaShed:       m.QuotaShed.Load(),
 			DeadlineExpired: m.DeadlineExpired.Load(),
 			DrainFailed:     m.DrainFailed.Load(),

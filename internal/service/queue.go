@@ -59,11 +59,6 @@ type Config struct {
 	// MaxSessions bounds concurrently running adaptive sessions
 	// (POST /v1/sessions); <= 0 means session.DefaultMaxSessions.
 	MaxSessions int
-	// AdmitHighWater is the admission-control mark as a fraction of
-	// QueueDepth in (0, 1]: once the backlog reaches it, submissions are
-	// shed fast with 429 + Retry-After rather than queued. <= 0 or > 1
-	// disables shedding below queue-full (mark = QueueDepth).
-	AdmitHighWater float64
 	// TenantRate and TenantBurst configure the per-tenant token-bucket
 	// quota (jobs/second and burst capacity), keyed on the X-JRPM-Tenant
 	// header. TenantRate <= 0 disables quotas; TenantBurst <= 0 with a
@@ -101,18 +96,6 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
-}
-
-// admitMark resolves the admission high-water fraction to a job count.
-func (c Config) admitMark() int {
-	if c.AdmitHighWater <= 0 || c.AdmitHighWater > 1 {
-		return c.QueueDepth
-	}
-	mark := int(float64(c.QueueDepth) * c.AdmitHighWater)
-	if mark < 1 {
-		mark = 1
-	}
-	return mark
 }
 
 // retainFinished bounds the terminal jobs a pool keeps for GET
@@ -168,7 +151,7 @@ func NewPool(cfg Config) *Pool {
 		inputs:   newInputMemo(inputMemoBytes),
 		sessions: session.NewManager(cfg.MaxSessions, smetrics, nil),
 		smetrics: smetrics,
-		queue:    newTenantQueue(cfg.QueueDepth, cfg.admitMark(), cfg.TenantRate, cfg.TenantBurst),
+		queue:    newTenantQueue(cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
 	}
 	p.registerPoolGauges(reg)
 	p.ctx, p.cancel = context.WithCancel(context.Background())
@@ -261,16 +244,10 @@ func (p *Pool) SubmitCtx(ctx context.Context, req Request) (*Job, error) {
 		done:        make(chan struct{}),
 	}
 	if err := p.queue.admit(job, now); err != nil {
-		switch {
-		case errors.Is(err, ErrAdmission):
-			p.metrics.AdmissionShed.Add(1)
-			p.metrics.JobsRejected.Add(1)
-		case errors.Is(err, ErrQueueFull):
-			p.metrics.JobsRejected.Add(1)
-		default: // *QuotaError
+		if !errors.Is(err, ErrQueueFull) { // *QuotaError
 			p.metrics.QuotaShed.Add(1)
-			p.metrics.JobsRejected.Add(1)
 		}
+		p.metrics.JobsRejected.Add(1)
 		return nil, err
 	}
 	p.jobs.Store(job.ID, job)
@@ -310,14 +287,16 @@ func (p *Pool) Cancel(id string) (CancelOutcome, error) {
 	if !ok {
 		return CancelNoop, fmt.Errorf("no job %q", id)
 	}
-	switch out := j.Cancel(); out {
-	case CancelQueued:
+	// On CancelRequested the worker records the cancellation.
+	out := j.Cancel()
+	if out == CancelQueued {
+		// Free its queue slot now; a worker that already took the job
+		// finds it canceled and drops it.
+		p.queue.remove(j)
 		p.metrics.JobsCanceled.Add(1)
 		p.retire(j)
-		return out, nil
-	default:
-		return out, nil // CancelRequested: the worker records the cancellation
 	}
+	return out, nil
 }
 
 // Drain gracefully shuts the pool down: new submissions are refused
@@ -505,17 +484,9 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	}
 	opts := j.Req.options()
 
-	key := CacheKey(src, opts)
-	compiled, hit := p.cache.Get(key)
-	if hit {
-		p.metrics.CacheHits.Add(1)
-	} else {
-		p.metrics.CacheMisses.Add(1)
-		compiled, err = jrpm.Compile(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		p.cache.Put(key, compiled)
+	compiled, hit, err := p.Compile(src, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	// One traced run serves the whole job: a Record job's trace writer

@@ -131,7 +131,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeError(w, http.StatusTooManyRequests, err.Error())
 		return
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrAdmission):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err.Error())
 		return

@@ -425,7 +425,8 @@ func main() {
 	}
 }
 
-// TestQueueFullRejects: the bounded queue sheds load with ErrQueueFull.
+// TestQueueFullRejects: the bounded queue sheds load with ErrQueueFull,
+// which the HTTP layer answers with 429 and Retry-After.
 func TestQueueFullRejects(t *testing.T) {
 	pool := NewPool(Config{Workers: 1, QueueDepth: 1})
 	defer pool.Stop()
@@ -456,11 +457,27 @@ func TestQueueFullRejects(t *testing.T) {
 	if n := pool.Metrics().JobsRejected.Load(); n != 1 {
 		t.Errorf("jobs_rejected=%d, want 1", n)
 	}
+
+	srv := httptest.NewServer(NewServer(pool).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"Huffman","scale":0.2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("shed submission: HTTP %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 response missing Retry-After")
+	}
 }
 
-// TestCancelQueuedAndRunning covers both cancellation paths.
+// TestCancelQueuedAndRunning covers both cancellation paths. A queued
+// job canceled gives its queue slot back at once.
 func TestCancelQueuedAndRunning(t *testing.T) {
-	pool := NewPool(Config{Workers: 1, QueueDepth: 4})
+	pool := NewPool(Config{Workers: 1, QueueDepth: 1})
 	defer pool.Stop()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -486,6 +503,15 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if v := queued.View(); v.State != StateCanceled {
 		t.Fatalf("queued job state=%s, want canceled", v.State)
 	}
+	if n := pool.QueueLength(); n != 0 {
+		t.Errorf("queue length %d after canceling the only queued job, want 0", n)
+	}
+	// Errorf, not Fatalf, until release is closed: the deferred Stop
+	// waits for the blocked worker.
+	next, err := pool.Submit(Request{Workload: "Huffman", Scale: 0.2})
+	if err != nil {
+		t.Errorf("submit into the freed slot: %v", err)
+	}
 
 	// Cancel the running job, then let the hook return: the canceled
 	// context interrupts the pipeline.
@@ -495,6 +521,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	close(release)
 	if v := mustWait(t, running); v.State != StateCanceled {
 		t.Fatalf("running job state=%s error=%q, want canceled", v.State, v.Error)
+	}
+	if next != nil {
+		if v := mustWait(t, next); v.State != StateDone {
+			t.Fatalf("job in the freed slot: state=%s error=%q, want done", v.State, v.Error)
+		}
 	}
 	if n := pool.Metrics().JobsCanceled.Load(); n != 2 {
 		t.Errorf("jobs_canceled=%d, want 2", n)
@@ -522,6 +553,42 @@ func TestCacheLRU(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("len=%d, want 2", c.Len())
+	}
+}
+
+// TestCachePutAllocs: on the one LRU, storing a new artifact allocates
+// its list element (and the artifact cache its entry), storing one
+// already cached allocates nothing, and neither does a memo hit.
+func TestCachePutAllocs(t *testing.T) {
+	keys := make([]string, 100)
+	arts := make([]*TraceArtifact, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprint("k", i)
+		arts[i] = &TraceArtifact{Key: keys[i], Data: make([]byte, 10)}
+	}
+	c, trc, comp := NewCache(8), NewTraceCache(100), &jrpm.Compiled{}
+	i := 0
+	next := func() int { i++; return i % len(keys) }
+	w, err := workloads.ByName("Huffman")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newInputMemo(inputMemoBytes)
+	m.get(w, 0.2)
+	for _, tc := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"Cache.Put new", 2, func() { c.Put(keys[next()], comp) }},
+		{"Cache.Put cached", 0, func() { c.Put(keys[i%len(keys)], comp) }},
+		{"TraceCache.Put new", 1, func() { trc.Put(arts[next()]) }},
+		{"TraceCache.Put cached", 0, func() { trc.Put(arts[i%len(keys)]) }},
+		{"input memo hit", 0, func() { m.get(w, 0.2) }},
+	} {
+		if n := testing.AllocsPerRun(200, tc.op); n > tc.max {
+			t.Errorf("%s: %.1f allocations, want at most %.0f", tc.name, n, tc.max)
+		}
 	}
 }
 
@@ -766,6 +833,51 @@ func TestTraceCacheChargesProgram(t *testing.T) {
 	}
 	if s := c.Snapshot(); s.Count != 1 || s.Bytes != 1000+heap {
 		t.Errorf("count=%d bytes=%d after eviction, want 1/%d", s.Count, s.Bytes, 1000+heap)
+	}
+}
+
+// TestRecordReplacesPushedTrace: when a coordinator has pushed a
+// recording (bytes, no program) and a record job then produces the same
+// bytes, the cache keeps the job's artifact with its program, charged
+// for it, so analyze_trace replays the key the job returned.
+func TestRecordReplacesPushedTrace(t *testing.T) {
+	rec := Request{Workload: "Huffman", Scale: 0.2, Record: true}
+	record := func(pool *Pool) string {
+		t.Helper()
+		j, err := pool.Submit(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := mustWait(t, j)
+		if v.State != StateDone {
+			t.Fatalf("record job: %s %s", v.State, v.Error)
+		}
+		return v.Result.TraceKey
+	}
+	elsewhere := NewPool(Config{Workers: 1})
+	defer elsewhere.Stop()
+	pushed, ok := elsewhere.Traces().Get(record(elsewhere))
+	if !ok {
+		t.Fatal("recorded trace not cached")
+	}
+
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	pool.Traces().Put(&TraceArtifact{Key: pushed.Key, Data: pushed.Data})
+	key := record(pool)
+	if key != pushed.Key {
+		t.Fatalf("record job key %s, want the pushed key %s", key, pushed.Key)
+	}
+	j, err := pool.Submit(Request{AnalyzeTrace: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mustWait(t, j); v.State != StateDone {
+		t.Fatalf("analyze_trace of the record job's key: %s %s", v.State, v.Error)
+	}
+	art, _ := pool.Traces().Get(key)
+	if s := pool.Traces().Snapshot(); art.Compiled == nil || s.Count != 1 || s.Bytes != int64(len(art.Data))+art.Compiled.HeapBytes() {
+		t.Errorf("cache holds %d artifacts, %d bytes, program %v; want 1 artifact charged its bytes and program", s.Count, s.Bytes, art.Compiled != nil)
 	}
 }
 

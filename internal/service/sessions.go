@@ -87,17 +87,9 @@ func (p *Pool) StartSession(req SessionRequest) (*session.Session, error) {
 	// Sessions share the job path's content-addressed artifact cache: an
 	// adaptive session over a program the daemon has already compiled
 	// starts without paying compilation again.
-	key := CacheKey(src, opts)
-	compiled, hit := p.cache.Get(key)
-	if hit {
-		p.metrics.CacheHits.Add(1)
-	} else {
-		p.metrics.CacheMisses.Add(1)
-		compiled, err = jrpm.Compile(src, opts)
-		if err != nil {
-			return nil, err
-		}
-		p.cache.Put(key, compiled)
+	compiled, _, err := p.Compile(src, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	name := req.Workload

@@ -1,9 +1,9 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,12 +21,6 @@ const maxTrackedTenants = 256
 
 // overflowTenant is the shared lane for tenants past maxTrackedTenants.
 const overflowTenant = "!overflow"
-
-// ErrAdmission is returned by Submit when the queue has crossed its
-// admission high-water mark: the daemon sheds the request fast (HTTP
-// 429 + Retry-After) instead of letting the backlog grow to the point
-// where every queued job misses its deadline.
-var ErrAdmission = errors.New("service: load shed: queue past admission high-water mark")
 
 // QuotaError is returned by Submit when the tenant's token bucket is
 // empty; RetryAfter is the time until the bucket refills one token,
@@ -76,7 +70,7 @@ type tenantLane struct {
 
 	submitted int64
 	completed int64
-	shed      int64 // admission + quota rejections charged to this tenant
+	shed      int64 // queue-full + quota rejections charged to this tenant
 }
 
 // tenantQueue is the pool's bounded, multi-tenant job queue. Jobs
@@ -85,38 +79,34 @@ type tenantLane struct {
 // itself — under saturation every active tenant gets an equal share of
 // worker dequeues regardless of offered load.
 //
-// Capacity and the admission high-water mark are global (bytes of
-// backlog are what threaten latency, whoever owns them); quotas are
-// per-tenant token buckets refilled at rate/burst from Config.
+// Capacity is global (backlog is what threatens latency, whoever owns
+// it); quotas are per-tenant token buckets refilled at rate/burst from
+// Config.
 type tenantQueue struct {
 	mu    sync.Mutex
 	lanes map[string]*tenantLane
 	ring  []string // tenants with non-empty FIFOs, dequeue order
 	next  int      // round-robin cursor into ring
 	size  int      // total queued jobs across lanes
+	owed  int      // tokens workers hold for canceled jobs (see remove)
 
-	capacity  int
-	highWater int // admission mark, in jobs; <= capacity
-	rate      float64
-	burst     float64
+	capacity int
+	rate     float64
+	burst    float64
 
-	// ready carries one token per queued job so workers can block on a
-	// channel (select-able against pool shutdown) while the fair-dequeue
-	// choice itself happens under mu at pop time.
+	// ready carries at most one token per queued job so workers can
+	// block on a channel (select-able against pool shutdown) while the
+	// fair-dequeue choice itself happens under mu at pop time.
 	ready chan struct{}
 }
 
-func newTenantQueue(capacity int, highWater int, rate, burst float64) *tenantQueue {
-	if highWater <= 0 || highWater > capacity {
-		highWater = capacity
-	}
+func newTenantQueue(capacity int, rate, burst float64) *tenantQueue {
 	return &tenantQueue{
-		lanes:     make(map[string]*tenantLane),
-		capacity:  capacity,
-		highWater: highWater,
-		rate:      rate,
-		burst:     burst,
-		ready:     make(chan struct{}, capacity),
+		lanes:    make(map[string]*tenantLane),
+		capacity: capacity,
+		rate:     rate,
+		burst:    burst,
+		ready:    make(chan struct{}, capacity),
 	}
 }
 
@@ -141,9 +131,9 @@ func (q *tenantQueue) lane(tenant string) *tenantLane {
 }
 
 // admit runs the submission checks in shed-cheapest-first order —
-// quota (per tenant), then the global admission mark — and enqueues on
-// success. The returned error is ErrAdmission, ErrQueueFull, or a
-// *QuotaError; the caller maps all three to HTTP 429.
+// quota (per tenant), then the global capacity — and enqueues on
+// success. The returned error is ErrQueueFull or a *QuotaError; the
+// caller maps both to HTTP 429.
 func (q *tenantQueue) admit(j *Job, now time.Time) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -156,28 +146,63 @@ func (q *tenantQueue) admit(j *Job, now time.Time) error {
 		l.shed++
 		return ErrQueueFull
 	}
-	if q.size >= q.highWater {
-		l.shed++
-		return ErrAdmission
-	}
 	if len(l.fifo) == 0 {
 		q.ring = append(q.ring, l.name)
 	}
 	l.fifo = append(l.fifo, j)
 	l.submitted++
 	q.size++
-	q.ready <- struct{}{} // cannot block: one token per job, cap == capacity
+	if q.owed > 0 {
+		q.owed-- // a worker already holds this job's token
+	} else {
+		q.ready <- struct{}{} // cannot block: at most one token per job, cap == capacity
+	}
 	return nil
+}
+
+// remove takes a canceled job out of its lane, and one ready token with
+// it. When workers hold every token, one of them will find one job
+// fewer; the token is owed, and the next admit sends none, so the
+// channel never holds more tokens than there are queued jobs. A job a
+// worker has popped is no longer in a lane, and remove leaves the queue
+// alone.
+func (q *tenantQueue) remove(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	l := q.lane(j.Tenant)
+	i := slices.Index(l.fifo, j)
+	if i < 0 {
+		return
+	}
+	l.fifo = slices.Delete(l.fifo, i, i+1)
+	q.size--
+	if len(l.fifo) == 0 {
+		r := slices.Index(q.ring, l.name)
+		q.ring = slices.Delete(q.ring, r, r+1)
+		if r < q.next {
+			q.next--
+		}
+	}
+	select {
+	case <-q.ready:
+	default:
+		q.owed++
+	}
 }
 
 // pop removes and returns the next job by round-robin across tenants
 // with backlog. It must only be called after receiving a token from
-// readyc(); the token guarantees a job is present.
+// readyc(); it returns nil when the token was a canceled job's.
 func (q *tenantQueue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.ring) == 0 {
-		return nil // drained concurrently (shutdown path)
+		// A canceled job's token, or the queue drained concurrently
+		// (shutdown path).
+		if q.owed > 0 {
+			q.owed--
+		}
+		return nil
 	}
 	if q.next >= len(q.ring) {
 		q.next = 0
@@ -216,6 +241,7 @@ func (q *tenantQueue) drain() []*Job {
 	q.ring = nil
 	q.next = 0
 	q.size = 0
+	q.owed = 0
 	for {
 		select {
 		case <-q.ready:

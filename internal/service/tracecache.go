@@ -2,10 +2,8 @@ package service
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
 	"sync/atomic"
 
 	"jrpm"
@@ -22,9 +20,9 @@ type TraceArtifact struct {
 	Data     []byte
 	Compiled *jrpm.Compiled
 	Summary  trace.Summary
-
-	size int64 // bytes charged to the cache, set by Put
 }
+
+func (a *TraceArtifact) cacheKey() string { return a.Key }
 
 // TraceKeyOf returns the content address of a recorded trace.
 func TraceKeyOf(data []byte) string {
@@ -39,11 +37,7 @@ func TraceKeyOf(data []byte) string {
 // 40 KB, and traces range over orders of magnitude, so counting entries
 // would be the wrong unit. Hit/miss/byte counters feed GET /v1/metrics.
 type TraceCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	curBytes int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	c *lru[string, *TraceArtifact]
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -52,21 +46,18 @@ type TraceCache struct {
 // NewTraceCache creates a cache holding at most maxBytes of trace data;
 // maxBytes <= 0 disables caching (every Get misses, Put drops).
 func NewTraceCache(maxBytes int64) *TraceCache {
-	return &TraceCache{maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
+	return &TraceCache{c: newLRU[string, *TraceArtifact](maxBytes)}
 }
 
 // Get returns the artifact for key and refreshes its recency.
 func (c *TraceCache) Get(key string) (*TraceArtifact, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	a, ok := c.c.get(key)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		c.misses.Add(1)
-		return nil, false
 	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*TraceArtifact), true
+	return a, ok
 }
 
 // Put stores an artifact under its content address and returns the key.
@@ -74,37 +65,23 @@ func (c *TraceCache) Get(key string) (*TraceArtifact, bool) {
 // everything and then be evicted itself on the next Put). A stored Data
 // with more spare capacity than allocator rounding leaves — a
 // bytes.Buffer doubled as the trace was written — is copied to its
-// length first, so the cache pins only what it charges.
+// length first, so the cache pins only what it charges. The same bytes
+// stored again keep the stored artifact, unless that one has no program
+// (it was pushed over PUT /v1/traces) and the new one has: then the new
+// one replaces it, so analyze_trace can replay the key a record job
+// returns.
 func (c *TraceCache) Put(a *TraceArtifact) string {
 	if a.Key == "" {
 		a.Key = TraceKeyOf(a.Data)
 	}
-	a.size = int64(len(a.Data))
+	size := int64(len(a.Data))
 	if a.Compiled != nil {
-		a.size += a.Compiled.HeapBytes()
+		size += a.Compiled.HeapBytes()
 	}
-	if c.maxBytes <= 0 || a.size > c.maxBytes {
-		return a.Key
-	}
-	if cap(a.Data)-len(a.Data) > len(a.Data)/8 {
+	if cap(a.Data)-len(a.Data) > len(a.Data)/8 && size <= c.c.max {
 		a.Data = bytes.Clone(a.Data)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[a.Key]; ok {
-		// Same content address, same bytes: just refresh recency.
-		c.ll.MoveToFront(el)
-		return a.Key
-	}
-	c.items[a.Key] = c.ll.PushFront(a)
-	c.curBytes += a.size
-	for c.curBytes > c.maxBytes {
-		oldest := c.ll.Back()
-		victim := oldest.Value.(*TraceArtifact)
-		c.ll.Remove(oldest)
-		delete(c.items, victim.Key)
-		c.curBytes -= victim.size
-	}
+	c.c.put(a, size, func(old *TraceArtifact) bool { return old.Compiled != nil || a.Compiled == nil })
 	return a.Key
 }
 
@@ -120,13 +97,11 @@ type TraceCacheSnapshot struct {
 
 // Snapshot reports size and hit-rate stats.
 func (c *TraceCache) Snapshot() TraceCacheSnapshot {
-	c.mu.Lock()
-	count, bytes := c.ll.Len(), c.curBytes
-	c.mu.Unlock()
+	count, bytes := c.c.size()
 	s := TraceCacheSnapshot{
 		Count:    count,
 		Bytes:    bytes,
-		MaxBytes: c.maxBytes,
+		MaxBytes: c.c.max,
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),
 	}

@@ -124,17 +124,20 @@ func TestPoolSpeculateAllocsPerJob(t *testing.T) {
 // TestProfileRecordAllocsPerJob gates what one cold record job — a
 // jrpm.Compile and a Compiled.ProfileRecord into a bytes.Buffer, the
 // daemon's ingest path — allocates for a fixed default-corpus program
-// once the job's scratch is warm: the token slice, the program-hash
-// buffer, the VM's event batch and the trace writer's staging buffer
-// come from their free lists. Garbage collection is off while it
-// measures, as in TestRunAllocsPerJob. On a 2-vCPU x86-64 VM a job made
-// 497 allocations of 0.11 MB; before that scratch was reused, 680 of
-// 0.22 MB.
+// once the job's scratch is warm: the token slice, the code generator's
+// blocks, the scalar analyzer's files, the annotation plan, the
+// program-hash buffer, the VM's event batch and the trace writer's
+// staging buffer come from their free lists, and each compiled function
+// is allocated once at its final size. Garbage collection is off while
+// it measures, as in TestRunAllocsPerJob. On a 2-vCPU x86-64 VM a job
+// made 373 allocations of 58 KB; while code generation grew each block
+// by append and the analyzer and the plan were allocated afresh, 486 of
+// 80 KB; before any scratch was reused, 680 of 0.22 MB.
 func TestProfileRecordAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	const maxAllocs, maxBytes = 540, 136 << 10
+	const maxAllocs, maxBytes = 410, 63 << 10
 	_, progs, err := corpus.Compile(corpus.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +173,53 @@ func TestProfileRecordAllocsPerJob(t *testing.T) {
 	}
 	if perJob > maxBytes {
 		t.Errorf("%d bytes allocated per job, want at most %d", perJob, maxBytes)
+	}
+}
+
+// TestCompileAllocsPerProgram gates what one jrpm.Compile of a fixed
+// default-corpus program allocates once the front end's scratch is warm:
+// the tokens, the code generator's blocks, the scalar analyzer's files
+// and the annotation plan come from free lists, and each function of the
+// clean program, its annotated clone and the trampolines are allocated
+// once, at their final size. Garbage collection is off while it
+// measures, as in TestRunAllocsPerJob. On a 2-vCPU x86-64 VM a compile
+// made 327 allocations of 43 KB; while code generation grew each block
+// by append and the analyzer and the plan were allocated afresh, 440 of
+// 65 KB.
+func TestCompileAllocsPerProgram(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const maxAllocs, maxBytes = 360, 47 << 10
+	_, progs, err := corpus.Compile(corpus.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := progs[wireCorpusPin.index].Source
+	opts := jrpm.DefaultOptions()
+	compile := func() {
+		if _, err := jrpm.Compile(src, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	compile() // fill the free lists with the compile's scratch
+	allocs := testing.AllocsPerRun(10, compile)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	perProgram := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Compile (corpus program %d): %.0f allocations, %d bytes per program", wireCorpusPin.index, allocs, perProgram)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations per program, want at most %d", allocs, maxAllocs)
+	}
+	if perProgram > maxBytes {
+		t.Errorf("%d bytes allocated per program, want at most %d", perProgram, maxBytes)
 	}
 }
 

@@ -8,9 +8,11 @@
 package annotate
 
 import (
+	"slices"
 	"sort"
 
 	"jrpm/internal/cfg"
+	"jrpm/internal/freelist"
 	"jrpm/internal/scalar"
 	"jrpm/internal/tir"
 )
@@ -150,83 +152,81 @@ func applyFunc(prog *tir.Program, fi int, f *tir.Function, opts Options) (int, e
 		sort.Sort(sort.Reverse(sort.IntSlice(ids)))
 	}
 
-	// candidateLoopsOf returns the candidate loops containing block b,
-	// innermost first.
-	candidateLoopsOf := func(b int) []*loopRec {
-		var out []*loopRec
-		for i := len(recs) - 1; i >= 0; i-- {
-			if recs[i].info.Candidate && recs[i].l.Contains(b) {
-				out = append(out, recs[i])
-			}
-		}
-		return out
-	}
-
-	inserted := 0
-
 	// Plan edge rewrites against the original CFG: for each edge u->v that
-	// exits, re-enters (back edge) or enters candidate loops, splice in a
-	// trampoline block carrying eloop/eoi/readstats/sloop instructions.
-	type edge struct{ from, to int }
-	plans := map[edge][]tir.Instr{}
-	var planOrder []edge // splice order must not depend on map iteration
-	addPlan := func(u, v int, ins ...tir.Instr) {
-		e := edge{u, v}
-		if _, ok := plans[e]; !ok {
-			planOrder = append(planOrder, e)
-		}
-		plans[e] = append(plans[e], ins...)
-		inserted += len(ins)
-	}
+	// exits, re-enters (back edge) or enters candidate loops, a trampoline
+	// block carrying eloop/eoi/readstats/sloop instructions is spliced in.
+	// The chains are planned into scratch, and then every trampoline is
+	// allocated once, at its final length with its closing Br.
+	ps := plans.Get()
+	defer ps.release()
+	chains, splices := ps.chains[:0], ps.splices[:0]
+	inserted := 0
 	for u := range f.Blocks {
+		line := 0
+		if t := f.Blocks[u].Terminator(); t != nil {
+			line = t.Line
+		}
 		for _, v := range f.Blocks[u].Targets {
-			var chain []tir.Instr
-			line := 0
-			if t := f.Blocks[u].Terminator(); t != nil {
-				line = t.Line
-			}
-			// Loops exited: contain u but not v; innermost first.
-			for _, r := range candidateLoopsOf(u) {
-				if r.l.Contains(v) {
+			start := len(chains)
+			// Loops exited: candidates containing u but not v; innermost
+			// first.
+			for i := len(recs) - 1; i >= 0; i-- {
+				r := recs[i]
+				if !r.info.Candidate || !r.l.Contains(u) || r.l.Contains(v) {
 					continue
 				}
-				chain = append(chain, tir.Instr{Op: tir.OpELoop, Loop: r.id, Imm: int64(r.info.NumLocals), Line: line})
+				chains = append(chains, tir.Instr{Op: tir.OpELoop, Loop: r.id, Imm: int64(r.info.NumLocals), Line: line})
 				if opts.ReadStats {
 					for _, id := range readsHere[r.id] {
-						chain = append(chain, tir.Instr{Op: tir.OpReadStats, Loop: id, Line: line})
+						chains = append(chains, tir.Instr{Op: tir.OpReadStats, Loop: id, Line: line})
 					}
 				}
 			}
 			// Back edge: v is the header of a candidate loop containing u.
 			for _, r := range recs {
 				if r.info.Candidate && r.l.Header == v && r.l.Contains(u) {
-					chain = append(chain, tir.Instr{Op: tir.OpEOI, Loop: r.id, Line: line})
+					chains = append(chains, tir.Instr{Op: tir.OpEOI, Loop: r.id, Line: line})
 				}
 			}
 			// Loop entered: v is the header of a candidate loop not
 			// containing u.
 			for _, r := range recs {
 				if r.info.Candidate && r.l.Header == v && !r.l.Contains(u) {
-					chain = append(chain, tir.Instr{Op: tir.OpSLoop, Loop: r.id, Imm: int64(r.info.NumLocals), Line: line})
+					chains = append(chains, tir.Instr{Op: tir.OpSLoop, Loop: r.id, Imm: int64(r.info.NumLocals), Line: line})
 				}
 			}
-			if len(chain) > 0 {
-				addPlan(u, v, chain...)
+			if len(chains) == start {
+				continue
+			}
+			inserted += len(chains) - start
+			// Each distinct (u,v) pair gets one trampoline; parallel
+			// identical edges (a BrIf with equal targets) share it, with
+			// the chain once per edge. A block has at most two targets,
+			// so a repeated edge is the one planned just before.
+			if n := len(splices); n > 0 && splices[n-1].from == u && splices[n-1].to == v {
+				splices[n-1].end = len(chains)
+			} else {
+				splices = append(splices, splice{from: u, to: v, start: start, end: len(chains)})
 			}
 		}
 	}
+	ps.chains, ps.splices = chains, splices
 
-	// Apply the planned splices. Each distinct (u,v) pair gets one
-	// trampoline; parallel identical edges (u->v twice, e.g. a BrIf with
-	// equal targets) share it, which is semantically identical.
-	for _, e := range planOrder {
-		chain := plans[e]
+	// Apply the planned splices, all trampolines' instructions and
+	// targets carved out of one exact-size array each.
+	instrs := make([]tir.Instr, 0, len(chains)+len(splices))
+	targets := make([]int, len(splices))
+	f.Blocks = slices.Grow(f.Blocks, len(splices))
+	for i, sp := range splices {
+		n := len(instrs)
+		instrs = append(instrs, chains[sp.start:sp.end]...)
+		instrs = append(instrs, tir.Instr{Op: tir.OpBr, Line: chains[sp.end-1].Line})
+		targets[i] = sp.to
 		nb := len(f.Blocks)
-		chain = append(chain, tir.Instr{Op: tir.OpBr, Line: chain[len(chain)-1].Line})
-		f.Blocks = append(f.Blocks, tir.Block{Instrs: chain, Targets: []int{e.to}, Trampoline: true})
-		for ti, t := range f.Blocks[e.from].Targets {
-			if t == e.to {
-				f.Blocks[e.from].Targets[ti] = nb
+		f.Blocks = append(f.Blocks, tir.Block{Instrs: instrs[n:len(instrs):len(instrs)], Targets: targets[i : i+1 : i+1], Trampoline: true})
+		for ti, t := range f.Blocks[sp.from].Targets {
+			if t == sp.to {
+				f.Blocks[sp.from].Targets[ti] = nb
 			}
 		}
 	}
@@ -236,6 +236,31 @@ func applyFunc(prog *tir.Program, fi int, f *tir.Function, opts Options) (int, e
 		inserted += insertLocalAnnotations(f, recs, opts.OptimizedLocals)
 	}
 	return inserted, nil
+}
+
+// splice is one planned trampoline: the edge it goes on and its chain,
+// chains[start:end] of the plan scratch.
+type splice struct{ from, to, start, end int }
+
+// planScratch is applyFunc's reusable plan: every edge's chain of
+// annotating instructions, back to back, and the trampolines to splice.
+type planScratch struct {
+	chains  []tir.Instr
+	splices []splice
+}
+
+// plans holds idle plan scratch.
+var plans freelist.List[planScratch]
+
+// planKeep bounds the chain instructions an idle planScratch may keep
+// (about 100 bytes each); one grown by an unusually large function is
+// left to the collector.
+const planKeep = 1 << 12
+
+func (ps *planScratch) release() {
+	if cap(ps.chains) <= planKeep {
+		plans.Put(ps)
+	}
 }
 
 // slotClasses lists sc's class for each slot the loop accesses, in

@@ -3,6 +3,7 @@ package lang
 import (
 	"fmt"
 
+	"jrpm/internal/freelist"
 	"jrpm/internal/tir"
 )
 
@@ -35,9 +36,13 @@ func Compile(src string) (*tir.Program, error) {
 	return prog, nil
 }
 
-// Gen lowers a checked program to TIR.
+// Gen lowers a checked program to TIR. Each function is generated into
+// reused scratch and copied out once at its final size (genFunc).
 func Gen(c *Checked) (*tir.Program, error) {
+	s := genScratches.Get()
+	defer s.release()
 	prog := &tir.Program{
+		Funcs:     make([]*tir.Function, 0, len(c.Funcs)),
 		FuncIndex: map[string]int{},
 		Globals:   c.Globals,
 		GlobIndex: map[string]int{},
@@ -49,7 +54,7 @@ func Gen(c *Checked) (*tir.Program, error) {
 		prog.FuncIndex[fm.Decl.Name] = i
 	}
 	for _, fm := range c.Funcs {
-		f, err := genFunc(prog, c, fm)
+		f, err := genFunc(s, prog, c, fm)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +63,40 @@ func Gen(c *Checked) (*tir.Program, error) {
 	return prog, nil
 }
 
+// genScratch is Gen's reusable working memory: the blocks of the
+// function being generated, whose instruction and target slices keep
+// their capacity from one function (and one Gen) to the next, the call
+// arguments those instructions point into, and pruneUnreachable's
+// tables.
+type genScratch struct {
+	blocks []tir.Block
+	args   []tir.Reg
+	reach  []bool
+	remap  []int
+	stack  []int
+}
+
+// genScratches holds idle codegen scratch.
+var genScratches freelist.List[genScratch]
+
+// genKeepInstrs bounds the instructions an idle genScratch's blocks may
+// hold (about 100 bytes each); scratch grown by an unusually large
+// function is left to the collector.
+const genKeepInstrs = 1 << 14
+
+// release gives s back to the free list unless it grew past its bound.
+func (s *genScratch) release() {
+	n, all := 0, s.blocks[:cap(s.blocks)]
+	for i := range all {
+		n += cap(all[i].Instrs)
+	}
+	if n <= genKeepInstrs {
+		genScratches.Put(s)
+	}
+}
+
 type fnGen struct {
+	s       *genScratch
 	prog    *tir.Program
 	checked *Checked
 	meta    *FuncMeta
@@ -71,7 +109,9 @@ type fnGen struct {
 	conts   []int
 }
 
-func genFunc(prog *tir.Program, c *Checked, fm *FuncMeta) (*tir.Function, error) {
+// genFunc generates fm's body into s's blocks, drops the unreachable
+// ones, and copies the rest out as the function's blocks.
+func genFunc(s *genScratch, prog *tir.Program, c *Checked, fm *FuncMeta) (*tir.Function, error) {
 	decl := fm.Decl
 	f := &tir.Function{
 		Name:   decl.Name,
@@ -80,7 +120,8 @@ func genFunc(prog *tir.Program, c *Checked, fm *FuncMeta) (*tir.Function, error)
 		Result: decl.Result.Kind(),
 		HasRes: decl.Result != TypeVoid,
 	}
-	g := &fnGen{prog: prog, checked: c, meta: fm, f: f}
+	s.blocks, s.args = s.blocks[:0], s.args[:0]
+	g := &fnGen{s: s, prog: prog, checked: c, meta: fm, f: f}
 	g.newBlock() // entry = b0
 	g.epilog = g.newBlockDetached()
 	if f.HasRes {
@@ -104,7 +145,7 @@ func genFunc(prog *tir.Program, c *Checked, fm *FuncMeta) (*tir.Function, error)
 	}
 	g.sealed = true
 	g.sealDangling(decl.Line)
-	pruneUnreachable(f)
+	f.Blocks = tir.PackBlocks(s.pruneUnreachable())
 	return f, nil
 }
 
@@ -116,16 +157,23 @@ func (g *fnGen) newReg() tir.Reg {
 
 // newBlock appends a block and makes it current.
 func (g *fnGen) newBlock() int {
-	g.f.Blocks = append(g.f.Blocks, tir.Block{})
-	g.cur = len(g.f.Blocks) - 1
+	g.cur = g.newBlockDetached()
 	g.sealed = false
 	return g.cur
 }
 
-// newBlockDetached appends a block without switching to it.
+// newBlockDetached appends a block without switching to it. The block
+// reuses the slices a block at its index had in an earlier function.
 func (g *fnGen) newBlockDetached() int {
-	g.f.Blocks = append(g.f.Blocks, tir.Block{})
-	return len(g.f.Blocks) - 1
+	s := g.s
+	n := len(s.blocks)
+	if n == cap(s.blocks) {
+		s.blocks = append(s.blocks, tir.Block{})
+	}
+	s.blocks = s.blocks[:n+1]
+	b := &s.blocks[n]
+	b.Instrs, b.Targets = b.Instrs[:0], b.Targets[:0]
+	return n
 }
 
 func (g *fnGen) use(b int) {
@@ -139,7 +187,8 @@ func (g *fnGen) emit(in tir.Instr) {
 		// unreachable block so the blocks stay well formed.
 		g.newBlock()
 	}
-	g.f.Blocks[g.cur].Instrs = append(g.f.Blocks[g.cur].Instrs, in)
+	b := &g.s.blocks[g.cur]
+	b.Instrs = append(b.Instrs, in)
 	if tir.IsTerminator(in.Op) {
 		g.sealed = true
 	}
@@ -147,22 +196,24 @@ func (g *fnGen) emit(in tir.Instr) {
 
 func (g *fnGen) br(target, line int) {
 	g.emit(tir.Instr{Op: tir.OpBr, Line: line})
-	g.f.Blocks[g.cur].Targets = []int{target}
+	b := &g.s.blocks[g.cur]
+	b.Targets = append(b.Targets, target)
 }
 
 func (g *fnGen) brIf(cond tir.Reg, t, f, line int) {
 	g.emit(tir.Instr{Op: tir.OpBrIf, A: cond, Line: line})
-	g.f.Blocks[g.cur].Targets = []int{t, f}
+	b := &g.s.blocks[g.cur]
+	b.Targets = append(b.Targets, t, f)
 }
 
 // sealDangling terminates any block codegen left open (all are
 // unreachable) so the function validates before pruning.
 func (g *fnGen) sealDangling(line int) {
-	for bi := range g.f.Blocks {
-		b := &g.f.Blocks[bi]
+	for bi := range g.s.blocks {
+		b := &g.s.blocks[bi]
 		if len(b.Instrs) == 0 || !tir.IsTerminator(b.Instrs[len(b.Instrs)-1].Op) {
 			b.Instrs = append(b.Instrs, tir.Instr{Op: tir.OpBr, Line: line})
-			b.Targets = []int{g.epilog}
+			b.Targets = append(b.Targets, g.epilog)
 		}
 	}
 }
@@ -643,13 +694,23 @@ func (g *fnGen) genCall(x *CallExpr) (tir.Reg, error) {
 		g.emit(tir.Instr{Op: tir.OpNewArr, Dst: r, A: a, Line: x.Line})
 		return r, nil
 	}
-	args := make([]tir.Reg, len(x.Args))
-	for i, a := range x.Args {
+	// The argument registers go to the scratch after every argument is
+	// generated, so a call nested in an argument cannot interleave its
+	// own; PackBlocks copies the window out with the function.
+	var buf [8]tir.Reg
+	regs := buf[:0]
+	for _, a := range x.Args {
 		r, err := g.genExpr(a)
 		if err != nil {
 			return 0, err
 		}
-		args[i] = r
+		regs = append(regs, r)
+	}
+	n := len(g.s.args)
+	g.s.args = append(g.s.args, regs...)
+	args := g.s.args[n:len(g.s.args):len(g.s.args)]
+	if args == nil {
+		args = []tir.Reg{} // a call's Args is never nil, arguments or not
 	}
 	dst := tir.NoReg
 	if x.T != TypeVoid {
@@ -659,36 +720,41 @@ func (g *fnGen) genCall(x *CallExpr) (tir.Reg, error) {
 	return dst, nil
 }
 
-// pruneUnreachable removes blocks unreachable from the entry and renumbers
-// branch targets.
-func pruneUnreachable(f *tir.Function) {
-	reach := make([]bool, len(f.Blocks))
-	stack := []int{0}
+// pruneUnreachable drops the blocks unreachable from the entry and
+// renumbers branch targets, in place: the kept blocks move to the front
+// in their order, swapped with the dropped ones so that every block's
+// slices stay in the scratch for the next function. It returns the kept
+// blocks.
+func (s *genScratch) pruneUnreachable() []tir.Block {
+	blocks := s.blocks
+	s.reach = append(s.reach[:0], make([]bool, len(blocks))...)
+	s.remap = append(s.remap[:0], make([]int, len(blocks))...)
+	reach, remap := s.reach, s.remap
+	stack := append(s.stack[:0], 0)
 	reach[0] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, t := range f.Blocks[b].Targets {
+		for _, t := range blocks[b].Targets {
 			if !reach[t] {
 				reach[t] = true
 				stack = append(stack, t)
 			}
 		}
 	}
-	remap := make([]int, len(f.Blocks))
-	var kept []tir.Block
-	for i := range f.Blocks {
+	s.stack = stack
+	kept := 0
+	for i := range blocks {
 		if reach[i] {
-			remap[i] = len(kept)
-			kept = append(kept, f.Blocks[i])
-		} else {
-			remap[i] = -1
+			remap[i] = kept
+			blocks[kept], blocks[i] = blocks[i], blocks[kept]
+			kept++
 		}
 	}
-	for i := range kept {
-		for j, t := range kept[i].Targets {
-			kept[i].Targets[j] = remap[t]
+	for i := range blocks[:kept] {
+		for j, t := range blocks[i].Targets {
+			blocks[i].Targets[j] = remap[t]
 		}
 	}
-	f.Blocks = kept
+	return blocks[:kept]
 }

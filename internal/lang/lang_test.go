@@ -1,6 +1,8 @@
 package lang_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -291,5 +293,64 @@ func main() {
 	// ~1000 iterations x a handful of instructions each.
 	if vm.Cycles < 4000 || vm.Cycles > 20000 {
 		t.Fatalf("cycles = %d, expected a few thousand", vm.Cycles)
+	}
+}
+
+// TestGenPacksEachFunction: code generation builds each function in
+// reused scratch and copies it out once at its final size. Every block's
+// instructions, targets and call arguments are windows of one backing
+// array per kind with no spare capacity, so appending to one block never
+// writes into its neighbour; and compiling another program, which reuses
+// the scratch, leaves the first program as it was.
+func TestGenPacksEachFunction(t *testing.T) {
+	const src = `
+global a: int[];
+func pick(x: int, y: int): int {
+	if (x < y) { return x; }
+	return y;
+}
+func main() {
+	var i: int = 0;
+	var s: int = 0;
+	while (i < len(a)) {
+		if (a[i] < 0) { break; }
+		s = s + pick(a[i], i) + pick(pick(i, 3), s);
+		i++;
+	}
+	print(s);
+}`
+	prog, err := lang.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tir.DisasmProgram(prog)
+	for _, f := range prog.Funcs {
+		for bi := range f.Blocks {
+			b := &f.Blocks[bi]
+			if len(b.Instrs) != cap(b.Instrs) || len(b.Targets) != cap(b.Targets) {
+				t.Errorf("%s b%d: %d instructions in capacity %d, %d targets in capacity %d",
+					f.Name, bi, len(b.Instrs), cap(b.Instrs), len(b.Targets), cap(b.Targets))
+			}
+			for ii := range b.Instrs {
+				if args := b.Instrs[ii].Args; len(args) != cap(args) {
+					t.Errorf("%s b%d.%d: %d arguments in capacity %d", f.Name, bi, ii, len(args), cap(args))
+				}
+			}
+			if bi+1 < len(f.Blocks) {
+				next := &f.Blocks[bi+1]
+				instrs, targets := slices.Clone(next.Instrs), slices.Clone(next.Targets)
+				_ = append(b.Instrs, tir.Instr{Op: tir.OpNop})
+				_ = append(b.Targets, -1)
+				if !reflect.DeepEqual(next.Instrs, instrs) || !reflect.DeepEqual(next.Targets, targets) {
+					t.Errorf("%s: appending to b%d changed b%d", f.Name, bi, bi+1)
+				}
+			}
+		}
+	}
+	if _, err := lang.Compile(`func main() { var j: int = 7; while (j > 0) { j--; } print(j); }`); err != nil {
+		t.Fatal(err)
+	}
+	if after := tir.DisasmProgram(prog); after != before {
+		t.Errorf("compiling a second program changed the first:\n%s\nwas:\n%s", after, before)
 	}
 }

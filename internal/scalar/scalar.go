@@ -27,6 +27,7 @@ package scalar
 
 import (
 	"jrpm/internal/cfg"
+	"jrpm/internal/freelist"
 	"jrpm/internal/tir"
 )
 
@@ -93,9 +94,10 @@ type slotStats struct {
 	notOnce       bool // some store may run other than once per iteration
 }
 
-// analyzer is the per-call state of Analyze. Its scratch slices are
-// indexed by slot, register (+1, so NoReg is 0), instruction or block,
-// and are reused across the loop's blocks rather than reallocated.
+// analyzer is the state of Analyze. Its scratch slices are indexed by
+// slot, register (+1, so NoReg is 0), instruction or block; an analyzer
+// comes from a free list, so they are reused across the loop's blocks,
+// across loops and across calls rather than reallocated.
 type analyzer struct {
 	f      *tir.Function
 	l      *cfg.Loop
@@ -107,12 +109,41 @@ type analyzer struct {
 
 	// Per-block scratch for analyzeBlock. An entry is live only while
 	// its gen equals the current block's gen, so starting a block
-	// clears them all at once.
+	// clears them all at once. gen only grows, over every block this
+	// analyzer has seen, so entries left by an earlier loop or call are
+	// dead too and nothing is ever cleared.
 	gen  int
 	regs []regState
 	used []int // LdLoc index -> gen in which it fed a self-update
 
 	facts []blockFacts // scratch for definedBeforeUsed
+}
+
+// analyzers holds idle analyzers.
+var analyzers freelist.List[analyzer]
+
+// analyzerKeep bounds the entries an idle analyzer's files may hold,
+// summed over slots, registers, instructions and blocks (up to 72 bytes
+// an entry); one grown by an unusually large function is left to the
+// collector.
+const analyzerKeep = 1 << 14
+
+// release drops a's references to the analyzed function and gives it
+// back to the free list unless its files outgrew analyzerKeep.
+func (a *analyzer) release() {
+	a.f, a.l, a.g, a.forest, a.idom = nil, nil, nil, nil, nil
+	if cap(a.st)+cap(a.regs)+cap(a.used)+cap(a.blocks)+cap(a.facts) <= analyzerKeep {
+		analyzers.Put(a)
+	}
+}
+
+// grow returns s with length n, its old contents kept, reallocating only
+// when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // regState is what analyzeBlock knows about one register.
@@ -142,13 +173,14 @@ type chain struct {
 // Analyze classifies the named locals of loop l in function f. The graph
 // and forest must be the ones l came from.
 func Analyze(f *tir.Function, l *cfg.Loop, g *cfg.Graph, forest *cfg.Forest) *LoopScalars {
-	a := &analyzer{
-		f: f, l: l, g: g, forest: forest,
-		idom: g.Dominators(),
-		st:   make([]slotStats, len(f.Locals)),
-		regs: make([]regState, f.NumRegs+1),
-	}
-	a.blocks = make([]int, 0, len(l.Blocks))
+	a := analyzers.Get()
+	defer a.release()
+	a.f, a.l, a.g, a.forest = f, l, g, forest
+	a.idom = g.Dominators()
+	a.st = grow(a.st[:0], len(f.Locals))
+	clear(a.st)
+	a.regs = grow(a.regs, f.NumRegs+1)
+	a.blocks = a.blocks[:0]
 	for bi := range f.Blocks {
 		if l.Blocks[bi] {
 			a.blocks = append(a.blocks, bi)
@@ -214,9 +246,7 @@ type blockFacts struct {
 // forced undefined, so a value can never be observed across an iteration
 // boundary.
 func (a *analyzer) definedBeforeUsed(slot int) bool {
-	if a.facts == nil {
-		a.facts = make([]blockFacts, len(a.f.Blocks))
-	}
+	a.facts = grow(a.facts, len(a.f.Blocks))
 	// Per-block facts: does the block have a load before any store of the
 	// slot (upward-exposed use), and does it store the slot at all?
 	// Optimistic must-define iteration: defIn true unless proven
@@ -287,9 +317,7 @@ func (a *analyzer) analyzeBlock(bi int) {
 	instrs := a.f.Blocks[bi].Instrs
 	a.gen++
 	gen := a.gen
-	if len(a.used) < len(instrs) {
-		a.used = make([]int, len(instrs))
-	}
+	a.used = grow(a.used, len(instrs))
 	// slotDef returns r's def, if r holds a constant or a LdLoc value
 	// that no store of its slot has since overwritten.
 	slotDef := func(r tir.Reg) (def, bool) {

@@ -372,10 +372,11 @@ func TestAnalyzeRegisterReuse(t *testing.T) {
 }
 
 // TestAnalyzeAllocsIndependentOfBodySize is the scalar analysis's
-// allocation gate: Analyze allocates per loop, slot and register file,
-// never per instruction, so a loop body sixteen times longer (same
-// locals, every class represented) costs the same number of
-// allocations.
+// allocation gate: Analyze allocates per loop and per slot, never per
+// instruction (its register, instruction, slot and block files are
+// scratch kept across loops and calls), so a loop body sixteen times
+// longer (same locals, every class represented) costs the same number
+// of allocations.
 func TestAnalyzeAllocsIndependentOfBodySize(t *testing.T) {
 	allocs := func(reps int) float64 {
 		body := strings.Repeat(`

@@ -459,6 +459,44 @@ func TestScaleValidation(t *testing.T) {
 	}
 }
 
+// TestHugeAllocationFailsJob: a program whose newint asks for more than
+// the VM's heap bound fails its job with the heap fault, whether the job
+// profiles, speculates or records, and the same pool serves the next
+// job. The two 2^30-element arrays wrap a 32-bit size to zero, so the
+// program allocates nothing even where the bound is missing.
+func TestHugeAllocationFailsJob(t *testing.T) {
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	run := func(req Request) JobView {
+		j, err := pool.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	const src = `func main() {
+	var a: int[] = newint(1073741824);
+	var b: int[] = newint(1073741824);
+	print(len(a) + len(b));
+}`
+	for _, req := range []Request{{Source: src}, {Source: src, Speculate: true}, {Source: src, Record: true}} {
+		v := run(req)
+		if v.State != StateFailed || !strings.Contains(v.Error, "exceeds the 134217728-byte heap") {
+			t.Fatalf("speculate=%v record=%v: state=%s error=%q, want failed on the heap bound", req.Speculate, req.Record, v.State, v.Error)
+		}
+	}
+	if v := run(Request{Workload: "Huffman", Scale: 0.2, Record: true}); v.State != StateDone {
+		t.Fatalf("follow-up job: state=%s error=%q", v.State, v.Error)
+	}
+	if n := pool.Metrics().JobsFailed.Load(); n != 3 {
+		t.Errorf("jobs_failed=%d, want 3", n)
+	}
+}
+
 // TestRunawayRecursionFailsJob: a submitted program that recurses
 // without end fails its own job with the VM's call-depth fault, with or
 // without speculation, and the server keeps serving. The recursion used

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"jrpm"
+	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
 	"jrpm/internal/session"
 	"jrpm/internal/telemetry"
@@ -490,12 +491,14 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 	}
 
 	// One traced run serves the whole job: a Record job's trace writer
-	// listens to it, and a speculate job's recorder reads its event log.
+	// listens to it, writing into a reused buffer, and a speculate job's
+	// recorder reads its event log.
 	var buf *bytes.Buffer
 	var tw *trace.Writer
 	var extra []vmsim.Listener
 	if j.Req.Record {
-		buf = new(bytes.Buffer)
+		buf = traceBufs.Get()
+		defer releaseTraceBuf(buf)
 		if tw, err = trace.NewWriter(buf, compiled.TraceHash()); err != nil {
 			return nil, err
 		}
@@ -519,8 +522,13 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 		if err := tw.Finish(sum); err != nil {
 			return nil, err
 		}
-		res.TraceBytes = int64(buf.Len())
-		res.TraceKey = p.traces.Put(&TraceArtifact{Data: buf.Bytes(), Compiled: compiled, Summary: sum})
+		// The artifact gets its own copy at the trace's final size. Put
+		// would keep the reused buffer itself (it copies only a buffer
+		// with much spare capacity), and the next record job would
+		// overwrite the cached trace.
+		data := bytes.Clone(buf.Bytes())
+		res.TraceBytes = int64(len(data))
+		res.TraceKey = p.traces.Put(&TraceArtifact{Data: data, Compiled: compiled, Summary: sum})
 	}
 	if sr != nil {
 		if sr.RecordRuns == 1 { // the event log went over its bound
@@ -529,6 +537,23 @@ func (p *Pool) execute(ctx context.Context, j *Job) (*Result, error) {
 		mergeSpeculation(res, sr)
 	}
 	return res, nil
+}
+
+// traceBufs holds idle trace buffers for record jobs.
+var traceBufs freelist.List[bytes.Buffer]
+
+// traceKeepBytes bounds the trace an idle buffer may keep; a buffer
+// grown by a larger recording is left to the collector. A default-corpus
+// program's recording is about 9 KB.
+const traceKeepBytes = 1 << 20
+
+// releaseTraceBuf empties buf and gives it back to the free list unless
+// it outgrew traceKeepBytes.
+func releaseTraceBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= traceKeepBytes {
+		buf.Reset()
+		traceBufs.Put(buf)
+	}
 }
 
 // analyzeTrace executes the trace-analysis job kind: look up the cached

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -730,6 +731,56 @@ func TestTraceJobs(t *testing.T) {
 	}
 	if miss.State != StateFailed || !strings.Contains(miss.Error, "no cached trace") {
 		t.Errorf("unknown trace key: state=%s err=%q", miss.State, miss.Error)
+	}
+}
+
+// TestBackToBackRecordsKeepTheirTraces: two record jobs on different
+// programs, back to back through a one-worker pool, write their traces
+// into one reused buffer. The first job's cached trace must still hash
+// to its key and replay to the first job's own result. The free list is
+// drained first, so the first job's buffer is new and grows to fit its
+// trace: a buffer TraceCache.Put would keep rather than copy, had the
+// job handed it over.
+func TestBackToBackRecordsKeepTheirTraces(t *testing.T) {
+	for range runtime.GOMAXPROCS(0) + 1 {
+		traceBufs.Get()
+	}
+	pool := NewPool(Config{Workers: 1})
+	defer pool.Stop()
+	run := func(req Request) *Result {
+		t.Helper()
+		j, err := pool.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := j.Wait(context.Background())
+		if err != nil || v.State != StateDone {
+			t.Fatalf("%s job: %s %v %s", req.Workload, v.State, err, v.Error)
+		}
+		return v.Result
+	}
+	first := run(Request{Workload: "Huffman", Scale: 0.1, Record: true})
+	second := run(Request{Workload: "BitOps", Scale: 0.1, Record: true})
+	if first.TraceKey == second.TraceKey {
+		t.Fatal("the two programs recorded the same trace")
+	}
+
+	art, ok := pool.Traces().Get(first.TraceKey)
+	if !ok {
+		t.Fatal("the first recording is not in the trace cache")
+	}
+	if got := TraceKeyOf(art.Data); got != first.TraceKey || int64(len(art.Data)) != first.TraceBytes {
+		t.Fatalf("cached trace hashes to %s (%d bytes), recorded as %s (%d bytes)",
+			got, len(art.Data), first.TraceKey, first.TraceBytes)
+	}
+	r := run(Request{AnalyzeTrace: first.TraceKey})
+	row := r.Sweep[0]
+	if r.CleanCycles != first.CleanCycles || r.TracedCycles != first.TracedCycles ||
+		fmt.Sprint(row.SelectedLoops) != fmt.Sprint(first.SelectedLoops) ||
+		row.PredictedSpeedup != first.PredictedSpeedup {
+		t.Errorf("replay: cycles %d/%d, selected %v, speedup %v; recording job: %d/%d, %v, %v",
+			r.CleanCycles, r.TracedCycles, row.SelectedLoops, row.PredictedSpeedup,
+			first.CleanCycles, first.TracedCycles, first.SelectedLoops, first.PredictedSpeedup)
 	}
 }
 

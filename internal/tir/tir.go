@@ -383,21 +383,34 @@ func (p *Program) Clone() *Program {
 func (f *Function) clone() *Function {
 	g := *f
 	g.Locals = slices.Clone(f.Locals)
-	g.Blocks = make([]Block, len(f.Blocks))
-	nTargets, nArgs := 0, 0
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
+	g.Blocks = PackBlocks(f.Blocks)
+	return &g
+}
+
+// PackBlocks returns a copy of blocks at their final size: every block's
+// instructions are carved out of one exact-size backing array, and so
+// are every call's arguments and every block's targets, each window
+// with its capacity capped so that appending to one block never writes
+// into the next. Empty targets come out nil. Code generation builds a
+// function in reused scratch and copies it out with PackBlocks; Clone
+// copies with it too.
+func PackBlocks(blocks []Block) []Block {
+	out := make([]Block, len(blocks))
+	nInstrs, nTargets, nArgs := 0, 0, 0
+	for bi := range blocks {
+		b := &blocks[bi]
+		nInstrs += len(b.Instrs)
 		nTargets += len(b.Targets)
 		for ii := range b.Instrs {
 			nArgs += len(b.Instrs[ii].Args)
 		}
 	}
-	instrs := make([]Instr, 0, f.NumInstrs())
+	instrs := make([]Instr, 0, nInstrs)
 	targets := make([]int, 0, nTargets)
 	args := make([]Reg, 0, nArgs)
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		nb := &g.Blocks[bi]
+	for bi := range blocks {
+		b := &blocks[bi]
+		nb := &out[bi]
 		*nb = *b
 		n := len(instrs)
 		instrs = append(instrs, b.Instrs...)
@@ -409,11 +422,12 @@ func (f *Function) clone() *Function {
 				nb.Instrs[ii].Args = args[n:len(args):len(args)]
 			}
 		}
-		if b.Targets != nil {
+		nb.Targets = nil
+		if len(b.Targets) > 0 {
 			n := len(targets)
 			targets = append(targets, b.Targets...)
 			nb.Targets = targets[n:len(targets):len(targets)]
 		}
 	}
-	return &g
+	return out
 }

@@ -85,6 +85,38 @@ func TestCallDepthBound(t *testing.T) {
 	}
 }
 
+// wrapSrc allocates two arrays of 2^30 elements. At 4 bytes an element
+// each size wraps a 32-bit byte count to zero, so a heap checked in 32
+// bits grows by nothing and hands both arrays the same base. The program
+// touches neither array, so it allocates nothing on any engine.
+const wrapSrc = `func main() {
+	var a: int[] = newint(1073741824);
+	var b: int[] = newint(1073741824);
+	print(len(a) + len(b));
+}`
+
+// TestHeapBound: an allocation that would take the heap past
+// MaxHeapBytes fails with the same RuntimeError on both engines, at the
+// newint that asks for it, instead of wrapping into an alias of the next
+// array.
+func TestHeapBound(t *testing.T) {
+	want := &vmsim.RuntimeError{
+		Msg:  fmt.Sprintf("vmsim: allocation of %d elements exceeds the %d-byte heap", 1<<30, vmsim.MaxHeapBytes),
+		Func: "main",
+		Line: 2,
+	}
+	fErr, rErr, fOut, rOut, fc, rc := runBoth(t, wrapSrc)
+	if !reflect.DeepEqual(fErr, want) {
+		t.Errorf("fast engine: err = %v (printed %q), want %v", fErr, fOut, want)
+	}
+	if !reflect.DeepEqual(rErr, want) {
+		t.Errorf("reference engine: err = %v (printed %q), want %v", rErr, rOut, want)
+	}
+	if fc != rc {
+		t.Errorf("cycles at the fault: fast %d, ref %d", fc, rc)
+	}
+}
+
 // TestCalleeFrameStartsZeroed: a frame's window reuses stack words an
 // earlier, returned call wrote, so the callee must clear it. JR source
 // always writes a local or register before reading it, so the program

@@ -44,6 +44,7 @@ func FuzzVMDiff(f *testing.F) {
 	}
 	f.Add("func main() { print(1); }")
 	f.Add(runawaySrc)
+	f.Add(wrapSrc)
 	f.Add("global a: int[];\nfunc main() { var i: int = 0; while (i < len(a)) { a[i] = a[i] + i; i++; } }")
 	f.Fuzz(func(t *testing.T, src string) {
 		clean, ann, err := fuzzCompile(src)

@@ -78,17 +78,20 @@ func New(prog *tir.Program) *VM {
 }
 
 // Alloc reserves a line-aligned array of n elements and returns its base
-// address.
+// address, in 64-bit arithmetic up to vmsim.MaxHeapBytes.
 func (vm *VM) Alloc(n int64) (uint32, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("vmsim: negative allocation %d", n)
 	}
+	bytes := (uint64(n)*hydra.WordSize + hydra.LineSize - 1) &^ (hydra.LineSize - 1) // exact once n is in bounds
+	if n > vmsim.MaxHeapBytes || uint64(vm.heapTop)+bytes > vmsim.MaxHeapBytes {
+		return 0, fmt.Errorf("vmsim: allocation of %d elements exceeds the %d-byte heap", n, vmsim.MaxHeapBytes)
+	}
 	base := vm.heapTop
-	bytes := uint32(n) * hydra.WordSize
-	vm.heapTop += (bytes + hydra.LineSize - 1) &^ (hydra.LineSize - 1)
+	vm.heapTop += uint32(bytes)
 	need := int(vm.heapTop / hydra.WordSize)
 	if need > len(vm.Mem) {
-		grown := make([]uint64, need*2)
+		grown := make([]uint64, min(need*2, vmsim.MaxHeapBytes/hydra.WordSize))
 		copy(grown, vm.Mem)
 		vm.Mem = grown
 	}

@@ -148,17 +148,29 @@ func New(prog *tir.Program) *VM {
 	}
 }
 
+// MaxHeapBytes bounds a VM's heap, in the simulated machine's bytes (a
+// 4-byte word per element; Mem holds 8 host bytes per word). An
+// allocation that would take the heap past it faults, identically on
+// both engines, before anything grows: a program's newint must fail its
+// job, not exhaust the process's memory. The largest workload input at
+// the service's largest scale (h263dec at 16) takes 28.5 MB of it.
+const MaxHeapBytes = 1 << 27
+
 // Alloc reserves a line-aligned array of n elements and returns its base
-// address.
+// address. The heap top is computed in 64 bits and checked against
+// MaxHeapBytes first, so no size wraps around the 32-bit address space.
 func (vm *VM) Alloc(n int64) (uint32, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("vmsim: negative allocation %d", n)
 	}
+	if n > MaxHeapBytes || uint64(vm.heapTop)+lineBytes(n) > MaxHeapBytes {
+		return 0, fmt.Errorf("vmsim: allocation of %d elements exceeds the %d-byte heap", n, MaxHeapBytes)
+	}
 	base := vm.heapTop
-	vm.heapTop += lineBytes(n)
+	vm.heapTop += uint32(lineBytes(n))
 	need := int(vm.heapTop / hydra.WordSize)
 	if need > len(vm.Mem) {
-		grown := make([]uint64, need*2)
+		grown := make([]uint64, min(need*2, MaxHeapBytes/hydra.WordSize))
 		copy(grown, vm.Mem)
 		vm.Mem = grown
 	}
@@ -169,8 +181,8 @@ func (vm *VM) Alloc(n int64) (uint32, error) {
 // lineBytes is the heap an array of n elements takes: rounded up to a
 // fresh cache line so arrays never share lines (matches how a JVM heap
 // would lay out largish arrays).
-func lineBytes(n int64) uint32 {
-	return (uint32(n)*hydra.WordSize + hydra.LineSize - 1) &^ (hydra.LineSize - 1)
+func lineBytes(n int64) uint64 {
+	return (uint64(n)*hydra.WordSize + hydra.LineSize - 1) &^ (hydra.LineSize - 1)
 }
 
 // BindGlobalInts allocates and fills an int global array.
@@ -215,15 +227,17 @@ func (vm *VM) BindGlobalFloats(name string, vals []float64) error {
 //
 // Mem is sized once for all the arrays, rather than doubled by Alloc as
 // each is bound; Alloc still doubles it for arrays the program allocates.
+// Inputs past MaxHeapBytes are not sized for: Alloc fails the array that
+// crosses the bound.
 func (vm *VM) BindInputs(ints map[string][]int64, floats map[string][]float64) error {
-	top := vm.heapTop
+	top := uint64(vm.heapTop)
 	for _, vals := range ints {
 		top += lineBytes(int64(len(vals)))
 	}
 	for _, vals := range floats {
 		top += lineBytes(int64(len(vals)))
 	}
-	if need := int(top / hydra.WordSize); need > len(vm.Mem) {
+	if need := int(top / hydra.WordSize); top <= MaxHeapBytes && need > len(vm.Mem) {
 		vm.growHeap(need)
 	}
 	for _, name := range sortedKeys(ints) {

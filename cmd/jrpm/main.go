@@ -580,8 +580,8 @@ func sweepMain(args []string) {
 			fmt.Printf("%s:\n", traces[ti].Name)
 		}
 		// Rows carry loop ids; the program names them, as the analysis
-		// does.
-		c, err := jrpm.Compile(traces[ti].Source, jrpm.DefaultOptions())
+		// does. A local sweep compiled it already.
+		c, err := cluster.Compile(traces[ti].Source, jrpm.DefaultOptions())
 		if err != nil {
 			fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -591,6 +592,65 @@ func TestWorkerShardsCountCompiles(t *testing.T) {
 		}
 		if hits, misses := m.CacheHits.Load(), m.CacheMisses.Load(); hits != want[0] || misses != want[1] {
 			t.Errorf("after shard %d: artifact cache hits=%d misses=%d, want %d/%d", i, hits, misses, want[0], want[1])
+		}
+	}
+}
+
+// TestLocalSweepCompilesOnce: Local compiles through the process's
+// artifact cache, so a repeated sweep of one recording allocates less
+// than one compile of its program alone and returns the same canonical
+// bytes, while a source that does not compile fails every call.
+func TestLocalSweepCompilesOnce(t *testing.T) {
+	src, data := recordWorkload(t, "Huffman")
+	cfgs := gridConfigs(2)
+	opts := jrpm.DefaultOptions()
+	ctx := context.Background()
+	sweep := func() ([]OutcomeRow, error) {
+		return Local{Workers: 1}.SweepRecording(ctx, "Huffman", src, data, cfgs, opts)
+	}
+	first, err := sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// On x86-64 a warm sweep of Huffman at testScale under two configs
+	// makes about 115 allocations, and a warm compile of Huffman alone
+	// about 255; a sweep that compiles makes both. Garbage collection is
+	// off while it measures, so the front end's free lists stay warm.
+	const bound = 180
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	compileAllocs := testing.AllocsPerRun(5, func() {
+		if _, err := jrpm.Compile(src, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var again []OutcomeRow
+	sweepAllocs := testing.AllocsPerRun(5, func() {
+		if again, err = sweep(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm Local sweep: %.0f allocs; jrpm.Compile alone: %.0f", sweepAllocs, compileAllocs)
+	if compileAllocs <= bound {
+		t.Errorf("jrpm.Compile of Huffman makes %.0f allocations, within the %d bound: the bound no longer tells a compile apart", compileAllocs, bound)
+	}
+	if sweepAllocs > bound {
+		t.Errorf("warm Local sweep makes %.0f allocations, want at most %d: it compiles again", sweepAllocs, bound)
+	}
+	if !bytes.Equal(canonical(t, again), canonical(t, first)) {
+		t.Error("a warm Local sweep's canonical rows differ from the first sweep's")
+	}
+
+	broken := src + "\nfunc broken("
+	_, cerr := jrpm.Compile(broken, opts)
+	if cerr == nil {
+		t.Fatal("broken source compiled")
+	}
+	want := compileError("Huffman", cerr).Error()
+	for i := range 3 {
+		_, err := Local{}.SweepRecording(ctx, "Huffman", broken, data, cfgs, opts)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
 		}
 	}
 }

@@ -316,15 +316,43 @@ type Local struct {
 	Workers int
 }
 
-// SweepRecording compiles the program and replays the recording under
-// every configuration locally.
+// SweepRecording compiles the program through the process's artifact
+// cache and replays the recording under every configuration locally.
 func (l Local) SweepRecording(ctx context.Context, name, source string, data []byte, cfgs []hydra.Config, opts jrpm.Options) ([]OutcomeRow, error) {
 	opts = jrpm.Normalize(opts)
-	compiled, err := jrpm.Compile(source, opts)
+	compiled, err := Compile(source, opts)
 	if err != nil {
 		return nil, compileError(name, err)
 	}
 	return EncodeOutcomes(compiled.SweepTrace(ctx, data, cfgs, opts, l.Workers)), nil
+}
+
+// artifactCacheSize bounds the process's artifact cache in programs; it
+// is the job pool's default cache size.
+const artifactCacheSize = 128
+
+// artifacts holds the programs compiled for in-process sweeps, keyed by
+// service.CacheKey. A *jrpm.Compiled is read-only after construction, so
+// concurrent sweeps share one without copying, as the pool's workers do.
+var artifacts = service.NewCache(artifactCacheSize)
+
+// Compile returns src compiled under opts through the process's artifact
+// cache, compiling and storing it on a miss; a compile error is returned
+// and never cached. Local sweeps, the coordinator's local shards and the
+// callers that compile a program before sweeping its recording all
+// compile here, so a process compiles each program once; a worker's
+// shards compile through its pool's cache (service.Pool.Compile) instead.
+func Compile(src string, opts jrpm.Options) (*jrpm.Compiled, error) {
+	key := service.CacheKey(src, opts)
+	if c, ok := artifacts.Get(key); ok {
+		return c, nil
+	}
+	c, err := jrpm.Compile(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	artifacts.Put(key, c)
+	return c, nil
 }
 
 // compileError is the error a sweep fails with when trace name's source
@@ -377,20 +405,12 @@ type schedWorker struct {
 	cancel       context.CancelFunc // the attempt in flight, if any
 }
 
-// localProgram is a grid trace's program compiled for local shards.
-type localProgram struct {
-	once     sync.Once
-	compiled *jrpm.Compiled
-	err      error
-}
-
 type sched struct {
 	c       *Coordinator
 	grid    *Grid
 	keys    []string
 	metrics *Metrics
 	onRow   func(int, int, OutcomeRow)
-	local   []localProgram // per trace, compiled on first local shard
 
 	mu            sync.Mutex
 	cond          *sync.Cond
@@ -420,7 +440,6 @@ func newSched(c *Coordinator, grid *Grid, parts [][]int, onRow func(int, int, Ou
 		keys:    make([]string, len(grid.Traces)),
 		metrics: newMetrics(),
 		onRow:   onRow,
-		local:   make([]localProgram, len(grid.Traces)),
 		byID:    map[string]*schedWorker{},
 		refused: map[string]bool{},
 	}
@@ -1012,15 +1031,13 @@ func (s *sched) localShard(t *task) {
 	ctx, sp := telemetry.StartSpan(s.ctx, "shard.local")
 	sp.SetInt("shard.trace", int64(t.trace))
 	sp.SetInt("shard.configs", int64(len(t.cfgs)))
-	ti := t.trace
-	lp := &s.local[ti]
-	lp.once.Do(func() { lp.compiled, lp.err = jrpm.Compile(s.grid.Traces[ti].Source, s.grid.Opts) })
-	var err error
+	gt := &s.grid.Traces[t.trace]
 	var rows []OutcomeRow
-	if lp.err != nil {
-		err = compileError(s.grid.Traces[ti].Name, lp.err)
+	compiled, err := Compile(gt.Source, s.grid.Opts)
+	if err != nil {
+		err = compileError(gt.Name, err)
 	} else {
-		outs := lp.compiled.SweepTrace(ctx, s.grid.Traces[ti].Data, s.configs(t), s.grid.Opts, 0)
+		outs := compiled.SweepTrace(ctx, gt.Data, s.configs(t), s.grid.Opts, 0)
 		rows = EncodeOutcomes(outs)
 		for _, o := range outs {
 			if o.Err != nil && (errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded)) {

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 
 	"jrpm/internal/core"
 	"jrpm/internal/profile"
@@ -88,7 +88,10 @@ type NodeRow struct {
 	BestTime float64          `json:"best_time"`
 }
 
-// EncodeOutcome flattens one sweep outcome into its canonical row.
+// EncodeOutcome flattens one sweep outcome into its canonical row. Each
+// table is allocated once, at its exact size: the tracer's per-PC bins
+// share one array, every loop's bins a capacity-clipped window of it, and
+// one scratch array serves every sort of map keys.
 func EncodeOutcome(o trace.SweepOutcome) OutcomeRow {
 	row := OutcomeRow{Cfg: o.Job.Cfg}
 	if o.Err != nil {
@@ -97,12 +100,26 @@ func EncodeOutcome(o trace.SweepOutcome) OutcomeRow {
 	}
 
 	stats := o.Tracer.Results()
-	ids := make([]int, 0, len(stats))
-	for id := range stats {
-		ids = append(ids, id)
+	edges := o.Tracer.ParentEdges()
+	an := o.Analysis
+
+	// The scratch holds a sorted key list and, behind it, the keys of the
+	// one map being walked under it: a loop's PCs, a child's parents.
+	nPCs, maxPCs := 0, 0
+	for _, s := range stats {
+		nPCs += len(s.PCArcs)
+		maxPCs = max(maxPCs, len(s.PCArcs))
 	}
-	sort.Ints(ids)
+	nEdges, maxParents := 0, 0
+	for _, ps := range edges {
+		nEdges += len(ps)
+		maxParents = max(maxParents, len(ps))
+	}
+	scratch := make([]int, max(len(stats)+maxPCs, len(edges)+maxParents, len(an.Nodes)))
+
+	ids := sortedKeys(scratch, stats)
 	row.Loops = make([]LoopRow, 0, len(ids))
+	arcs := make([]PCArcRow, 0, nPCs)
 	for _, id := range ids {
 		s := stats[id]
 		lr := LoopRow{
@@ -118,47 +135,32 @@ func EncodeOutcome(o trace.SweepOutcome) OutcomeRow {
 			SkippedEntries: s.SkippedEntries,
 		}
 		if len(s.PCArcs) > 0 {
-			pcs := make([]int, 0, len(s.PCArcs))
-			for pc := range s.PCArcs {
-				pcs = append(pcs, pc)
-			}
-			sort.Ints(pcs)
-			for _, pc := range pcs {
+			first := len(arcs)
+			for _, pc := range sortedKeys(scratch[len(ids):], s.PCArcs) {
 				a := s.PCArcs[pc]
-				lr.PCArcs = append(lr.PCArcs, PCArcRow{PC: pc, Count: a.Count, LenSum: a.LenSum, MinLen: a.MinLen})
+				arcs = append(arcs, PCArcRow{PC: pc, Count: a.Count, LenSum: a.LenSum, MinLen: a.MinLen})
 			}
+			lr.PCArcs = arcs[first:len(arcs):len(arcs)]
 		}
 		row.Loops = append(row.Loops, lr)
 	}
 
-	edges := o.Tracer.ParentEdges()
-	children := make([]int, 0, len(edges))
-	for c := range edges {
-		children = append(children, c)
+	if nEdges > 0 {
+		row.Edges = make([]EdgeRow, 0, nEdges)
 	}
-	sort.Ints(children)
+	children := sortedKeys(scratch, edges)
 	for _, c := range children {
-		parents := make([]int, 0, len(edges[c]))
-		for p := range edges[c] {
-			parents = append(parents, p)
-		}
-		sort.Ints(parents)
-		for _, p := range parents {
+		for _, p := range sortedKeys(scratch[len(children):], edges[c]) {
 			row.Edges = append(row.Edges, EdgeRow{Child: c, Parent: p, Count: edges[c][p]})
 		}
 	}
 
-	an := o.Analysis
 	row.CleanCycles = an.CleanCycles
 	row.TracedCycles = an.TotalCycles
 	row.Scale = an.Scale
 	row.PredictedCycles = an.PredictedCycles
 
-	nids := make([]int, 0, len(an.Nodes))
-	for id := range an.Nodes {
-		nids = append(nids, id)
-	}
-	sort.Ints(nids)
+	nids := sortedKeys(scratch, an.Nodes)
 	row.Nodes = make([]NodeRow, 0, len(nids))
 	for _, id := range nids {
 		n := an.Nodes[id]
@@ -179,6 +181,17 @@ func EncodeOutcome(o trace.SweepOutcome) OutcomeRow {
 	}
 	row.Selected = an.SelectedLoopIDs()
 	return row
+}
+
+// sortedKeys writes m's keys into the front of scratch, which must hold
+// them all, and returns them sorted.
+func sortedKeys[V any](scratch []int, m map[int]V) []int {
+	keys := scratch[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // EncodeOutcomes maps EncodeOutcome over a sweep's outcome list.

@@ -167,11 +167,13 @@ func AblateHistoryOn(ctx context.Context, sw GridSweeper, scale float64, depths 
 // (*cluster.Coordinator) — calling visit(configIndex, row) for every
 // (workload, config) pair. This is the 1-run + N-replay core shared by
 // the ablation sweeps; TestSweepNoExtraExecutions pins the execution
-// count.
+// count. Each kernel compiles through cluster.Compile, so a local sweep
+// of its recording, and every later ablation in the process, reuses the
+// program the record step compiled.
 func sweepSuite(ctx context.Context, sw GridSweeper, scale float64, opts jrpm.Options, cfgs []hydra.Config, visit func(ci int, row cluster.OutcomeRow)) error {
 	for _, w := range workloads.All() {
 		in := w.NewInput(scale)
-		c, err := jrpm.Compile(w.Source, opts)
+		c, err := cluster.Compile(w.Source, opts)
 		if err != nil {
 			return fmt.Errorf("%s: compile: %w", w.Meta.Name, err)
 		}

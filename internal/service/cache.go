@@ -67,8 +67,11 @@ func (c *Cache) Len() int {
 
 // Compile returns src compiled under opts through the artifact cache,
 // compiling and storing it on a miss; hit reports a cache hit. Jobs,
-// sessions and the cluster worker's shards all compile here, so every
-// compile counts in the artifact-cache hit and miss counters.
+// sessions and the cluster worker's shards compile here and count in the
+// pool's artifact-cache hit and miss counters. In-process sweeps (the
+// coordinator's local shards, cluster.Local and the callers that compile
+// before them) compile through cluster.Compile's process-wide cache
+// instead, which counts nothing.
 func (p *Pool) Compile(src string, opts jrpm.Options) (c *jrpm.Compiled, hit bool, err error) {
 	key := CacheKey(src, opts)
 	if c, ok := p.cache.Get(key); ok {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"jrpm/internal/freelist"
 	"jrpm/internal/vmsim"
@@ -201,6 +202,8 @@ decode:
 		case KindHeapLoad, KindHeapStore:
 			if pos < len(buf) && buf[pos] < 0x80 {
 				u, pos = uint64(buf[pos]), pos+1
+			} else if v, next, ok := uvarint4(buf, pos); ok {
+				u, pos = v, next
 			} else if u, pos, err = varint(buf, pos); err != nil {
 				break decode
 			}
@@ -283,6 +286,24 @@ decode:
 		r.err = err
 	}
 	return n, err
+}
+
+// uvarint4 decodes a varint of at most four bytes at buf[pos:] with one
+// 8-byte little-endian load: the first byte with its high bit clear ends
+// it, and a mask drops the bytes after it. ok is false, and ReadEvents
+// falls back to varint, when fewer than 8 bytes are left in the window or
+// the varint is longer. A heap address delta is the field this serves:
+// it often takes two to four bytes.
+func uvarint4(buf []byte, pos int) (u uint64, next int, ok bool) {
+	if len(buf)-pos < 8 {
+		return 0, pos, false
+	}
+	w := binary.LittleEndian.Uint64(buf[pos:])
+	// end is the bit after the last byte: 8, 16, 24 or 32, and 33 when
+	// none of the first four bytes ends the varint.
+	end := bits.TrailingZeros32(^uint32(w)&0x80808080) + 1
+	w &= 1<<end - 1
+	return w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14) | w>>3&(0x7f<<21), pos + end>>3, end <= 32
 }
 
 // varint decodes the varint at buf[pos:] and returns the position after

@@ -594,6 +594,23 @@ func BenchmarkReplayVsLiveProfile(b *testing.B) {
 			}
 		}
 	})
+	b.Run("sweep-history", func(b *testing.B) {
+		// The FIFO depths of the history ablation (cmd/benchtab) on one
+		// worker: one model with one store FIFO per depth.
+		var cfgs []hydra.Config
+		for _, d := range []int{8, 48, 192, 4096} {
+			cfg := hydra.DefaultConfig()
+			cfg.Tracer.HeapStoreLines = d
+			cfgs = append(cfgs, cfg)
+		}
+		for i := 0; i < b.N; i++ {
+			for ci, o := range c.SweepTrace(context.Background(), data, cfgs, opts, 1) {
+				if o.Err != nil {
+					b.Fatalf("config %d: %v", ci, o.Err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkSpeculateStages times the two TLS stages of a speculate job

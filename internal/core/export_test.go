@@ -8,7 +8,7 @@ import (
 // StoreFIFO exposes the heap-store FIFO to the external tests.
 type StoreFIFO = storeFIFO
 
-func NewStoreFIFO(lines int) *StoreFIFO { return newStoreFIFO(lines) }
+func NewStoreFIFO(lines int) *StoreFIFO { return &storeFIFO{cap: lines} }
 
 func (f *storeFIFO) Record(addr uint32, ts int64) { f.record(addr, ts) }
 

@@ -93,9 +93,11 @@ func runGrouped(prog *tir.Program, evs []vmsim.Event, cfgs []hydra.Config, opts 
 // model's statistics table and nesting edges equal those of the
 // single-config reference tracer fed the same events. The streams are
 // all 26 kernels and 100 default-corpus programs; the configs are the
-// 120-config policy grid on the default geometry (two models) and its
+// 120-config policy grid on the default geometry (two models), its
 // first 70 configs on a tight geometry that overflows often (a 70-config
-// group, cut into 64 + 6).
+// group, cut into 64 + 6), and the policy grid again with
+// HeapStoreLines cycling {0, 1, 32, 192} (two models of four FIFO
+// depths each).
 func TestGroupMatchesReference(t *testing.T) {
 	type stream struct {
 		name string
@@ -124,10 +126,14 @@ func TestGroupMatchesReference(t *testing.T) {
 		c.Buffers.LoadLines, c.Buffers.StoreLines = 2, 1
 	})
 	tightCfgs, tightOpts = tightCfgs[:70], tightOpts[:70]
+	depthCfgs, depthOpts := groupGrid(func(*hydra.Config) {})
+	for i := range depthCfgs {
+		depthCfgs[i].Tracer.HeapStoreLines = []int{0, 1, 32, 192}[i%4]
+	}
 	grids := []struct {
 		cfgs []hydra.Config
 		opts []core.Options
-	}{{defCfgs, defOpts}, {tightCfgs, tightOpts}}
+	}{{defCfgs, defOpts}, {tightCfgs, tightOpts}, {depthCfgs, depthOpts}}
 
 	for _, s := range streams {
 		prog, evs := captureEvents(t, s.src, s.in)
@@ -149,23 +155,32 @@ func TestGroupMatchesReference(t *testing.T) {
 }
 
 // TestGroupRejectsMixedGeometry: configs that differ in store geometry
-// never share a model, and no table may exceed MaxTableLines.
+// beyond the FIFO depth never share a model, configs that differ only
+// in depth do, and no table may exceed MaxTableLines.
 func TestGroupRejectsMixedGeometry(t *testing.T) {
 	prog := makeProg(1)
 	a := hydra.DefaultConfig()
 	b := a
-	b.Tracer.HeapStoreLines = 32
+	b.Buffers.StoreLines = 32
 	c := a
 	c.Tracer.LoadLineTS = core.MaxTableLines + 1
+	deep := a
+	deep.Tracer.HeapStoreLines = core.MaxTableLines + 1
 	for name, cfgs := range map[string][]hydra.Config{
-		"mixed":     {a, b},
-		"too large": {c},
-		"too many":  make([]hydra.Config, core.GroupSize+1),
-		"none":      nil,
+		"mixed":          {a, b},
+		"too large":      {c},
+		"too deep mixed": {a, deep},
+		"too many":       make([]hydra.Config, core.GroupSize+1),
+		"none":           nil,
 	} {
 		if g, err := core.NewGroup(prog, cfgs, make([]core.Options, len(cfgs))); err == nil || g != nil {
 			t.Errorf("%s: NewGroup accepted the configs", name)
 		}
+	}
+	shallow := a
+	shallow.Tracer.HeapStoreLines = 32
+	if _, err := core.NewGroup(prog, []hydra.Config{a, shallow, a}, make([]core.Options, 3)); err != nil {
+		t.Errorf("configs differing only in FIFO depth: %v", err)
 	}
 	var ge *core.GeometryError
 	if _, err := core.NewGroup(prog, []hydra.Config{c}, make([]core.Options, 1)); !errors.As(err, &ge) || ge.Field != "LoadLineTS" {

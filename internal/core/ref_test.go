@@ -129,7 +129,7 @@ func newRefTracer(prog *tir.Program, cfg hydra.Config, opts Options) *refTracer 
 		cfg:         cfg,
 		opts:        opts,
 		prog:        prog,
-		heapTS:      newStoreFIFO(cfg.Tracer.HeapStoreLines),
+		heapTS:      &storeFIFO{cap: cfg.Tracer.HeapStoreLines},
 		ldLine:      make([]lineEntry, cfg.Tracer.LoadLineTS),
 		stLine:      make([]lineEntry, cfg.Tracer.StoreLineTS),
 		loops:       make([]refLoopState, len(prog.Loops)),

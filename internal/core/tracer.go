@@ -24,9 +24,11 @@
 // have their annotations disabled.
 //
 // One model (a Group) serves every machine config that shares a store
-// geometry: the buffers and the banks' state are kept once, and each
-// config (a Tracer) keeps only its own bank allocation, policy state and
-// statistics. A live profile runs a group of one.
+// geometry up to the store FIFO depth: the line caches and the banks'
+// state are kept once, the FIFO and the banks' critical-arc state once
+// per depth, and each config (a Tracer) keeps only its own bank
+// allocation, policy state and statistics. A live profile runs a group
+// of one.
 package core
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
@@ -161,10 +164,6 @@ type fifoLine struct {
 // fifoMinIndex is the initial index size; the index is kept at most
 // half full, so it is rehashed into twice the buckets as the ring grows.
 const fifoMinIndex = 16
-
-func newStoreFIFO(capLines int) *storeFIFO {
-	return &storeFIFO{cap: capLines}
-}
 
 // adopt gives an empty FIFO the ring and index of an earlier one, so it
 // grows only past their sizes. How large the index is changes no
@@ -313,13 +312,23 @@ const MaxTableLines = 1 << 20
 // from the network from making the model allocate without limit.
 const MaxGridTableLines = 1 << 22
 
-// Geometry is the part of a machine config that the shared model state
-// depends on: the store FIFO, the two line timestamp caches and the
-// speculative buffer limits behind a thread's overflow flag. Configs
-// with equal geometries share one Group.
+// Geometry is the part of a machine config that the model's store
+// tables depend on: the store FIFO, the two line timestamp caches and
+// the speculative buffer limits behind a thread's overflow flag. Groups
+// cuts a grid by whole geometry. One Group may serve configs whose
+// geometries differ only in HeapStoreLines (equal ModelKey): the FIFO
+// feeds nothing but the critical arcs, so the group keeps one FIFO and
+// one set of arc state per depth and shares the rest.
 type Geometry struct {
 	HeapStoreLines, LoadLineTS, StoreLineTS int
 	LoadLines, StoreLines                   int
+}
+
+// ModelKey returns g without its store FIFO depth: configs whose
+// geometries have equal keys can share one Group.
+func (g Geometry) ModelKey() Geometry {
+	g.HeapStoreLines = 0
+	return g
 }
 
 // GeometryOf returns cfg's store geometry.
@@ -383,11 +392,12 @@ func CheckGrid(cfgs []hydra.Config) error {
 	return nil
 }
 
-// Groups cuts cfgs into the groups a sweep builds one model for and
+// Groups cuts cfgs into the groups a sweep deals to its workers and
 // returns each group's config indices: the configs of one store
 // geometry, in order, cut every GroupSize, with the geometries in order
 // of first appearance. Splitting a geometry further would only multiply
-// trace decodes and model passes.
+// trace decodes and model passes. A sweep worker may fuse its groups
+// that differ only in FIFO depth into one model (see ModelKey).
 func Groups(cfgs []hydra.Config) [][]int {
 	var order []Geometry
 	byGeo := map[Geometry][]int{}
@@ -410,10 +420,30 @@ func Groups(cfgs []hydra.Config) [][]int {
 	return groups
 }
 
+// arcState is a bank's critical-arc state for one store FIFO depth: the
+// current thread's shortest arc per bin, and the entry's arc counts and
+// length sums (LoopStats.ArcCount/ArcLenSum).
+type arcState struct {
+	has   [2]bool
+	min   [2]int64
+	pc    [2]int
+	count [2]int64
+	sum   [2]int64
+}
+
+// note offers the current thread an arc of bin.
+func (a *arcState) note(bin int, arc int64, pc int) {
+	if !a.has[bin] || arc < a.min[bin] {
+		a.has[bin] = true
+		a.min[bin] = arc
+		a.pc[bin] = pc
+	}
+}
+
 // bank is one comparator bank (Figure 7) bound to a dynamic loop entry.
-// Its state depends only on the events and on the group's shared store
-// tables, so one bank serves every config of the group that allocated
-// the entry.
+// Its state depends only on the events and on the group's store tables,
+// so one bank serves every config of the group that allocated the
+// entry; only its critical-arc state is kept once per FIFO depth.
 type bank struct {
 	loopID    int
 	frame     uint64
@@ -425,10 +455,10 @@ type bank struct {
 	tsPrev     int64 // thread start timestamp (t-1)
 	threadIdx  int64 // threads started in this entry (current = threadIdx+1)
 
-	// Per-thread critical-arc state.
-	hasArc   [2]bool
-	minArc   [2]int64
-	minArcPC [2]int
+	// Critical-arc state: arcs for the group's first FIFO depth,
+	// extra[d-1] for depth d.
+	arcs  arcState
+	extra []arcState
 
 	// Per-thread overflow state.
 	ldLines    int
@@ -436,7 +466,8 @@ type bank struct {
 	overflowed bool
 
 	// Per-entry accumulation, folded into each allocating config's loop
-	// table at eloop.
+	// table at eloop. Its arc fields stay zero: the arc sums are kept per
+	// depth.
 	acc LoopStats
 
 	// slotPos maps a named-local slot to its position in the loop's
@@ -463,6 +494,14 @@ func (b *bank) localPos(slot int) int {
 	return int(b.slotPos[slot])
 }
 
+// arcsAt returns the bank's critical-arc state for FIFO depth d.
+func (b *bank) arcsAt(d int) *arcState {
+	if d == 0 {
+		return &b.arcs
+	}
+	return &b.extra[d-1]
+}
+
 // loopRow is a group's per-static-loop bookkeeping, indexed by loop id.
 type loopRow struct {
 	parents map[int]int64 // this loop's row of parentEdges
@@ -479,21 +518,26 @@ type loopState struct {
 
 // Group is the full TEST hardware model — the comparator bank array
 // plus the repurposed store buffers, driven by the VM event stream —
-// shared by up to GroupSize machine configs with one store Geometry.
+// shared by up to GroupSize machine configs whose store geometries have
+// one ModelKey.
 //
-// The store FIFO and the line caches depend only on the geometry, and
-// a bank's state only on the events and those tables, so the group
-// keeps one of each. What differs per config is which dynamic loop
-// entries get a bank (Banks, LocalSlots and the runtime policies): each
-// bank carries a mask of the configs that allocated it, and each config
-// (a Tracer) folds the banks it owns into its own statistics table.
-// Every config therefore ends with exactly the tables a model of its
-// own would have built, for one pass over the events.
+// The line caches depend only on the geometry, and a bank's state only
+// on the events and the store tables, so the group keeps one of each.
+// The store FIFO feeds only the load dependency analysis, so the group
+// keeps one FIFO per distinct depth and each bank one critical-arc
+// state per depth; allocation and the runtime policies never read arcs.
+// What differs per config is which dynamic loop entries get a bank
+// (Banks, LocalSlots and the runtime policies): each bank carries a mask
+// of the configs that allocated it, and each config (a Tracer) folds
+// the banks it owns, with its depth's arcs, into its own statistics
+// table. Every config therefore ends with exactly the tables a model of
+// its own would have built, for one pass over the events.
 type Group struct {
 	prog *tir.Program
-	geo  Geometry
+	geo  Geometry // the first config's; only the depth differs between configs
 
-	heapTS *storeFIFO
+	heapTS storeFIFO    // the first depth's FIFO
+	extra  []extraDepth // the FIFOs of depths 1..; nil in a one-depth group
 	ldLine []lineEntry
 	stLine []lineEntry
 
@@ -509,19 +553,31 @@ type Group struct {
 	parentEdges map[int]map[int]int64
 
 	cfgs     []Tracer
-	extended uint64 // mask of the configs with Options.Extended
+	extended uint64 // mask of the first depth's configs with Options.Extended
 
 	scratch *tables // where Release returns the run-time tables
 }
 
-// tables is a group's run-time scratch: the store FIFO's ring and
+// extraDepth is one store FIFO depth of a group past the first.
+type extraDepth struct {
+	fifo     storeFIFO
+	extended uint64 // mask of this depth's configs with Options.Extended
+}
+
+// tables is a group's run-time scratch: each store FIFO's ring and
 // index, both line caches and the idle banks. No statistic is read from
 // it after the run, so Release hands it to the next group.
 type tables struct {
-	ring           []fifoLine
-	index          []int32
+	fifo           fifoTables   // the first depth's
+	extra          []fifoTables // depth d's at extra[d-1]
 	ldLine, stLine []lineEntry
 	banks          []*bank
+}
+
+// fifoTables is a store FIFO's ring and index.
+type fifoTables struct {
+	ring  []fifoLine
+	index []int32
 }
 
 // idleTables holds the tables of released groups.
@@ -547,21 +603,34 @@ func lineTable(buf []lineEntry, n int) []lineEntry {
 	return buf
 }
 
-// Release hands the group's run-time tables — the store FIFO, the line
-// caches and the idle banks — to the next group built. The statistics
-// tables and nesting edges (Results, ParentEdges) stay valid, so the
-// profile analysis may run after it; the group must consume no events
-// afterwards. Safe to repeat.
+// Release hands the group's run-time tables — every store FIFO, the
+// line caches and the idle banks — to the next group built. The
+// statistics tables and nesting edges (Results, ParentEdges) stay valid,
+// so the profile analysis may run after it; the group must consume no
+// events afterwards. Safe to repeat.
 func (g *Group) Release() {
 	sc := g.scratch
 	if sc == nil {
 		return
 	}
 	keep := func(n int) bool { return n <= keepTableLines }
-	*sc = tables{}
-	if f := g.heapTS; keep(cap(f.ring)) && keep(len(f.index)) {
-		sc.ring, sc.index = f.ring, f.index
+	keepFIFO := func(f *storeFIFO) fifoTables {
+		if keep(cap(f.ring)) && keep(len(f.index)) {
+			return fifoTables{f.ring, f.index}
+		}
+		return fifoTables{}
 	}
+	// Depths this group did not use keep the tables an earlier group left.
+	sc.fifo = keepFIFO(&g.heapTS)
+	for d := range g.extra {
+		t := keepFIFO(&g.extra[d].fifo)
+		if d < len(sc.extra) {
+			sc.extra[d] = t
+		} else {
+			sc.extra = append(sc.extra, t)
+		}
+	}
+	sc.ldLine, sc.stLine = nil, nil
 	if keep(cap(g.ldLine)) {
 		sc.ldLine = g.ldLine
 	}
@@ -573,7 +642,7 @@ func (g *Group) Release() {
 		clear(sc.banks[keepBanks:])
 		sc.banks = sc.banks[:keepBanks]
 	}
-	g.scratch, g.heapTS, g.ldLine, g.stLine, g.pool, g.stack = nil, nil, nil, nil, nil, nil
+	g.scratch, g.heapTS, g.extra, g.ldLine, g.stLine, g.pool, g.stack = nil, storeFIFO{}, nil, nil, nil, nil, nil
 	idleTables.Put(sc)
 }
 
@@ -584,8 +653,9 @@ func (g *Group) Release() {
 // advances every config of that group: such views are only read.
 type Tracer struct {
 	*Group
-	cfg  hydra.Config
-	opts Options
+	cfg   hydra.Config
+	opts  Options
+	depth int // the index of the config's store FIFO depth in the group
 
 	inUseBanks int
 	localUsed  int
@@ -630,26 +700,27 @@ func (g *Group) ConsumeEvents(evs []vmsim.Event) {
 
 // NewGroup builds one model for prog serving cfgs, with opts[i] the
 // runtime policies of cfgs[i]. It returns an error unless there are
-// 1..GroupSize configs, one Options each, sharing one Geometry that
-// passes CheckGeometry.
+// 1..GroupSize configs, one Options each, whose geometries pass
+// CheckGeometry and share one ModelKey. The group keeps one store FIFO
+// per distinct HeapStoreLines (sizes <= 0 are one depth: no history).
 func NewGroup(prog *tir.Program, cfgs []hydra.Config, opts []Options) (*Group, error) {
 	if len(cfgs) == 0 || len(cfgs) > GroupSize || len(opts) != len(cfgs) {
 		return nil, fmt.Errorf("core: a group needs 1..%d configs with one Options each, got %d and %d", GroupSize, len(cfgs), len(opts))
 	}
-	if err := CheckGeometry(cfgs[0]); err != nil {
-		return nil, err
-	}
 	geo := GeometryOf(cfgs[0])
 	for _, cfg := range cfgs {
-		if GeometryOf(cfg) != geo {
-			return nil, errors.New("core: the configs of a group differ in store geometry")
+		if err := CheckGeometry(cfg); err != nil {
+			return nil, err
+		}
+		if GeometryOf(cfg).ModelKey() != geo.ModelKey() {
+			return nil, errors.New("core: the configs of a group differ in store geometry beyond the FIFO depth")
 		}
 	}
 	sc := idleTables.Get()
 	g := &Group{
 		prog:        prog,
 		geo:         geo,
-		heapTS:      newStoreFIFO(geo.HeapStoreLines),
+		heapTS:      storeFIFO{cap: max(geo.HeapStoreLines, 0)},
 		ldLine:      lineTable(sc.ldLine, geo.LoadLineTS),
 		stLine:      lineTable(sc.stLine, geo.StoreLineTS),
 		pool:        sc.banks,
@@ -658,22 +729,48 @@ func NewGroup(prog *tir.Program, cfgs []hydra.Config, opts []Options) (*Group, e
 		cfgs:        make([]Tracer, len(cfgs)),
 		scratch:     sc,
 	}
-	g.heapTS.adopt(sc.ring, sc.index)
+	g.heapTS.adopt(sc.fifo.ring, sc.fifo.index)
 	nl := len(prog.Loops)
 	states := make([]loopState, len(cfgs)*nl)
 	for i, cfg := range cfgs {
+		d := g.depthOf(cfg.Tracer.HeapStoreLines)
 		if opts[i].Extended {
-			g.extended |= 1 << i
+			if d == 0 {
+				g.extended |= 1 << i
+			} else {
+				g.extra[d-1].extended |= 1 << i
+			}
 		}
 		g.cfgs[i] = Tracer{
 			Group: g,
 			cfg:   cfg,
 			opts:  opts[i],
+			depth: d,
 			loops: states[i*nl : (i+1)*nl : (i+1)*nl],
 			table: map[int]*LoopStats{},
 		}
 	}
 	return g, nil
+}
+
+// depthOf returns the index of the store FIFO of the given depth,
+// adding one (with an idle ring and index, if any) for a new depth.
+func (g *Group) depthOf(lines int) int {
+	lines = max(lines, 0)
+	if lines == g.heapTS.cap {
+		return 0
+	}
+	for d := range g.extra {
+		if g.extra[d].fifo.cap == lines {
+			return d + 1
+		}
+	}
+	g.extra = append(g.extra, extraDepth{fifo: storeFIFO{cap: lines}})
+	d := len(g.extra)
+	if sc := g.scratch; d <= len(sc.extra) {
+		g.extra[d-1].fifo.adopt(sc.extra[d-1].ring, sc.extra[d-1].index)
+	}
+	return d
 }
 
 // NewTracer builds a model for prog with one machine config: a group of
@@ -733,13 +830,13 @@ func (g *Group) slotPositions(loop int) []int32 {
 }
 
 // newBank takes a bank from the pool (or allocates one) and resets it
-// for a new loop entry, keeping its local timestamp storage.
+// for a new loop entry, keeping its local timestamp and arc storage.
 func (g *Group) newBank() *bank {
 	var b *bank
 	if n := len(g.pool); n > 0 {
 		b = g.pool[n-1]
 		g.pool = g.pool[:n-1]
-		*b = bank{localTS: b.localTS[:0]}
+		*b = bank{localTS: b.localTS[:0], extra: b.extra[:0]}
 	} else {
 		b = &bank{}
 	}
@@ -782,7 +879,10 @@ func (g *Group) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	if b.mask != 0 {
 		b.entryStart = now
 		b.tsCur = now
-		b.resetThread()
+		if n := len(g.extra); n > 0 {
+			b.extra = slices.Grow(b.extra, n)[:n]
+			clear(b.extra)
+		}
 		b.slotPos = g.slotPositions(loop)
 		for range g.prog.Loops[loop].AnnLocals {
 			b.localTS = append(b.localTS, noStore)
@@ -791,23 +891,13 @@ func (g *Group) LoopStart(now int64, loop, numLocals int, frame uint64) {
 	g.stack = append(g.stack, b)
 }
 
-func (b *bank) resetThread() {
-	b.hasArc[0], b.hasArc[1] = false, false
-	b.ldLines, b.stLines = 0, 0
-	b.overflowed = false
-}
-
-// endThread folds the current thread's critical arcs and overflow flag
-// into the entry accumulator, then starts the next thread at time now.
+// endThread folds the current thread's critical arcs (at every depth)
+// and overflow flag into the entry accumulators, then starts the next
+// thread at time now.
 func (b *bank) endThread(now int64, g *Group) {
-	for bin := 0; bin < 2; bin++ {
-		if b.hasArc[bin] {
-			b.acc.ArcCount[bin]++
-			b.acc.ArcLenSum[bin] += b.minArc[bin]
-			for m := b.mask & g.extended; m != 0; m &= m - 1 {
-				g.cfgs[bits.TrailingZeros64(m)].pcArc(b.loopID, b.minArcPC[bin], b.minArc[bin])
-			}
-		}
+	b.endArcs(&b.arcs, g.extended, g)
+	for d := range b.extra {
+		b.endArcs(&b.extra[d], g.extra[d].extended, g)
 	}
 	if b.overflowed {
 		b.acc.Overflows++
@@ -821,7 +911,24 @@ func (b *bank) endThread(now int64, g *Group) {
 	b.threadIdx++
 	b.tsPrev = b.tsCur
 	b.tsCur = now
-	b.resetThread()
+	b.ldLines, b.stLines = 0, 0
+	b.overflowed = false
+}
+
+// endArcs folds one depth's critical arcs of the current thread into
+// its entry sums, bins them by load PC for ext (that depth's extended
+// configs) and clears them for the next thread.
+func (b *bank) endArcs(a *arcState, ext uint64, g *Group) {
+	for bin := 0; bin < 2; bin++ {
+		if a.has[bin] {
+			a.count[bin]++
+			a.sum[bin] += a.min[bin]
+			for m := b.mask & ext; m != 0; m &= m - 1 {
+				g.cfgs[bits.TrailingZeros64(m)].pcArc(b.loopID, a.pc[bin], a.min[bin])
+			}
+		}
+	}
+	a.has = [2]bool{}
 }
 
 // pcArc bins one thread's critical arc by its load PC (extended tracer).
@@ -888,12 +995,17 @@ func (g *Group) LoopEnd(now int64, loop int) {
 	}
 }
 
-// endEntry folds a finished entry of loop into the config's table,
-// returns its bank and local timestamp space, and applies the config's
-// runtime policies.
+// endEntry folds a finished entry of loop, with the arcs of the
+// config's depth, into the config's table, returns its bank and local
+// timestamp space, and applies the config's runtime policies.
 func (t *Tracer) endEntry(loop int, b *bank) {
 	s := t.loopStats(loop)
 	s.add(&b.acc)
+	a := b.arcsAt(t.depth)
+	for bin := 0; bin < 2; bin++ {
+		s.ArcCount[bin] += a.count[bin]
+		s.ArcLenSum[bin] += a.sum[bin]
+	}
 	t.inUseBanks--
 	t.localUsed -= b.numLocals
 
@@ -911,8 +1023,9 @@ func (t *Tracer) endEntry(loop int, b *bank) {
 func (g *Group) ReadStats(now int64, loop int) {}
 
 // dependency runs the load dependency analysis (§4.2.1) for one load with
-// the given last-store timestamp against every active bank.
-func (g *Group) dependency(now int64, storeTS int64, pc int) {
+// the given last-store timestamp, found in FIFO depth d, against every
+// active bank's arcs of that depth.
+func (g *Group) dependency(now int64, storeTS int64, pc, d int) {
 	for _, b := range g.stack {
 		if b.mask == 0 {
 			continue
@@ -926,20 +1039,21 @@ func (g *Group) dependency(now int64, storeTS int64, pc int) {
 		if b.threadIdx >= 1 && storeTS >= b.tsPrev {
 			bin = BinPrev
 		}
-		arc := now - storeTS
-		if !b.hasArc[bin] || arc < b.minArc[bin] {
-			b.hasArc[bin] = true
-			b.minArc[bin] = arc
-			b.minArcPC[bin] = pc
-		}
+		b.arcsAt(d).note(bin, now-storeTS, pc)
 	}
 }
 
 // HeapLoad implements the automatic tracing of lw instructions: the load
-// dependency analysis plus the load-line half of the overflow analysis.
+// dependency analysis, once per FIFO depth, plus the load-line half of
+// the overflow analysis.
 func (g *Group) HeapLoad(now int64, addr uint32, pc int) {
 	if ts, ok := g.heapTS.lookup(addr); ok {
-		g.dependency(now, ts, pc)
+		g.dependency(now, ts, pc, 0)
+	}
+	for d := range g.extra {
+		if ts, ok := g.extra[d].fifo.lookup(addr); ok {
+			g.dependency(now, ts, pc, d+1)
+		}
 	}
 	// Overflow analysis, load geometry: index bits 13:5, tag bits 31:14.
 	idx := (addr / hydra.LineSize) % uint32(len(g.ldLine))
@@ -960,10 +1074,13 @@ func (g *Group) HeapLoad(now int64, addr uint32, pc int) {
 }
 
 // HeapStore implements the automatic tracing of sw instructions: record
-// the store timestamp for later loads plus the store-line half of the
-// overflow analysis.
+// the store timestamp in every FIFO for later loads plus the store-line
+// half of the overflow analysis.
 func (g *Group) HeapStore(now int64, addr uint32, pc int) {
 	g.heapTS.record(addr, now)
+	for d := range g.extra {
+		g.extra[d].fifo.record(addr, now)
+	}
 	// Overflow analysis, store geometry: index bits 10:5, tag bits 31:11.
 	idx := (addr / hydra.LineSize) % uint32(len(g.stLine))
 	tag := addr >> 11
@@ -985,7 +1102,8 @@ func (g *Group) HeapStore(now int64, addr uint32, pc int) {
 // LocalLoad handles an lwl annotation: local variables take part in the
 // dependency analysis (they carry loop-borne scalar dependencies) but not
 // in the overflow analysis (they live in registers, not buffers). Each
-// bank consults its own reserved timestamp entry for the variable.
+// bank consults its own reserved timestamp entry for the variable; the
+// arc is the same at every FIFO depth.
 func (g *Group) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 	for _, b := range g.stack {
 		if b.mask == 0 || b.frame != id.Frame {
@@ -1004,10 +1122,9 @@ func (g *Group) LocalLoad(now int64, id vmsim.SlotID, pc int) {
 			bin = BinPrev
 		}
 		arc := now - ts
-		if !b.hasArc[bin] || arc < b.minArc[bin] {
-			b.hasArc[bin] = true
-			b.minArc[bin] = arc
-			b.minArcPC[bin] = pc
+		b.arcs.note(bin, arc, pc)
+		for d := range b.extra {
+			b.extra[d].note(bin, arc, pc)
 		}
 	}
 }

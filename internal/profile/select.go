@@ -67,54 +67,81 @@ func (a *Analysis) PredictedSpeedup() float64 {
 // into a loop tree. A loop's primary parent is the one it was entered
 // from most often; rare secondary parents are ignored (documented
 // simplification — the runtime system has the same one-decomposition-
-// at-a-time constraint).
+// at-a-time constraint). The nodes come from one array, and Roots and
+// every Children list are windows of one array of node pointers.
 func BuildTree(prog *tir.Program, tr *core.Tracer, tracedCycles, cleanCycles int64, cfg hydra.Config) *Analysis {
+	stats := tr.Results()
+	edges := tr.ParentEdges()
 	a := &Analysis{
 		Prog:        prog,
 		Cfg:         cfg,
 		TotalCycles: tracedCycles,
 		CleanCycles: cleanCycles,
 		Scale:       1,
-		Nodes:       map[int]*Node{},
+		Nodes:       make(map[int]*Node, len(edges)),
 	}
 	if tracedCycles > 0 && cleanCycles > 0 {
 		a.Scale = float64(cleanCycles) / float64(tracedCycles)
 	}
-	stats := tr.Results()
-	edges := tr.ParentEdges()
 
-	// Create nodes for every loop observed at runtime.
-	ids := make([]int, 0, len(edges))
+	// Create nodes for every loop observed at runtime. ids holds the
+	// sorted loop ids, then count: each node's child count by position,
+	// and the number of roots at n.
+	n := len(edges)
+	ids := make([]int, 0, 2*n+1)
 	for id := range edges {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	count := ids[n : 2*n+1]
+	nodes := make([]Node, n)
 	est := Estimator{Cfg: cfg}
-	for _, id := range ids {
-		n := &Node{Loop: id}
+	for i, id := range ids {
+		nd := &nodes[i]
+		nd.Loop = id
 		if s, ok := stats[id]; ok {
-			n.Stats = s
-			n.Est = est.Estimate(s)
+			nd.Stats = s
+			nd.Est = est.Estimate(s)
 		}
-		a.Nodes[id] = n
+		a.Nodes[id] = nd
 	}
-	// Wire each node to its primary parent.
-	for _, id := range ids {
-		n := a.Nodes[id]
+	// Wire each node to its primary parent, counting each list's length.
+	for i := range nodes {
+		nd := &nodes[i]
 		bestParent, bestCount := -1, int64(-1)
-		for p, c := range edges[id] {
+		for p, c := range edges[nd.Loop] {
 			if c > bestCount || (c == bestCount && p < bestParent) {
 				bestParent, bestCount = p, c
 			}
 		}
 		if bestParent >= 0 {
-			if p := a.Nodes[bestParent]; p != nil && !wouldCycle(a, n, p) {
-				n.Parent = p
-				p.Children = append(p.Children, n)
+			if p := a.Nodes[bestParent]; p != nil && !wouldCycle(a, nd, p) {
+				nd.Parent = p
+				count[sort.SearchInts(ids, bestParent)]++
 				continue
 			}
 		}
-		a.Roots = append(a.Roots, n)
+		count[n]++
+	}
+	// Every node is one root or one child: cut one array of n pointers
+	// into the lists, then fill them in node order.
+	kids := make([]*Node, n)
+	at := count[n]
+	if at > 0 {
+		a.Roots = kids[:0:at]
+	}
+	for i := range nodes {
+		if c := count[i]; c > 0 {
+			nodes[i].Children = kids[at : at : at+c]
+			at += c
+		}
+	}
+	for i := range nodes {
+		if nd := &nodes[i]; nd.Parent != nil {
+			nd.Parent.Children = append(nd.Parent.Children, nd)
+		} else {
+			a.Roots = append(a.Roots, nd)
+		}
 	}
 	for _, r := range a.Roots {
 		annotateDepth(r, 1)

@@ -36,14 +36,16 @@ type SweepOutcome struct {
 
 // Sweep analyzes one recorded trace under every job concurrently, with
 // no VM execution and no shared mutable state between workers. The
-// jobs are grouped by store geometry (core.Geometry), cut into chunks
-// of core.GroupSize, and each chunk becomes one core.Group: one
-// comparator-bank pass serves all of its jobs. Each worker decodes the
-// shared recording once and feeds the batches to the groups dealt to
-// it, so N hydra configurations cost one decode per worker plus one
-// model pass per group. workers <= 0 runs one worker per group, at
-// most GOMAXPROCS; an explicit count is met, splitting groups if there
-// are fewer groups than workers (and at most one worker per job). prog
+// jobs are grouped by store geometry (core.Groups, chunks of at most
+// core.GroupSize) and the groups dealt to the workers; within a
+// worker's share, groups that differ only in store FIFO depth fuse into
+// one core.Group (see plan). One comparator-bank pass serves all of a
+// model's jobs. Each worker decodes the shared recording once and feeds
+// the batches to its models, so N hydra configurations cost one decode
+// per worker plus one model pass per model. workers <= 0 runs one
+// worker per group, at most GOMAXPROCS; an explicit count is met,
+// splitting groups if there are fewer groups than workers (and at most
+// one worker per job). prog
 // must be the annotated program the trace was recorded from (enforced
 // via the header hash). A job whose store tables exceed
 // core.MaxTableLines fails with a *core.GeometryError before anything
@@ -89,9 +91,11 @@ func sweep(ctx context.Context, prog *tir.Program, data []byte, jobs []SweepJob,
 
 // plan groups the jobs (core.Groups) and deals the groups to the
 // workers: result[w][m] lists the job indices that worker w runs
-// through its m-th group. Whole groups are dealt in contiguous runs;
+// through its m-th model. Whole groups are dealt in contiguous runs;
 // only when workers asks for more workers than there are groups is the
-// largest group halved until each worker has one.
+// largest group halved until each worker has one. Then each worker's
+// groups are fused by fuse, so a worker holding several FIFO depths of
+// one geometry makes one model pass for them.
 func plan(jobs []SweepJob, workers int) [][][]int {
 	cfgs := make([]hydra.Config, len(jobs))
 	for i, j := range jobs {
@@ -115,9 +119,42 @@ func plan(jobs []SweepJob, workers int) [][][]int {
 	}
 	shares := make([][][]int, workers)
 	for w := range shares {
-		shares[w] = groups[w*len(groups)/workers : (w+1)*len(groups)/workers]
+		shares[w] = fuse(cfgs, groups[w*len(groups)/workers:(w+1)*len(groups)/workers])
 	}
 	return shares
+}
+
+// fuse merges the groups of one worker's share whose geometries differ
+// only in FIFO depth (equal core.Geometry.ModelKey): each group, whole
+// and in order, joins the first model of its key with room for it
+// within core.GroupSize jobs, or starts a new one. A fused model costs
+// one pass over the shared state plus one FIFO per depth, never more
+// than the passes it replaces. A group that fails core.CheckGeometry is
+// never fused, so it fails alone.
+func fuse(cfgs []hydra.Config, groups [][]int) [][]int {
+	if len(groups) < 2 {
+		return groups
+	}
+	models := make([][]int, 0, len(groups))
+	keys := make([]core.Geometry, 0, len(groups))
+	fusable := make([]bool, 0, len(groups)) // the model may take more groups
+	for _, g := range groups {
+		key := core.GeometryOf(cfgs[g[0]]).ModelKey()
+		ok := core.CheckGeometry(cfgs[g[0]]) == nil
+		m := -1
+		for i := range models {
+			if ok && fusable[i] && keys[i] == key && len(models[i])+len(g) <= core.GroupSize {
+				m = i
+				break
+			}
+		}
+		if m < 0 {
+			models, keys, fusable = append(models, slices.Clip(g)), append(keys, key), append(fusable, ok)
+			continue
+		}
+		models[m] = append(models[m], g...)
+	}
+	return models
 }
 
 // sweepShare replays data once through the groups of one worker's

@@ -106,7 +106,7 @@ func remoteSession(addr, wname, srcPath string, scale float64, epochs int, budge
 		}
 		req.Source = string(b)
 	}
-	api := service.NewClient(addr, &http.Client{Timeout: time.Minute})
+	api := service.NewClient(addr, &http.Client{Timeout: 15 * time.Minute})
 	ctx := context.Background()
 	id, err := api.StartSession(ctx, req, "")
 	if err != nil {

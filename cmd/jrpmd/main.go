@@ -15,9 +15,10 @@
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}[?wait=1],
 // DELETE /v1/jobs/{id}, POST/GET /v1/sessions,
-// GET/DELETE /v1/sessions/{id}, GET /v1/metrics (?format=prom for
-// Prometheus text), GET /metrics, GET /v1/healthz, GET /v1/readyz,
-// GET /v1/version, GET /v1/traces/spans; with -worker additionally
+// GET /v1/sessions/{id}[?wait=1], DELETE /v1/sessions/{id},
+// GET /v1/metrics (?format=prom for Prometheus text), GET /metrics,
+// GET /v1/healthz, GET /v1/readyz, GET /v1/version,
+// GET /v1/traces/spans; with -worker additionally
 // POST /v1/shards and PUT /v1/traces/{hash}. See the README
 // sections "Running as a service", "Observability", "Distributed
 // sweeps", "Running a fleet" and "Closing the loop" for request and

@@ -18,12 +18,14 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"jrpm"
 	"jrpm/internal/cluster"
 	"jrpm/internal/core"
 	"jrpm/internal/httpjson"
 	"jrpm/internal/hydra"
+	"jrpm/internal/runs"
 	"jrpm/internal/telemetry"
 )
 
@@ -33,9 +35,8 @@ type Runner interface {
 	SweepStream(ctx context.Context, grid cluster.Grid, onRow func(trace, config int, row cluster.OutcomeRow)) (*cluster.Result, error)
 }
 
-// DefaultMaxSweeps bounds retained sweep runs (running + finished):
-// terminal runs are evicted FIFO to make room, and submissions are
-// rejected with 429 when every retained run is still executing.
+// DefaultMaxSweeps bounds the sweeps executing at once (a submission
+// past it gets 429) and, separately, the finished sweeps kept for GET.
 const DefaultMaxSweeps = 16
 
 // Options configures the sweep server.
@@ -46,18 +47,14 @@ type Options struct {
 // Server owns the sweep runs. Create with NewServer, mount with
 // Register.
 type Server struct {
-	runner    Runner
-	opts      Options
-	maxSweeps int // DefaultMaxSweeps; tests lower it
+	runner Runner
+	opts   Options
+	runs   *runs.Table[*run] // live: state running
 
-	mu    sync.Mutex
-	runs  map[string]*run
-	order []string // creation order, oldest first
-
-	started   int64
-	completed int64
-	canceled  int64
-	failed    int64
+	mu sync.Mutex
+	// The run ledger, moved with each run's state under mu; the
+	// Prometheus counters read it without the lock.
+	started, completed, canceled, failed atomic.Int64
 }
 
 // Run states.
@@ -127,7 +124,7 @@ type Status struct {
 
 // NewServer builds a sweep server over a Runner.
 func NewServer(r Runner, opts Options) *Server {
-	return &Server{runner: r, opts: opts, maxSweeps: DefaultMaxSweeps, runs: map[string]*run{}}
+	return &Server{runner: r, opts: opts, runs: runs.New[*run](DefaultMaxSweeps, DefaultMaxSweeps)}
 }
 
 // Register mounts the sweep API on mux.
@@ -141,36 +138,12 @@ func (s *Server) Register(mux *http.ServeMux) {
 // RegisterProm exposes the server's counters on a Prometheus registry.
 func (s *Server) RegisterProm(reg *telemetry.Registry) {
 	reg.GaugeFunc("jrpmd_sweeps_active", "Sweep runs currently executing.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var n float64
-		for _, r := range s.runs {
-			if r.state == StateRunning {
-				n++
-			}
-		}
-		return n
+		return float64(s.runs.Live())
 	})
-	reg.CounterFunc("jrpmd_sweeps_started_total", "Sweep runs accepted.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.started
-	})
-	reg.CounterFunc("jrpmd_sweeps_completed_total", "Sweep runs finished successfully.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.completed
-	})
-	reg.CounterFunc("jrpmd_sweeps_canceled_total", "Sweep runs canceled by DELETE.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.canceled
-	})
-	reg.CounterFunc("jrpmd_sweeps_failed_total", "Sweep runs that ended in error.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.failed
-	})
+	reg.CounterFunc("jrpmd_sweeps_started_total", "Sweep runs accepted.", s.started.Load)
+	reg.CounterFunc("jrpmd_sweeps_completed_total", "Sweep runs finished successfully.", s.completed.Load)
+	reg.CounterFunc("jrpmd_sweeps_canceled_total", "Sweep runs canceled by DELETE.", s.canceled.Load)
+	reg.CounterFunc("jrpmd_sweeps_failed_total", "Sweep runs that ended in error.", s.failed.Load)
 }
 
 func newID() string {
@@ -191,19 +164,15 @@ func (s *Server) submit(rw http.ResponseWriter, req *http.Request) {
 	// The sweep outlives the submission request: detach from the request
 	// context but keep the caller's trace linkage for stitched spans.
 	ctx, cancel := context.WithCancel(context.WithoutCancel(req.Context()))
-	r := &run{id: newID(), cancel: cancel, state: StateRunning}
-
+	r := &run{id: newID(), cond: sync.NewCond(&s.mu), cancel: cancel, state: StateRunning}
 	s.mu.Lock()
-	if !s.makeRoomLocked() {
+	if !s.runs.Add(r.id, r) {
 		s.mu.Unlock()
 		cancel()
-		httpjson.Error(rw, http.StatusTooManyRequests, "all retained sweep slots are still running", "")
+		httpjson.Error(rw, http.StatusTooManyRequests, "all sweep slots are running", "")
 		return
 	}
-	r.cond = sync.NewCond(&s.mu)
-	s.runs[r.id] = r
-	s.order = append(s.order, r.id)
-	s.started++
+	s.started.Add(1)
 	s.mu.Unlock()
 
 	go s.execute(ctx, r, grid)
@@ -237,26 +206,6 @@ func decodeSweepRequest(body io.Reader) (cluster.Grid, error) {
 	return grid, nil
 }
 
-// makeRoomLocked evicts terminal runs FIFO until a slot is free; false
-// when every retained run is still executing.
-func (s *Server) makeRoomLocked() bool {
-	for len(s.runs) >= s.maxSweeps {
-		evicted := false
-		for i, id := range s.order {
-			if r := s.runs[id]; r != nil && r.state != StateRunning {
-				delete(s.runs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *Server) execute(ctx context.Context, r *run, grid cluster.Grid) {
 	res, err := s.runner.SweepStream(ctx, grid, func(ti, ci int, row cluster.OutcomeRow) {
 		s.mu.Lock()
@@ -266,17 +215,19 @@ func (s *Server) execute(ctx context.Context, r *run, grid cluster.Grid) {
 	})
 	s.mu.Lock()
 	switch {
+	case r.state == StateCanceled:
+		// DELETE answered 204 and counted the run: it stays canceled
+		// whatever the runner returned.
 	case err == nil:
 		r.state = StateDone
 		r.result = res
-		s.completed++
-	case errors.Is(err, context.Canceled) && r.state == StateCanceled:
-		// DELETE already set the state; keep it.
+		s.completed.Add(1)
 	default:
 		r.state = StateFailed
 		r.errMsg = err.Error()
-		s.failed++
+		s.failed.Add(1)
 	}
+	s.runs.Finish(r.id)
 	r.cond.Broadcast()
 	s.mu.Unlock()
 	r.cancel()
@@ -286,13 +237,12 @@ func (s *Server) execute(ctx context.Context, r *run, grid cluster.Grid) {
 }
 
 func (s *Server) status(rw http.ResponseWriter, req *http.Request) {
-	s.mu.Lock()
-	r := s.runs[req.PathValue("id")]
-	if r == nil {
-		s.mu.Unlock()
+	r, ok := s.runs.Get(req.PathValue("id"))
+	if !ok {
 		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}
+	s.mu.Lock()
 	st := Status{ID: r.id, State: r.state, Rows: len(r.rows), Error: r.errMsg}
 	if req.URL.Query().Get("result") == "1" && r.result != nil {
 		st.Outcomes = r.result.Outcomes
@@ -303,20 +253,20 @@ func (s *Server) status(rw http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) cancelRun(rw http.ResponseWriter, req *http.Request) {
-	s.mu.Lock()
-	r := s.runs[req.PathValue("id")]
-	if r == nil {
-		s.mu.Unlock()
+	r, ok := s.runs.Get(req.PathValue("id"))
+	if !ok {
 		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}
+	s.mu.Lock()
 	if r.state != StateRunning {
 		s.mu.Unlock()
 		httpjson.Error(rw, http.StatusConflict, "sweep already "+r.state, "")
 		return
 	}
 	r.state = StateCanceled
-	s.canceled++
+	s.canceled.Add(1)
+	s.runs.Finish(r.id)
 	r.cond.Broadcast()
 	s.mu.Unlock()
 	r.cancel()
@@ -337,10 +287,8 @@ func (s *Server) streamRows(rw http.ResponseWriter, req *http.Request) {
 		}
 		cursor = n
 	}
-	s.mu.Lock()
-	r := s.runs[req.PathValue("id")]
-	s.mu.Unlock()
-	if r == nil {
+	r, ok := s.runs.Get(req.PathValue("id"))
+	if !ok {
 		httpjson.Error(rw, http.StatusNotFound, "no such sweep", "")
 		return
 	}

@@ -21,6 +21,7 @@ import (
 	"jrpm/internal/cluster"
 	"jrpm/internal/core"
 	"jrpm/internal/hydra"
+	"jrpm/internal/runs"
 	"jrpm/internal/workloads"
 )
 
@@ -356,13 +357,13 @@ func TestSweepsCancel(t *testing.T) {
 	}
 }
 
-// TestSweepsCapacity: with one retained slot, a second submission is
+// TestSweepsCapacity: with one running slot, a second submission is
 // rejected while the first still runs, and accepted once the first is
-// terminal (the slot is evicted FIFO).
+// terminal.
 func TestSweepsCapacity(t *testing.T) {
 	runner := &blockingRunner{started: make(chan struct{})}
 	s := NewServer(runner, Options{})
-	s.maxSweeps = 1
+	s.runs = runs.New[*run](1, DefaultMaxSweeps)
 	srv := newSweepServer(t, s)
 	id := submitSweep(t, srv.URL, dummyRequest())
 	select {
@@ -390,8 +391,56 @@ func TestSweepsCapacity(t *testing.T) {
 	if _, tr := readStream(t, srv.URL, id, 0); tr.State != StateCanceled {
 		t.Fatalf("trailer state = %s, want %s", tr.State, StateCanceled)
 	}
-	// Terminal run is evicted to admit the next submission.
+	// The terminal run no longer holds the slot.
 	submitSweep(t, srv.URL, dummyRequest())
+}
+
+// runnerFunc adapts a function to Runner.
+type runnerFunc func(ctx context.Context, grid cluster.Grid, onRow func(int, int, cluster.OutcomeRow)) (*cluster.Result, error)
+
+func (f runnerFunc) SweepStream(ctx context.Context, grid cluster.Grid, onRow func(int, int, cluster.OutcomeRow)) (*cluster.Result, error) {
+	return f(ctx, grid, onRow)
+}
+
+// TestSweepsCancelWinsOverCompletion: a runner that ignores its context
+// returns a result after DELETE has answered 204. The run stays
+// canceled, and the ledger counts it once: started == completed +
+// canceled + failed.
+func TestSweepsCancelWinsOverCompletion(t *testing.T) {
+	var srv *httptest.Server
+	const id = "feedfacefeedface"
+	s := NewServer(runnerFunc(func(ctx context.Context, _ cluster.Grid, _ func(int, int, cluster.OutcomeRow)) (*cluster.Result, error) {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/sweeps/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return nil, err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Errorf("DELETE = %d, want 204", resp.StatusCode)
+		}
+		return &cluster.Result{}, nil
+	}), Options{})
+	srv = newSweepServer(t, s)
+
+	// Run the sweep as submit does, but wait for execute to return.
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &run{id: id, cond: sync.NewCond(&s.mu), cancel: cancel, state: StateRunning}
+	s.runs.Add(r.id, r)
+	s.started.Add(1)
+	s.execute(ctx, r, cluster.Grid{})
+
+	if _, tr := readStream(t, srv.URL, id, 0); tr.State != StateCanceled {
+		t.Errorf("trailer state = %s, want %s", tr.State, StateCanceled)
+	}
+	started, completed, canceled, failed := s.started.Load(), s.completed.Load(), s.canceled.Load(), s.failed.Load()
+	if started != 1 || completed != 0 || canceled != 1 || failed != 0 {
+		t.Errorf("started=%d completed=%d canceled=%d failed=%d, want 1/0/1/0", started, completed, canceled, failed)
+	}
+	if started != completed+canceled+failed {
+		t.Errorf("started %d != completed %d + canceled %d + failed %d", started, completed, canceled, failed)
+	}
 }
 
 // TestSweepsValidation: malformed submissions and unknown ids are

@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
-	"time"
 
 	"jrpm/internal/httpjson"
 	"jrpm/internal/session"
@@ -47,44 +45,27 @@ func (c *Client) start(ctx context.Context, path string, req any, tenant string)
 	return sub.ID, err
 }
 
-// Wait long-polls job id until it is terminal. A 202 answer is the
-// server's bounded long-poll expiring with the job still queued or
-// running, so Wait polls again.
+// Wait long-polls job id until it is terminal.
 func (c *Client) Wait(ctx context.Context, id string) (JobView, error) {
-	for {
-		var v JobView
-		status, err := httpjson.Do(ctx, c.hc, http.MethodGet, c.base+"/v1/jobs/"+id+"?wait=1", nil, nil, &v)
-		if err != nil || status != http.StatusAccepted {
-			return v, err
-		}
-	}
+	return wait[JobView](ctx, c, "/v1/jobs/"+id)
 }
 
-// sessionPoll is how often WaitSession reads a session's view: sessions
-// have no long-poll.
-const sessionPoll = 20 * time.Millisecond
-
-// WaitSession polls session id until it is done, stopped or failed. Any
-// answer but a 200 is an error: an unknown or forgotten session answers
-// 404.
+// WaitSession long-polls session id until it is done, stopped or
+// failed. An unknown or forgotten session answers 404, a
+// *httpjson.StatusError.
 func (c *Client) WaitSession(ctx context.Context, id string) (session.View, error) {
+	return wait[session.View](ctx, c, "/v1/sessions/"+id)
+}
+
+// wait GETs path?wait=1 until the run is terminal. A 202 answer is the
+// server's bounded long-poll expiring with the run still going, so wait
+// polls again.
+func wait[V any](ctx context.Context, c *Client, path string) (V, error) {
 	for {
-		var v session.View
-		status, err := httpjson.Do(ctx, c.hc, http.MethodGet, c.base+"/v1/sessions/"+id, nil, nil, &v)
-		switch {
-		case err != nil:
+		var v V
+		status, err := httpjson.Do(ctx, c.hc, http.MethodGet, c.base+path+"?wait=1", nil, nil, &v)
+		if err != nil || status != http.StatusAccepted {
 			return v, err
-		case status != http.StatusOK:
-			return v, fmt.Errorf("session %s: HTTP %d", id, status)
-		}
-		switch session.State(v.State) {
-		case session.StateDone, session.StateStopped, session.StateFailed:
-			return v, nil
-		}
-		select {
-		case <-time.After(sessionPoll):
-		case <-ctx.Done():
-			return v, ctx.Err()
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"jrpm"
 	"jrpm/internal/freelist"
 	"jrpm/internal/hydra"
+	"jrpm/internal/runs"
 	"jrpm/internal/session"
 	"jrpm/internal/telemetry"
 	"jrpm/internal/trace"
@@ -53,9 +54,9 @@ type Config struct {
 	// means 60s. MaxTimeout caps every job; <= 0 means 10m.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// LongPoll bounds a GET /v1/jobs/{id}?wait=1 long-poll; past it the
-	// server answers 202 with a retry hint instead of holding the
-	// connection. <= 0 means 30s.
+	// LongPoll bounds a GET /v1/jobs/{id}?wait=1 or
+	// /v1/sessions/{id}?wait=1 long-poll; past it the server answers 202
+	// with a retry hint instead of holding the connection. <= 0 means 30s.
 	LongPoll time.Duration
 	// MaxSessions bounds concurrently running adaptive sessions
 	// (POST /v1/sessions); <= 0 means session.DefaultMaxSessions.
@@ -122,11 +123,8 @@ type Pool struct {
 	tracer   *telemetry.Tracer // nil = job spans disabled
 
 	queue    *tenantQueue
-	jobs     sync.Map // id -> *Job
+	jobs     *runs.Table[*Job] // live: accepted and not yet terminal
 	seq      atomic.Int64
-	live     atomic.Int64 // jobs accepted but not yet terminal
-	finMu    sync.Mutex
-	finished []string // ids of terminal jobs still in jobs, oldest first
 	ctx      context.Context
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
@@ -153,6 +151,7 @@ func NewPool(cfg Config) *Pool {
 		sessions: session.NewManager(cfg.MaxSessions, smetrics, nil),
 		smetrics: smetrics,
 		queue:    newTenantQueue(cfg.QueueDepth, cfg.TenantRate, cfg.TenantBurst),
+		jobs:     runs.New[*Job](0, cfg.retainFinished()),
 	}
 	p.registerPoolGauges(reg)
 	p.ctx, p.cancel = context.WithCancel(context.Background())
@@ -210,7 +209,7 @@ func (p *Pool) Tenants() []TenantSnapshot { return p.queue.snapshot() }
 
 // Active is the number of jobs accepted and not yet terminal (queued or
 // executing); Drain waits for it to reach zero.
-func (p *Pool) Active() int { return int(p.live.Load()) }
+func (p *Pool) Active() int { return p.jobs.Live() }
 
 // Submit validates and enqueues a job. It fails fast: an unresolvable
 // request (unknown workload, both/neither of source+workload, malformed
@@ -244,41 +243,23 @@ func (p *Pool) SubmitCtx(ctx context.Context, req Request) (*Job, error) {
 		traceparent: telemetry.ContextTraceparent(ctx),
 		done:        make(chan struct{}),
 	}
+	// In the table before a worker can see it, so that its Finish
+	// follows its Add.
+	p.jobs.Add(job.ID, job)
 	if err := p.queue.admit(job, now); err != nil {
+		p.jobs.Remove(job.ID)
 		if !errors.Is(err, ErrQueueFull) { // *QuotaError
 			p.metrics.QuotaShed.Add(1)
 		}
 		p.metrics.JobsRejected.Add(1)
 		return nil, err
 	}
-	p.jobs.Store(job.ID, job)
 	p.metrics.JobsSubmitted.Add(1)
-	p.live.Add(1)
 	return job, nil
 }
 
 // Get returns a job by id.
-func (p *Pool) Get(id string) (*Job, bool) {
-	v, ok := p.jobs.Load(id)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Job), true
-}
-
-// retire accounts for a job that reached a terminal state: it is no
-// longer live, and it joins the finished jobs, evicting the oldest past
-// retainFinished.
-func (p *Pool) retire(j *Job) {
-	p.live.Add(-1)
-	p.finMu.Lock()
-	defer p.finMu.Unlock()
-	p.finished = append(p.finished, j.ID)
-	if len(p.finished) > p.cfg.retainFinished() {
-		p.jobs.Delete(p.finished[0])
-		p.finished = p.finished[1:]
-	}
-}
+func (p *Pool) Get(id string) (*Job, bool) { return p.jobs.Get(id) }
 
 // Cancel aborts a job by id, reporting what it did: CancelNoop means
 // the job had already reached a terminal state (the HTTP layer answers
@@ -295,7 +276,7 @@ func (p *Pool) Cancel(id string) (CancelOutcome, error) {
 		// finds it canceled and drops it.
 		p.queue.remove(j)
 		p.metrics.JobsCanceled.Add(1)
-		p.retire(j)
+		p.jobs.Finish(j.ID)
 	}
 	return out, nil
 }
@@ -310,7 +291,7 @@ func (p *Pool) Drain(ctx context.Context) bool {
 	clean := true
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
-	for p.live.Load() > 0 {
+	for p.jobs.Live() > 0 {
 		select {
 		case <-ctx.Done():
 			clean = false
@@ -349,7 +330,7 @@ func (p *Pool) stop() {
 		j.failIfQueued(ErrServerDraining.Error(), func() {
 			p.metrics.DrainFailed.Add(1)
 			p.metrics.JobsFailed.Add(1)
-			p.retire(j)
+			p.jobs.Finish(j.ID)
 		})
 	}
 }
@@ -387,7 +368,7 @@ func (p *Pool) run(j *Job) {
 			j.failIfQueued(fmt.Sprintf("deadline (%dms) expired while queued", j.Req.DeadlineMs), func() {
 				p.metrics.DeadlineExpired.Add(1)
 				p.metrics.JobsFailed.Add(1)
-				p.retire(j)
+				p.jobs.Finish(j.ID)
 			})
 			return
 		}
@@ -462,7 +443,7 @@ func (p *Pool) run(j *Job) {
 	sp.SetAttr("job.state", string(state))
 	sp.Fail(err)
 	sp.End()
-	p.retire(j)
+	p.jobs.Finish(j.ID)
 	j.finish(state, res, errMsg)
 }
 

@@ -36,7 +36,8 @@ const maxRequestBody = 16 << 20
 //	POST   /v1/sessions       start an adaptive session (202 + {"id": ...})
 //	GET    /v1/sessions       list sessions with epoch + tier summary
 //	GET    /v1/sessions/{id}  full session view: per-loop tier records
-//	                          plus the transition history
+//	                          plus the transition history; ?wait=1
+//	                          long-polls as for jobs
 //	DELETE /v1/sessions/{id}  stop a session (it keeps its final state)
 type Server struct {
 	pool  *Pool
@@ -154,23 +155,28 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	s.reply(w, r, job.Done(), func() any { return job.View() })
+}
+
+// reply answers a GET of one run with its view. With ?wait=1 it first
+// long-polls until done closes. The long-poll is bounded server-side so
+// a slow run cannot pin a connection forever; a timed-out poll gets 202
+// + a retry hint and the client simply polls again.
+func (s *Server) reply(w http.ResponseWriter, r *http.Request, done <-chan struct{}, view func() any) {
+	code := http.StatusOK
 	if wait, _ := strconv.ParseBool(r.URL.Query().Get("wait")); wait {
-		// The long-poll is bounded server-side so a slow job cannot pin a
-		// connection forever; a timed-out poll gets 202 + a retry hint and
-		// the client simply polls again.
 		bound := time.NewTimer(s.pool.Config().LongPoll)
 		defer bound.Stop()
 		select {
-		case <-job.Done():
+		case <-done:
 		case <-r.Context().Done():
 			return
 		case <-bound.C:
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusAccepted, job.View())
-			return
+			code = http.StatusAccepted
 		}
 	}
-	writeJSON(w, http.StatusOK, job.View())
+	writeJSON(w, code, view())
 }
 
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {

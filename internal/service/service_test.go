@@ -458,6 +458,10 @@ func TestQueueFullRejects(t *testing.T) {
 	if n := pool.Metrics().JobsRejected.Load(); n != 1 {
 		t.Errorf("jobs_rejected=%d, want 1", n)
 	}
+	// The refused job left nothing behind in the run table.
+	if _, ok := pool.Get("j00000003"); ok || pool.Active() != 2 {
+		t.Errorf("refused job reachable %v, %d live jobs; want false, 2", ok, pool.Active())
+	}
 
 	srv := httptest.NewServer(NewServer(pool).Handler())
 	defer srv.Close()

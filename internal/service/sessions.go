@@ -209,18 +209,17 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.View())
+	s.reply(w, r, sess.Done(), func() any { return sess.View() })
 }
 
 func (s *Server) stopSession(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.pool.Sessions().Get(r.PathValue("id"))
-	if !ok {
+	id := r.PathValue("id")
+	if !s.pool.Sessions().Stop(id) {
 		writeError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	sess.Stop()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"id":      sess.ID,
+		"id":      id,
 		"stopped": true,
 	})
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
+	"jrpm/internal/runs"
 	"jrpm/internal/telemetry"
 )
 
@@ -25,20 +25,15 @@ var ErrLimit = errors.New("session: running-session limit reached")
 type Manager struct {
 	limit   int
 	metrics *Metrics
+	// sessions keeps the running ones and, as the job pool keeps
+	// finished jobs, sixteen times the running limit of finished ones.
+	sessions *runs.Table[*Session]
 
-	mu       sync.Mutex
-	logger   *telemetry.Logger
-	tracer   *telemetry.Tracer
-	sessions map[string]*Session
-	finished []string // ids of terminal sessions still in sessions, oldest first
-	seq      int
+	mu     sync.Mutex
+	logger *telemetry.Logger
+	tracer *telemetry.Tracer
+	seq    int
 }
-
-// retainFinished bounds the terminal sessions a manager keeps for GET
-// /v1/sessions/{id}, as the job pool bounds finished jobs: sixteen times
-// the running limit. Past it the oldest finished sessions are forgotten
-// and answer 404 like an unknown id; running sessions are always kept.
-func (m *Manager) retainFinished() int { return 16 * m.limit }
 
 // NewManager builds a manager allowing up to limit concurrently running
 // sessions (DefaultMaxSessions when limit <= 0). metrics and logger may
@@ -51,7 +46,7 @@ func NewManager(limit int, metrics *Metrics, logger *telemetry.Logger) *Manager 
 		limit:    limit,
 		metrics:  metrics,
 		logger:   logger,
-		sessions: map[string]*Session{},
+		sessions: runs.New[*Session](limit, 16*limit),
 	}
 }
 
@@ -75,16 +70,6 @@ func (m *Manager) SetLogger(l *telemetry.Logger) {
 // reached.
 func (m *Manager) Start(cfg Config) (*Session, error) {
 	m.mu.Lock()
-	running := 0
-	for _, s := range m.sessions {
-		if st := s.State(); st == StatePending || st == StateRunning {
-			running++
-		}
-	}
-	if running >= m.limit {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w (limit %d)", ErrLimit, m.limit)
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = m.logger
 	}
@@ -100,10 +85,13 @@ func (m *Manager) Start(cfg Config) (*Session, error) {
 		m.mu.Unlock()
 		return nil, err
 	}
+	s.ID = fmt.Sprintf("s%08d", m.seq+1)
+	if !m.sessions.Add(s.ID, s) {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w (limit %d)", ErrLimit, m.limit)
+	}
 	m.seq++
-	s.ID = fmt.Sprintf("s%08d", m.seq)
-	m.sessions[s.ID] = s
-	s.onFinish = func() { m.retire(s.ID) }
+	s.onFinish = func() { m.sessions.Finish(s.ID) }
 	m.mu.Unlock()
 
 	logger.Info("session started", "session", s.ID, "name", cfg.Name,
@@ -112,39 +100,16 @@ func (m *Manager) Start(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// retire records a session's end and forgets the oldest finished
-// session past retainFinished.
-func (m *Manager) retire(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.finished = append(m.finished, id)
-	if len(m.finished) > m.retainFinished() {
-		delete(m.sessions, m.finished[0])
-		m.finished = m.finished[1:]
-	}
-}
-
 // Get returns a session by id.
-func (m *Manager) Get(id string) (*Session, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
-	return s, ok
-}
+func (m *Manager) Get(id string) (*Session, bool) { return m.sessions.Get(id) }
 
 // List snapshots the sessions the manager holds, in start order.
 func (m *Manager) List() []View {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
+	sessions := m.sessions.List()
 	views := make([]View, len(sessions))
 	for i, s := range sessions {
 		views[i] = s.View()
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 	return views
 }
 
@@ -162,12 +127,7 @@ func (m *Manager) Stop(id string) bool {
 // StopAll cancels every session and waits for them to finish or for ctx
 // to end — the daemon calls this during graceful drain.
 func (m *Manager) StopAll(ctx context.Context) {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
+	sessions := m.sessions.List()
 	for _, s := range sessions {
 		s.Stop()
 	}
@@ -190,11 +150,5 @@ type Counts struct {
 func (m *Manager) Counts() Counts {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := Counts{Started: m.seq}
-	for _, s := range m.sessions {
-		if st := s.State(); st == StatePending || st == StateRunning {
-			c.Active++
-		}
-	}
-	return c
+	return Counts{Started: m.seq, Active: m.sessions.Live()}
 }
